@@ -406,9 +406,14 @@ func (b *Broker) logf(format string, args ...any) {
 func (b *Broker) handleConn(conn net.Conn) {
 	defer conn.Close()
 
+	// One buffered reader serves CONNECT and the steady state alike, so
+	// packets a client pipelines behind its CONNECT are not lost and a burst
+	// of small packets costs one read. Deadlines stay on conn.
+	br := bufio.NewReaderSize(conn, readerBufSize)
+
 	// The first packet must be CONNECT; give slow clients 10 seconds.
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	pkt, err := wire.ReadPacket(conn, b.opts.MaxPacketSize)
+	pkt, err := wire.ReadPacket(br, b.opts.MaxPacketSize)
 	if err != nil {
 		return
 	}
@@ -504,7 +509,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 	}()
 
 	will := willOf(connect)
-	normal := b.readLoop(conn, sess, connect.KeepAlive)
+	normal := b.readLoop(conn, br, sess, connect.KeepAlive)
 
 	// Tear down: detach so no further deliveries target this connection,
 	// close the socket so a blocked writer errors out, then send the
@@ -607,7 +612,7 @@ func (b *Broker) swapRoutesLocked() {
 
 // readLoop processes inbound packets until the connection ends. It reports
 // whether the client disconnected gracefully (DISCONNECT packet).
-func (b *Broker) readLoop(conn net.Conn, sess *session, keepAlive uint16) (graceful bool) {
+func (b *Broker) readLoop(conn net.Conn, br *bufio.Reader, sess *session, keepAlive uint16) (graceful bool) {
 	for {
 		if keepAlive > 0 {
 			deadline := time.Duration(keepAlive) * time.Second * 3 / 2
@@ -615,7 +620,7 @@ func (b *Broker) readLoop(conn net.Conn, sess *session, keepAlive uint16) (grace
 		} else {
 			_ = conn.SetReadDeadline(time.Time{})
 		}
-		pkt, err := wire.ReadPacket(conn, b.opts.MaxPacketSize)
+		pkt, err := wire.ReadPacket(br, b.opts.MaxPacketSize)
 		if err != nil {
 			return false
 		}
@@ -946,6 +951,11 @@ func (b *Broker) startFanoutHelpers(n int) {
 // QoS0 fan-out while staying a modest per-connection cost.
 const writerBufSize = 64 << 10
 
+// readerBufSize is the per-connection inbound buffer: bufio's default. It
+// holds some hundred sensor-sized PUBLISH frames per read; a larger packet
+// bypasses it and is read straight into its own body.
+const readerBufSize = 4 << 10
+
 // writeOut serializes one outbound item into the connection's buffered
 // writer, reporting how many application messages it wrote (0 or 1) so
 // the writer loop can bump the delivery counters once per batch.
@@ -1041,12 +1051,12 @@ func (b *Broker) handleSubscribe(sess *session, p *wire.SubscribePacket) {
 		b.persistSub(sess, sub.TopicFilter, granted)
 		codes[i] = byte(granted)
 	}
-	// SUBACK precedes retained replay in the session queue (spec 3.8.4).
-	sess.send(&wire.SubackPacket{PacketID: p.PacketID, ReturnCodes: codes})
-
 	tbl := b.trie.build(b.routeEpoch.Add(1))
 	b.gate.lock()
 	b.routes.Store(tbl)
+	// SUBACK follows the swap, so whoever has seen it is already routed to,
+	// and precedes retained replay in the session queue (spec 3.8.4).
+	sess.send(&wire.SubackPacket{PacketID: p.PacketID, ReturnCodes: codes})
 	b.retainedMu.Lock()
 	for i, sub := range p.Subscriptions {
 		for topic, msg := range b.retained {

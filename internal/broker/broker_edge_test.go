@@ -40,12 +40,21 @@ func TestBrokerKeepAliveTimeoutDisconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keep-alive 1s but never ping: broker must drop us after ~1.5s.
-	if err := wire.WritePacket(conn, &wire.ConnectPacket{ClientID: "sleepy", CleanSession: true, KeepAlive: 1}); err != nil {
+	// Keep-alive 1s and a single ping pipelined behind CONNECT, then
+	// silence: once the read buffer has drained the broker is back on the
+	// socket's deadline and must drop us after ~1.5s.
+	connect, err := wire.Encode(&wire.ConnectPacket{ClientID: "sleepy", CleanSession: true, KeepAlive: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadPacket(conn, 0); err != nil { // CONNACK
+	ping, _ := wire.Encode(&wire.PingreqPacket{})
+	if _, err := conn.Write(append(connect, ping...)); err != nil {
 		t.Fatal(err)
+	}
+	for _, want := range []wire.PacketType{wire.CONNACK, wire.PINGRESP} {
+		if p, err := wire.ReadPacket(conn, 0); err != nil || p.Type() != want {
+			t.Fatalf("got %v, %v; want %v", p, err, want)
+		}
 	}
 	start := time.Now()
 	_, err = wire.ReadPacket(conn, 0) // blocks until broker closes

@@ -427,6 +427,29 @@ func TestBrokerStats(t *testing.T) {
 	})
 }
 
+// A client that has seen its SUBACK may tell a peer to publish at once; the
+// subscription must already be routed to by then.
+func TestSubackMeansRouted(t *testing.T) {
+	bus := newTestBus(t, Options{})
+	sub := bus.connect(t, mqttclient.NewOptions("sub"))
+	pub := bus.connect(t, mqttclient.NewOptions("pub"))
+	got := make(chan string, 1)
+	for i := 0; i < 200; i++ {
+		topic := clientName("acked", i)
+		if _, err := sub.Subscribe(topic, wire.QoS0, func(m mqttclient.Message) { got <- m.Topic }); err != nil {
+			t.Fatal(err)
+		}
+		if err := pub.Publish(topic, []byte("x"), wire.QoS0, false); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("publish to %s right after its SUBACK was not delivered", topic)
+		}
+	}
+}
+
 func TestBrokerCloseDisconnectsClients(t *testing.T) {
 	b := New(Options{})
 	l := netsim.NewPipeListener()

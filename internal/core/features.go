@@ -14,9 +14,9 @@ import (
 // old BatchFeatures profile. The table is tiny (one entry per sensor ever
 // seen) and append-only.
 type sensorSyms struct {
-	numID  [3]uint32  // IDs of "s<idx>.c<ch>@num" (batch features)
-	rawID  [3]uint32  // IDs of "s<idx>.c<ch>" (raw anomaly features)
-	numKey [3]string  // cached string form for map Vector output
+	numID  [3]uint32 // IDs of "s<idx>.c<ch>@num" (batch features)
+	rawID  [3]uint32 // IDs of "s<idx>.c<ch>" (raw anomaly features)
+	numKey [3]string // cached string form for map Vector output
 	rawKey [3]string
 	prefix string // "s<idx>" (windowed anomaly feature prefix)
 }

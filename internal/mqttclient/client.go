@@ -5,6 +5,7 @@
 package mqttclient
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -113,6 +114,10 @@ func NewOptions(clientID string) Options {
 	}
 }
 
+// readBufSize is the connection's inbound buffer (bufio's default): a burst
+// of small packets costs one read; a larger packet bypasses the buffer.
+const readBufSize = 4 << 10
+
 func (o Options) withDefaults() Options {
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = 10 * time.Second
@@ -180,6 +185,7 @@ func (r *HandlerRegistration) Remove() {
 type Client struct {
 	opts Options
 	conn net.Conn
+	br   *bufio.Reader // the only reader of conn, from CONNACK on
 
 	writeMu sync.Mutex // serializes packet writes
 
@@ -248,8 +254,11 @@ func Connect(conn net.Conn, opts Options) (*Client, error) {
 	if err := wire.WritePacket(conn, connect); err != nil {
 		return nil, fmt.Errorf("mqttclient connect: %w", err)
 	}
+	// The broker may send retained replay in the same segment as CONNACK,
+	// so the reader that takes CONNACK must be the one readLoop keeps.
+	br := bufio.NewReaderSize(conn, readBufSize)
 	_ = conn.SetReadDeadline(time.Now().Add(opts.AckTimeout))
-	pkt, err := wire.ReadPacket(conn, opts.MaxPacketSize)
+	pkt, err := wire.ReadPacket(br, opts.MaxPacketSize)
 	if err != nil {
 		return nil, fmt.Errorf("mqttclient connack: %w", err)
 	}
@@ -265,6 +274,7 @@ func Connect(conn net.Conn, opts Options) (*Client, error) {
 	c := &Client{
 		opts:      opts,
 		conn:      conn,
+		br:        br,
 		pending:   make(map[uint16]chan wire.Packet),
 		laneDrops: make(map[string]*atomic.Int64),
 		dispatch:  make(chan Message, opts.DispatchBuffer),
@@ -533,7 +543,7 @@ func (c *Client) readLoop() {
 	defer c.wg.Done()
 	var readErr error
 	for {
-		pkt, err := wire.ReadPacket(c.conn, c.opts.MaxPacketSize)
+		pkt, err := wire.ReadPacket(c.br, c.opts.MaxPacketSize)
 		if err != nil {
 			readErr = err
 			break
@@ -721,14 +731,7 @@ func (c *Client) dispatchLoop() {
 	defer c.wg.Done()
 	var lanes []*lane // scratch, reused across messages
 	for msg := range c.dispatch {
-		lanes = lanes[:0]
-		c.mu.Lock()
-		for _, s := range c.subs {
-			if wire.MatchTopic(s.filter, msg.Topic) {
-				lanes = append(lanes, s.lane)
-			}
-		}
-		c.mu.Unlock()
+		lanes = c.matchLanes(lanes[:0], msg.Topic)
 		if len(lanes) == 0 {
 			if c.defaultLane != nil {
 				c.enqueue(c.defaultLane, msg)
@@ -749,6 +752,18 @@ func (c *Client) dispatchLoop() {
 	if c.defaultLane != nil {
 		close(c.defaultLane.ch)
 	}
+}
+
+// matchLanes appends to dst the lane of every subscription matching topic.
+func (c *Client) matchLanes(dst []*lane, topic string) []*lane {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.subs {
+		if wire.MatchTopic(s.filter, topic) {
+			dst = append(dst, s.lane)
+		}
+	}
+	return dst
 }
 
 func (c *Client) pingLoop() {

@@ -42,15 +42,21 @@ func FuzzReadPacket(f *testing.F) {
 	})
 }
 
-// FuzzMatchTopic checks the wildcard matcher never panics and respects the
-// exact-match identity for valid topics.
+// FuzzMatchTopic checks the split-free matcher against the strings.Split
+// oracle on arbitrary input (valid or not) and the exact-match identity for
+// valid topics.
 func FuzzMatchTopic(f *testing.F) {
 	f.Add("a/b/c", "a/b/c")
 	f.Add("a/+/c", "a/x/c")
 	f.Add("#", "x")
 	f.Add("$SYS/#", "$SYS/broker")
+	f.Add("a/#", "a")
+	f.Add("a/#/c", "a/x")
+	f.Add("a//+", "a//")
 	f.Fuzz(func(t *testing.T, filter, topic string) {
-		_ = MatchTopic(filter, topic)
+		if got, want := MatchTopic(filter, topic), matchTopicOracle(filter, topic); got != want {
+			t.Fatalf("MatchTopic(%q, %q) = %v, oracle says %v", filter, topic, got, want)
+		}
 		if ValidateTopicName(topic) == nil && ValidateTopicFilter(topic) == nil {
 			if !MatchTopic(topic, topic) {
 				t.Fatalf("valid topic %q does not match itself", topic)

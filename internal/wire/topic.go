@@ -63,30 +63,28 @@ func validateTopicCommon(topic string) error {
 // MatchTopic reports whether a topic name matches a topic filter under MQTT
 // wildcard semantics. Both arguments are assumed valid. Per spec 4.7.2,
 // topics beginning with '$' are not matched by filters starting with a
-// wildcard.
+// wildcard. It walks both strings level by level and allocates nothing.
 func MatchTopic(filter, topic string) bool {
 	if strings.HasPrefix(topic, "$") && (strings.HasPrefix(filter, "+") || strings.HasPrefix(filter, "#")) {
 		return false
 	}
-	fl := strings.Split(filter, "/")
-	tl := strings.Split(topic, "/")
-	return matchLevels(fl, tl)
-}
-
-func matchLevels(filter, topic []string) bool {
-	for i, f := range filter {
+	for {
+		f, frest, fmore := strings.Cut(filter, "/")
 		if f == "#" {
-			// '#' matches the parent level too ("a/#" matches "a").
 			return true
 		}
-		if i >= len(topic) {
-			// Special case: filter "a/#" matches topic "a" handled above;
-			// otherwise filter is longer than topic.
+		t, trest, tmore := strings.Cut(topic, "/")
+		if f != "+" && f != t {
 			return false
 		}
-		if f != "+" && f != topic[i] {
+		if !tmore {
+			// Topic exhausted: the filter must be too, or continue with
+			// '#', which matches the parent level ("a/#" matches "a").
+			return !fmore || frest == "#" || strings.HasPrefix(frest, "#/")
+		}
+		if !fmore {
 			return false
 		}
+		filter, topic = frest, trest
 	}
-	return len(filter) == len(topic)
 }

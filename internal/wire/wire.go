@@ -311,19 +311,24 @@ func AppendEncodePublish(dst []byte, topic string, payload []byte) ([]byte, erro
 
 // ReadPacket reads and decodes exactly one packet from r. maxSize bounds the
 // remaining length to defend against hostile peers; pass 0 for the protocol
-// maximum.
+// maximum. When r is an io.ByteReader (a *bufio.Reader around a socket) the
+// fixed header is taken byte by byte from its buffer, so a burst of small
+// packets costs one read of the underlying connection, not three per packet.
+// A clean close between packets returns io.EOF; a close after any byte of
+// a packet returns io.ErrUnexpectedEOF.
 func ReadPacket(r io.Reader, maxSize int) (Packet, error) {
 	if maxSize <= 0 || maxSize > MaxRemainingLength {
 		maxSize = MaxRemainingLength
 	}
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		br = &byteReader{r: r}
+	}
+	first, err := br.ReadByte()
+	if err != nil {
 		return nil, err
 	}
-	pt := PacketType(first[0] >> 4)
-	flags := first[0] & 0x0F
-
-	remaining, err := readRemainingLength(r)
+	remaining, err := readRemainingLength(br)
 	if err != nil {
 		return nil, err
 	}
@@ -332,12 +337,33 @@ func ReadPacket(r io.Reader, maxSize int) (Packet, error) {
 	}
 	body := make([]byte, remaining)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+		return nil, midPacket(err)
 	}
-	return Decode(pt, flags, body)
+	return Decode(PacketType(first>>4), first&0x0F, body)
 }
 
-// Decode parses a packet body given its type and fixed-header flags.
+// byteReader is ReadPacket's fallback for a reader without ReadByte.
+type byteReader struct {
+	r io.Reader
+	b [1]byte
+}
+
+func (br *byteReader) ReadByte() (byte, error) {
+	_, err := io.ReadFull(br.r, br.b[:])
+	return br.b[0], err
+}
+
+// midPacket turns the io.EOF of a read that began inside a packet into
+// io.ErrUnexpectedEOF, so a torn frame never looks like an orderly close.
+func midPacket(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// Decode parses a packet body given its type and fixed-header flags. A
+// PUBLISH keeps body as its Payload, so body must not be reused.
 func Decode(pt PacketType, flags byte, body []byte) (Packet, error) {
 	var p Packet
 	switch pt {
@@ -574,7 +600,12 @@ func (p *PublishPacket) decode(flags byte, body []byte) error {
 			return ErrProtocolViolated
 		}
 	}
-	p.Payload = r.rest()
+	// The payload aliases body, which ReadPacket allocated for this packet
+	// alone: every holder of the packet shares it read-only. The capacity
+	// is clipped so that an append by one holder reallocates.
+	if r.off < len(body) {
+		p.Payload = body[r.off:len(body):len(body)]
+	}
 	return nil
 }
 
@@ -775,18 +806,16 @@ func appendRemainingLength(b []byte, n int) []byte {
 	}
 }
 
-func readRemainingLength(r io.Reader) (int, error) {
-	var (
-		value      int
-		multiplier = 1
-		buf        [1]byte
-	)
+// readRemainingLength reads the varint that follows the first header byte.
+func readRemainingLength(r io.ByteReader) (int, error) {
+	value, multiplier := 0, 1
 	for i := 0; i < 4; i++ {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return 0, err
+		b, err := r.ReadByte()
+		if err != nil {
+			return 0, midPacket(err)
 		}
-		value += int(buf[0]&0x7F) * multiplier
-		if buf[0]&0x80 == 0 {
+		value += int(b&0x7F) * multiplier
+		if b&0x80 == 0 {
 			return value, nil
 		}
 		multiplier *= 128
@@ -826,7 +855,8 @@ func (r *reader) uint16() (uint16, error) {
 	return v, nil
 }
 
-func (r *reader) bytes() ([]byte, error) {
+// field returns the next length-prefixed field as a view into buf.
+func (r *reader) field() ([]byte, error) {
 	n, err := r.uint16()
 	if err != nil {
 		return nil, err
@@ -834,18 +864,17 @@ func (r *reader) bytes() ([]byte, error) {
 	if r.off+int(n) > len(r.buf) {
 		return nil, io.ErrUnexpectedEOF
 	}
-	b := append([]byte(nil), r.buf[r.off:r.off+int(n)]...)
+	b := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
 	return b, nil
 }
 
-func (r *reader) string() (string, error) {
-	b, err := r.bytes()
-	return string(b), err
+func (r *reader) bytes() ([]byte, error) {
+	b, err := r.field()
+	return append([]byte(nil), b...), err
 }
 
-func (r *reader) rest() []byte {
-	b := append([]byte(nil), r.buf[r.off:]...)
-	r.off = len(r.buf)
-	return b
+func (r *reader) string() (string, error) {
+	b, err := r.field()
+	return string(b), err
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -191,16 +192,81 @@ func TestReadPacketEnforcesMaxSize(t *testing.T) {
 	}
 }
 
+// A peer that closes between packets is an orderly io.EOF; one that closes
+// after any byte of a frame (header, inside the two-byte remaining length,
+// anywhere in the body) must surface as io.ErrUnexpectedEOF.
 func TestReadPacketTruncated(t *testing.T) {
-	data, err := Encode(&PublishPacket{Topic: "topic", Payload: []byte("payload")})
+	data, err := Encode(&PublishPacket{Topic: "topic", Payload: make([]byte, 200)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 1; cut < len(data); cut++ {
-		_, err := ReadPacket(bytes.NewReader(data[:cut]), 0)
-		if err == nil {
-			t.Fatalf("ReadPacket succeeded on %d/%d-byte truncation", cut, len(data))
+	// Both paths through ReadPacket: a reader with ReadByte (what the broker
+	// and client hand it) and a bare io.Reader (the fallback).
+	for _, kind := range []struct {
+		name string
+		wrap func([]byte) io.Reader
+	}{
+		{"bufio", func(b []byte) io.Reader { return bufio.NewReader(bytes.NewReader(b)) }},
+		{"bare", func(b []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(b)} }},
+	} {
+		for cut := 0; cut < len(data); cut++ {
+			want := io.ErrUnexpectedEOF
+			if cut == 0 {
+				want = io.EOF
+			}
+			if _, err := ReadPacket(kind.wrap(data[:cut]), 0); err != want {
+				t.Errorf("%s reader, %d of %d bytes: err = %v, want %v", kind.name, cut, len(data), err, want)
+			}
 		}
+		if _, err := ReadPacket(kind.wrap(data), 0); err != nil {
+			t.Errorf("%s reader, whole frame: %v", kind.name, err)
+		}
+	}
+}
+
+// A QoS 0 PUBLISH read from a buffered reader costs three heap objects:
+// the body, the packet struct and the topic string.
+func TestReadPacketPublishAllocs(t *testing.T) {
+	frame, err := Encode(&PublishPacket{Topic: "ifot/sensor/acc/1", Payload: make([]byte, 32)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 1000
+	r := bufio.NewReader(bytes.NewReader(bytes.Repeat(frame, runs+1)))
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := ReadPacket(r, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("ReadPacket(PUBLISH) = %.1f allocs, want <= 3", allocs)
+	}
+}
+
+// The payload aliases the packet's body, which every holder of the packet
+// shares: an append by one holder must reallocate, not write into bytes the
+// others (or the rest of the body's backing array) can see.
+func TestPublishPayloadAppendDoesNotLeak(t *testing.T) {
+	frame, err := Encode(&PublishPacket{Topic: "t", Payload: []byte("payload")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(make([]byte, 0, len(frame)+8), frame[2:]...)
+	spare := body[len(body) : len(body)+1]
+	spare[0] = 0xAA
+	pkt, err := Decode(PUBLISH, 0, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := pkt.(*PublishPacket)
+	other := pub.Payload // a second holder: a lane, a session queue, a retained entry
+	grown := append(pub.Payload, 'X')
+	grown[0] = 'P'
+	if string(other) != "payload" || string(pub.Payload) != "payload" {
+		t.Fatalf("append through one holder changed the shared payload: %q / %q", other, pub.Payload)
+	}
+	if spare[0] != 0xAA {
+		t.Fatal("append wrote past the payload into the body's backing array")
 	}
 }
 
