@@ -12,10 +12,9 @@
 //	ifot-bench -sweep            # both tables + shape check
 //	ifot-bench -ablation all     # cloud/broker/parallel/qos/scale
 //	ifot-bench -topology -trace  # print Fig. 7 / Fig. 9 structure
-//	ifot-bench -throughput       # saturate a real broker over loopback TCP
-//	ifot-bench -tsweep           # the same saturation run across a GOMAXPROCS ladder
-//	ifot-bench -analysis         # analyzed msgs/sec through dispatch lanes + dense classify
-//	ifot-bench -durability       # WAL recovery time, checkpoint overhead, group-commit sweep
+//	ifot-bench -events           # tail a live cluster's event stream
+//
+// The live stack is measured by `go run ./bench`, not by this command.
 package main
 
 import (
@@ -42,36 +41,18 @@ func main() {
 
 func run() error {
 	var (
-		table      = flag.Int("table", 0, "reproduce one table (2 or 3)")
-		sweep      = flag.Bool("sweep", false, "run the full rate sweep (both tables + shape check)")
-		ablation   = flag.String("ablation", "", "run ablations: cloud|broker|parallel|qos|scale|all")
-		topology   = flag.Bool("topology", false, "print the Fig. 7 evaluation topology")
-		breakdown  = flag.Bool("breakdown", false, "decompose table latencies per pipeline stage")
-		realtime   = flag.Bool("realtime", false, "run the Fig. 9 pipeline on the live middleware stack")
-		throughput = flag.Bool("throughput", false, "saturate a real broker over loopback TCP and report msgs/sec")
-		tsweep     = flag.Bool("tsweep", false, "repeat the throughput saturation run across a GOMAXPROCS ladder (1, 4, all cores) and print the scaling curve")
-		tpubs      = flag.Int("tpubs", 4, "throughput mode: concurrent publishers")
-		tsubs      = flag.Int("tsubs", 64, "throughput mode: subscribers on the bench topic")
-		tpayload   = flag.Int("tpayload", 128, "throughput mode: payload bytes")
-		tduration  = flag.Duration("tduration", 3*time.Second, "throughput mode: wall-clock run time")
-		durability = flag.Bool("durability", false, "characterize the durable-state subsystem: recovery time vs WAL size, checkpoint overhead vs interval, group-commit amortization")
-		walBatch   = flag.Int("wal-batch", 0, "durability mode: flush the WAL every N appends in addition to the sync-delay window (0 = time-based only)")
-		dduration  = flag.Duration("dduration", time.Second, "durability mode: wall-clock time per group-commit row")
-		analysis   = flag.Bool("analysis", false, "drive the dense analysis hot path over broker + dispatch lanes and report analyzed msgs/sec")
-		mix        = flag.Bool("mix", false, "drive the MIX weight exchange over a live broker and compare the JSON, binary-full, and binary-delta wire strategies")
-		mixRounds  = flag.Int("mixrounds", 300, "mix mode: exchange rounds per strategy")
-		mixFeats   = flag.Int("mixfeatures", 1500, "mix mode: model feature-space size")
-		atopics    = flag.Int("atopics", 4, "analysis mode: subscriptions (dispatch lanes)")
-		asensors   = flag.Int("asensors", 3, "analysis mode: sensor streams joined per batch")
-		awindow    = flag.Int("awindow", 128, "analysis mode: paced in-flight window (zero-drop)")
-		aduration  = flag.Duration("aduration", 3*time.Second, "analysis mode: wall-clock run time")
-		events     = flag.Bool("events", false, "tail the cluster event stream: subscribe ifot/ctrl/events/# on -ebroker and pretty-print structured events")
-		ebroker    = flag.String("ebroker", "localhost:1883", "events mode: broker address to tail")
-		eduration  = flag.Duration("eduration", 0, "events mode: stop after this long (0 = until interrupted)")
-		trace      = flag.Bool("trace", false, "print the Fig. 9 class-cooperation pipeline")
-		csvPath    = flag.String("csv", "", "also write the sweep series as CSV to this file")
-		duration   = flag.Duration("duration", 30*time.Second, "virtual duration per run")
-		seed       = flag.Int64("seed", 1, "random seed")
+		table     = flag.Int("table", 0, "reproduce one table (2 or 3)")
+		sweep     = flag.Bool("sweep", false, "run the full rate sweep (both tables + shape check)")
+		ablation  = flag.String("ablation", "", "run ablations: cloud|broker|parallel|qos|scale|all")
+		topology  = flag.Bool("topology", false, "print the Fig. 7 evaluation topology")
+		breakdown = flag.Bool("breakdown", false, "decompose table latencies per pipeline stage")
+		events    = flag.Bool("events", false, "tail the cluster event stream: subscribe ifot/ctrl/events/# on -ebroker and pretty-print structured events")
+		ebroker   = flag.String("ebroker", "localhost:1883", "events mode: broker address to tail")
+		eduration = flag.Duration("eduration", 0, "events mode: stop after this long (0 = until interrupted)")
+		trace     = flag.Bool("trace", false, "print the Fig. 9 class-cooperation pipeline")
+		csvPath   = flag.String("csv", "", "also write the sweep series as CSV to this file")
+		duration  = flag.Duration("duration", 30*time.Second, "virtual duration per run")
+		seed      = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
 
@@ -125,60 +106,6 @@ func run() error {
 			} else {
 				fmt.Println("shape check: all Section V-C claims hold")
 			}
-		}
-		did = true
-	}
-	if *realtime {
-		if err := runRealtime(); err != nil {
-			return err
-		}
-		did = true
-	}
-	if *throughput {
-		if err := runThroughput(throughputConfig{
-			publishers:  *tpubs,
-			subscribers: *tsubs,
-			payload:     *tpayload,
-			duration:    *tduration,
-		}); err != nil {
-			return err
-		}
-		did = true
-	}
-	if *tsweep {
-		if err := runThroughputSweep(throughputConfig{
-			publishers:  *tpubs,
-			subscribers: *tsubs,
-			payload:     *tpayload,
-			duration:    *tduration,
-		}); err != nil {
-			return err
-		}
-		did = true
-	}
-	if *durability {
-		if err := runDurability(durabilityConfig{
-			batch:    *walBatch,
-			duration: *dduration,
-		}); err != nil {
-			return err
-		}
-		did = true
-	}
-	if *analysis {
-		if err := runAnalysis(analysisConfig{
-			topics:   *atopics,
-			sensors:  *asensors,
-			window:   *awindow,
-			duration: *aduration,
-		}); err != nil {
-			return err
-		}
-		did = true
-	}
-	if *mix {
-		if err := runMix(mixConfig{rounds: *mixRounds, features: *mixFeats}); err != nil {
-			return err
 		}
 		did = true
 	}
@@ -396,29 +323,6 @@ func ablateScale(mutate func(*experiment.Config)) {
 			dual.Utilization["moduleD(raspberry-pi-2)"])
 	}
 	fmt.Println()
-}
-
-func runRealtime() error {
-	fmt.Println("LIVE PIPELINE (real middleware, host-speed, in-memory transports):")
-	fmt.Printf("%-10s %-16s %-10s %-10s %-16s %-10s %-10s %-10s\n",
-		"rate(Hz)", "train avg(ms)", "p95", "p99", "pred avg(ms)", "p95", "p99", "joins")
-	for _, rate := range []float64{5, 20, 50} {
-		res, err := experiment.RunRealtime(experiment.RealtimeConfig{
-			RateHz:   rate,
-			Duration: 3 * time.Second,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-10.0f %-16.2f %-10.2f %-10.2f %-16.2f %-10.2f %-10.2f %-10d\n", rate,
-			metrics.Millis(res.Training.Mean),
-			metrics.Millis(res.Training.P95), metrics.Millis(res.Training.P99),
-			metrics.Millis(res.Predicting.Mean),
-			metrics.Millis(res.Predicting.P95), metrics.Millis(res.Predicting.P99),
-			res.SamplesJoined)
-	}
-	fmt.Println()
-	return nil
 }
 
 // writeCSV dumps the sweep series (the paper's trend "figure" data) for

@@ -67,7 +67,6 @@ func run() error {
 		drainTmo  = flag.Duration("drain-timeout", 0, "on SIGTERM, ask the manager to move tasks off and wait up to this long before closing (0 = immediate close)")
 		mixKeyfr  = flag.Int("mix-keyframe", 0, "publish a retained full-state MIX keyframe every N rounds (0 = default cadence, 1 = every round)")
 		mixStale  = flag.Duration("mix-stale-after", 0, "evict MIX peers silent for longer than this (0 = 3x the mix interval)")
-		mixJSON   = flag.Bool("mix-json", false, "publish MIX weights as legacy retained JSON snapshots instead of binary deltas (mixed-version clusters)")
 		eventCap  = flag.Int("event-capacity", telemetry.DefaultEventCapacity, "structured events retained for the local /events endpoint")
 		eventExp  = flag.Duration("event-export", time.Second, "interval for publishing events on ifot/ctrl/events/<id> (0 = no export)")
 		sensors   stringsFlag
@@ -91,7 +90,6 @@ func run() error {
 		},
 		MixKeyframeEvery:  *mixKeyfr,
 		MixStaleAfter:     *mixStale,
-		MixJSON:           *mixJSON,
 		CheckpointHandoff: *ckptHand,
 		FenceAfter:        *fenceAft,
 	}

@@ -2,12 +2,15 @@ package ifot_test
 
 import (
 	"bytes"
+	"crypto/md5"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -46,6 +49,29 @@ func TestBinariesEndToEnd(t *testing.T) {
 	for _, want := range []string{"Fig. 7", "TABLE II", "58.969"} {
 		if !strings.Contains(string(benchOut), want) {
 			t.Fatalf("bench output missing %q:\n%s", want, benchOut)
+		}
+	}
+
+	// The DES sweep is the bar every refactor is held to: its stdout is
+	// byte-identical across PRs (EXPERIMENTS.md). Floating-point results
+	// are only pinned on the architecture the constant was recorded on.
+	if runtime.GOARCH == "amd64" {
+		sweepOut, err := exec.Command(benchBin, "-sweep", "-duration", "10s").Output()
+		if err != nil {
+			t.Fatalf("ifot-bench -sweep: %v", err)
+		}
+		const want = "f2e033cd22a7a0036c79bd11c9eeb8e9"
+		if got := fmt.Sprintf("%x", md5.Sum(sweepOut)); got != want {
+			t.Fatalf("ifot-bench -sweep -duration 10s md5 = %s, want %s:\n%s", got, want, sweepOut)
+		}
+	}
+
+	// Flags of the retired live modes and the JSON MIX exchange are gone,
+	// not silently accepted.
+	for _, removed := range [][]string{{benchBin, "-throughput"}, {neuronBin, "-mix-json"}} {
+		out, err := exec.Command(removed[0], removed[1]).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "flag provided but not defined") {
+			t.Fatalf("%s %s: err = %v, output:\n%s", filepath.Base(removed[0]), removed[1], err, out)
 		}
 	}
 

@@ -593,21 +593,10 @@ func (m *Module) startTrain(inst *taskInstance, rec recipe.Recipe, sub recipe.Su
 
 	// MIX: publish weights for predictors and sibling shards; average in
 	// sibling snapshots (Jubatus-style distributed learning).
-	if exporter, mixable := clf.(ml.WeightExporter); mixable {
-		return m.startMixLoop(inst, rec, sub, exporter)
+	if dm, mixable := clf.(ml.DeltaMixer); mixable {
+		return m.startMixLoop(inst, rec, sub, dm)
 	}
 	return nil
-}
-
-// startMixLoop runs the Managing class's MIX protocol for one learner.
-// Delta-capable learners use the binary delta protocol (startMixLoopDelta);
-// Config.MixJSON or a plain WeightExporter falls back to the legacy
-// retained-JSON full-snapshot exchange.
-func (m *Module) startMixLoop(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, exporter ml.WeightExporter) error {
-	if dm, ok := exporter.(ml.DeltaMixer); ok && !m.cfg.MixJSON {
-		return m.startMixLoopDelta(inst, rec, sub, dm)
-	}
-	return m.startMixLoopJSON(inst, rec, sub, exporter)
 }
 
 // mixEvictCounter returns the peer-eviction counter (nil without telemetry).
@@ -628,16 +617,17 @@ func (m *Module) noteMixRound(payloadBytes int, staleness time.Duration) {
 	m.metrics.mixStaleness.Set(staleness.Seconds())
 }
 
-// startMixLoopDelta is the Delta-MIX publisher: every MixInterval the
-// updates accumulated since the last round ship as one QoS-DataQoS,
-// non-retained binary delta with an unbroken round sequence; every
-// MixKeyframeEvery rounds the full state follows as a retained keyframe
-// (joiners bootstrap from it, desynchronized peers resync). Incremental
-// averaging happens in place: each in-order peer delta is applied at 1/n,
-// and after publishing, the local model keeps only its own 1/n share of
-// the round's updates — algebraically one synchronized full average per
-// round, without ever materializing the union of weight maps.
-func (m *Module) startMixLoopDelta(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, dm ml.DeltaMixer) error {
+// startMixLoop runs the Managing class's MIX protocol for one learner.
+// Every MixInterval the updates accumulated since the last round ship as
+// one QoS-DataQoS, non-retained binary delta with an unbroken round
+// sequence; every MixKeyframeEvery rounds the full state follows as a
+// retained keyframe (joiners bootstrap from it, desynchronized peers
+// resync). Incremental averaging happens in place: each in-order peer
+// delta is applied at 1/n, and after publishing, the local model keeps
+// only its own 1/n share of the round's updates — algebraically one
+// synchronized full average per round, without ever materializing the
+// union of weight maps.
+func (m *Module) startMixLoop(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, dm ml.DeltaMixer) error {
 	topic := mixTopic(rec.Name, sub.TaskID)
 	mixClient := m.currentClient()
 	if mixClient == nil {
@@ -650,9 +640,14 @@ func (m *Module) startMixLoopDelta(inst *taskInstance, rec recipe.Recipe, sub re
 	if sub.ShardCount > 1 {
 		// Reusable decode target: the handler runs serially on its lane.
 		var peerDelta ml.MixDelta
-		_, reg, err := mixClient.SubscribeHandle(topic+"/+", m.cfg.DataQoS, func(msg mqttclient.Message) {
+		filter := topic + "/+"
+		_, reg, err := mixClient.SubscribeHandle(filter, m.cfg.DataQoS, func(msg mqttclient.Message) {
 			h, err := DecodeMix(msg.Payload, syms, &peerDelta)
-			if err != nil || h.ModuleID == m.cfg.ID {
+			if err != nil {
+				m.noteMixBadPayload(filter, msg.Topic, err)
+				return
+			}
+			if h.ModuleID == m.cfg.ID {
 				return
 			}
 			rx.onPayload(h, &peerDelta, m.now())
@@ -724,9 +719,8 @@ func (m *Module) startMixLoopDelta(inst *taskInstance, rec recipe.Recipe, sub re
 }
 
 // startModelSync subscribes a Judging-class model to the named trainer
-// task's MIX stream and folds arriving payloads — binary deltas,
-// keyframes, or legacy JSON snapshots — into it via a mixReceiver with
-// no local shard membership.
+// task's MIX stream and folds arriving payloads (binary deltas and
+// keyframes) into it via a mixReceiver with no local shard membership.
 func (m *Module) startModelSync(inst *taskInstance, rec recipe.Recipe, from string, model ml.DeltaMixer) error {
 	client := m.currentClient()
 	if client == nil {
@@ -737,9 +731,11 @@ func (m *Module) startModelSync(inst *taskInstance, rec recipe.Recipe, from stri
 	rx.setEvents(m.events, m.cfg.ID)
 	// Reusable decode target: the handler runs serially on its lane.
 	var pd ml.MixDelta
-	_, reg, err := client.SubscribeHandle(mixTopic(rec.Name, from)+"/+", m.cfg.DataQoS, func(msg mqttclient.Message) {
+	filter := mixTopic(rec.Name, from) + "/+"
+	_, reg, err := client.SubscribeHandle(filter, m.cfg.DataQoS, func(msg mqttclient.Message) {
 		h, err := DecodeMix(msg.Payload, syms, &pd)
 		if err != nil {
+			m.noteMixBadPayload(filter, msg.Topic, err)
 			return
 		}
 		rx.onPayload(h, &pd, m.now())
@@ -748,102 +744,6 @@ func (m *Module) startModelSync(inst *taskInstance, rec recipe.Recipe, from stri
 		return fmt.Errorf("core: subscribe model: %w", err)
 	}
 	inst.onStop(reg.Remove)
-	return nil
-}
-
-// startMixLoopJSON is the legacy MIX exchange kept for mixed-version
-// clusters (Config.MixJSON) and learners without delta support: every
-// MixInterval the full model is published as a retained JSON MixSnapshot;
-// for sharded tasks, sibling snapshots are averaged back into the local
-// model. Peers beyond the staleness bound are evicted before averaging.
-func (m *Module) startMixLoopJSON(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, exporter ml.WeightExporter) error {
-	type jsonPeer struct {
-		weights map[string]feature.Vector
-		at      time.Time
-	}
-	var (
-		peersMu sync.Mutex
-		peers   = make(map[string]*jsonPeer)
-	)
-	topic := mixTopic(rec.Name, sub.TaskID)
-	mixClient := m.currentClient()
-	if mixClient == nil {
-		return ErrNotStarted
-	}
-	if sub.ShardCount > 1 {
-		_, reg, err := mixClient.SubscribeHandle(topic+"/+", m.cfg.DataQoS, func(msg mqttclient.Message) {
-			var snap MixSnapshot
-			if err := DecodeJSON(msg.Payload, &snap); err != nil || snap.ModuleID == m.cfg.ID {
-				return
-			}
-			peersMu.Lock()
-			peers[snap.ModuleID] = &jsonPeer{weights: fromJSONWeights(snap.Weights), at: m.now()}
-			peersMu.Unlock()
-		})
-		if err != nil {
-			return fmt.Errorf("core: subscribe mix: %w", err)
-		}
-		inst.onStop(reg.Remove)
-	}
-
-	ctx, cancel := context.WithCancel(m.ctx)
-	inst.onStop(cancel)
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		evictions := m.mixEvictCounter()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-m.cfg.Clock.After(m.cfg.MixInterval):
-				// Self-fenced: skip the round (see the delta loop).
-				if m.outputsFenced.Load() {
-					continue
-				}
-				own := exporter.ExportWeights()
-				snap := MixSnapshot{
-					ModuleID: m.cfg.ID,
-					Shard:    sub.Shard,
-					Weights:  toJSONWeights(own),
-					At:       m.now(),
-				}
-				payload := EncodeJSON(snap)
-				if err := mixClient.Publish(topic+"/"+m.cfg.ID, payload, m.cfg.DataQoS, true); err != nil {
-					m.logf("train %s mix publish: %v", sub.Name(), err)
-				}
-				var staleness time.Duration
-				if sub.ShardCount > 1 {
-					now := m.now()
-					peersMu.Lock()
-					snapshots := make([]map[string]feature.Vector, 0, len(peers)+1)
-					snapshots = append(snapshots, own)
-					for id, p := range peers {
-						if m.cfg.MixStaleAfter > 0 && now.Sub(p.at) > m.cfg.MixStaleAfter {
-							delete(peers, id)
-							if evictions != nil {
-								evictions.Inc()
-							}
-							m.events.Eventf(telemetry.SevWarn, m.cfg.ID, "mix_peer_evicted",
-								"peer", id, "age", now.Sub(p.at).String())
-							continue
-						}
-						if age := now.Sub(p.at); age > staleness {
-							staleness = age
-						}
-						snapshots = append(snapshots, p.weights)
-					}
-					peersMu.Unlock()
-					if len(snapshots) > 1 {
-						if avg, err := ml.AverageWeights(snapshots); err == nil {
-							exporter.ImportWeights(avg)
-						}
-					}
-				}
-				m.noteMixRound(len(payload), staleness)
-			}
-		}
-	}()
 	return nil
 }
 
@@ -934,8 +834,8 @@ func (m *Module) startPredict(inst *taskInstance, rec recipe.Recipe, sub recipe.
 	clf := newClassifier(sub)
 	dclf, dense := clf.(ml.DenseClassifier)
 
-	// Model sync: fold the named trainer task's MIX stream — binary
-	// deltas, keyframes, or legacy JSON snapshots — into the local model.
+	// Model sync: fold the named trainer task's MIX stream (binary
+	// deltas and keyframes) into the local model.
 	if from := paramString(sub, "modelFrom", ""); from != "" {
 		if dm, ok := clf.(ml.DeltaMixer); ok {
 			if err := m.startModelSync(inst, rec, from, dm); err != nil {
@@ -1248,32 +1148,6 @@ func (m *Module) emitDecision(rec recipe.Recipe, sub recipe.SubTask, d Decision)
 	if m.cfg.Observer.OnDecision != nil {
 		m.cfg.Observer.OnDecision(d)
 	}
-}
-
-// toJSONWeights / fromJSONWeights bridge feature.Vector maps to plain JSON
-// maps for MixSnapshot payloads.
-func toJSONWeights(w map[string]feature.Vector) map[string]map[string]float64 {
-	out := make(map[string]map[string]float64, len(w))
-	for label, vec := range w {
-		m := make(map[string]float64, len(vec))
-		for k, v := range vec {
-			m[k] = v
-		}
-		out[label] = m
-	}
-	return out
-}
-
-func fromJSONWeights(w map[string]map[string]float64) map[string]feature.Vector {
-	out := make(map[string]feature.Vector, len(w))
-	for label, m := range w {
-		vec := make(feature.Vector, len(m))
-		for k, v := range m {
-			vec[k] = v
-		}
-		out[label] = vec
-	}
-	return out
 }
 
 // describeKind returns a human-readable class name for a task kind

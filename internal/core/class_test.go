@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -78,18 +77,6 @@ func TestNewClassifierVariants(t *testing.T) {
 		if clf := newClassifier(sub); clf == nil {
 			t.Fatalf("newClassifier(%q) = nil", model)
 		}
-	}
-}
-
-func TestWeightsJSONBridge(t *testing.T) {
-	in := map[string]map[string]float64{"a": {"x": 1.5}}
-	vec := fromJSONWeights(in)
-	if math.Abs(vec["a"]["x"]-1.5) > 1e-12 {
-		t.Fatalf("fromJSONWeights = %v", vec)
-	}
-	back := toJSONWeights(vec)
-	if math.Abs(back["a"]["x"]-1.5) > 1e-12 {
-		t.Fatalf("toJSONWeights = %v", back)
 	}
 }
 

@@ -229,14 +229,6 @@ type TrainEvent struct {
 	Trace *TraceContext `json:"trace,omitempty"`
 }
 
-// MixSnapshot carries one trainer shard's model weights for MIX averaging.
-type MixSnapshot struct {
-	ModuleID string                        `json:"moduleId"`
-	Shard    int                           `json:"shard"`
-	Weights  map[string]map[string]float64 `json:"weights"`
-	At       time.Time                     `json:"at"`
-}
-
 // EncodeJSON marshals a control message; it panics only on programmer
 // error (unmarshalable types), so callers may ignore the error for the
 // message types in this package.

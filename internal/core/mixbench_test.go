@@ -37,9 +37,8 @@ func mixBenchStream(n, nFeatures, touch int) []mixBenchSample {
 }
 
 // BenchmarkMixRound measures one full MIX exchange — export → encode →
-// decode → import on a receiving peer — for the three wire strategies:
+// decode → import on a receiving peer — for the two payload kinds:
 //
-//	json-full:    legacy retained MixSnapshot (nested JSON maps)
 //	binary-full:  binary codec carrying the full model (a keyframe)
 //	binary-delta: binary codec carrying only the round's weight updates
 //
@@ -66,32 +65,6 @@ func BenchmarkMixRound(b *testing.B) {
 		}
 		return m
 	}
-
-	b.Run("json-full", func(b *testing.B) {
-		trainer := newTrained(false)
-		receiver := ml.NewPassiveAggressive(0.1)
-		var payloadBytes int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s := rounds[i%len(rounds)]
-			for k := 0; k < trainPerRound; k++ {
-				trainer.Train(s.v, s.label)
-			}
-			snap := MixSnapshot{
-				ModuleID: "bench",
-				Weights:  toJSONWeights(trainer.ExportWeights()),
-				At:       time.Unix(0, int64(i)),
-			}
-			payload := EncodeJSON(snap)
-			payloadBytes += int64(len(payload))
-			var got MixSnapshot
-			if err := DecodeJSON(payload, &got); err != nil {
-				b.Fatal(err)
-			}
-			receiver.ImportWeights(fromJSONWeights(got.Weights))
-		}
-		b.ReportMetric(float64(payloadBytes)/float64(b.N), "payload-B/round")
-	})
 
 	b.Run("binary-full", func(b *testing.B) {
 		trainer := newTrained(false)

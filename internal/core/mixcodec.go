@@ -12,11 +12,9 @@ import (
 	"github.com/ifot-middleware/ifot/internal/ml"
 )
 
-// Binary MIX payload format (versioned; replaces nested-JSON MixSnapshot
-// on the weight-exchange path):
+// Binary MIX payload format (versioned):
 //
-//	byte 0:  magic 0xCE — JSON payloads start with '{' (0x7B), so one
-//	         byte gates the backward-compat fallback
+//	byte 0:  magic 0xCE
 //	byte 1:  version (1)
 //	byte 2:  flags (bit 0: keyframe — full state; clear: delta)
 //	uvarint: shard index
@@ -42,8 +40,7 @@ const (
 	mixFlagKeyframe = 1 << 0
 )
 
-// ErrBadMixPayload reports a MIX payload that is not a valid binary frame
-// or legacy JSON snapshot.
+// ErrBadMixPayload reports a MIX payload that is not a valid binary frame.
 var ErrBadMixPayload = errors.New("core: bad mix payload")
 
 // MixHeader describes one MIX payload independently of its weight entries.
@@ -54,10 +51,7 @@ type MixHeader struct {
 	// in unbroken round order and resynchronize from keyframes.
 	Round    uint64
 	Keyframe bool
-	// Legacy marks payloads decoded from the JSON fallback form, which
-	// carries full state every round and no round sequencing.
-	Legacy bool
-	At     time.Time
+	At       time.Time
 }
 
 // AppendEncodeMix appends the binary wire form of (h, d) to dst and
@@ -128,18 +122,15 @@ func appendMixString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// DecodeMix parses a MIX payload — binary frame or legacy JSON snapshot —
-// into d (entries as locally interned feature IDs) and returns its header.
-// Arbitrary input never panics; malformed payloads return an error
-// wrapping ErrBadMixPayload and leave d in an unspecified (but safe)
-// state. Non-finite weights are rejected: a NaN must never reach a model.
+// DecodeMix parses a binary MIX payload into d (entries as locally
+// interned feature IDs) and returns its header. Arbitrary input never
+// panics; malformed payloads return an error wrapping ErrBadMixPayload and
+// leave d in an unspecified (but safe) state. Non-finite weights are
+// rejected: a NaN must never reach a model.
 func DecodeMix(payload []byte, syms *feature.Symbols, d *ml.MixDelta) (MixHeader, error) {
 	var h MixHeader
 	if len(payload) == 0 {
 		return h, fmt.Errorf("%w: empty", ErrBadMixPayload)
-	}
-	if payload[0] == '{' {
-		return decodeMixJSON(payload, syms, d)
 	}
 	if payload[0] != mixMagic {
 		return h, fmt.Errorf("%w: magic 0x%02x", ErrBadMixPayload, payload[0])
@@ -244,37 +235,6 @@ func DecodeMix(payload []byte, syms *feature.Symbols, d *ml.MixDelta) (MixHeader
 	}
 	if r.remaining() != 0 {
 		return h, fmt.Errorf("%w: %d trailing bytes", ErrBadMixPayload, r.remaining())
-	}
-	return h, nil
-}
-
-// decodeMixJSON is the backward-compat path: a legacy publisher's retained
-// MixSnapshot decodes as a keyframe with no round sequencing.
-func decodeMixJSON(payload []byte, syms *feature.Symbols, d *ml.MixDelta) (MixHeader, error) {
-	var snap MixSnapshot
-	if err := DecodeJSON(payload, &snap); err != nil {
-		return MixHeader{}, fmt.Errorf("%w: %v", ErrBadMixPayload, err)
-	}
-	h := MixHeader{
-		ModuleID: snap.ModuleID,
-		Shard:    snap.Shard,
-		Keyframe: true,
-		Legacy:   true,
-		At:       snap.At,
-	}
-	d.Reset()
-	labels := make([]string, 0, len(snap.Weights))
-	for label := range snap.Weights {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	for _, label := range labels {
-		ld := d.Grow(label)
-		for name, v := range snap.Weights[label] {
-			ld.IDs = append(ld.IDs, syms.Intern(name))
-			ld.Vals = append(ld.Vals, v)
-		}
-		ld.Sort()
 	}
 	return h, nil
 }

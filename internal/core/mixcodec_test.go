@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -61,7 +62,7 @@ func TestMixCodecRoundTrip(t *testing.T) {
 		t.Fatalf("DecodeMix: %v", err)
 	}
 	if gh.ModuleID != h.ModuleID || gh.Shard != h.Shard || gh.Round != h.Round ||
-		gh.Keyframe != h.Keyframe || gh.Legacy || !gh.At.Equal(h.At) {
+		gh.Keyframe != h.Keyframe || !gh.At.Equal(h.At) {
 		t.Fatalf("header mismatch: got %+v want %+v", gh, h)
 	}
 	gm := mixDeltaMap(&got, syms)
@@ -97,29 +98,16 @@ func TestMixCodecBufferReuseAndDeltaFlag(t *testing.T) {
 	}
 }
 
-func TestMixCodecJSONFallback(t *testing.T) {
-	syms := feature.DefaultSymbols()
-	snap := MixSnapshot{
-		ModuleID: "legacy-1",
-		Shard:    2,
-		Weights: map[string]map[string]float64{
-			"hot": {"s1@mean": 0.5},
-		},
-		At: time.Unix(1700000000, 0).UTC(),
-	}
+// legacyJSONSnapshot is a pre-delta deployment's retained JSON snapshot, the
+// one well-formed payload a durable broker may still hold that this build
+// must reject rather than fold into a model.
+const legacyJSONSnapshot = `{"moduleId":"legacy-1","shard":2,"weights":{"hot":{"s1@mean":0.5}},"at":"2023-11-14T22:13:20Z"}`
+
+func TestMixCodecRejectsLegacyJSON(t *testing.T) {
 	var d ml.MixDelta
-	h, err := DecodeMix(EncodeJSON(snap), syms, &d)
-	if err != nil {
-		t.Fatalf("DecodeMix(json): %v", err)
-	}
-	if !h.Legacy || !h.Keyframe {
-		t.Fatalf("legacy JSON must decode as legacy keyframe, got %+v", h)
-	}
-	if h.ModuleID != "legacy-1" || h.Shard != 2 {
-		t.Fatalf("header mismatch: %+v", h)
-	}
-	if got := mixDeltaMap(&d, syms)["hot"]["s1@mean"]; got != 0.5 {
-		t.Fatalf("weight = %v, want 0.5", got)
+	_, err := DecodeMix([]byte(legacyJSONSnapshot), feature.DefaultSymbols(), &d)
+	if !errors.Is(err, ErrBadMixPayload) {
+		t.Fatalf("DecodeMix(json) = %v, want ErrBadMixPayload", err)
 	}
 }
 
@@ -212,7 +200,7 @@ func FuzzDecodeMixSnapshot(f *testing.F) {
 	})
 	f.Add(AppendEncodeMix(nil, MixHeader{ModuleID: "fuzz", Shard: 1, Round: 42, At: time.Unix(0, 123)}, seed, syms))
 	f.Add(AppendEncodeMix(nil, MixHeader{ModuleID: "kf", Keyframe: true}, &ml.MixDelta{}, syms))
-	f.Add(EncodeJSON(MixSnapshot{ModuleID: "legacy", Weights: map[string]map[string]float64{"hot": {"a@x": 1}}}))
+	f.Add([]byte(legacyJSONSnapshot))
 	f.Add([]byte{0xCE})
 	f.Add([]byte{0xCE, 0x01, 0x00})
 	f.Add([]byte("{"))
@@ -221,7 +209,13 @@ func FuzzDecodeMixSnapshot(f *testing.F) {
 		var d ml.MixDelta
 		h, err := DecodeMix(payload, syms, &d)
 		if err != nil {
+			if !errors.Is(err, ErrBadMixPayload) {
+				t.Fatalf("decode error does not wrap ErrBadMixPayload: %v", err)
+			}
 			return
+		}
+		if payload[0] != mixMagic {
+			t.Fatalf("decode accepted a non-binary payload (first byte 0x%02x)", payload[0])
 		}
 		for i := range d.Labels {
 			for _, v := range d.Labels[i].Vals {

@@ -9,13 +9,11 @@ import (
 	"github.com/ifot-middleware/ifot/internal/telemetry"
 )
 
-// mixPeer is the per-publisher sync state a receiver keeps — three words
-// instead of the full per-peer weight snapshot the JSON protocol cached.
+// mixPeer is the per-publisher sync state a receiver keeps.
 type mixPeer struct {
 	lastRound uint64
 	synced    bool // bootstrapped from a keyframe; deltas apply in order
 	desynced  bool // lost sync to a round gap; pending keyframe recovery
-	legacy    bool // JSON publisher: full state every round, no sequencing
 	lastAt    time.Time
 }
 
@@ -85,14 +83,8 @@ func (rx *mixReceiver) onPayload(h MixHeader, d *ml.MixDelta, now time.Time) {
 		rx.peers[h.ModuleID] = p
 	}
 	p.lastAt = now
-	p.legacy = h.Legacy
 	rx.evictLocked(now)
 	switch {
-	case h.Legacy:
-		// Full state every round at union-averaging weight (the publisher
-		// counts itself via the legacy tally) — degraded but interoperable
-		// compatibility with pre-delta publishers.
-		rx.absorbLocked(d, rx.blendMembersLocked(now)+rx.freshLegacyLocked(now))
 	case h.Keyframe:
 		if p.synced && h.Round <= p.lastRound {
 			return // periodic keyframe for an in-sync peer: nothing new
@@ -149,7 +141,7 @@ func (rx *mixReceiver) blendMembersLocked(now time.Time) int {
 		n++
 	}
 	for _, p := range rx.peers {
-		if p.synced && !p.legacy && rx.freshLocked(p, now) {
+		if p.synced && rx.freshLocked(p, now) {
 			n++
 		}
 	}
@@ -164,22 +156,12 @@ func (rx *mixReceiver) shardCountLocked(now time.Time) int {
 		n++
 	}
 	for _, p := range rx.peers {
-		if p.synced && !p.legacy && rx.freshLocked(p, now) {
+		if p.synced && rx.freshLocked(p, now) {
 			n++
 		}
 	}
 	if n < 1 {
 		n = 1
-	}
-	return n
-}
-
-func (rx *mixReceiver) freshLegacyLocked(now time.Time) int {
-	n := 0
-	for _, p := range rx.peers {
-		if p.legacy && rx.freshLocked(p, now) {
-			n++
-		}
 	}
 	return n
 }

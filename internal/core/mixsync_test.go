@@ -234,7 +234,7 @@ func TestShardedMixConvergesExactly(t *testing.T) {
 	_, err = obs.Subscribe(mixTopic("dmix", "train")+"/+", wire.QoS0, func(msg mqttclient.Message) {
 		var d ml.MixDelta
 		h, err := DecodeMix(msg.Payload, syms, &d)
-		if err != nil || !h.Keyframe || h.Legacy {
+		if err != nil || !h.Keyframe {
 			return
 		}
 		// Retained keyframes replay on subscribe; only trust frames
@@ -292,5 +292,100 @@ func TestShardedMixConvergesExactly(t *testing.T) {
 	})
 	if diff, ok := frameDiff(); !ok || diff > 1e-9 {
 		t.Fatalf("shards diverged: max weight diff %.3e (frames ok=%v)", diff, ok)
+	}
+}
+
+// TestPredictorReportsUndecodableRetainedMix: a durable broker may still
+// hold a pre-delta deployment's retained JSON snapshot under the MIX topic.
+// The predictor reports it (one rate-limited mix_bad_payload event), keeps
+// its model untouched by those bytes, and still bootstraps from the live
+// trainer's binary keyframe.
+func TestPredictorReportsUndecodableRetainedMix(t *testing.T) {
+	tc := newTestCluster(t)
+	var (
+		mu   sync.Mutex
+		decs []Decision
+	)
+	m := tc.module(Config{
+		ID:          "worker",
+		MixInterval: 50 * time.Millisecond,
+		Observer: Observer{
+			OnDecision: func(d Decision) { mu.Lock(); decs = append(decs, d); mu.Unlock() },
+		},
+	})
+	m.RegisterSensor(&sensor.Sensor{
+		ID: "sig", Index: 1, Kind: sensor.Temperature, RateHz: 100,
+		Gen: sensor.Sine(0.5, 10),
+	})
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	oldTopic := mixTopic("learn", "train") + "/old"
+	if err := m.PublishRetained(oldTopic, []byte(legacyJSONSnapshot)); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := recipe.Recipe{
+		Name: "learn",
+		Tasks: []recipe.Task{
+			{ID: "sense", Kind: recipe.KindSense, Output: "l/raw", Params: map[string]string{"sensor": "sig"}},
+			{ID: "train", Kind: recipe.KindTrain, Inputs: []string{"task:sense"}},
+			{ID: "classify", Kind: recipe.KindPredict, Inputs: []string{"task:sense"}, Output: "l/pred",
+				Params: map[string]string{"modelFrom": "train"}},
+		},
+	}
+	start := func(i int) {
+		t.Helper()
+		sub := recipe.SubTask{Recipe: rec.Name, TaskID: rec.Tasks[i].ID, ShardCount: 1, Task: rec.Tasks[i]}
+		if err := m.StartTask(rec, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	badPayloadEvents := func() []telemetry.Event {
+		var out []telemetry.Event
+		for _, ev := range m.Events().Events(0, time.Time{}) {
+			if ev.Kind == "mix_bad_payload" {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+
+	// Predictor first: the only MIX payload it can see is the JSON one.
+	start(2)
+	waitFor(t, "mix_bad_payload event", func() bool { return len(badPayloadEvents()) == 1 })
+	if ev := badPayloadEvents()[0]; ev.Severity != telemetry.SevWarn || ev.Fields["topic"] != oldTopic || ev.Fields["error"] == "" {
+		t.Fatalf("unexpected event: %+v", ev)
+	}
+	start(0)
+	waitFor(t, "decisions from the unsynced model", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(decs) >= 10
+	})
+	mu.Lock()
+	for _, d := range decs {
+		if d.Label != "" {
+			mu.Unlock()
+			t.Fatalf("model holds label %q before any trainer published", d.Label)
+		}
+	}
+	mu.Unlock()
+
+	start(1)
+	waitFor(t, "bootstrap from the trainer's keyframe", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return decs[len(decs)-1].Label != ""
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for _, d := range decs {
+		if d.Label == "hot" {
+			t.Fatal("the JSON snapshot's label reached the model")
+		}
+	}
+	if n := len(badPayloadEvents()); n != 1 {
+		t.Fatalf("mix_bad_payload events = %d, want 1", n)
 	}
 }

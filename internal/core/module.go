@@ -77,10 +77,6 @@ type Config struct {
 	// bound, so departed or stalled modules stop dragging the average
 	// (default 3×MixInterval).
 	MixStaleAfter time.Duration
-	// MixJSON switches MIX publishing back to the legacy retained-JSON
-	// full-snapshot protocol for interoperability with pre-delta modules.
-	// Delta-capable receivers understand both formats either way.
-	MixJSON bool
 	// Observer receives middleware events.
 	Observer Observer
 	// DisableReconnect turns off automatic reconnection after a broker
@@ -236,12 +232,12 @@ type Module struct {
 	lastAnnounceAck time.Time
 	outputsFenced   atomic.Bool
 
-	// laneDropLast rate-limits lane_drop events per filter: the drop
-	// callback fires on the dispatch hot path, the counter already counts
-	// every shed message, and the event stream only needs to know the
-	// shedding started.
-	laneDropMu   sync.Mutex
-	laneDropLast map[string]time.Time
+	// warnLast rate-limits per-message warn events (lane_drop,
+	// mix_bad_payload) per {kind, subscription filter}: their callbacks
+	// fire on the dispatch path and the event stream only needs to know
+	// the condition started.
+	warnMu   sync.Mutex
+	warnLast map[[2]string]time.Time
 }
 
 // taskSpec is the durable description of an assigned subtask, kept so
@@ -257,13 +253,13 @@ type taskSpec struct {
 // NewModule creates an unstarted module.
 func NewModule(cfg Config) *Module {
 	m := &Module{
-		cfg:          cfg.withDefaults(),
-		sensors:      make(map[string]*sensor.Sensor),
-		actuators:    make(map[string]sensor.Actuator),
-		customs:      make(map[string]CustomFunc),
-		running:      make(map[string]*taskInstance),
-		specs:        make(map[string]taskSpec),
-		laneDropLast: make(map[string]time.Time),
+		cfg:       cfg.withDefaults(),
+		sensors:   make(map[string]*sensor.Sensor),
+		actuators: make(map[string]sensor.Actuator),
+		customs:   make(map[string]CustomFunc),
+		running:   make(map[string]*taskInstance),
+		specs:     make(map[string]taskSpec),
+		warnLast:  make(map[[2]string]time.Time),
 	}
 	m.events = m.cfg.Events
 	if m.events == nil {
@@ -556,21 +552,35 @@ func (m *Module) flushTelemetry() {
 	m.flushEvents()
 }
 
-// noteLaneDrop turns dispatch-lane sheds into at most one event per
-// filter per 10s: the callback fires on the dispatch hot path and the
-// per-lane counter already counts every shed message, so the event
-// stream only needs to know the shedding started.
-func (m *Module) noteLaneDrop(filter string) {
+// warnDue reports whether a per-message warn event of this kind is due
+// for filter: at most one per {kind, filter} per 10s.
+func (m *Module) warnDue(kind, filter string) bool {
 	now := m.now()
-	m.laneDropMu.Lock()
-	last, seen := m.laneDropLast[filter]
-	if seen && now.Sub(last) < 10*time.Second {
-		m.laneDropMu.Unlock()
-		return
+	key := [2]string{kind, filter}
+	m.warnMu.Lock()
+	defer m.warnMu.Unlock()
+	if last, seen := m.warnLast[key]; seen && now.Sub(last) < 10*time.Second {
+		return false
 	}
-	m.laneDropLast[filter] = now
-	m.laneDropMu.Unlock()
-	m.events.Eventf(telemetry.SevWarn, m.cfg.ID, "lane_drop", "filter", filter)
+	m.warnLast[key] = now
+	return true
+}
+
+// noteLaneDrop turns dispatch-lane sheds into rate-limited events: the
+// per-lane counter already counts every shed message.
+func (m *Module) noteLaneDrop(filter string) {
+	if m.warnDue("lane_drop", filter) {
+		m.events.Eventf(telemetry.SevWarn, m.cfg.ID, "lane_drop", "filter", filter)
+	}
+}
+
+// noteMixBadPayload reports an undecodable payload on a MIX subscription
+// (e.g. a retained snapshot in a wire format this build no longer reads).
+func (m *Module) noteMixBadPayload(filter, topic string, err error) {
+	if m.warnDue("mix_bad_payload", filter) {
+		m.events.Eventf(telemetry.SevWarn, m.cfg.ID, "mix_bad_payload",
+			"topic", topic, "error", err.Error())
+	}
 }
 
 // connect dials the broker and establishes the control-plane session.
@@ -794,6 +804,11 @@ func (m *Module) startTask(rec recipe.Recipe, sub recipe.SubTask, epoch uint64) 
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrTaskExists, sub.Name())
 	}
+	// Taken with the closed check so a concurrent Close waits for this
+	// start: the task goroutines newTaskInstance adds never race Close's
+	// Wait, and the closed re-check below stops the instance.
+	m.wg.Add(1)
+	defer m.wg.Done()
 	m.mu.Unlock()
 
 	inst, err := m.newTaskInstance(rec, sub)

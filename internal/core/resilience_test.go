@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -366,4 +368,43 @@ func counts(seen map[string]map[uint32]bool) map[string]int {
 		out[k] = len(v)
 	}
 	return out
+}
+
+// TestCloseDuringStartTask races task starts against Close: a start in
+// progress must be waited for (its goroutines' wg.Add never overlaps
+// Close's Wait — a panic or a -race report otherwise) and must not leave
+// a task registered once Close has returned.
+func TestCloseDuringStartTask(t *testing.T) {
+	tc := newTestCluster(t)
+	rec := recipe.Recipe{Name: "r", Tasks: []recipe.Task{
+		{ID: "train", Kind: recipe.KindTrain, Inputs: []string{"r/in"}},
+	}}
+	const starters = 4
+	for i := 0; i < 200; i++ {
+		m := tc.module(Config{ID: fmt.Sprintf("closing-%d", i), DisableReconnect: true})
+		if err := m.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		entered := make(chan struct{}, starters)
+		for shard := 0; shard < starters; shard++ {
+			sub := recipe.SubTask{Recipe: "r", TaskID: "train", Shard: shard, ShardCount: starters, Task: rec.Tasks[0]}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				entered <- struct{}{}
+				_ = m.StartTask(rec, sub) // ErrNotStarted once Close won
+			}()
+		}
+		// Close once a start is under way, so it lands inside the start's
+		// subscribe round trip rather than before or after it.
+		<-entered
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if left := m.RunningTasks(); len(left) != 0 {
+			t.Fatalf("iteration %d: tasks %v still registered after Close", i, left)
+		}
+		wg.Wait()
+	}
 }

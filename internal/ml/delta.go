@@ -35,12 +35,10 @@ func (s labelDeltaByID) Swap(i, j int) {
 
 // MixDelta is the sparse interchange form of a MIX payload: either the
 // weight entries that changed since the last export (a delta) or a model's
-// full nonzero state (a keyframe). It replaces the nested string-keyed
-// maps of the JSON MixSnapshot on the hot exchange path; feature identity
-// stays process-local (interned IDs), and only the wire codec resolves
-// names. The zero value is ready to use, and Reset recycles all backing
-// storage, so one MixDelta serves a whole mix loop without allocating in
-// steady state.
+// full nonzero state (a keyframe). Feature identity stays process-local
+// (interned IDs), and only the wire codec resolves names. The zero value
+// is ready to use, and Reset recycles all backing storage, so one MixDelta
+// serves a whole mix loop without allocating in steady state.
 type MixDelta struct {
 	Labels []MixLabelDelta
 }

@@ -31,10 +31,6 @@ type Options struct {
 	// every append since the last, so the per-record cost on the hot
 	// path is a mutexed memcpy.
 	SyncDelay time.Duration
-	// SyncBatchAppends, when positive, additionally triggers a flush
-	// once this many appends are buffered, bounding the loss window by
-	// count as well as time. ifot-bench -durability sweeps this knob.
-	SyncBatchAppends int
 	// NoSync skips fsync entirely (deterministic tests, tmpfs benches).
 	// Records still flush to the OS on the group-commit cadence, so a
 	// process kill loses at most SyncDelay of appends; power loss can
@@ -96,7 +92,6 @@ type FileStore struct {
 	segIndex uint64 // active segment number
 	segBytes int64  // bytes written to the active segment
 	seq      uint64 // records appended since open
-	pending  int    // appends since the last sync signal
 	werr     error  // sticky write error
 	closed   bool
 	crashed  bool
@@ -373,21 +368,14 @@ func (s *FileStore) append(rec []byte, wait bool) error {
 	}
 	s.seq++
 	seq := s.seq
-	s.pending++
-	signal := wait || (s.opts.SyncBatchAppends > 0 && s.pending >= s.opts.SyncBatchAppends)
-	if signal {
-		s.pending = 0
-	}
 	s.mu.Unlock()
 
-	if signal {
-		select {
-		case s.syncReq <- struct{}{}:
-		default: // a sync is already queued; it will cover us
-		}
-	}
 	if !wait {
 		return nil
+	}
+	select {
+	case s.syncReq <- struct{}{}:
+	default: // a sync is already queued; it will cover us
 	}
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()

@@ -290,27 +290,6 @@ func TestFileStoreGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
-func TestFileStoreSyncBatchAppends(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, dir, Options{SyncDelay: time.Hour, SyncBatchAppends: 10})
-	defer s.Close()
-	for i := 0; i < 35; i++ {
-		if err := s.Append([]byte("r")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 35 appends with batch=10 should have triggered ~3 sync signals;
-	// give the async syncer a moment.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.Fsyncs() >= 1 {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("batch threshold never triggered an fsync")
-}
-
 func TestFileStoreRecordTooLarge(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{NoSync: true, MaxRecordBytes: 16})
 	defer s.Close()
