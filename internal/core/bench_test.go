@@ -46,23 +46,15 @@ func benchClassifier(sensors int) ml.Classifier {
 				batch[i].Values[0] = -batch[i].Values[0] - 1
 			}
 		}
-		clf.Train(BatchFeatures(batch), label)
+		dv := BatchDense(batch)
+		clf.TrainDense(dv, label)
+		feature.PutDense(dv)
 	}
 	return clf
 }
 
-func BenchmarkBatchFeatures(b *testing.B) {
+func BenchmarkBatchDense(b *testing.B) {
 	for _, n := range []int{3, 16} {
-		b.Run(fmt.Sprintf("map/sensors=%d", n), func(b *testing.B) {
-			batch := benchBatch(n, 1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				v := BatchFeatures(batch)
-				if len(v) != n*3 {
-					b.Fatalf("features = %d", len(v))
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("dense/sensors=%d", n), func(b *testing.B) {
 			batch := benchBatch(n, 1)
 			b.ReportAllocs()
@@ -81,25 +73,6 @@ func BenchmarkClassify(b *testing.B) {
 	const sensors = 3
 	clf := benchClassifier(sensors)
 	batch := benchBatch(sensors, 9)
-	b.Run("map/predict", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			v := BatchFeatures(batch)
-			label, err := clf.Classify(v)
-			if err != nil || label == "" {
-				b.Fatalf("classify: %q %v", label, err)
-			}
-			if scores := clf.Scores(v); len(scores) == 0 {
-				b.Fatal("no scores")
-			}
-		}
-	})
-	b.Run("map/train", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			clf.Train(BatchFeatures(batch), "pos")
-		}
-	})
 	dclf := clf.(ml.DenseClassifier)
 	b.Run("dense/predict", func(b *testing.B) {
 		b.ReportAllocs()
@@ -122,38 +95,11 @@ func BenchmarkClassify(b *testing.B) {
 	})
 }
 
-// analyzeMap is the pre-interning per-message analysis hot path, verbatim:
-// decode → sparse map features → classify (Classify + Scores, as the
-// Judging class does) → decision JSON.
-func analyzeMap(payload []byte, clf ml.Classifier) ([]byte, error) {
-	batch, err := decodeSamples(payload)
-	if err != nil {
-		return nil, err
-	}
-	v := BatchFeatures(batch)
-	label := ""
-	score := 0.0
-	if got, err := clf.Classify(v); err == nil {
-		label = got
-		if scores := clf.Scores(v); len(scores) > 0 {
-			score = scores[0].Score
-		}
-	}
-	d := Decision{
-		Kind:     string(recipe.KindPredict),
-		Label:    label,
-		Score:    score,
-		Seq:      batch[0].Seq,
-		SensedAt: EarliestTimestamp(batch),
-	}
-	return EncodeJSON(d), nil
-}
-
 // analyzeDense is the interned per-message analysis hot path as wired in
 // startPredict: decode → pooled dense features → single-pass BestDense →
 // decision JSON.
 func analyzeDense(payload []byte, clf ml.DenseClassifier) ([]byte, error) {
-	batch, err := decodeSamples(payload)
+	batch, _, err := decodeSamplesTraced(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -225,16 +171,6 @@ func BenchmarkAnalysisPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			if _, err := analyzeMap(payload, clf); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "msgs/sec")
-	})
 	b.Run("dense", func(b *testing.B) {
 		dclf := clf.(ml.DenseClassifier)
 		b.ReportAllocs()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ifot-middleware/ifot/internal/feature"
@@ -115,21 +116,65 @@ func (m *Module) resolveInputs(rec recipe.Recipe, sub recipe.SubTask) ([]string,
 	return topics, nil
 }
 
-// subscribeInputs subscribes handler to every input topic and arranges
-// cleanup on task stop.
-func (m *Module) subscribeInputs(inst *taskInstance, topics []string, handler mqttclient.Handler) error {
+// subscribeInputs is the one place a task's handlers are registered, data
+// inputs and MIX streams alike: it subscribes handler to every filter at
+// DataQoS and removes the subscriptions on task stop. The handler is told
+// which filter matched (one closure per subscription, none per message),
+// so a join can tell its sources apart without a subscribe loop of its own.
+func (m *Module) subscribeInputs(inst *taskInstance, filters []string, handler func(filter string, msg mqttclient.Message)) error {
 	client := m.currentClient()
 	if client == nil {
 		return ErrNotStarted
 	}
-	for _, topic := range topics {
-		_, reg, err := client.SubscribeHandle(topic, m.cfg.DataQoS, handler)
+	for _, filter := range filters {
+		_, reg, err := client.SubscribeHandle(filter, m.cfg.DataQoS, func(msg mqttclient.Message) { handler(filter, msg) })
 		if err != nil {
-			return fmt.Errorf("core: subscribe %s: %w", topic, err)
+			return fmt.Errorf("core: subscribe %s: %w", filter, err)
 		}
 		inst.onStop(reg.Remove)
 	}
 	return nil
+}
+
+// batchTask is the frame every batch-consuming kind (train, predict,
+// anomaly, cluster) runs in: resolve the inputs, subscribe, and per message
+// decode the batch, drop it when it is undecodable, empty or owned by a
+// sibling shard, and hand it to step with the trace context to attach to
+// whatever step publishes (nil for an untraced flow). A kind contributes
+// only its step. Shard ownership is decided here, once, so no kind can
+// forget it: with parallelism n, exactly one subtask sees each seq.
+func (m *Module) batchTask(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, step func(batch []sensor.Sample, fwd *TraceContext)) error {
+	topics, err := m.resolveInputs(rec, sub)
+	if err != nil {
+		return err
+	}
+	return m.subscribeInputs(inst, topics, func(_ string, msg mqttclient.Message) {
+		batch, tc, err := decodeSamplesTraced(msg.Payload)
+		if err != nil || len(batch) == 0 || !shardOwnsBatch(sub, batch[0].Seq) {
+			return
+		}
+		step(batch, forward(tc))
+	})
+}
+
+// judgingTask runs a Judging-class kind: step turns one batch into a
+// (label, score) verdict, or ok=false for no verdict yet; the frame and
+// the Decision around it are shared.
+func (m *Module) judgingTask(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, kind string, step func(batch []sensor.Sample) (label string, score float64, ok bool)) error {
+	return m.batchTask(inst, rec, sub, func(batch []sensor.Sample, fwd *TraceContext) {
+		label, score, ok := step(batch)
+		if !ok {
+			return
+		}
+		m.emitDecision(rec, sub, Decision{
+			Kind:     kind,
+			Label:    label,
+			Score:    score,
+			Seq:      batch[0].Seq,
+			SensedAt: EarliestTimestamp(batch),
+			Trace:    fwd,
+		})
+	})
 }
 
 func (m *Module) publishData(topic string, payload []byte) error {
@@ -149,15 +194,10 @@ func (m *Module) publishData(topic string, payload []byte) error {
 	return client.Publish(topic, payload, m.cfg.DataQoS, false)
 }
 
-// decodeSamples accepts either a bare 32-byte sample or a batch payload.
-func decodeSamples(payload []byte) ([]sensor.Sample, error) {
-	samples, _, err := decodeSamplesTraced(payload)
-	return samples, err
-}
-
-// decodeSamplesTraced is decodeSamples plus the optional trace context a
-// traced publisher appended (nil when absent — the common untraced case
-// costs nothing extra).
+// decodeSamplesTraced accepts either a bare 32-byte sample or a batch
+// payload, and returns the optional trace context a traced publisher
+// appended (nil when absent — the common untraced case costs nothing
+// extra).
 func decodeSamplesTraced(payload []byte) ([]sensor.Sample, *TraceContext, error) {
 	if len(payload) == sensor.SampleSize {
 		s, err := sensor.DecodeSample(payload)
@@ -230,21 +270,6 @@ func (c *ctxCache) take(seq uint32) *TraceContext {
 	return tc
 }
 
-// BatchFeatures converts a joined batch into a sparse feature vector: one
-// feature per sensor channel. Key strings come from the per-sensor symbol
-// cache, not fmt.Sprintf. The hot analysis path uses BatchDense instead;
-// this map form remains the interchange format.
-func BatchFeatures(batch []sensor.Sample) feature.Vector {
-	v := make(feature.Vector, len(batch)*3)
-	for _, s := range batch {
-		cs := symsFor(s.SensorIndex)
-		for ch, val := range s.Values {
-			v[cs.numKey[ch]] = float64(val)
-		}
-	}
-	return v
-}
-
 func paramString(sub recipe.SubTask, key, fallback string) string {
 	if v, ok := sub.Task.Params[key]; ok && v != "" {
 		return v
@@ -270,7 +295,14 @@ func paramInt(sub recipe.SubTask, key string, fallback int) int {
 	return fallback
 }
 
-func newClassifier(sub recipe.SubTask) ml.Classifier {
+// classifier is what a train or predict task needs of its model; every
+// learner newClassifier builds has all of it.
+type classifier interface {
+	ml.DenseClassifier
+	ml.Checkpointer
+}
+
+func newClassifier(sub recipe.SubTask) classifier {
 	switch paramString(sub, "model", "pa") {
 	case "perceptron":
 		return ml.NewPerceptron(paramFloat(sub, "learningRate", 1))
@@ -366,7 +398,7 @@ func (m *Module) startSense(inst *taskInstance, rec recipe.Recipe, sub recipe.Su
 				m.logf("sense %s publish: %v", sub.Name(), err)
 				return
 			}
-			m.traceStage(rec.Name, sub.TaskID, smp.Seq, "publish", smp.Timestamp)
+			m.traceHop(nil, rec.Name, sub.TaskID, smp.Seq, "publish", smp.Timestamp)
 		})
 	}()
 	return nil
@@ -404,7 +436,7 @@ func (m *Module) startWindow(inst *taskInstance, rec recipe.Recipe, sub recipe.S
 			m.logf("window %s publish: %v", sub.Name(), err)
 		}
 	})
-	return m.subscribeInputs(inst, topics, func(msg mqttclient.Message) {
+	return m.subscribeInputs(inst, topics, func(_ string, msg mqttclient.Message) {
 		samples, tc, err := decodeSamplesTraced(msg.Payload)
 		if err != nil {
 			return
@@ -454,7 +486,7 @@ func (m *Module) startFilter(inst *taskInstance, rec recipe.Recipe, sub recipe.S
 		curFwd *TraceContext
 	)
 	f := flow.NewFilter(flow.RangePredicate(min, max), func(s sensor.Sample) { emit(s, curFwd) })
-	return m.subscribeInputs(inst, topics, func(msg mqttclient.Message) {
+	return m.subscribeInputs(inst, topics, func(_ string, msg mqttclient.Message) {
 		samples, tc, err := decodeSamplesTraced(msg.Payload)
 		if err != nil {
 			return
@@ -493,110 +525,88 @@ func (m *Module) startAggregate(inst *taskInstance, rec recipe.Recipe, sub recip
 			m.logf("aggregate %s encode: %v", sub.Name(), err)
 			return
 		}
-		if adopted != nil {
-			m.traceFlow(adopted.Key, adopted.OriginModule, "join", EarliestTimestamp(batch))
-		} else {
-			m.traceStage(rec.Name, sub.TaskID, seq, "join", EarliestTimestamp(batch))
-		}
+		m.traceHop(adopted, rec.Name, sub.TaskID, seq, "join", EarliestTimestamp(batch))
 		if err := m.publishData(sub.Task.Output, payload); err != nil {
 			m.logf("aggregate %s publish: %v", sub.Name(), err)
 		}
 	})
-	// One handler per topic so the joiner learns the source.
-	client := m.currentClient()
-	if client == nil {
-		return ErrNotStarted
-	}
-	for _, topic := range topics {
-		topic := topic
-		_, reg, err := client.SubscribeHandle(topic, m.cfg.DataQoS, func(msg mqttclient.Message) {
-			samples, tc, err := decodeSamplesTraced(msg.Payload)
-			if err != nil {
-				return
-			}
-			for _, s := range samples {
-				ctxs.put(s.Seq, tc)
-				joiner.Push(topic, s)
-			}
-		})
+	// The matched filter is the input topic: it names the source to the joiner.
+	return m.subscribeInputs(inst, topics, func(topic string, msg mqttclient.Message) {
+		samples, tc, err := decodeSamplesTraced(msg.Payload)
 		if err != nil {
-			return fmt.Errorf("core: subscribe %s: %w", topic, err)
+			return
 		}
-		inst.onStop(reg.Remove)
-	}
-	return nil
+		for _, s := range samples {
+			ctxs.put(s.Seq, tc)
+			joiner.Push(topic, s)
+		}
+	})
 }
 
 // --- Train (Learning class) ---
 
+// newRegressor builds the model both halves of a regression-mode pipeline
+// share, and reads which sensor's channel-0 reading it predicts.
+func newRegressor(sub recipe.SubTask) (reg *ml.PARegressor, targetSensor uint16) {
+	return ml.NewPARegressor(paramFloat(sub, "epsilon", 0.1), paramFloat(sub, "c", 1)),
+		uint16(paramInt(sub, "targetSensor", 0))
+}
+
+// startTrain is the Learning class. The "mode" param only selects the
+// model and the step that feeds it one batch: a classifier labelled by
+// labelFor ("classify", the default) or Jubatus's regression engine
+// learning the target sensor's reading from the other streams
+// ("regression"). Checkpointing, the frame, the TrainEvent and MIX are the
+// same for both.
 func (m *Module) startTrain(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask) error {
-	topics, err := m.resolveInputs(rec, sub)
-	if err != nil {
-		return err
-	}
-	if paramString(sub, "mode", "classify") == "regression" {
-		return m.startTrainRegression(inst, rec, sub, topics)
-	}
-	clf := newClassifier(sub)
-	if ck, ok := clf.(ml.Checkpointer); ok {
-		m.registerCheckpointer(inst, sub.Name(), ck)
-	}
-	dclf, dense := clf.(ml.DenseClassifier)
 	var (
-		mu       sync.Mutex
-		examples int64
+		ckpt  ml.Checkpointer
+		mixer ml.DeltaMixer                    // nil: the learner exports no weights (AROW)
+		learn func(batch []sensor.Sample) bool // one model update; false: batch unusable
 	)
-
-	handler := func(msg mqttclient.Message) {
-		batch, tc, err := decodeSamplesTraced(msg.Payload)
-		if err != nil || len(batch) == 0 {
-			return
-		}
-		seq := batch[0].Seq
-		if !shardOwnsBatch(sub, seq) {
-			return
-		}
-		if dense {
-			dv := BatchDense(batch)
-			dclf.TrainDense(dv, labelFor(sub, batch))
-			feature.PutDense(dv)
-		} else {
-			clf.Train(BatchFeatures(batch), labelFor(sub, batch))
-		}
-		mu.Lock()
-		examples++
-		count := examples
-		mu.Unlock()
-
-		ev := TrainEvent{
-			Recipe:   rec.Name,
-			TaskID:   sub.TaskID,
-			Seq:      seq,
-			SensedAt: EarliestTimestamp(batch),
-			At:       m.now(),
-			Examples: count,
-			Trace:    forward(tc),
-		}
-		m.noteTrainEvent(ev)
-		if sub.Task.Output != "" {
-			if err := m.publishData(sub.Task.Output, EncodeJSON(ev)); err != nil {
-				m.logf("train %s publish: %v", sub.Name(), err)
+	if paramString(sub, "mode", "classify") == "regression" {
+		reg, target := newRegressor(sub)
+		ckpt, mixer = reg, reg
+		learn = func(batch []sensor.Sample) bool {
+			dv, y, ok := regressionDense(batch, target)
+			if ok {
+				reg.TrainDense(dv, y)
 			}
+			feature.PutDense(dv)
+			return ok
 		}
-		if m.cfg.Observer.OnTrain != nil {
-			m.cfg.Observer.OnTrain(ev)
+	} else {
+		clf := newClassifier(sub)
+		ckpt = clf
+		mixer, _ = clf.(ml.DeltaMixer)
+		learn = func(batch []sensor.Sample) bool {
+			dv := BatchDense(batch)
+			clf.TrainDense(dv, labelFor(sub, batch))
+			feature.PutDense(dv)
+			return true
 		}
 	}
-	if err := m.subscribeInputs(inst, topics, handler); err != nil {
+	// Restore before the first input subscription, so a restored model
+	// never trains on top of fresh weights.
+	m.registerCheckpointer(inst, sub.Name(), ckpt)
+	var examples atomic.Int64
+	err := m.batchTask(inst, rec, sub, func(batch []sensor.Sample, fwd *TraceContext) {
+		if !learn(batch) {
+			return
+		}
+		m.emitTrain(rec, sub, TrainEvent{
+			Seq:      batch[0].Seq,
+			SensedAt: EarliestTimestamp(batch),
+			Examples: examples.Add(1),
+			Trace:    fwd,
+		})
+	})
+	if err != nil || mixer == nil {
 		return err
 	}
-
 	// MIX: publish weights for predictors and sibling shards; average in
 	// sibling snapshots (Jubatus-style distributed learning).
-	if dm, mixable := clf.(ml.DeltaMixer); mixable {
-		return m.startMixLoop(inst, rec, sub, dm)
-	}
-	return nil
+	return m.startMixLoop(inst, rec, sub, mixer)
 }
 
 // mixEvictCounter returns the peer-eviction counter (nil without telemetry).
@@ -640,8 +650,7 @@ func (m *Module) startMixLoop(inst *taskInstance, rec recipe.Recipe, sub recipe.
 	if sub.ShardCount > 1 {
 		// Reusable decode target: the handler runs serially on its lane.
 		var peerDelta ml.MixDelta
-		filter := topic + "/+"
-		_, reg, err := mixClient.SubscribeHandle(filter, m.cfg.DataQoS, func(msg mqttclient.Message) {
+		err := m.subscribeInputs(inst, []string{topic + "/+"}, func(filter string, msg mqttclient.Message) {
 			h, err := DecodeMix(msg.Payload, syms, &peerDelta)
 			if err != nil {
 				m.noteMixBadPayload(filter, msg.Topic, err)
@@ -653,9 +662,8 @@ func (m *Module) startMixLoop(inst *taskInstance, rec recipe.Recipe, sub recipe.
 			rx.onPayload(h, &peerDelta, m.now())
 		})
 		if err != nil {
-			return fmt.Errorf("core: subscribe mix: %w", err)
+			return err
 		}
-		inst.onStop(reg.Remove)
 	}
 
 	ctx, cancel := context.WithCancel(m.ctx)
@@ -722,17 +730,12 @@ func (m *Module) startMixLoop(inst *taskInstance, rec recipe.Recipe, sub recipe.
 // task's MIX stream and folds arriving payloads (binary deltas and
 // keyframes) into it via a mixReceiver with no local shard membership.
 func (m *Module) startModelSync(inst *taskInstance, rec recipe.Recipe, from string, model ml.DeltaMixer) error {
-	client := m.currentClient()
-	if client == nil {
-		return ErrNotStarted
-	}
 	syms := feature.DefaultSymbols()
 	rx := newMixReceiver(model, false, m.cfg.MixStaleAfter, m.mixEvictCounter())
 	rx.setEvents(m.events, m.cfg.ID)
 	// Reusable decode target: the handler runs serially on its lane.
 	var pd ml.MixDelta
-	filter := mixTopic(rec.Name, from) + "/+"
-	_, reg, err := client.SubscribeHandle(filter, m.cfg.DataQoS, func(msg mqttclient.Message) {
+	return m.subscribeInputs(inst, []string{mixTopic(rec.Name, from) + "/+"}, func(filter string, msg mqttclient.Message) {
 		h, err := DecodeMix(msg.Payload, syms, &pd)
 		if err != nil {
 			m.noteMixBadPayload(filter, msg.Topic, err)
@@ -740,186 +743,57 @@ func (m *Module) startModelSync(inst *taskInstance, rec recipe.Recipe, from stri
 		}
 		rx.onPayload(h, &pd, m.now())
 	})
-	if err != nil {
-		return fmt.Errorf("core: subscribe model: %w", err)
-	}
-	inst.onStop(reg.Remove)
-	return nil
-}
-
-// regressionSplit separates one batch into regression features and the
-// target value: the target sensor's channel-0 reading is predicted from
-// every other sample's channels. ok is false when the target sensor is
-// absent from the batch.
-func regressionSplit(batch []sensor.Sample, targetSensor uint16) (v feature.Vector, target float64, ok bool) {
-	v = make(feature.Vector, len(batch)*3)
-	for _, s := range batch {
-		if s.SensorIndex == targetSensor {
-			target = float64(s.Values[0])
-			ok = true
-			continue
-		}
-		cs := symsFor(s.SensorIndex)
-		for ch, val := range s.Values {
-			v[cs.numKey[ch]] = float64(val)
-		}
-	}
-	return v, target, ok
-}
-
-// startTrainRegression is the Learning class in regression mode (Jubatus's
-// regression engine): it learns to predict the target sensor's reading
-// from the other streams.
-func (m *Module) startTrainRegression(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, topics []string) error {
-	regressor := ml.NewPARegressor(paramFloat(sub, "epsilon", 0.1), paramFloat(sub, "c", 1))
-	m.registerCheckpointer(inst, sub.Name(), regressor)
-	targetSensor := uint16(paramInt(sub, "targetSensor", 0))
-	var (
-		mu       sync.Mutex
-		examples int64
-	)
-	handler := func(msg mqttclient.Message) {
-		batch, tc, err := decodeSamplesTraced(msg.Payload)
-		if err != nil || len(batch) == 0 {
-			return
-		}
-		seq := batch[0].Seq
-		if !shardOwnsBatch(sub, seq) {
-			return
-		}
-		v, target, ok := regressionSplit(batch, targetSensor)
-		if !ok {
-			return
-		}
-		regressor.Train(v, target)
-		mu.Lock()
-		examples++
-		count := examples
-		mu.Unlock()
-		ev := TrainEvent{
-			Recipe:   rec.Name,
-			TaskID:   sub.TaskID,
-			Seq:      seq,
-			SensedAt: EarliestTimestamp(batch),
-			At:       m.now(),
-			Examples: count,
-			Trace:    forward(tc),
-		}
-		m.noteTrainEvent(ev)
-		if sub.Task.Output != "" {
-			if err := m.publishData(sub.Task.Output, EncodeJSON(ev)); err != nil {
-				m.logf("train %s publish: %v", sub.Name(), err)
-			}
-		}
-		if m.cfg.Observer.OnTrain != nil {
-			m.cfg.Observer.OnTrain(ev)
-		}
-	}
-	if err := m.subscribeInputs(inst, topics, handler); err != nil {
-		return err
-	}
-	return m.startMixLoop(inst, rec, sub, regressor)
 }
 
 // --- Predict (Judging class) ---
 
+// startPredict is the Judging class over a learned model. As in
+// startTrain, "mode" only selects the model and its step: the best label
+// and its score ("classify"), or the regression estimate of the target
+// sensor's reading as the score of a "regress" decision. With "modelFrom"
+// the model follows the named trainer task's MIX stream.
 func (m *Module) startPredict(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask) error {
-	topics, err := m.resolveInputs(rec, sub)
-	if err != nil {
-		return err
-	}
+	var (
+		model ml.DeltaMixer // nil: no weights to sync (AROW)
+		kind  = string(recipe.KindPredict)
+		judge func(batch []sensor.Sample) (string, float64, bool)
+	)
 	if paramString(sub, "mode", "classify") == "regression" {
-		return m.startPredictRegression(inst, rec, sub, topics)
-	}
-	clf := newClassifier(sub)
-	dclf, dense := clf.(ml.DenseClassifier)
-
-	// Model sync: fold the named trainer task's MIX stream (binary
-	// deltas and keyframes) into the local model.
-	if from := paramString(sub, "modelFrom", ""); from != "" {
-		if dm, ok := clf.(ml.DeltaMixer); ok {
-			if err := m.startModelSync(inst, rec, from, dm); err != nil {
-				return err
-			}
-		}
-	}
-
-	return m.subscribeInputs(inst, topics, func(msg mqttclient.Message) {
-		batch, tc, err := decodeSamplesTraced(msg.Payload)
-		if err != nil || len(batch) == 0 {
-			return
-		}
-		if !shardOwnsBatch(sub, batch[0].Seq) {
-			return
-		}
-		label := ""
-		score := 0.0
-		if dense {
-			dv := BatchDense(batch)
-			if best, err := dclf.BestDense(dv); err == nil {
-				label, score = best.Label, best.Score
-			}
+		reg, target := newRegressor(sub)
+		model, kind = reg, "regress"
+		judge = func(batch []sensor.Sample) (string, float64, bool) {
+			dv, _, _ := regressionDense(batch, target)
+			score := reg.PredictDense(dv)
 			feature.PutDense(dv)
-		} else {
-			v := BatchFeatures(batch)
-			if got, err := clf.Classify(v); err == nil {
-				label = got
-				if scores := clf.Scores(v); len(scores) > 0 {
-					score = scores[0].Score
-				}
-			}
+			return "", score, true
 		}
-		m.emitDecision(rec, sub, Decision{
-			Kind:     string(recipe.KindPredict),
-			Label:    label,
-			Score:    score,
-			Seq:      batch[0].Seq,
-			SensedAt: EarliestTimestamp(batch),
-			Trace:    forward(tc),
-		})
-	})
-}
-
-// startPredictRegression is the Judging class in regression mode: it
-// estimates the target sensor's reading and emits it as the decision
-// score (optionally syncing its model from a regression trainer).
-func (m *Module) startPredictRegression(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, topics []string) error {
-	regressor := ml.NewPARegressor(paramFloat(sub, "epsilon", 0.1), paramFloat(sub, "c", 1))
-	targetSensor := uint16(paramInt(sub, "targetSensor", 0))
-
-	if from := paramString(sub, "modelFrom", ""); from != "" {
-		if err := m.startModelSync(inst, rec, from, regressor); err != nil {
+	} else {
+		clf := newClassifier(sub)
+		model, _ = clf.(ml.DeltaMixer)
+		judge = func(batch []sensor.Sample) (string, float64, bool) {
+			dv := BatchDense(batch)
+			best, _ := clf.BestDense(dv) // untrained: empty label, zero score
+			feature.PutDense(dv)
+			return best.Label, best.Score, true
+		}
+	}
+	// Model sync: fold the named trainer task's MIX stream (binary deltas
+	// and keyframes) into the local model.
+	if from := paramString(sub, "modelFrom", ""); from != "" && model != nil {
+		if err := m.startModelSync(inst, rec, from, model); err != nil {
 			return err
 		}
 	}
-
-	return m.subscribeInputs(inst, topics, func(msg mqttclient.Message) {
-		batch, tc, err := decodeSamplesTraced(msg.Payload)
-		if err != nil || len(batch) == 0 {
-			return
-		}
-		if !shardOwnsBatch(sub, batch[0].Seq) {
-			return
-		}
-		v, _, _ := regressionSplit(batch, targetSensor)
-		m.emitDecision(rec, sub, Decision{
-			Kind:     "regress",
-			Score:    regressor.Predict(v),
-			Seq:      batch[0].Seq,
-			SensedAt: EarliestTimestamp(batch),
-			Trace:    forward(tc),
-		})
-	})
+	return m.judgingTask(inst, rec, sub, kind, judge)
 }
 
 // --- Anomaly (Judging class) ---
 
 func (m *Module) startAnomaly(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask) error {
-	topics, err := m.resolveInputs(rec, sub)
-	if err != nil {
-		return err
+	var detector interface {
+		ml.DenseAnomalyDetector
+		ml.Checkpointer
 	}
-	var detector ml.AnomalyDetector
 	threshold := paramFloat(sub, "threshold", 3)
 	switch paramString(sub, "detector", "zscore") {
 	case "knn":
@@ -930,10 +804,7 @@ func (m *Module) startAnomaly(inst *taskInstance, rec recipe.Recipe, sub recipe.
 	default:
 		detector = ml.NewZScoreDetector()
 	}
-	if ck, ok := detector.(ml.Checkpointer); ok {
-		m.registerCheckpointer(inst, sub.Name(), ck)
-	}
-	ddet, dense := detector.(ml.DenseAnomalyDetector)
+	m.registerCheckpointer(inst, sub.Name(), detector)
 
 	// With a "window" param the detector scores sliding-window summary
 	// features (mean/std/energy/zero-crossings) per sensor instead of raw
@@ -971,11 +842,7 @@ func (m *Module) startAnomaly(inst *taskInstance, rec recipe.Recipe, sub recipe.
 		return score, scored
 	}
 
-	return m.subscribeInputs(inst, topics, func(msg mqttclient.Message) {
-		batch, tc, err := decodeSamplesTraced(msg.Payload)
-		if err != nil || len(batch) == 0 {
-			return
-		}
+	return m.judgingTask(inst, rec, sub, string(recipe.KindAnomaly), func(batch []sensor.Sample) (string, float64, bool) {
 		var worst float64
 		scored := false
 		for _, s := range batch {
@@ -989,67 +856,34 @@ func (m *Module) startAnomaly(inst *taskInstance, rec recipe.Recipe, sub recipe.
 				continue
 			}
 			scored = true
-			var score float64
-			if dense {
-				dv := feature.GetDense()
-				appendSampleRawDense(dv, s)
-				score = ddet.AddDense(dv)
-				feature.PutDense(dv)
-			} else {
-				cs := symsFor(s.SensorIndex)
-				score = detector.Add(feature.Vector{
-					cs.rawKey[0]: float64(s.Values[0]),
-					cs.rawKey[1]: float64(s.Values[1]),
-					cs.rawKey[2]: float64(s.Values[2]),
-				})
-			}
+			dv := feature.GetDense()
+			appendSampleRawDense(dv, s)
+			score := detector.AddDense(dv)
+			feature.PutDense(dv)
 			if score > worst {
 				worst = score
 			}
 		}
 		if !scored {
-			return // windowed mode still warming up
+			return "", 0, false // windowed mode still warming up
 		}
-		label := "normal"
 		if worst > threshold {
-			label = "anomaly"
+			return "anomaly", worst, true
 		}
-		m.emitDecision(rec, sub, Decision{
-			Kind:     string(recipe.KindAnomaly),
-			Label:    label,
-			Score:    worst,
-			Seq:      batch[0].Seq,
-			SensedAt: EarliestTimestamp(batch),
-			Trace:    forward(tc),
-		})
+		return "normal", worst, true
 	})
 }
 
 // --- Cluster (Judging class) ---
 
 func (m *Module) startCluster(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask) error {
-	topics, err := m.resolveInputs(rec, sub)
-	if err != nil {
-		return err
-	}
 	km := ml.NewSequentialKMeans(paramInt(sub, "k", 2))
 	m.registerCheckpointer(inst, sub.Name(), km)
-	return m.subscribeInputs(inst, topics, func(msg mqttclient.Message) {
-		batch, tc, err := decodeSamplesTraced(msg.Payload)
-		if err != nil || len(batch) == 0 {
-			return
-		}
+	return m.judgingTask(inst, rec, sub, string(recipe.KindCluster), func(batch []sensor.Sample) (string, float64, bool) {
 		dv := BatchDense(batch)
 		idx := km.AddDense(dv)
 		feature.PutDense(dv)
-		m.emitDecision(rec, sub, Decision{
-			Kind:     string(recipe.KindCluster),
-			Label:    "cluster-" + strconv.Itoa(idx),
-			Score:    float64(idx),
-			Seq:      batch[0].Seq,
-			SensedAt: EarliestTimestamp(batch),
-			Trace:    forward(tc),
-		})
+		return "cluster-" + strconv.Itoa(idx), float64(idx), true
 	})
 }
 
@@ -1070,7 +904,7 @@ func (m *Module) startActuate(inst *taskInstance, rec recipe.Recipe, sub recipe.
 	command := paramString(sub, "command", "actuate")
 	when := paramString(sub, "when", "")
 
-	return m.subscribeInputs(inst, topics, func(msg mqttclient.Message) {
+	return m.subscribeInputs(inst, topics, func(_ string, msg mqttclient.Message) {
 		var d Decision
 		if err := DecodeJSON(msg.Payload, &d); err != nil {
 			return
@@ -1088,11 +922,7 @@ func (m *Module) startActuate(inst *taskInstance, rec recipe.Recipe, sub recipe.
 			m.logf("actuate %s: %v", sub.Name(), err)
 			return
 		}
-		if d.Trace != nil {
-			m.traceFlow(d.Trace.Key, d.Trace.OriginModule, "actuate", d.SensedAt)
-		} else {
-			m.traceStage(d.Recipe, d.TaskID, d.Seq, "actuate", d.SensedAt)
-		}
+		m.traceHop(d.Trace, d.Recipe, d.TaskID, d.Seq, "actuate", d.SensedAt)
 	})
 }
 
@@ -1110,33 +940,39 @@ func (m *Module) startCustom(inst *taskInstance, rec recipe.Recipe, sub recipe.S
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownHandler, name)
 	}
-	return m.subscribeInputs(inst, topics, func(msg mqttclient.Message) {
+	return m.subscribeInputs(inst, topics, func(_ string, msg mqttclient.Message) {
 		fn(msg, m.publishData)
 	})
 }
 
-// noteTrainEvent records the Learning-class stage span and counter for one
-// model update.
-func (m *Module) noteTrainEvent(ev TrainEvent) {
-	if ev.Trace != nil {
-		m.traceFlow(ev.Trace.Key, ev.Trace.OriginModule, "learn", ev.SensedAt)
-	} else {
-		m.traceStage(ev.Recipe, ev.TaskID, ev.Seq, "learn", ev.SensedAt)
-	}
+// emitTrain is the Learning class's one emitter: it stamps ev for one
+// model update, records the "learn" span and counter, publishes the event
+// on the task's output (if any) and tells the observer.
+func (m *Module) emitTrain(rec recipe.Recipe, sub recipe.SubTask, ev TrainEvent) {
+	ev.Recipe = rec.Name
+	ev.TaskID = sub.TaskID
+	ev.At = m.now()
+	m.traceHop(ev.Trace, ev.Recipe, ev.TaskID, ev.Seq, "learn", ev.SensedAt)
 	if m.metrics != nil {
 		m.metrics.trained.Inc()
 	}
+	if sub.Task.Output != "" {
+		if err := m.publishData(sub.Task.Output, EncodeJSON(ev)); err != nil {
+			m.logf("train %s publish: %v", sub.Name(), err)
+		}
+	}
+	if m.cfg.Observer.OnTrain != nil {
+		m.cfg.Observer.OnTrain(ev)
+	}
 }
 
+// emitDecision is the Judging class's one emitter, the counterpart of
+// emitTrain for a "judge" span and a Decision.
 func (m *Module) emitDecision(rec recipe.Recipe, sub recipe.SubTask, d Decision) {
 	d.Recipe = rec.Name
 	d.TaskID = sub.TaskID
 	d.At = m.now()
-	if d.Trace != nil {
-		m.traceFlow(d.Trace.Key, d.Trace.OriginModule, "judge", d.SensedAt)
-	} else {
-		m.traceStage(d.Recipe, d.TaskID, d.Seq, "judge", d.SensedAt)
-	}
+	m.traceHop(d.Trace, d.Recipe, d.TaskID, d.Seq, "judge", d.SensedAt)
 	if m.metrics != nil {
 		m.metrics.decisions.Inc()
 	}

@@ -6,22 +6,38 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ifot-middleware/ifot/internal/feature"
 	"github.com/ifot-middleware/ifot/internal/mqttclient"
 	"github.com/ifot-middleware/ifot/internal/recipe"
 	"github.com/ifot-middleware/ifot/internal/sensor"
 )
 
-func TestBatchFeatures(t *testing.T) {
+func TestBatchDense(t *testing.T) {
 	batch := []sensor.Sample{
 		{SensorIndex: 1, Values: [3]float32{1, 2, 3}},
 		{SensorIndex: 2, Values: [3]float32{-1, 0, 0.5}},
 	}
-	v := BatchFeatures(batch)
+	dv := BatchDense(batch)
+	v := dv.ToVector(feature.DefaultSymbols())
+	feature.PutDense(dv)
 	if len(v) != 6 {
 		t.Fatalf("features = %d, want 6", len(v))
 	}
 	if v["s1.c0@num"] != 1 || v["s2.c2@num"] != 0.5 {
 		t.Fatalf("features = %v", v)
+	}
+
+	// Regression mode: the target sensor's channel 0 is the label, not a feature.
+	dv, target, ok := regressionDense(batch, 2)
+	v = dv.ToVector(feature.DefaultSymbols())
+	feature.PutDense(dv)
+	if !ok || target != -1 || len(v) != 3 || v["s1.c1@num"] != 2 {
+		t.Fatalf("regressionDense = %v, target %v, ok %v", v, target, ok)
+	}
+	dv, _, ok = regressionDense(batch, 9)
+	feature.PutDense(dv)
+	if ok {
+		t.Fatal("regressionDense reported a target for a sensor absent from the batch")
 	}
 }
 

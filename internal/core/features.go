@@ -8,17 +8,14 @@ import (
 	"github.com/ifot-middleware/ifot/internal/sensor"
 )
 
-// sensorSyms caches, per sensor index, the interned feature IDs and the
-// string keys for every channel. The analysis hot path runs per message;
-// building "s%d.c%d@num" keys with fmt.Sprintf each time dominated the
-// old BatchFeatures profile. The table is tiny (one entry per sensor ever
-// seen) and append-only.
+// sensorSyms caches, per sensor index, the interned feature IDs of every
+// channel. The analysis hot path runs per message; building and interning
+// "s%d.c%d@num" keys each time would dominate it. The table is tiny (one
+// entry per sensor ever seen) and append-only.
 type sensorSyms struct {
 	numID  [3]uint32 // IDs of "s<idx>.c<ch>@num" (batch features)
 	rawID  [3]uint32 // IDs of "s<idx>.c<ch>" (raw anomaly features)
-	numKey [3]string // cached string form for map Vector output
-	rawKey [3]string
-	prefix string // "s<idx>" (windowed anomaly feature prefix)
+	prefix string    // "s<idx>" (windowed anomaly feature prefix)
 }
 
 var sensorSymsCache = struct {
@@ -44,18 +41,15 @@ func symsFor(idx uint16) *sensorSyms {
 	cs = &sensorSyms{prefix: "s" + strconv.Itoa(int(idx))}
 	for ch := 0; ch < 3; ch++ {
 		base := cs.prefix + ".c" + strconv.Itoa(ch)
-		cs.rawKey[ch] = base
-		cs.numKey[ch] = base + "@num"
-		cs.rawID[ch] = syms.Intern(cs.rawKey[ch])
-		cs.numID[ch] = syms.Intern(cs.numKey[ch])
+		cs.rawID[ch] = syms.Intern(base)
+		cs.numID[ch] = syms.Intern(base + "@num")
 	}
 	sensorSymsCache.bySensor[idx] = cs
 	return cs
 }
 
 // AppendBatchDense appends one interned feature per sensor channel of the
-// batch to dv — the dense counterpart of BatchFeatures, sharing the same
-// feature names through the default symbol table.
+// batch to dv ("s<idx>.c<ch>@num", through the default symbol table).
 func AppendBatchDense(dv *feature.DenseVec, batch []sensor.Sample) {
 	for _, s := range batch {
 		cs := symsFor(s.SensorIndex)
@@ -80,4 +74,23 @@ func appendSampleRawDense(dv *feature.DenseVec, s sensor.Sample) {
 	for ch, val := range s.Values {
 		dv.Append(cs.rawID[ch], float64(val))
 	}
+}
+
+// regressionDense splits one batch into a pooled regression feature vector
+// and the target value: the target sensor's channel-0 reading is predicted
+// from every other sample's channels. ok is false when the target sensor
+// is absent from the batch. The caller must feature.PutDense dv either way.
+func regressionDense(batch []sensor.Sample, targetSensor uint16) (dv *feature.DenseVec, target float64, ok bool) {
+	dv = feature.GetDense()
+	for _, s := range batch {
+		if s.SensorIndex == targetSensor {
+			target, ok = float64(s.Values[0]), true
+			continue
+		}
+		cs := symsFor(s.SensorIndex)
+		for ch, val := range s.Values {
+			dv.Append(cs.numID[ch], float64(val))
+		}
+	}
+	return dv, target, ok
 }

@@ -332,11 +332,17 @@ func (mm *moduleMetrics) stage(moduleID, stage string) *telemetry.Histogram {
 	return h
 }
 
-// traceStage records one span for a pipeline stage this module completed:
+// traceHop records one span for a pipeline stage this module completed:
 // it spans from the batch's sensing instant to now, so per-stage
 // aggregates read as cumulative latency at that stage — the decomposition
-// the paper's Tables II/III report. No-op without a Tracer.
-func (m *Module) traceStage(recipeName, taskID string, seq uint32, stage string, from time.Time) {
+// the paper's Tables II/III report. A traced flow (tc != nil) is recorded
+// under its propagated key, an untraced one under the local
+// (recipe, task, seq) key. No-op without a Tracer.
+func (m *Module) traceHop(tc *TraceContext, recipeName, taskID string, seq uint32, stage string, from time.Time) {
+	if tc != nil {
+		m.traceFlow(tc.Key, tc.OriginModule, stage, from)
+		return
+	}
 	m.traceFlow(telemetry.TraceKey{Recipe: recipeName, TaskID: taskID, Seq: seq}, "", stage, from)
 }
 

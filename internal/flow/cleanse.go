@@ -112,69 +112,3 @@ func (d *Deduper) Fresh(s sensor.Sample) bool {
 
 // Dropped reports how many duplicates/stale samples were rejected.
 func (d *Deduper) Dropped() int64 { return d.dropped.Load() }
-
-// ChannelAggregator maintains per-sensor running statistics of channel-0
-// values and exposes snapshots, supporting the middleware's aggregation
-// duty.
-type ChannelAggregator struct {
-	mu    sync.Mutex
-	stats map[uint16]*runningStats
-}
-
-type runningStats struct {
-	count      int64
-	sum, sqSum float64
-	min, max   float64
-}
-
-// AggregateSnapshot is a point-in-time view of one sensor's statistics.
-type AggregateSnapshot struct {
-	SensorIndex uint16
-	Count       int64
-	Mean        float64
-	Min         float64
-	Max         float64
-}
-
-// NewChannelAggregator returns an empty aggregator.
-func NewChannelAggregator() *ChannelAggregator {
-	return &ChannelAggregator{stats: make(map[uint16]*runningStats)}
-}
-
-// Push incorporates one sample.
-func (a *ChannelAggregator) Push(s sensor.Sample) {
-	v := float64(s.Values[0])
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st, ok := a.stats[s.SensorIndex]
-	if !ok {
-		st = &runningStats{min: v, max: v}
-		a.stats[s.SensorIndex] = st
-	}
-	st.count++
-	st.sum += v
-	st.sqSum += v * v
-	if v < st.min {
-		st.min = v
-	}
-	if v > st.max {
-		st.max = v
-	}
-}
-
-// Snapshot returns the statistics for one sensor.
-func (a *ChannelAggregator) Snapshot(sensorIndex uint16) (AggregateSnapshot, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st, ok := a.stats[sensorIndex]
-	if !ok || st.count == 0 {
-		return AggregateSnapshot{}, false
-	}
-	return AggregateSnapshot{
-		SensorIndex: sensorIndex,
-		Count:       st.count,
-		Mean:        st.sum / float64(st.count),
-		Min:         st.min,
-		Max:         st.max,
-	}, true
-}

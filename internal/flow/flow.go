@@ -8,7 +8,6 @@ package flow
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/ifot-middleware/ifot/internal/sensor"
 )
@@ -98,59 +97,6 @@ func (w *SlidingWindow) Push(s sensor.Sample) {
 	}
 	w.mu.Unlock()
 	if batch != nil {
-		w.emit(batch)
-	}
-}
-
-// TimeWindow buffers samples into tumbling windows by sample timestamp:
-// when a sample's timestamp crosses the current window boundary, the
-// accumulated batch is emitted first.
-type TimeWindow struct {
-	mu       sync.Mutex
-	width    time.Duration
-	emit     func([]sensor.Sample)
-	buf      []sensor.Sample
-	boundary time.Time
-	started  bool
-}
-
-// NewTimeWindow creates a tumbling window of the given width
-// (minimum 1ms).
-func NewTimeWindow(width time.Duration, emit func([]sensor.Sample)) *TimeWindow {
-	if width < time.Millisecond {
-		width = time.Millisecond
-	}
-	return &TimeWindow{width: width, emit: emit}
-}
-
-// Push adds one sample. Samples are assumed non-decreasing in timestamp;
-// out-of-order samples join the current window.
-func (w *TimeWindow) Push(s sensor.Sample) {
-	var batch []sensor.Sample
-	w.mu.Lock()
-	if !w.started {
-		w.started = true
-		w.boundary = s.Timestamp.Truncate(w.width).Add(w.width)
-	}
-	if !s.Timestamp.Before(w.boundary) {
-		batch = w.buf
-		w.buf = nil
-		w.boundary = s.Timestamp.Truncate(w.width).Add(w.width)
-	}
-	w.buf = append(w.buf, s)
-	w.mu.Unlock()
-	if len(batch) > 0 {
-		w.emit(batch)
-	}
-}
-
-// Flush emits any buffered samples immediately.
-func (w *TimeWindow) Flush() {
-	w.mu.Lock()
-	batch := w.buf
-	w.buf = nil
-	w.mu.Unlock()
-	if len(batch) > 0 {
 		w.emit(batch)
 	}
 }

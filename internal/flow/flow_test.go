@@ -44,36 +44,6 @@ func TestCountWindowMinimumSize(t *testing.T) {
 	}
 }
 
-func TestTimeWindowTumbles(t *testing.T) {
-	var batches [][]sensor.Sample
-	w := NewTimeWindow(100*time.Millisecond, func(b []sensor.Sample) { batches = append(batches, b) })
-	// Samples at 10ms, 50ms, 90ms, then 110ms triggers the first window.
-	for _, ms := range []int64{10, 50, 90} {
-		s := sample(1, uint32(ms), 0)
-		s.Timestamp = time.Unix(0, ms*int64(time.Millisecond))
-		w.Push(s)
-	}
-	s := sample(1, 110, 0)
-	s.Timestamp = time.Unix(0, 110*int64(time.Millisecond))
-	w.Push(s)
-	if len(batches) != 1 || len(batches[0]) != 3 {
-		t.Fatalf("batches = %+v, want one batch of 3", batches)
-	}
-	w.Flush()
-	if len(batches) != 2 || len(batches[1]) != 1 {
-		t.Fatalf("Flush: batches = %+v", batches)
-	}
-}
-
-func TestTimeWindowFlushEmptyNoEmit(t *testing.T) {
-	calls := 0
-	w := NewTimeWindow(time.Second, func([]sensor.Sample) { calls++ })
-	w.Flush()
-	if calls != 0 {
-		t.Fatalf("Flush of empty window emitted %d times", calls)
-	}
-}
-
 func TestJoinerCompletesInOrder(t *testing.T) {
 	var (
 		mu     sync.Mutex
@@ -207,23 +177,6 @@ func TestDeduperStaleOutsideWindow(t *testing.T) {
 	// Recent unseen seq within window still accepted.
 	if !d.Fresh(sample(1, 19, 0)) == false && d.Fresh(sample(1, 19, 0)) {
 		t.Fatal("recent duplicate accepted twice")
-	}
-}
-
-func TestChannelAggregator(t *testing.T) {
-	a := NewChannelAggregator()
-	for i, v := range []float32{1, 2, 3} {
-		a.Push(sample(7, uint32(i+1), v))
-	}
-	snap, ok := a.Snapshot(7)
-	if !ok {
-		t.Fatal("Snapshot missing")
-	}
-	if snap.Count != 3 || snap.Mean != 2 || snap.Min != 1 || snap.Max != 3 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if _, ok := a.Snapshot(99); ok {
-		t.Fatal("Snapshot for unknown sensor reported ok")
 	}
 }
 

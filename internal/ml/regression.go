@@ -1,7 +1,7 @@
 package ml
 
 import (
-	"sync"
+	"math"
 
 	"github.com/ifot-middleware/ifot/internal/feature"
 )
@@ -14,20 +14,25 @@ type Regressor interface {
 	Predict(v feature.Vector) float64
 }
 
+// regressionLabel is the single pseudo-label a regressor's weights live,
+// travel (MIX) and checkpoint under.
+const regressionLabel = "regression"
+
+// biasKey names the intercept's pseudo-feature; it cannot collide with
+// real features, which always carry an "@" rule suffix.
+const biasKey = "__bias__"
+
 // PARegressor implements Passive-Aggressive regression (PA-I with an
-// epsilon-insensitive loss), matching Jubatus's regression engine.
+// epsilon-insensitive loss), matching Jubatus's regression engine. It is a
+// one-label linearModel: the weights sit under regressionLabel and the
+// intercept is the weight of the interned biasKey pseudo-feature — the
+// form it has on the MIX wire and in checkpoints — so delta tracking, MIX
+// and weight exchange are the classifiers' code, not a copy of it.
 type PARegressor struct {
-	mu      sync.RWMutex
-	weights feature.Vector
-	bias    float64
+	model   linearModel
+	bias    feature.DenseVec // the constant input {biasKey: 1}
 	epsilon float64
 	c       float64
-
-	// Delta-MIX tracking (off until EnableDeltaTracking): acc/accBias
-	// accumulate training updates since the last ExportDeltaInto.
-	trackDeltas bool
-	acc         feature.Vector
-	accBias     float64
 }
 
 var _ Regressor = (*PARegressor)(nil)
@@ -41,217 +46,112 @@ func NewPARegressor(epsilon, c float64) *PARegressor {
 	if c <= 0 {
 		c = 1
 	}
-	return &PARegressor{weights: make(feature.Vector), epsilon: epsilon, c: c}
+	r := &PARegressor{model: newLinearModel(), epsilon: epsilon, c: c}
+	r.bias.Append(r.model.syms.Intern(biasKey), 1)
+	r.model.ensureLabelLocked(regressionLabel) // an untrained model still exports its label
+	return r
 }
 
 // Train implements Regressor.
 func (r *PARegressor) Train(v feature.Vector, target float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	pred := r.weights.Dot(v) + r.bias
-	err := target - pred
-	loss := abs(err) - r.epsilon
+	dv := r.model.toDense(v)
+	r.TrainDense(dv, target)
+	feature.PutDense(dv)
+}
+
+// TrainDense is Train on an interned vector; dv is not retained.
+func (r *PARegressor) TrainDense(dv *feature.DenseVec, target float64) {
+	m := &r.model
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	li := m.ensureLabelLocked(regressionLabel)
+	err := target - (dv.Dot(m.weights[li]) + r.bias.Dot(m.weights[li]))
+	loss := math.Abs(err) - r.epsilon
 	if loss <= 0 {
 		return
 	}
-	sq := v.SquaredNorm() + 1 // +1 for the bias term
-	tau := loss / sq
+	tau := loss / (dv.SquaredNorm() + 1) // +1 for the bias term
 	if tau > r.c {
 		tau = r.c
 	}
 	if err < 0 {
 		tau = -tau
 	}
-	r.weights.AddScaled(v, tau)
-	r.bias += tau
-	if r.trackDeltas {
-		r.acc.AddScaled(v, tau)
-		r.accBias += tau
-	}
+	m.addScaledLocked(li, dv, tau)
+	m.addScaledLocked(li, &r.bias, tau)
 }
 
 // Predict implements Regressor.
 func (r *PARegressor) Predict(v feature.Vector) float64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.weights.Dot(v) + r.bias
+	dv := r.model.toDense(v)
+	defer feature.PutDense(dv)
+	return r.PredictDense(dv)
 }
 
-// biasKey stores the intercept inside exported weight snapshots; the name
-// cannot collide with real features, which always carry an "@" rule
-// suffix.
-const biasKey = "__bias__"
-
-// ExportWeights implements WeightExporter: the model exports one label
-// ("regression") whose vector carries the weights plus the bias term.
-func (r *PARegressor) ExportWeights() map[string]feature.Vector {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := r.weights.Clone()
-	out[biasKey] = r.bias
-	return map[string]feature.Vector{regressionLabel: out}
-}
-
-// ImportWeights implements WeightExporter.
-func (r *PARegressor) ImportWeights(w map[string]feature.Vector) {
-	snap, ok := w[regressionLabel]
+// PredictDense is Predict on an interned vector; dv is not retained. An
+// untrained model predicts 0.
+func (r *PARegressor) PredictDense(dv *feature.DenseVec) float64 {
+	m := &r.model
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	li, ok := m.labelIdx[regressionLabel]
 	if !ok {
-		return
+		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.weights = snap.Clone()
-	r.bias = r.weights[biasKey]
-	delete(r.weights, biasKey)
-	r.clearDeltaLocked()
+	return dv.Dot(m.weights[li]) + r.bias.Dot(m.weights[li])
+}
+
+// ExportWeights implements WeightExporter: one label ("regression") whose
+// vector carries the weights plus the bias term under biasKey.
+func (r *PARegressor) ExportWeights() map[string]feature.Vector { return r.model.exportWeights() }
+
+// ImportWeights implements WeightExporter. A snapshot without the
+// "regression" label is foreign (a classifier's) and changes nothing.
+func (r *PARegressor) ImportWeights(w map[string]feature.Vector) {
+	if snap, ok := w[regressionLabel]; ok {
+		r.model.importWeights(map[string]feature.Vector{regressionLabel: snap})
+	}
 }
 
 var _ WeightExporter = (*PARegressor)(nil)
 
-// regressionLabel is the single pseudo-label regressor snapshots and
-// deltas travel under, shared with the map-based ExportWeights form.
-const regressionLabel = "regression"
-
-// clearDeltaLocked drops the pending delta accumulator: after a wholesale
-// weight replacement its baseline no longer exists.
-func (r *PARegressor) clearDeltaLocked() {
-	if !r.trackDeltas {
-		return
+// ownLabel narrows a MIX payload to the "regression" label. Everything
+// else is classifier traffic: forwarded as is, linearModel would grow those
+// labels and a later keyframe would re-export them as the regressor's own.
+func ownLabel(d *MixDelta) MixDelta {
+	for i := range d.Labels {
+		if d.Labels[i].Label == regressionLabel {
+			return MixDelta{Labels: d.Labels[i : i+1 : i+1]}
+		}
 	}
-	for k := range r.acc {
-		delete(r.acc, k)
-	}
-	r.accBias = 0
+	return MixDelta{}
 }
 
 // EnableDeltaTracking implements DeltaMixer.
-func (r *PARegressor) EnableDeltaTracking() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.trackDeltas {
-		return
-	}
-	r.trackDeltas = true
-	r.acc = make(feature.Vector)
-}
+func (r *PARegressor) EnableDeltaTracking() { r.model.enableDeltaTracking() }
 
-// ExportDeltaInto implements DeltaMixer. Weight names (and the bias
-// pseudo-feature) are interned through the process-wide symbol table so the
-// delta speaks the same ID language as the linear classifiers.
-func (r *PARegressor) ExportDeltaInto(d *MixDelta) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d.Reset()
-	if !r.trackDeltas || (len(r.acc) == 0 && r.accBias == 0) {
-		return
-	}
-	syms := feature.DefaultSymbols()
-	ld := d.Grow(regressionLabel)
-	for name, v := range r.acc {
-		if v != 0 {
-			ld.IDs = append(ld.IDs, syms.Intern(name))
-			ld.Vals = append(ld.Vals, v)
-		}
-	}
-	if r.accBias != 0 {
-		ld.IDs = append(ld.IDs, syms.Intern(biasKey))
-		ld.Vals = append(ld.Vals, r.accBias)
-	}
-	r.clearDeltaLocked()
-	if len(ld.IDs) == 0 {
-		d.Labels = d.Labels[:len(d.Labels)-1]
-		return
-	}
-	ld.Sort()
-}
+// ExportDeltaInto implements DeltaMixer.
+func (r *PARegressor) ExportDeltaInto(d *MixDelta) { r.model.exportDeltaInto(d) }
 
 // ExportDenseInto implements DeltaMixer.
-func (r *PARegressor) ExportDenseInto(d *MixDelta) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	d.Reset()
-	syms := feature.DefaultSymbols()
-	ld := d.Grow(regressionLabel)
-	for name, v := range r.weights {
-		if v != 0 {
-			ld.IDs = append(ld.IDs, syms.Intern(name))
-			ld.Vals = append(ld.Vals, v)
-		}
-	}
-	if r.bias != 0 {
-		ld.IDs = append(ld.IDs, syms.Intern(biasKey))
-		ld.Vals = append(ld.Vals, r.bias)
-	}
-	ld.Sort()
-}
+func (r *PARegressor) ExportDenseInto(d *MixDelta) { r.model.exportDenseInto(d) }
 
-// applyEntries adds scale * entries into the live weights; bias entries
-// route to the intercept. Unknown IDs (never interned here) are skipped.
-func (r *PARegressor) applyEntriesLocked(ld *MixLabelDelta, scale float64) {
-	syms := feature.DefaultSymbols()
-	for j, id := range ld.IDs {
-		name := syms.Name(id)
-		switch name {
-		case "":
-			// unresolvable in this process; nothing it could refer to
-		case biasKey:
-			r.bias += scale * ld.Vals[j]
-		default:
-			r.weights[name] += scale * ld.Vals[j]
-		}
-	}
-}
-
-// ApplyDelta implements DeltaMixer. Labels other than "regression" are
-// foreign (classifier traffic) and ignored, mirroring ImportWeights.
+// ApplyDelta implements DeltaMixer.
 func (r *PARegressor) ApplyDelta(d *MixDelta, scale float64) {
-	if scale == 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range d.Labels {
-		if d.Labels[i].Label == regressionLabel {
-			r.applyEntriesLocked(&d.Labels[i], scale)
-		}
-	}
+	own := ownLabel(d)
+	r.model.applyDelta(&own, scale)
 }
 
 // MergeDense implements DeltaMixer.
 func (r *PARegressor) MergeDense(d *MixDelta, alpha float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	keep := 1 - alpha
-	for k := range r.weights {
-		r.weights[k] *= keep
-	}
-	r.bias *= keep
-	for i := range d.Labels {
-		if d.Labels[i].Label == regressionLabel {
-			r.applyEntriesLocked(&d.Labels[i], alpha)
-		}
-	}
+	own := ownLabel(d)
+	r.model.mergeDense(&own, alpha)
 }
 
 // ImportDense implements DeltaMixer.
 func (r *PARegressor) ImportDense(d *MixDelta) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.weights = make(feature.Vector, len(r.weights))
-	r.bias = 0
-	for i := range d.Labels {
-		if d.Labels[i].Label == regressionLabel {
-			r.applyEntriesLocked(&d.Labels[i], 1)
-		}
-	}
-	r.clearDeltaLocked()
+	own := ownLabel(d)
+	r.model.importDense(&own)
 }
 
 var _ DeltaMixer = (*PARegressor)(nil)
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

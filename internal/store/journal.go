@@ -35,8 +35,7 @@ type Journal struct {
 // NewJournal wraps store. capture serializes the consumer's full state
 // (called under the consumer's own locks, per the Snapshotter contract).
 // snapshotBytes is the live-log size that triggers compaction (<=0
-// disables automatic snapshots; SnapshotNow still works). logger may be
-// nil.
+// disables snapshots). logger may be nil.
 func NewJournal(store Store, capture func() ([]byte, error), snapshotBytes int64, logger *log.Logger) *Journal {
 	j := &Journal{
 		store:     store,
@@ -87,16 +86,6 @@ func (j *Journal) noteBytes(n int64) {
 		case j.snapReq <- struct{}{}:
 		default:
 		}
-	}
-}
-
-// SnapshotNow requests a snapshot on the background goroutine; it does not
-// wait for completion. Used by daemons on graceful shutdown prep or
-// SIGUSR-style triggers.
-func (j *Journal) SnapshotNow() {
-	select {
-	case j.snapReq <- struct{}{}:
-	default:
 	}
 }
 

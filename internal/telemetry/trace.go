@@ -307,21 +307,6 @@ func (t *Tracer) StageStats() []StageStat {
 	return out
 }
 
-// StageQuantile reports the q-th latency quantile of one stage (0 when
-// the stage has recorded no spans).
-func (t *Tracer) StageQuantile(stage string, q float64) time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	agg := t.stages[stage]
-	t.mu.Unlock()
-	if agg == nil {
-		return 0
-	}
-	return agg.hist.Quantile(q)
-}
-
 // StageHistograms snapshots the per-stage latency histograms keyed by
 // stage name. The histograms are shared live pointers (LogHistogram reads
 // are lock-free), so an SLO watchdog can poll them without re-copying

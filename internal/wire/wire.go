@@ -225,20 +225,6 @@ func putEncodeBuf(bp *[]byte) {
 	}
 }
 
-// GetEncodeBuf returns a pooled zero-length scratch buffer for
-// append-style encoding. It shares the packet codec's pool, so
-// application payload codecs (batch trailers, MIX snapshots) reuse the
-// same warm buffers; return it with PutEncodeBuf.
-func GetEncodeBuf() *[]byte {
-	bp := encodeBufPool.Get().(*[]byte)
-	*bp = (*bp)[:0]
-	return bp
-}
-
-// PutEncodeBuf recycles a buffer from GetEncodeBuf. Buffers grown beyond
-// the pooling cap are dropped rather than pinned.
-func PutEncodeBuf(bp *[]byte) { putEncodeBuf(bp) }
-
 // WritePacket encodes p and writes it to w as a single Write call. The
 // frame is built in a pooled buffer, so steady-state it allocates nothing.
 func WritePacket(w io.Writer, p Packet) error {
