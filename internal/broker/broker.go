@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,23 +101,21 @@ type retainedMsg struct {
 // Broker is an MQTT broker. Create one with New, feed it connections with
 // Serve or ServeConn, and stop it with Close.
 //
-// Locking model (epoch-published routing). The publish hot path acquires
-// zero locks: it opens a read section on the epoch gate (two uncontended
-// per-shard atomic adds, see gate.go), loads the current immutable
-// routeTable snapshot, and routes through the epoch-keyed route cache or
-// the zero-alloc snapshot matcher (routes.go). Subscribe, unsubscribe, and
-// session churn mutate the builder trie under mu, build a fresh snapshot,
-// and swap it in under the gate's writer fence.
+// Locking model (epoch-published routing). A publish never takes mu: it
+// read-locks gate (a sync.RWMutex) for its whole length, loads the current
+// immutable routeTable snapshot, and routes through the epoch-keyed route
+// cache or the zero-alloc snapshot matcher (routes.go). Subscribe,
+// unsubscribe, and session churn mutate the builder trie under mu, build a
+// fresh snapshot, and swap it in under gate's write lock.
 //
 // The store+route atomicity invariant for retained messages (see publish)
-// is preserved because the gate writer excludes every in-flight publish
-// read section whole — exactly the exclusion the mu.RLock/mu.Lock pairing
-// used to provide: a subscriber registering inside the fence observes each
+// holds because the write lock excludes every in-flight publish read
+// section whole: a subscriber registering inside the fence observes each
 // concurrent publish either entirely (retained stored AND fanned out) or
 // not at all. The fence covers only the snapshot swap and retained replay;
 // snapshot *rebuilding* happens outside it, so publishes keep flowing
-// while a large trie is copied. The gate parks new readers while a writer
-// drains, so subscribes cannot starve under publish load.
+// while a large trie is copied. A waiting writer blocks new readers
+// (sync.RWMutex's rule), so subscribes cannot starve under publish load.
 //
 // Lock order: mu ⊃ gate ⊃ {retainedMu, session.mu}; trie.mu and pubMu are
 // leaf locks never taken by the publish path (a cached publish touches
@@ -137,14 +134,17 @@ type Broker struct {
 
 	// gate fences publish read sections against route-snapshot swaps and
 	// retained replay; routes holds the current immutable snapshot and
-	// rcache the per-topic, epoch-keyed route memo (see routes.go).
-	gate       *epochGate
-	routes     atomic.Pointer[routeTable]
-	routeEpoch atomic.Uint64
-	rcache     routeCache
+	// rcache the per-topic, epoch-keyed route memo (see routes.go), whose
+	// hits and misses the two counters record.
+	gate        sync.RWMutex
+	routes      atomic.Pointer[routeTable]
+	routeEpoch  atomic.Uint64
+	rcache      routeCache
+	cacheHits   atomic.Int64
+	cacheMisses atomic.Int64
 
 	// retainedMu guards the retained map. Publishes mutate it while
-	// holding only a gate read section, so map access needs this inner
+	// holding only gate's read lock, so map access needs this inner
 	// mutex; the ordering of store against route is provided by the gate
 	// fence (above). retainedCount shadows len(retained) so Stats and
 	// $SYS ticks never touch this publish-path lock.
@@ -155,18 +155,12 @@ type Broker struct {
 	received  atomic.Int64
 	delivered atomic.Int64
 
-	// routeDropped counts matched subscribers that were never offered a
-	// message because its frame could not be encoded (unroutable topic via
-	// the internal Publish API). Session queue-full drops are accounted on
-	// the sessions themselves; this captures the remainder so Stats sees
-	// every undelivered match.
-	routeDropped atomic.Int64
-
-	// fanoutQ feeds oversized subscriber sets to the fan-out helper pool;
-	// nil when the pool is disabled (single-proc hosts). fanoutStop ends
-	// the helpers at Close.
-	fanoutQ    chan *fanoutJob
-	fanoutStop chan struct{}
+	// droppedBase holds every drop that no session in the sessions map
+	// accounts for: matched subscribers never offered a message because its
+	// frame could not be encoded (unroutable topic via the internal Publish
+	// API), and the totals of discarded sessions, folded in as they leave
+	// the map so Stats().MessagesDropped never runs backwards.
+	droppedBase atomic.Int64
 
 	// anonSeq feeds generated client IDs for anonymous clean-session
 	// connects. A monotonic counter cannot collide (unlike the previous
@@ -234,7 +228,6 @@ func Open(opts Options) (*Broker, error) {
 		retained:   make(map[string]retainedMsg),
 		pubByTopic: make(map[string]*topicCount),
 		trie:       newSubTrie(),
-		gate:       newEpochGate(),
 	}
 	if b.opts.Registry != nil {
 		b.metrics = newBrokerMetrics(b.opts.Registry, b)
@@ -251,7 +244,6 @@ func Open(opts Options) (*Broker, error) {
 	// subscriptions) before a connection or internal publisher can route.
 	b.routes.Store(b.trie.build(b.routeEpoch.Add(1)))
 	b.retainedCount.Store(int64(len(b.retained)))
-	b.startFanoutHelpers(fanoutHelperCount())
 	return b, nil
 }
 
@@ -287,9 +279,9 @@ func newBrokerMetrics(reg *telemetry.Registry, b *Broker) *brokerMetrics {
 	reg.GaugeFunc("ifot_broker_route_epoch", "monotonic routing snapshot epoch; bumps on every subscription or session-churn swap",
 		func() float64 { return float64(b.RouteEpoch()) })
 	reg.CounterFunc("ifot_broker_route_cache_hits_total", "publishes routed from the epoch-keyed route cache",
-		func() int64 { h, _ := b.gate.cacheStats(); return h })
+		b.cacheHits.Load)
 	reg.CounterFunc("ifot_broker_route_cache_misses_total", "publishes that matched against the route snapshot (cold or stale cache entry)",
-		func() int64 { _, miss := b.gate.cacheStats(); return miss })
+		b.cacheMisses.Load)
 	return m
 }
 
@@ -298,7 +290,9 @@ func newBrokerMetrics(reg *telemetry.Registry, b *Broker) *brokerMetrics {
 func (b *Broker) RouteEpoch() uint64 { return b.routes.Load().epoch }
 
 // RouteCacheStats returns cumulative route-cache hit/miss counts.
-func (b *Broker) RouteCacheStats() (hits, misses int64) { return b.gate.cacheStats() }
+func (b *Broker) RouteCacheStats() (hits, misses int64) {
+	return b.cacheHits.Load(), b.cacheMisses.Load()
+}
 
 // Serve accepts connections from l until the broker or listener is closed.
 func (b *Broker) Serve(l net.Listener) error {
@@ -360,11 +354,6 @@ func (b *Broker) Close() error {
 		_ = c.Close()
 	}
 	b.wg.Wait()
-	if b.fanoutStop != nil {
-		// Helpers only park between jobs, and a claimed chunk always runs
-		// to completion, so stopping them cannot strand a publish.
-		close(b.fanoutStop)
-	}
 	if b.persist != nil {
 		// Stop the snapshot goroutine. The store itself (and its final
 		// flush/fsync) belongs to whoever opened it.
@@ -380,7 +369,7 @@ func (b *Broker) Close() error {
 func (b *Broker) Stats() Stats {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	dropped := b.routeDropped.Load()
+	dropped := b.droppedBase.Load()
 	for _, s := range b.sessions {
 		dropped += s.dropped()
 	}
@@ -449,74 +438,20 @@ func (b *Broker) handleConn(conn net.Conn) {
 	}
 	b.logf("broker: client %q connected (persistent=%v)", sess.clientID, sess.persistent)
 
-	// Redeliver unacked and offline-queued QoS1 messages (already tracked
-	// in the inflight window, so bypass deliver's ID allocation).
-	for _, p := range resend {
-		sess.send(p)
-	}
-
-	// Writer goroutine: drains the outbound queue into the socket through
-	// a buffered writer, flushing only when the queue is momentarily empty
-	// (Mosquitto-style corking). k packets queued back-to-back coalesce
-	// into one syscall instead of k, and the delivery counter is bumped
-	// once per drained batch instead of once per message. The channel is
-	// never closed — teardown sends a zero outPacket sentinel instead —
-	// so the lock-free QoS0 frame path can send without a lock protecting
-	// it from a concurrent close. After a write error the writer keeps
-	// discarding (the connection is already dead) until the sentinel
-	// arrives, so teardown's sentinel send always completes.
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		bw := bufio.NewWriterSize(conn, writerBufSize)
-		discard := func() {
-			for {
-				if op := <-outbound; op.pkt == nil && op.frame == nil {
-					return
-				}
-			}
-		}
-		for {
-			op := <-outbound
-			if op.pkt == nil && op.frame == nil {
-				return // teardown sentinel
-			}
-			var batch int64
-			for more := true; more; {
-				n, err := b.writeOut(bw, op)
-				batch += n
-				if err != nil {
-					b.noteDelivered(batch)
-					discard()
-					return
-				}
-				select {
-				case op = <-outbound:
-					if op.pkt == nil && op.frame == nil {
-						b.noteDelivered(batch)
-						return
-					}
-				default:
-					more = false
-				}
-			}
-			b.noteDelivered(batch)
-			if bw.Flush() != nil {
-				discard()
-				return
-			}
-		}
+		b.writeLoop(conn, outbound, resend)
 	}()
 
 	will := willOf(connect)
 	normal := b.readLoop(conn, br, sess, connect.KeepAlive)
 
-	// Tear down: detach so no further deliveries target this connection,
-	// close the socket so a blocked writer errors out, then send the
-	// sentinel that stops the writer once the queue has drained.
+	// Tear down: detach so no further deliveries target this connection
+	// (which closes the queue, the writer's one exit), and close the socket
+	// so a writer blocked in a write errors out and drains to that close.
 	b.unregisterConn(sess, conn, gen)
 	_ = conn.Close()
-	outbound <- outPacket{}
 	<-writerDone
 
 	if !normal && will != nil {
@@ -568,6 +503,7 @@ func (b *Broker) registerSession(connect *wire.ConnectPacket, conn net.Conn) (*s
 				// A formerly durable session is being discarded.
 				b.persistSessionRemove(connect.ClientID)
 			}
+			b.droppedBase.Add(sess.dropped())
 		}
 		sess = newSession(connect.ClientID, !connect.CleanSession)
 		sess.persist = b.persist
@@ -592,6 +528,7 @@ func (b *Broker) unregisterConn(sess *session, conn net.Conn, gen uint64) {
 		delete(b.conns, sess.clientID)
 		if !sess.persistent {
 			delete(b.sessions, sess.clientID)
+			b.droppedBase.Add(sess.dropped())
 			if b.trie.removeAll(sess.clientID) {
 				b.swapRoutesLocked()
 			}
@@ -605,9 +542,9 @@ func (b *Broker) unregisterConn(sess *session, conn net.Conn, gen uint64) {
 // copy is made; only the pointer swap excludes them.
 func (b *Broker) swapRoutesLocked() {
 	tbl := b.trie.build(b.routeEpoch.Add(1))
-	b.gate.lock()
+	b.gate.Lock()
 	b.routes.Store(tbl)
-	b.gate.unlock()
+	b.gate.Unlock()
 }
 
 // readLoop processes inbound packets until the connection ends. It reports
@@ -680,22 +617,21 @@ func (b *Broker) Publish(topic string, payload []byte, qos wire.QoS, retain bool
 	b.publish(&wire.PublishPacket{Topic: topic, Payload: payload, QoS: qos, Retain: retain}, "$internal")
 }
 
-// publish is the broker's single publish path. It acquires no locks on the
-// hot path: the whole operation runs inside an epoch-gate read section
-// (two uncontended per-shard atomic adds), routing against the immutable
-// snapshot current for that section. Retained-message storage and
-// subscriber fan-out happen under the same read section, keeping
-// store+route atomic against subscribes: handleSubscribe swaps in its new
-// snapshot and replays retained messages under the gate *writer* fence,
-// which excludes every in-flight publish read section in its entirety, so
-// a client subscribing concurrently with a stream of retained publishes
-// can never observe the live stream going backwards relative to the
-// retained snapshot it was replayed. Concurrent publishes proceed in
-// parallel — MQTT orders messages per publisher connection only, and each
-// publisher's own publishes stay ordered because its read section
-// completes before it issues the next. (session.deliver is a non-blocking
-// queue insert and never acquires Broker.mu, so a fenced writer is only
-// ever waiting on queue inserts and buffered WAL appends.)
+// publish is the broker's single publish path. The whole operation runs
+// under gate's read lock, routing against the immutable snapshot current
+// for that section. Retained-message storage and subscriber fan-out happen
+// under the same read section, keeping store+route atomic against
+// subscribes: handleSubscribe swaps in its new snapshot and replays
+// retained messages under gate's *write* lock, which excludes every
+// in-flight publish read section in its entirety, so a client subscribing
+// concurrently with a stream of retained publishes can never observe the
+// live stream going backwards relative to the retained snapshot it was
+// replayed. Concurrent publishes proceed in parallel — MQTT orders
+// messages per publisher connection only, and each publisher's own
+// publishes stay ordered because its read section completes before it
+// issues the next. (session.deliver is a non-blocking queue insert and
+// never acquires Broker.mu, so a fenced writer is only ever waiting on
+// queue inserts and buffered WAL appends.)
 //
 // Routing itself is a single lock-free cache probe on the hot repeat-topic
 // path (topic → matched set, keyed on the snapshot epoch, carrying the
@@ -705,11 +641,10 @@ func (b *Broker) Publish(topic string, payload []byte, qos wire.QoS, retain bool
 // Deliveries whose effective QoS is 0 — the identical frame for every such
 // subscriber — share one pre-encoded byte slice instead of per-subscriber
 // packet allocation and re-encoding. QoS1 deliveries still carry a packet
-// per subscriber, since each session assigns its own packet ID. Subscriber
-// sets above fanoutThreshold are split across the fan-out helper pool.
+// per subscriber, since each session assigns its own packet ID.
 func (b *Broker) publish(p *wire.PublishPacket, fromClientID string) {
 	_ = fromClientID // brokers may loop messages back to the publisher; MQTT allows it
-	sh := b.gate.enter()
+	b.gate.RLock()
 	if p.Retain {
 		b.retainedMu.Lock()
 		if len(p.Payload) == 0 {
@@ -733,10 +668,10 @@ func (b *Broker) publish(p *wire.PublishPacket, fromClientID string) {
 	var tc *topicCount
 	var valid bool
 	if v := b.rcache.lookup(p.Topic, snap.epoch); v != nil {
-		sh.cacheHits.Add(1)
+		b.cacheHits.Add(1)
 		subs, tc, valid = v.subs, v.tc, v.valid
 	} else {
-		sh.cacheMisses.Add(1)
+		b.cacheMisses.Add(1)
 		mb := getMatchBuf()
 		matched := snap.match(p.Topic, mb)
 		tc = b.topicCounter(p.Topic)
@@ -758,21 +693,19 @@ func (b *Broker) publish(p *wire.PublishPacket, fromClientID string) {
 		// failure killed their connection — misses this message. Count
 		// them all as dropped.
 		droppedHere = int64(len(subs))
-		b.routeDropped.Add(droppedHere)
-	case len(subs) >= fanoutThreshold && b.fanoutQ != nil:
-		droppedHere = b.fanoutParallel(p, subs)
+		b.droppedBase.Add(droppedHere)
 	default:
-		droppedHere = b.fanoutSerial(p, subs)
+		droppedHere = b.fanout(p, subs)
 	}
-	b.gate.exit(sh)
+	b.gate.RUnlock()
 	if b.metrics != nil && droppedHere > 0 {
 		b.metrics.dropped.Add(droppedHere)
 	}
 }
 
-// fanoutSerial delivers to each matched subscriber on the publisher's own
+// fanout delivers to each matched subscriber on the publisher's own
 // goroutine and returns the number of drops.
-func (b *Broker) fanoutSerial(p *wire.PublishPacket, subs []routeSub) int64 {
+func (b *Broker) fanout(p *wire.PublishPacket, subs []routeSub) int64 {
 	var dropped int64
 	var frame []byte // shared QoS0 frame, encoded on first need
 	for i, sub := range subs {
@@ -791,7 +724,7 @@ func (b *Broker) fanoutSerial(p *wire.PublishPacket, subs []routeSub) int64 {
 					// so count them all — not just one — as dropped.
 					remaining := int64(len(subs) - i)
 					dropped += remaining
-					b.routeDropped.Add(remaining)
+					b.droppedBase.Add(remaining)
 					break
 				}
 			}
@@ -808,144 +741,6 @@ func (b *Broker) fanoutSerial(p *wire.PublishPacket, subs []routeSub) int64 {
 	return dropped
 }
 
-// --- parallel fan-out ---
-
-const (
-	// fanoutThreshold is the subscriber-set size above which one publish is
-	// split across the helper pool instead of serialized on the publisher.
-	fanoutThreshold = 256
-	// fanoutChunk is the unit of work helpers claim from a job.
-	fanoutChunk = 64
-	// maxFanoutHelpers bounds the helper pool; fan-out is queue inserts,
-	// not computation, so a few helpers saturate the memory system.
-	maxFanoutHelpers = 4
-)
-
-// fanoutHelperCount sizes the pool: leave the publisher its own proc, and
-// don't bother on single-proc hosts where helpers would only timeshare.
-func fanoutHelperCount() int {
-	n := runtime.GOMAXPROCS(0) - 1
-	if n > maxFanoutHelpers {
-		n = maxFanoutHelpers
-	}
-	if n < 0 {
-		n = 0
-	}
-	return n
-}
-
-// fanoutJob is one oversized publish being delivered cooperatively. The
-// publisher and any helpers that picked the job up claim fanoutChunk-sized
-// index ranges via cursor; whoever completes the last chunk closes doneCh.
-// The publisher always participates, so a job completes even if every
-// helper is busy and nobody dequeues it.
-type fanoutJob struct {
-	topic   string
-	payload []byte
-	qos     wire.QoS
-	frame   []byte
-	subs    []routeSub
-	cursor  atomic.Int64
-	done    atomic.Int64
-	dropped atomic.Int64
-	doneCh  chan struct{}
-}
-
-func (j *fanoutJob) run() {
-	total := int64(len(j.subs))
-	for {
-		start := int(j.cursor.Add(fanoutChunk)) - fanoutChunk
-		if start >= len(j.subs) {
-			return
-		}
-		end := start + fanoutChunk
-		if end > len(j.subs) {
-			end = len(j.subs)
-		}
-		var dropped int64
-		for _, sub := range j.subs[start:end] {
-			qos := minQoS(j.qos, sub.qos)
-			if qos == wire.QoS0 {
-				if !sub.session.deliverFrame(j.frame) {
-					dropped++
-				}
-				continue
-			}
-			out := &wire.PublishPacket{Topic: j.topic, Payload: j.payload, QoS: qos}
-			if !sub.session.deliver(out) {
-				dropped++
-			}
-		}
-		if dropped != 0 {
-			j.dropped.Add(dropped)
-		}
-		if j.done.Add(int64(end-start)) == total {
-			close(j.doneCh)
-		}
-	}
-}
-
-// fanoutParallel splits delivery of one publish across the helper pool.
-// It runs inside the publisher's gate read section: helpers work on the
-// job object itself, not on broker state, so the section's exclusion
-// argument is untouched — the publisher does not exit until every chunk
-// (its own and the helpers') has completed.
-func (b *Broker) fanoutParallel(p *wire.PublishPacket, subs []routeSub) int64 {
-	frame, err := wire.AppendEncodePublish(nil, p.Topic, p.Payload)
-	if err != nil {
-		// Unencodable message: nothing can be delivered (see fanoutSerial).
-		b.routeDropped.Add(int64(len(subs)))
-		return int64(len(subs))
-	}
-	j := &fanoutJob{
-		topic:   p.Topic,
-		payload: p.Payload,
-		qos:     p.QoS,
-		frame:   frame,
-		subs:    subs,
-		doneCh:  make(chan struct{}),
-	}
-	// Offer the job to up to chunks-1 helpers without ever blocking; the
-	// publisher keeps whatever the helpers don't take.
-	offers := (len(subs)+fanoutChunk-1)/fanoutChunk - 1
-	if offers > maxFanoutHelpers {
-		offers = maxFanoutHelpers
-	}
-	for i := 0; i < offers; i++ {
-		select {
-		case b.fanoutQ <- j:
-		default:
-			i = offers // queue full: helpers are saturated
-		}
-	}
-	j.run()
-	<-j.doneCh
-	return j.dropped.Load()
-}
-
-// startFanoutHelpers launches n helper goroutines. Helpers only park
-// between jobs — a claimed chunk always runs to completion — so Close can
-// stop them without stranding a publish mid-delivery.
-func (b *Broker) startFanoutHelpers(n int) {
-	if n <= 0 {
-		return
-	}
-	b.fanoutQ = make(chan *fanoutJob, 2*n)
-	b.fanoutStop = make(chan struct{})
-	for i := 0; i < n; i++ {
-		go func() {
-			for {
-				select {
-				case j := <-b.fanoutQ:
-					j.run()
-				case <-b.fanoutStop:
-					return
-				}
-			}
-		}()
-	}
-}
-
 // writerBufSize is the per-connection outbound coalescing buffer. 64 KiB
 // quarters the flush syscalls of the previous 16 KiB under saturating
 // QoS0 fan-out while staying a modest per-connection cost.
@@ -955,6 +750,58 @@ const writerBufSize = 64 << 10
 // holds some hundred sensor-sized PUBLISH frames per read; a larger packet
 // bypasses it and is read straight into its own body.
 const readerBufSize = 4 << 10
+
+// writeLoop is a connection's writer goroutine, the only code that writes
+// to conn after CONNACK. It first writes resend — the QoS1 redelivery attach
+// returned, already tracked in the inflight window — straight into the
+// buffered writer and flushes: a backlog of up to maxQueuedOffline messages
+// must not pass through the (smaller, non-blocking) session queue, and must
+// still precede anything delivered after attach. Then it drains the queue,
+// flushing only when the queue is momentarily empty (Mosquitto-style
+// corking): k packets queued back-to-back coalesce into one syscall instead
+// of k, and the delivery counter is bumped once per drained batch instead of
+// once per message. Its one exit is the close of the queue (detach, or a
+// takeover's attach); after a write error it keeps draining until then, so
+// a dead connection swallows what is sent to it as a dead socket would —
+// QoS1 messages stay inflight for the next attach instead of piling up
+// against a full queue as drops.
+func (b *Broker) writeLoop(conn net.Conn, outbound <-chan outPacket, resend []*wire.PublishPacket) {
+	bw := bufio.NewWriterSize(conn, writerBufSize)
+	var err error
+	var batch int64
+	for _, p := range resend {
+		if err = wire.WritePacket(bw, p); err != nil {
+			break
+		}
+		batch++
+	}
+	b.noteDelivered(batch)
+	if err == nil {
+		err = bw.Flush()
+	}
+	for op := range outbound {
+		if err != nil {
+			continue
+		}
+		batch = 0
+		for more := true; more; {
+			var n int64
+			if n, err = b.writeOut(bw, op); err != nil {
+				break
+			}
+			batch += n
+			select {
+			case op, more = <-outbound:
+			default:
+				more = false
+			}
+		}
+		b.noteDelivered(batch)
+		if err == nil {
+			err = bw.Flush()
+		}
+	}
+}
 
 // writeOut serializes one outbound item into the connection's buffered
 // writer, reporting how many application messages it wrote (0 or 1) so
@@ -1035,10 +882,10 @@ func (b *Broker) PublishCounts() map[string]int64 {
 func (b *Broker) handleSubscribe(sess *session, p *wire.SubscribePacket) {
 	codes := make([]byte, len(p.Subscriptions))
 
-	// Snapshot swap and retained replay happen under one gate writer
-	// fence, which excludes every publish read section whole (spec 3.3.1-6
-	// replay consistency): the replayed snapshot reflects exactly the
-	// publishes whose store+route completed against the old routing
+	// Snapshot swap and retained replay happen under one hold of gate's
+	// write lock, which excludes every publish read section whole (spec
+	// 3.3.1-6 replay consistency): the replayed snapshot reflects exactly
+	// the publishes whose store+route completed against the old routing
 	// snapshot, and every later publish routes against the new one and
 	// delivers live. The live stream can therefore never run behind the
 	// replay. Builder registration and the snapshot rebuild stay outside
@@ -1052,7 +899,7 @@ func (b *Broker) handleSubscribe(sess *session, p *wire.SubscribePacket) {
 		codes[i] = byte(granted)
 	}
 	tbl := b.trie.build(b.routeEpoch.Add(1))
-	b.gate.lock()
+	b.gate.Lock()
 	b.routes.Store(tbl)
 	// SUBACK follows the swap, so whoever has seen it is already routed to,
 	// and precedes retained replay in the session queue (spec 3.8.4).
@@ -1071,7 +918,7 @@ func (b *Broker) handleSubscribe(sess *session, p *wire.SubscribePacket) {
 		}
 	}
 	b.retainedMu.Unlock()
-	b.gate.unlock()
+	b.gate.Unlock()
 	b.mu.Unlock()
 }
 

@@ -292,6 +292,90 @@ func TestPersistentSessionQueuesWhileOffline(t *testing.T) {
 	}
 }
 
+// A reconnecting persistent subscriber gets its whole parked backlog, not
+// just the first SessionQueueSize of it: redelivery is written by the
+// connection writer ahead of the queue, never through it.
+func TestReconnectRedeliversWholeBacklog(t *testing.T) {
+	const backlog = 600 // > SessionQueueSize (256), < maxQueuedOffline
+	bus := newTestBus(t, Options{})
+	pub := bus.connect(t, mqttclient.NewOptions("pub"))
+
+	subOpts := mqttclient.NewOptions("persist")
+	subOpts.CleanSession = false
+	sub := bus.connect(t, subOpts)
+	if _, err := sub.Subscribe("p/#", wire.QoS1, func(mqttclient.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.Disconnect(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "subscriber offline", func() bool { return bus.broker.Stats().ConnectedClients == 1 })
+	for i := 0; i < backlog; i++ {
+		if err := pub.Publish("p/t", []byte{byte(i), byte(i >> 8)}, wire.QoS1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	droppedBefore := bus.broker.Stats().MessagesDropped
+
+	received := make(chan mqttclient.Message, backlog)
+	subOpts.DefaultHandler = func(m mqttclient.Message) { received <- m }
+	_ = bus.connect(t, subOpts)
+	for i := 0; i < backlog; i++ {
+		select {
+		case m := <-received:
+			if got := int(m.Payload[0]) | int(m.Payload[1])<<8; got != i {
+				t.Fatalf("backlog message %d arrived in position %d", got, i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("received %d of %d, dropped=%d", i, backlog,
+				bus.broker.Stats().MessagesDropped-droppedBefore)
+		}
+	}
+	if d := bus.broker.Stats().MessagesDropped - droppedBefore; d != 0 {
+		t.Fatalf("reconnect counted %d drops", d)
+	}
+}
+
+// Stats().MessagesDropped is cumulative: a clean session's drops stay in
+// the total after the session itself is discarded.
+func TestDroppedTotalSurvivesSessionDiscard(t *testing.T) {
+	bus := newTestBus(t, Options{SessionQueueSize: 1})
+	conn, err := bus.listener.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A raw subscriber that stops reading after SUBACK: its writer blocks on
+	// the pipe, the one-slot queue fills, and further publishes are dropped.
+	for _, step := range []struct {
+		send wire.Packet
+		want wire.PacketType
+	}{
+		{&wire.ConnectPacket{ClientID: "stuck", CleanSession: true}, wire.CONNACK},
+		{&wire.SubscribePacket{PacketID: 1, Subscriptions: []wire.Subscription{{TopicFilter: "d/t"}}}, wire.SUBACK},
+	} {
+		if err := wire.WritePacket(conn, step.send); err != nil {
+			t.Fatal(err)
+		}
+		if pkt, err := wire.ReadPacket(conn, 1<<20); err != nil || pkt.Type() != step.want {
+			t.Fatalf("handshake: got %v, %v; want %v", pkt, err, step.want)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		bus.broker.Publish("d/t", []byte("x"), wire.QoS0, false)
+	}
+	dropped := bus.broker.Stats().MessagesDropped
+	if dropped == 0 {
+		t.Fatal("no drop on a full one-slot queue")
+	}
+
+	_ = conn.Close()
+	waitFor(t, "session discard", func() bool { return bus.broker.Stats().Sessions == 0 })
+	if got := bus.broker.Stats().MessagesDropped; got < dropped {
+		t.Fatalf("MessagesDropped ran backwards: %d after the session was discarded, %d before", got, dropped)
+	}
+}
+
 func TestSessionTakeover(t *testing.T) {
 	bus := newTestBus(t, Options{})
 	first := bus.connect(t, mqttclient.NewOptions("dup-id"))

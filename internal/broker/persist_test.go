@@ -92,7 +92,15 @@ func TestPersistRetainedAcrossRestart(t *testing.T) {
 	}
 }
 
+// The second case parks more than SessionQueueSize messages: the recovered
+// backlog must come back whole on reconnect, not one queue-full at a time.
 func TestPersistSubscriptionsAndQueuedQoS1AcrossRestart(t *testing.T) {
+	for _, n := range []int{3, 600} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) { testPersistQueuedAcrossRestart(t, n) })
+	}
+}
+
+func testPersistQueuedAcrossRestart(t *testing.T, n int) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{NoSync: true})
 	if err != nil {
@@ -110,7 +118,7 @@ func TestPersistSubscriptionsAndQueuedQoS1AcrossRestart(t *testing.T) {
 
 	// Messages published while it is offline must be queued durably.
 	pub := bus.connect(t, mqttclient.NewOptions("pub"))
-	for i := 0; i < 3; i++ {
+	for i := 0; i < n; i++ {
 		if err := pub.Publish(fmt.Sprintf("jobs/%d", i), []byte(fmt.Sprintf("job%d", i)), wire.QoS1, false); err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +149,7 @@ func TestPersistSubscriptionsAndQueuedQoS1AcrossRestart(t *testing.T) {
 	c := bus2.connect(t, opts)
 	defer c.Close()
 	got := map[string]string{}
-	for len(got) < 3 {
+	for len(got) < n {
 		select {
 		case m := <-msgs:
 			if m.QoS != wire.QoS1 {
@@ -149,10 +157,10 @@ func TestPersistSubscriptionsAndQueuedQoS1AcrossRestart(t *testing.T) {
 			}
 			got[m.Topic] = string(m.Payload)
 		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out; got %v", got)
+			t.Fatalf("timed out; got %d of %d", len(got), n)
 		}
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < n; i++ {
 		if got[fmt.Sprintf("jobs/%d", i)] != fmt.Sprintf("job%d", i) {
 			t.Fatalf("queued payloads after restart: %v", got)
 		}

@@ -11,11 +11,12 @@ import (
 // Epoch-published routing. The broker's publish path routes against an
 // immutable routeTable snapshot published through an atomic pointer:
 // subscribe/unsubscribe/session churn mutate the builder trie under
-// Broker.mu, build a fresh snapshot, and swap it in under the epochGate
-// writer fence. A publish read section therefore always observes the
-// snapshot that is current for its entire section (the fence drains
-// in-flight sections before a swap completes), which is what makes the
-// epoch-keyed route cache below coherent without any locking on lookups.
+// Broker.mu, build a fresh snapshot, and swap it in under the write lock of
+// Broker.gate, which every publish read-locks. A publish read section
+// therefore always observes the snapshot that is current for its entire
+// section (the write lock waits out in-flight sections before a swap
+// completes), which is what makes the epoch-keyed route cache below
+// coherent without any locking on lookups.
 
 // routeSub is one matched delivery target: the session and the granted
 // QoS of the filter that matched.

@@ -223,20 +223,13 @@ func TestRouteCacheEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestParallelFanoutDeliversAll covers the helper-pool fan-out path:
-// above fanoutThreshold subscribers, one publish is split across the
-// publisher and the helpers, and every subscriber must still receive
-// exactly one copy of the frame.
-func TestParallelFanoutDeliversAll(t *testing.T) {
+// TestWideFanoutDeliversAll pins exactly-once delivery across a wide
+// subscriber set: every subscriber receives exactly one copy of the frame.
+func TestWideFanoutDeliversAll(t *testing.T) {
 	b := New(Options{})
 	defer b.Close()
-	if b.fanoutQ == nil {
-		// Single-proc host at Open time: start a pool manually so the
-		// parallel path is exercised regardless of GOMAXPROCS.
-		b.startFanoutHelpers(2)
-	}
 
-	const n = fanoutThreshold + 37
+	const n = 293
 	chans := make([]chan outPacket, n)
 	b.mu.Lock()
 	for i := 0; i < n; i++ {
@@ -249,8 +242,8 @@ func TestParallelFanoutDeliversAll(t *testing.T) {
 	b.swapRoutesLocked()
 	b.mu.Unlock()
 
-	// Publish returns only after every chunk (publisher's and helpers')
-	// has completed, so the channels can be inspected immediately.
+	// Publish returns only after the fan-out has completed, so the
+	// channels can be inspected immediately.
 	b.Publish("fan/t", []byte("payload"), wire.QoS0, false)
 
 	for i, ch := range chans {
@@ -269,7 +262,7 @@ func TestParallelFanoutDeliversAll(t *testing.T) {
 		}
 	}
 	if d := b.Stats().MessagesDropped; d != 0 {
-		t.Fatalf("parallel fan-out dropped %d deliveries on empty queues", d)
+		t.Fatalf("wide fan-out dropped %d deliveries on empty queues", d)
 	}
 }
 

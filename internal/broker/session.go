@@ -22,21 +22,17 @@ type outPacket struct {
 // session holds the broker-side state for one client identifier. For
 // persistent sessions (CleanSession=false) the object outlives the network
 // connection; for clean sessions it is discarded on disconnect.
+//
+// outbound is the connection's queue: non-nil exactly while connected, and
+// sent to and closed only under mu, so a send can never meet a closed
+// channel and the connection writer can simply range over it.
 type session struct {
 	clientID   string
 	persistent bool
 
 	mu        sync.Mutex
-	connected bool
-	outbound  chan outPacket // non-nil while connected
-	attachGen uint64         // increments per (re)connection
-
-	// fastOut mirrors outbound for the lock-free QoS0 frame path: non-nil
-	// exactly while connected, maintained by attach/detach under mu. The
-	// channel itself is never closed (the connection writer exits on a
-	// sentinel), so a racing lock-free send can at worst land in an
-	// abandoned buffer, never panic.
-	fastOut atomic.Pointer[chan outPacket]
+	outbound  chan outPacket
+	attachGen uint64 // increments per (re)connection
 
 	// subscriptions mirrors the trie entries owned by this session so
 	// they can be reported and cleaned up.
@@ -82,15 +78,17 @@ func newSession(clientID string, persistent bool) *session {
 
 // attach binds a new connection's outbound queue to the session and returns
 // the packets that must be (re)sent: unacked inflight messages first (with
-// DUP set), then queued offline messages (now given packet IDs).
+// DUP set), then queued offline messages (now given packet IDs). On a
+// takeover it closes the predecessor's queue, ending that connection's
+// writer.
 func (s *session) attach(queueSize int) (outbound chan outPacket, resend []*wire.PublishPacket, gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.connected = true
+	if s.outbound != nil {
+		close(s.outbound)
+	}
 	s.attachGen++
 	s.outbound = make(chan outPacket, queueSize)
-	ch := s.outbound
-	s.fastOut.Store(&ch)
 
 	resend = make([]*wire.PublishPacket, 0, len(s.inflight)+len(s.queued))
 	for _, p := range s.inflight {
@@ -114,18 +112,35 @@ func (s *session) attach(queueSize int) (outbound chan outPacket, resend []*wire
 // durableLocked reports whether this session's QoS1 window is journaled.
 func (s *session) durableLocked() bool { return s.persist != nil && s.persistent }
 
-// detach marks the session disconnected. It only takes effect if gen still
-// identifies the current attachment (a stale detach from a taken-over
-// connection must not disconnect the successor).
+// detach marks the session disconnected and closes the queue of the
+// attachment it ends. It only takes effect if gen still identifies the
+// current attachment (a stale detach from a taken-over connection must not
+// disconnect the successor; attach already closed the stale queue).
 func (s *session) detach(gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.attachGen != gen {
+	if s.attachGen != gen || s.outbound == nil {
 		return
 	}
-	s.connected = false
+	close(s.outbound)
 	s.outbound = nil
-	s.fastOut.Store(nil)
+}
+
+// enqueueLocked is the one place a session's queue is sent to: it refuses
+// when the session is offline, and refuses and counts a drop when the queue
+// is full. It never blocks. Callers hold mu — the lock the close happens
+// under.
+func (s *session) enqueueLocked(op outPacket) bool {
+	if s.outbound == nil {
+		return false
+	}
+	select {
+	case s.outbound <- op:
+		return true
+	default:
+		s.droppedMessages.Add(1)
+		return false
+	}
 }
 
 // deliver routes an application message to the client. Connected sessions
@@ -135,31 +150,10 @@ func (s *session) detach(gen uint64) {
 func (s *session) deliver(p *wire.PublishPacket) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.connected {
-		if p.QoS > wire.QoS0 {
-			p.PacketID = s.allocPacketIDLocked()
-			s.inflight[p.PacketID] = p
-			if s.durableLocked() {
-				// Journaled under s.mu: WAL order = window order.
-				s.inflightIDs[p.PacketID] = s.persist.noteQueued(s.clientID, p)
-			}
-		}
-		select {
-		case s.outbound <- outPacket{pkt: p}:
-			return true
-		default:
-			s.droppedMessages.Add(1)
-			if p.QoS > wire.QoS0 {
-				// Stays in inflight; it will be retried on reconnect.
-				delete(s.inflight, p.PacketID)
-				id := s.inflightIDs[p.PacketID]
-				delete(s.inflightIDs, p.PacketID)
-				s.queueOfflineLocked(p, id)
-			}
+	if s.outbound == nil {
+		if !s.persistent || p.QoS == wire.QoS0 {
 			return false
 		}
-	}
-	if s.persistent && p.QoS > wire.QoS0 {
 		var id uint64
 		if s.durableLocked() {
 			id = s.persist.noteQueued(s.clientID, p)
@@ -167,29 +161,34 @@ func (s *session) deliver(p *wire.PublishPacket) bool {
 		s.queueOfflineLocked(p, id)
 		return true
 	}
+	if p.QoS > wire.QoS0 {
+		p.PacketID = s.allocPacketIDLocked()
+		s.inflight[p.PacketID] = p
+		if s.durableLocked() {
+			// Journaled under s.mu: WAL order = window order.
+			s.inflightIDs[p.PacketID] = s.persist.noteQueued(s.clientID, p)
+		}
+	}
+	if s.enqueueLocked(outPacket{pkt: p}) {
+		return true
+	}
+	if p.QoS > wire.QoS0 {
+		// Parked instead of lost; it will be retried on reconnect.
+		delete(s.inflight, p.PacketID)
+		id := s.inflightIDs[p.PacketID]
+		delete(s.inflightIDs, p.PacketID)
+		s.queueOfflineLocked(p, id)
+	}
 	return false
 }
 
 // deliverFrame routes a pre-encoded QoS0 application frame to a connected
 // client. QoS0 messages are never queued offline, so a disconnected (or
-// saturated) session just reports the drop. The path is lock-free: the
-// outbound channel rides fastOut, so the fan-out loop costs one atomic
-// load plus a non-blocking channel send per subscriber — no session mutex.
-// A send racing a disconnect can land in the just-abandoned buffer (the
-// frame is simply garbage-collected with it); QoS0 tolerates that, and
-// the QoS1 path keeps the mutex for its inflight-window bookkeeping.
+// saturated) session just reports the drop.
 func (s *session) deliverFrame(frame []byte) bool {
-	ch := s.fastOut.Load()
-	if ch == nil {
-		return false
-	}
-	select {
-	case *ch <- outPacket{frame: frame}:
-		return true
-	default:
-		s.droppedMessages.Add(1)
-		return false
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.enqueueLocked(outPacket{frame: frame})
 }
 
 // queueOfflineLocked parks a QoS1 message (with its durable message ID,
@@ -216,16 +215,7 @@ func (s *session) queueOfflineLocked(p *wire.PublishPacket, msgID uint64) {
 func (s *session) send(p wire.Packet) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.connected {
-		return false
-	}
-	select {
-	case s.outbound <- outPacket{pkt: p}:
-		return true
-	default:
-		s.droppedMessages.Add(1)
-		return false
-	}
+	return s.enqueueLocked(outPacket{pkt: p})
 }
 
 // ack removes a client-acknowledged QoS1 message from the inflight window.

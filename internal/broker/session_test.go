@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/ifot-middleware/ifot/internal/wire"
@@ -90,15 +92,117 @@ func TestSessionNonPersistentOfflineDrops(t *testing.T) {
 
 func TestSessionStaleDetachIgnored(t *testing.T) {
 	s := newSession("c", true)
-	_, _, gen1 := s.attach(8)
-	_, _, gen2 := s.attach(8) // takeover
-	s.detach(gen1)            // stale: must not disconnect gen2
-	if !s.connected {
+	first, _, gen1 := s.attach(8)
+	second, _, gen2 := s.attach(8) // takeover
+	if _, ok := <-first; ok {
+		t.Fatal("takeover left the first attachment's queue open")
+	}
+	s.detach(gen1) // stale: must not disconnect gen2
+	if s.outbound == nil {
 		t.Fatal("stale detach disconnected the live attachment")
 	}
+	if !s.send(&wire.PingrespPacket{}) {
+		t.Fatal("live attachment refused a packet after the stale detach")
+	}
+	if _, ok := <-second; !ok {
+		t.Fatal("stale detach closed the live attachment's queue")
+	}
 	s.detach(gen2)
-	if s.connected {
+	if s.outbound != nil {
 		t.Fatal("live detach did not disconnect")
+	}
+	if _, ok := <-second; ok {
+		t.Fatal("live detach left its queue open")
+	}
+}
+
+// TestSessionQueueSendCloseRace hammers every enqueue path while the
+// session is attached, detached and taken over. The queue is sent to and
+// closed only under s.mu, so no sender may panic with "send on closed
+// channel", every queue handed out is closed (each drainer's range ends),
+// every accepted frame reaches a drainer, and a frame that met a connected
+// session is either accepted or counted in dropped().
+func TestSessionQueueSendCloseRace(t *testing.T) {
+	s := newSession("c", true)
+	counted, other := []byte{0x30, 0}, []byte{0x30, 1}
+	var received, accepted atomic.Int64
+	var drainers sync.WaitGroup
+	// attach starts a drainer on the new queue; it and the drainer ack every
+	// QoS1 message so the inflight window (and packet-ID space) stays small.
+	attach := func() uint64 {
+		ch, resend, gen := s.attach(4)
+		for _, p := range resend {
+			s.ack(p.PacketID)
+		}
+		drainers.Add(1)
+		go func() {
+			defer drainers.Done()
+			for op := range ch {
+				if len(op.frame) == 2 && op.frame[1] == 0 {
+					received.Add(1)
+				}
+				if p, ok := op.pkt.(*wire.PublishPacket); ok && p.QoS > wire.QoS0 {
+					s.ack(p.PacketID)
+				}
+			}
+		}()
+		return gen
+	}
+
+	stop := make(chan struct{})
+	var senders sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// One offer is made under s.mu (through the send statement
+				// all entry points share) so the test sees the connection
+				// state and the drop count that very offer saw.
+				s.mu.Lock()
+				connected, before := s.outbound != nil, s.dropped()
+				ok := s.enqueueLocked(outPacket{frame: counted})
+				drops := s.dropped() - before
+				s.mu.Unlock()
+				if ok {
+					accepted.Add(1)
+				}
+				var want int64 // a drop is counted exactly when a full queue refuses
+				if connected && !ok {
+					want = 1
+				}
+				if drops != want || ok && !connected {
+					t.Errorf("offer: connected=%v accepted=%v drops=%d", connected, ok, drops)
+					return
+				}
+				s.deliverFrame(other)
+				s.send(&wire.PingrespPacket{})
+				s.deliver(&wire.PublishPacket{Topic: "t", QoS: wire.QoS0})
+				s.deliver(&wire.PublishPacket{Topic: "t", QoS: wire.QoS1})
+			}
+		}()
+	}
+
+	for i := 0; i < 300; i++ {
+		gen := attach()
+		if i%3 == 0 {
+			stale := gen
+			gen = attach() // takeover closes the first queue
+			s.detach(stale)
+		}
+		s.detach(gen)
+	}
+	close(stop)
+	senders.Wait()
+	drainers.Wait() // returns only if every queue handed out was closed
+
+	if received.Load() != accepted.Load() {
+		t.Fatalf("drainers received %d frames, senders had %d accepted", received.Load(), accepted.Load())
 	}
 }
 
