@@ -120,17 +120,7 @@ func run() error {
 			for {
 				select {
 				case <-tick.C:
-					evs := events.Drain()
-					if len(evs) == 0 {
-						continue
-					}
-					batch := telemetry.EventBatch{
-						Module:  brokerID,
-						SentAt:  time.Now(),
-						Dropped: events.Dropped(),
-						Events:  evs,
-					}
-					if payload, err := telemetry.EncodeEventBatch(batch); err == nil {
+					if payload := events.ExportBatch(brokerID, time.Now()); payload != nil {
 						b.Publish(core.TopicEventsPrefix+brokerID, payload, wire.QoS0, false)
 					}
 				case <-stop:

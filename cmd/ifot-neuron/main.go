@@ -58,7 +58,6 @@ func run() error {
 		sysEvery  = flag.Duration("sys-stats", 0, "publish module metrics retained under $SYS/modules/<id>/ at this interval (0 = off)")
 		traceCap  = flag.Int("trace-capacity", telemetry.DefaultTraceCapacity, "spans retained in the tracer ring buffer")
 		traceExp  = flag.Duration("trace-export", time.Second, "interval for publishing completed spans on ifot/ctrl/trace/<id> (0 = no export)")
-		traceBuf  = flag.Int("trace-export-buffer", telemetry.DefaultSpanExportBuffer, "spans buffered between trace exports (overflow dropped+counted)")
 		traceSmp  = flag.Uint("trace-sample", 32, "trace one flow in every N (1 = every flow)")
 		dataDir   = flag.String("data-dir", "", "directory for the model-checkpoint WAL (empty = in-memory only)")
 		ckptEvery = flag.Duration("checkpoint-interval", 30*time.Second, "interval between ML model checkpoints (needs -data-dir or -ckpt-handoff)")
@@ -112,7 +111,6 @@ func run() error {
 		// (p50/p95/p99/max) as gauges on /metrics and $SYS.
 		cfg.Tracer.BindRegistry(cfg.Telemetry, "")
 		cfg.TraceExportInterval = *traceExp
-		cfg.TraceExportBuffer = *traceBuf
 		cfg.TraceSampleEvery = uint32(*traceSmp)
 	}
 	if *telAddr != "" {

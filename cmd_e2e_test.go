@@ -55,20 +55,27 @@ func TestBinariesEndToEnd(t *testing.T) {
 	// The DES sweep is the bar every refactor is held to: its stdout is
 	// byte-identical across PRs (EXPERIMENTS.md). Floating-point results
 	// are only pinned on the architecture the constant was recorded on.
+	// The -breakdown table is the DES consumer of Tracer.StageStats.
 	if runtime.GOARCH == "amd64" {
-		sweepOut, err := exec.Command(benchBin, "-sweep", "-duration", "10s").Output()
-		if err != nil {
-			t.Fatalf("ifot-bench -sweep: %v", err)
-		}
-		const want = "f2e033cd22a7a0036c79bd11c9eeb8e9"
-		if got := fmt.Sprintf("%x", md5.Sum(sweepOut)); got != want {
-			t.Fatalf("ifot-bench -sweep -duration 10s md5 = %s, want %s:\n%s", got, want, sweepOut)
+		for _, pin := range []struct{ args, want string }{
+			{"-sweep -duration 10s", "f2e033cd22a7a0036c79bd11c9eeb8e9"},
+			{"-sweep -breakdown -duration 10s", "38a8f9ee99e2a5608e371cbe4c6f40b0"},
+		} {
+			out, err := exec.Command(benchBin, strings.Fields(pin.args)...).Output()
+			if err != nil {
+				t.Fatalf("ifot-bench %s: %v", pin.args, err)
+			}
+			if got := fmt.Sprintf("%x", md5.Sum(out)); got != pin.want {
+				t.Fatalf("ifot-bench %s md5 = %s, want %s:\n%s", pin.args, got, pin.want, out)
+			}
 		}
 	}
 
-	// Flags of the retired live modes and the JSON MIX exchange are gone,
-	// not silently accepted.
-	for _, removed := range [][]string{{benchBin, "-throughput"}, {neuronBin, "-mix-json"}} {
+	// Flags of the retired live modes, the JSON MIX exchange and the span
+	// export buffer knob are gone, not silently accepted.
+	for _, removed := range [][]string{
+		{benchBin, "-throughput"}, {neuronBin, "-mix-json"}, {neuronBin, "-trace-export-buffer"},
+	} {
 		out, err := exec.Command(removed[0], removed[1]).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined") {
 			t.Fatalf("%s %s: err = %v, output:\n%s", filepath.Base(removed[0]), removed[1], err, out)

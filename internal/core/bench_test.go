@@ -212,8 +212,7 @@ func BenchmarkAnalysisPipeline(b *testing.B) {
 			}
 		}
 		tr := telemetry.NewTracer(nil, telemetry.DefaultTraceCapacity)
-		exp := telemetry.NewSpanExporter(telemetry.DefaultSpanExportBuffer)
-		tr.SetSink(exp.Offer)
+		tr.SetExportBuffer(0)
 		b.ReportAllocs()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
@@ -253,7 +252,7 @@ func BenchmarkAnalysisPipeline(b *testing.B) {
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			if uint32(i)%period == 0 {
-				events.Eventf(telemetry.SevWarn, "bench", "lane_drop", "filter", "bench/stream")
+				events.Eventf(telemetry.SevWarn, "bench", "mix_bad_payload", "topic", "bench/stream")
 				// Drain as the periodic exporter would: far less often
 				// than events are emitted, keeping the queue below its
 				// shed bound.

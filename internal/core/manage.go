@@ -89,9 +89,6 @@ type ManagerConfig struct {
 	// ingested ones) as EventBatch JSON on TopicEventsPrefix+ID (QoS 0),
 	// so external tails like `ifot-bench -events` see them too.
 	EventExportInterval time.Duration
-	// EventExportBuffer bounds the pending-event export queue (default
-	// telemetry.DefaultEventExportBuffer).
-	EventExportBuffer int
 	// Health tunes the missed-beacon liveness state machine; a zero
 	// SuspectAfter inherits StaleAfter, the rest default per
 	// HealthConfig.
@@ -255,7 +252,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 		mgr.events = telemetry.NewEventLog(mgr.cfg.EventCapacity)
 	}
 	if mgr.cfg.EventExportInterval > 0 {
-		mgr.events.SetExportBuffer(mgr.cfg.EventExportBuffer)
+		mgr.events.SetExportBuffer(0)
 	}
 	mgr.health = NewHealthMonitor(mgr.cfg.Clock, mgr.cfg.Health, mgr.events)
 	mgr.health.SetOnTransition(mgr.onHealthTransition)
@@ -374,7 +371,7 @@ func (mgr *Manager) Start() error {
 		if slo.Module == "" {
 			slo.Module = mgr.cfg.ID
 		}
-		mgr.sloStop = telemetry.NewSLOWatchdog(mgr.collector, slo, mgr.events, mgr.cfg.Telemetry).Start()
+		mgr.sloStop = telemetry.NewSLOWatchdog(mgr.collector, slo, mgr.events, mgr.cfg.Telemetry).Start(mgr.cfg.Clock)
 	}
 	mgr.resumeDeployments()
 	mgr.logf("manager %s started", mgr.cfg.ID)
@@ -447,18 +444,8 @@ func (mgr *Manager) eventExportLoop() {
 }
 
 func (mgr *Manager) flushEvents() {
-	events := mgr.events.Drain()
-	if len(events) == 0 || mgr.client == nil {
-		return
-	}
-	batch := telemetry.EventBatch{
-		Module:  mgr.cfg.ID,
-		SentAt:  mgr.cfg.Clock.Now(),
-		Dropped: mgr.events.Dropped(),
-		Events:  events,
-	}
-	payload, err := telemetry.EncodeEventBatch(batch)
-	if err != nil {
+	payload := mgr.events.ExportBatch(mgr.cfg.ID, mgr.cfg.Clock.Now())
+	if payload == nil || mgr.client == nil {
 		return
 	}
 	if err := mgr.client.Publish(TopicEventsPrefix+mgr.cfg.ID, payload, wire.QoS0, false); err != nil {

@@ -88,7 +88,8 @@ type Config struct {
 	// doubling up to 30x).
 	ReconnectBackoff time.Duration
 	// Telemetry, when set, receives module metrics (decision/train-event
-	// counters, running-task gauge, per-stage latency histograms).
+	// counters, running-task gauge, MIX and fencing counters). Per-stage
+	// latency quantiles come from the Tracer (Tracer.BindRegistry).
 	Telemetry *telemetry.Registry
 	// Tracer, when set, records one span per pipeline stage a message
 	// passes through on this module (publish, join, learn, judge,
@@ -104,10 +105,6 @@ type Config struct {
 	// interval, for the management node's cluster trace collector. Zero
 	// keeps spans local to the module's own /traces endpoint.
 	TraceExportInterval time.Duration
-	// TraceExportBuffer bounds the pending-span export buffer (default
-	// telemetry.DefaultSpanExportBuffer); overflow is dropped and counted,
-	// never blocking the data path.
-	TraceExportBuffer int
 	// TraceSampleEvery subsamples flow observability: only flows whose
 	// sequence number is divisible by it mint/propagate a TraceContext and
 	// record stage spans and latencies. 0 or 1 observes every flow — what
@@ -117,8 +114,8 @@ type Config struct {
 	// every stage of a sampled flow is recorded everywhere it runs.
 	TraceSampleEvery uint32
 	// Events, when set, is the module's structured event log: task
-	// lifecycle, reconnects, checkpoint mismatches, MIX desyncs and lane
-	// drops land here (and on the local /events endpoint). Share the same
+	// lifecycle, reconnects, checkpoint mismatches and MIX desyncs land
+	// here (and on the local /events endpoint). Share the same
 	// log with store.Options.Events so WAL recovery events emitted before
 	// the module exists ride the same export stream. Nil makes NewModule
 	// create one of EventCapacity.
@@ -132,10 +129,6 @@ type Config struct {
 	// node's cluster event view. Zero keeps events local to the module's
 	// own /events endpoint.
 	EventExportInterval time.Duration
-	// EventExportBuffer bounds the pending-event export queue (default
-	// telemetry.DefaultEventExportBuffer); overflow is dropped and
-	// counted, never blocking the paths that emit events.
-	EventExportBuffer int
 	// Store, when set, persists checkpoints of the module's ML model state
 	// (WAL + snapshots) so a restarted module resumes training with at
 	// most CheckpointInterval of updates lost. The caller owns the store
@@ -220,10 +213,9 @@ type Module struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	metrics  *moduleMetrics
-	exporter *telemetry.SpanExporter
-	events   *telemetry.EventLog
-	ckpt     *ckptManager // nil without Config.Store/CheckpointHandoff
+	metrics *moduleMetrics
+	events  *telemetry.EventLog
+	ckpt    *ckptManager // nil without Config.Store/CheckpointHandoff
 
 	// Self-fencing state: lastAnnounceAck is the last instant the broker
 	// acknowledged an announce beacon (guarded by fenceMu); outputsFenced
@@ -232,10 +224,9 @@ type Module struct {
 	lastAnnounceAck time.Time
 	outputsFenced   atomic.Bool
 
-	// warnLast rate-limits per-message warn events (lane_drop,
-	// mix_bad_payload) per {kind, subscription filter}: their callbacks
-	// fire on the dispatch path and the event stream only needs to know
-	// the condition started.
+	// warnLast rate-limits per-message warn events (mix_bad_payload) per
+	// {kind, subscription filter}: their callbacks fire on the dispatch
+	// path and the event stream only needs to know the condition started.
 	warnMu   sync.Mutex
 	warnLast map[[2]string]time.Time
 }
@@ -266,7 +257,7 @@ func NewModule(cfg Config) *Module {
 		m.events = telemetry.NewEventLog(m.cfg.EventCapacity)
 	}
 	if m.cfg.EventExportInterval > 0 {
-		m.events.SetExportBuffer(m.cfg.EventExportBuffer)
+		m.events.SetExportBuffer(0)
 	}
 	m.events.BindRegistry(m.cfg.Telemetry, telemetry.L("module", m.cfg.ID))
 	if reg := m.cfg.Telemetry; reg != nil {
@@ -282,8 +273,6 @@ func NewModule(cfg Config) *Module {
 				"age of the oldest live MIX peer's last payload", id),
 			fencedDrops: reg.Counter("ifot_module_fenced_drops_total",
 				"data-plane publishes dropped while outputs were fenced", id),
-			stageLat: make(map[string]*telemetry.Histogram),
-			reg:      reg,
 		}
 		reg.GaugeFunc("ifot_module_tasks_running", "subtasks currently hosted", func() float64 {
 			m.mu.Lock()
@@ -291,21 +280,23 @@ func NewModule(cfg Config) *Module {
 			return float64(len(m.running))
 		}, id)
 	}
-	if m.cfg.Tracer != nil && m.cfg.TraceExportInterval > 0 {
-		m.exporter = telemetry.NewSpanExporter(m.cfg.TraceExportBuffer)
-		m.cfg.Tracer.SetSink(m.exporter.Offer)
+	if m.cfg.Tracer == nil {
+		m.cfg.TraceExportInterval = 0 // no spans to ship
+	}
+	if m.cfg.TraceExportInterval > 0 {
+		tr := m.cfg.Tracer
+		tr.SetExportBuffer(0)
 		if reg := m.cfg.Telemetry; reg != nil {
 			reg.CounterFunc("ifot_module_trace_spans_dropped_total",
 				"spans shed because the trace export buffer was full",
-				func() int64 { return int64(m.exporter.Dropped()) },
+				func() int64 { return int64(tr.Dropped()) },
 				telemetry.L("module", m.cfg.ID))
 		}
 	}
 	return m
 }
 
-// moduleMetrics holds a module's telemetry handles. stageLat is guarded by
-// mu (stages appear rarely; the hot path only reads).
+// moduleMetrics holds a module's telemetry handles.
 type moduleMetrics struct {
 	decisions    *telemetry.Counter
 	trained      *telemetry.Counter
@@ -314,22 +305,6 @@ type moduleMetrics struct {
 	mixEvictions *telemetry.Counter
 	mixStaleness *telemetry.Gauge
 	fencedDrops  *telemetry.Counter
-	reg          *telemetry.Registry
-	mu           sync.Mutex
-	stageLat     map[string]*telemetry.Histogram
-}
-
-func (mm *moduleMetrics) stage(moduleID, stage string) *telemetry.Histogram {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	h, ok := mm.stageLat[stage]
-	if !ok {
-		h = mm.reg.Histogram("ifot_stage_latency_seconds",
-			"latency from sensing to completion of each pipeline stage", nil,
-			telemetry.L("module", moduleID), telemetry.L("stage", stage))
-		mm.stageLat[stage] = h
-	}
-	return h
 }
 
 // traceHop records one span for a pipeline stage this module completed:
@@ -353,6 +328,10 @@ func (m *Module) traceHop(tc *TraceContext, recipeName, taskID string, seq uint3
 // whose clock stamped `from` when it differs from this module (the trace
 // collector applies per-module skew offsets to the right endpoint).
 func (m *Module) traceFlow(key telemetry.TraceKey, originModule, stage string, from time.Time) {
+	tr := m.cfg.Tracer
+	if tr == nil {
+		return
+	}
 	if n := m.cfg.TraceSampleEvery; n > 1 && key.Seq%n != 0 {
 		return
 	}
@@ -363,15 +342,10 @@ func (m *Module) traceFlow(key telemetry.TraceKey, originModule, stage string, f
 	if originModule == m.cfg.ID {
 		originModule = ""
 	}
-	if tr := m.cfg.Tracer; tr != nil {
-		tr.Record(telemetry.Span{
-			Key: key, Stage: stage, Module: m.cfg.ID,
-			OriginModule: originModule, Start: from, End: end,
-		})
-	}
-	if m.metrics != nil {
-		m.metrics.stage(m.cfg.ID, stage).ObserveDuration(end.Sub(from))
-	}
+	tr.Record(telemetry.Span{
+		Key: key, Stage: stage, Module: m.cfg.ID,
+		OriginModule: originModule, Start: from, End: end,
+	})
 }
 
 // ID returns the module identity.
@@ -446,116 +420,79 @@ func (m *Module) Start() error {
 		m.wg.Add(1)
 		go m.checkpointLoop()
 	}
-	if m.exporter != nil {
+	if m.exporting() {
 		m.wg.Add(1)
-		go m.traceExportLoop()
-	}
-	if m.cfg.EventExportInterval > 0 {
-		m.wg.Add(1)
-		go m.eventExportLoop()
+		go m.exportLoop()
 	}
 	m.logf("module %s started", m.cfg.ID)
 	return nil
 }
 
-// traceExportLoop periodically ships buffered spans toward the trace
-// collector; a final flush runs on shutdown (and on client disconnect via
-// the mqttclient OnBeforeDisconnect hook, so spans are not stranded when
-// the connection goes away first).
-func (m *Module) traceExportLoop() {
+// exporting reports whether spans or events are shipped to the
+// management node.
+func (m *Module) exporting() bool {
+	return m.cfg.TraceExportInterval > 0 || m.cfg.EventExportInterval > 0
+}
+
+// exportLoop ships pending spans and events toward the management node,
+// each on its own interval (a nil channel when that export is off); a
+// final flush runs on shutdown (and on client disconnect via the
+// mqttclient OnBeforeDisconnect hook, so nothing is stranded when the
+// connection goes away first).
+func (m *Module) exportLoop() {
 	defer m.wg.Done()
+	after := func(d time.Duration) <-chan time.Time {
+		if d <= 0 {
+			return nil
+		}
+		return m.cfg.Clock.After(d)
+	}
+	spanTick, eventTick := after(m.cfg.TraceExportInterval), after(m.cfg.EventExportInterval)
 	for {
 		select {
 		case <-m.ctx.Done():
-			m.flushSpans()
+			m.flushTelemetry()
 			return
-		case <-m.cfg.Clock.After(m.cfg.TraceExportInterval):
+		case <-spanTick:
 			m.flushSpans()
+			spanTick = after(m.cfg.TraceExportInterval)
+		case <-eventTick:
+			m.flushEvents()
+			eventTick = after(m.cfg.EventExportInterval)
 		}
 	}
 }
 
-// flushSpans publishes all buffered completed spans as one SpanBatch on
-// the module's trace topic (QoS 0 — tracing must never apply
-// backpressure or retransmission load to the data plane).
 func (m *Module) flushSpans() {
-	if m.exporter == nil {
-		return
-	}
-	spans := m.exporter.Drain()
-	if len(spans) == 0 {
-		return
-	}
-	client := m.currentClient()
-	if client == nil {
-		return
-	}
-	batch := telemetry.SpanBatch{
-		Module:  m.cfg.ID,
-		SentAt:  m.now(),
-		Dropped: m.exporter.Dropped(),
-		Spans:   spans,
-	}
-	payload, err := telemetry.EncodeSpanBatch(batch)
-	if err != nil {
-		return
-	}
-	if err := client.Publish(TopicTracePrefix+m.cfg.ID, payload, wire.QoS0, false); err != nil {
-		m.logf("module %s trace export: %v", m.cfg.ID, err)
+	if m.cfg.TraceExportInterval > 0 {
+		m.publishExport(TopicTracePrefix, m.cfg.Tracer.ExportBatch(m.cfg.ID, m.now()))
 	}
 }
 
-// eventExportLoop periodically ships buffered events toward the
-// management node's cluster event view; a final flush runs on shutdown
-// (and on client disconnect via the mqttclient OnBeforeDisconnect hook).
-func (m *Module) eventExportLoop() {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.ctx.Done():
-			m.flushEvents()
-			return
-		case <-m.cfg.Clock.After(m.cfg.EventExportInterval):
-			m.flushEvents()
-		}
-	}
-}
-
-// flushEvents publishes all pending events as one EventBatch on the
-// module's event topic (QoS 0 — event reporting must never apply
-// backpressure or retransmission load to the data plane).
 func (m *Module) flushEvents() {
-	if m.cfg.EventExportInterval <= 0 {
-		return
-	}
-	events := m.events.Drain()
-	if len(events) == 0 {
-		return
-	}
-	client := m.currentClient()
-	if client == nil {
-		return
-	}
-	batch := telemetry.EventBatch{
-		Module:  m.cfg.ID,
-		SentAt:  m.now(),
-		Dropped: m.events.Dropped(),
-		Events:  events,
-	}
-	payload, err := telemetry.EncodeEventBatch(batch)
-	if err != nil {
-		return
-	}
-	if err := client.Publish(TopicEventsPrefix+m.cfg.ID, payload, wire.QoS0, false); err != nil {
-		m.logf("module %s event export: %v", m.cfg.ID, err)
+	if m.cfg.EventExportInterval > 0 {
+		m.publishExport(TopicEventsPrefix, m.events.ExportBatch(m.cfg.ID, m.now()))
 	}
 }
 
-// flushTelemetry ships both spans and events; the OnBeforeDisconnect hook
-// target, so neither is stranded when the connection goes away first.
+// flushTelemetry ships whatever spans and events are pending; the
+// shutdown and OnBeforeDisconnect flush.
 func (m *Module) flushTelemetry() {
 	m.flushSpans()
 	m.flushEvents()
+}
+
+// publishExport publishes a non-nil export batch on the module's topic
+// under prefix at QoS 0: observability must never apply backpressure or
+// retransmission load to the data plane.
+func (m *Module) publishExport(prefix string, payload []byte) {
+	client := m.currentClient()
+	if payload == nil || client == nil {
+		return
+	}
+	if err := client.Publish(prefix+m.cfg.ID, payload, wire.QoS0, false); err != nil {
+		m.logf("module %s export on %s: %v", m.cfg.ID, prefix, err)
+	}
 }
 
 // warnDue reports whether a per-message warn event of this kind is due
@@ -570,14 +507,6 @@ func (m *Module) warnDue(kind, filter string) bool {
 	}
 	m.warnLast[key] = now
 	return true
-}
-
-// noteLaneDrop turns dispatch-lane sheds into rate-limited events: the
-// per-lane counter already counts every shed message.
-func (m *Module) noteLaneDrop(filter string) {
-	if m.warnDue("lane_drop", filter) {
-		m.events.Eventf(telemetry.SevWarn, m.cfg.ID, "lane_drop", "filter", filter)
-	}
 }
 
 // noteMixBadPayload reports an undecodable payload on a MIX subscription
@@ -601,10 +530,9 @@ func (m *Module) connect() (*mqttclient.Client, error) {
 	if m.cfg.AckTimeout > 0 {
 		opts.AckTimeout = m.cfg.AckTimeout
 	}
-	if m.exporter != nil || m.cfg.EventExportInterval > 0 {
+	if m.exporting() {
 		opts.OnBeforeDisconnect = m.flushTelemetry
 	}
-	opts.OnLaneDrop = m.noteLaneDrop
 	opts.Will = &mqttclient.Message{
 		Topic:   TopicLeavePrefix + m.cfg.ID,
 		Payload: EncodeJSON(Announce{ModuleID: m.cfg.ID, SentAt: m.now()}),

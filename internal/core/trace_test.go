@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -356,5 +357,45 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 		if !seen[st] {
 			t.Errorf("flow summary missing stage %s (got %+v)", st, sum.Stages)
 		}
+	}
+}
+
+// TestTraceCollectorCapsStages ingests one batch naming 200 distinct
+// stages — anyone may publish on the trace topic — and asserts the
+// collector's histograms and gauge series stop at telemetry.MaxStages
+// while every span is still kept and counted.
+func TestTraceCollectorCapsStages(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	col := NewTraceCollector(clock.NewVirtual(time.Unix(0, 0)), 16)
+	col.BindRegistry(reg)
+	base := time.Unix(100, 0)
+	batch := telemetry.SpanBatch{Module: "rogue"}
+	for i := 0; i < 200; i++ {
+		batch.Spans = append(batch.Spans, telemetry.Span{
+			Key: telemetry.TraceKey{Recipe: "r", TaskID: "t", Seq: 1}, Stage: fmt.Sprintf("stage-%03d", i),
+			Start: base, End: base.Add(time.Millisecond),
+		})
+	}
+	payload, err := telemetry.EncodeSpanBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Ingest(payload); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(col.FlowSummary().Stages); got != 64 {
+		t.Fatalf("FlowSummary stages = %d, want 64", got)
+	}
+	if got := reg.SeriesCount(telemetry.DefaultStageMetric); got != 64*4 {
+		t.Fatalf("quantile series = %d, want %d", got, 64*4)
+	}
+	if got := len(col.StageHistograms()); got != 64 {
+		t.Fatalf("stage histograms = %d, want 64", got)
+	}
+	if got := col.TotalSpans(); got != 200 {
+		t.Fatalf("TotalSpans = %d, want 200", got)
+	}
+	if got := len(col.Trace(batch.Spans[0].Key).Spans); got != 200 {
+		t.Fatalf("trace keeps %d spans, want all 200", got)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -11,20 +12,6 @@ import (
 // DefaultCollectorFlows bounds how many distinct flows (trace keys) the
 // collector retains before evicting the oldest.
 const DefaultCollectorFlows = 1024
-
-// flowEntry holds the spans collected so far for one trace key.
-type flowEntry struct {
-	spans []telemetry.Span
-}
-
-// collectorStageAgg is one stage's running aggregate plus SLO histogram
-// over the skew-adjusted spans.
-type collectorStageAgg struct {
-	count int64
-	sum   time.Duration
-	max   time.Duration
-	hist  *telemetry.LogHistogram
-}
 
 // TraceCollector assembles the cluster-wide view of end-to-end flows at
 // the management node. Modules export completed spans as SpanBatch JSON
@@ -49,17 +36,13 @@ type TraceCollector struct {
 	clk clock.Clock
 
 	mu       sync.Mutex
-	flows    map[telemetry.TraceKey]*flowEntry
+	flows    map[telemetry.TraceKey][]telemetry.Span
 	order    []telemetry.TraceKey // FIFO for eviction
 	maxFlows int
 	offsets  map[string]time.Duration
 	total    uint64
-	dropped  map[string]uint64 // per-module exporter drop counters
-	stages   map[string]*collectorStageAgg
-	stageSeq []string
-	// onNewStage, when set by BindRegistry, registers quantile gauges
-	// for each newly seen stage. Called with tc.mu held.
-	onNewStage func(stage string, hist *telemetry.LogHistogram)
+	dropped  map[string]uint64    // per-module exporter drop counters
+	stages   telemetry.StageTable // over the skew-adjusted spans
 }
 
 // NewTraceCollector creates a collector retaining up to maxFlows flows
@@ -74,11 +57,10 @@ func NewTraceCollector(clk clock.Clock, maxFlows int) *TraceCollector {
 	}
 	return &TraceCollector{
 		clk:      clk,
-		flows:    make(map[telemetry.TraceKey]*flowEntry, maxFlows),
+		flows:    make(map[telemetry.TraceKey][]telemetry.Span, maxFlows),
 		maxFlows: maxFlows,
 		offsets:  make(map[string]time.Duration),
 		dropped:  make(map[string]uint64),
-		stages:   make(map[string]*collectorStageAgg),
 	}
 }
 
@@ -140,38 +122,21 @@ func (tc *TraceCollector) adjust(s telemetry.Span) telemetry.Span {
 }
 
 // add appends a span to its flow, evicting the oldest flow when the
-// bound is hit. Called with tc.mu held.
+// bound is hit, and feeds the stage table. Past telemetry.MaxStages
+// distinct stages a span still joins its trace and TotalSpans but gets
+// no histogram, gauges, /flows or SLO entry: stage names come from
+// batches any client may publish. Called with tc.mu held.
 func (tc *TraceCollector) add(s telemetry.Span) {
-	entry, ok := tc.flows[s.Key]
-	if !ok {
+	if _, ok := tc.flows[s.Key]; !ok {
 		if len(tc.order) >= tc.maxFlows {
-			oldest := tc.order[0]
+			delete(tc.flows, tc.order[0])
 			tc.order = tc.order[1:]
-			delete(tc.flows, oldest)
 		}
-		entry = &flowEntry{}
-		tc.flows[s.Key] = entry
 		tc.order = append(tc.order, s.Key)
 	}
-	entry.spans = append(entry.spans, s)
+	tc.flows[s.Key] = append(tc.flows[s.Key], s)
 	tc.total++
-
-	d := s.End.Sub(s.Start)
-	agg, ok := tc.stages[s.Stage]
-	if !ok {
-		agg = &collectorStageAgg{hist: telemetry.NewLogHistogram(0, 0, 0)}
-		tc.stages[s.Stage] = agg
-		tc.stageSeq = append(tc.stageSeq, s.Stage)
-		if tc.onNewStage != nil {
-			tc.onNewStage(s.Stage, agg.hist)
-		}
-	}
-	agg.count++
-	agg.sum += d
-	if d > agg.max {
-		agg.max = d
-	}
-	agg.hist.Observe(d)
+	tc.stages.Observe(s.Stage, s.End.Sub(s.Start))
 }
 
 // TotalSpans reports how many spans were ever ingested.
@@ -186,7 +151,10 @@ func (tc *TraceCollector) TotalSpans() uint64 {
 func (tc *TraceCollector) DroppedSpans() uint64 {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	var sum uint64
+	return tc.droppedLocked()
+}
+
+func (tc *TraceCollector) droppedLocked() (sum uint64) {
 	for _, d := range tc.dropped {
 		sum += d
 	}
@@ -200,7 +168,7 @@ func (tc *TraceCollector) Spans() []telemetry.Span {
 	defer tc.mu.Unlock()
 	var out []telemetry.Span
 	for _, key := range tc.order {
-		out = append(out, tc.flows[key].spans...)
+		out = append(out, tc.flows[key]...)
 	}
 	return out
 }
@@ -212,9 +180,7 @@ func (tc *TraceCollector) Traces() []telemetry.Trace {
 	defer tc.mu.Unlock()
 	out := make([]telemetry.Trace, 0, len(tc.order))
 	for _, key := range tc.order {
-		spans := append([]telemetry.Span(nil), tc.flows[key].spans...)
-		sortSpansByStart(spans)
-		out = append(out, telemetry.Trace{Key: key, Spans: spans})
+		out = append(out, sortedTrace(key, tc.flows[key]))
 	}
 	return out
 }
@@ -224,12 +190,7 @@ func (tc *TraceCollector) Traces() []telemetry.Trace {
 func (tc *TraceCollector) Trace(key telemetry.TraceKey) telemetry.Trace {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	t := telemetry.Trace{Key: key}
-	if entry, ok := tc.flows[key]; ok {
-		t.Spans = append(t.Spans, entry.spans...)
-		sortSpansByStart(t.Spans)
-	}
-	return t
+	return sortedTrace(key, tc.flows[key])
 }
 
 // StageHistograms snapshots the per-stage latency histograms (shared
@@ -239,11 +200,7 @@ func (tc *TraceCollector) Trace(key telemetry.TraceKey) telemetry.Trace {
 func (tc *TraceCollector) StageHistograms() map[string]*telemetry.LogHistogram {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	out := make(map[string]*telemetry.LogHistogram, len(tc.stages))
-	for stage, agg := range tc.stages {
-		out[stage] = agg.hist
-	}
-	return out
+	return tc.stages.Histograms()
 }
 
 // FlowSummary digests the collector state for /flows: retained flow
@@ -252,46 +209,26 @@ func (tc *TraceCollector) StageHistograms() map[string]*telemetry.LogHistogram {
 func (tc *TraceCollector) FlowSummary() telemetry.FlowSummary {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	sum := telemetry.FlowSummary{Flows: len(tc.flows), Spans: tc.total}
-	for _, d := range tc.dropped {
-		sum.DroppedSpans += d
+	return telemetry.FlowSummary{
+		Flows: len(tc.flows), Spans: tc.total, DroppedSpans: tc.droppedLocked(), Stages: tc.stages.Summaries(),
 	}
-	for _, stage := range tc.stageSeq {
-		agg := tc.stages[stage]
-		mean := time.Duration(0)
-		if agg.count > 0 {
-			mean = agg.sum / time.Duration(agg.count)
-		}
-		sum.Stages = append(sum.Stages, telemetry.SummarizeStage(stage, agg.count, mean, agg.hist))
-	}
-	return sum
 }
 
 // BindRegistry mirrors the collector's per-stage quantiles into reg as
 // GaugeFuncs (same family the module tracer uses, labelled
 // scope="cluster"), so the management node's /metrics and $SYS exports
-// carry the cluster-wide latency SLOs. Stages appear dynamically: gauges
-// for a stage are registered when its first span is ingested.
+// carry the cluster-wide latency SLOs: stages already ingested at once,
+// later ones when their first span is ingested.
 func (tc *TraceCollector) BindRegistry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
 	tc.mu.Lock()
-	tc.onNewStage = func(stage string, hist *telemetry.LogHistogram) {
-		telemetry.RegisterQuantileGauges(reg, telemetry.DefaultStageMetric,
-			"Cluster-wide per-stage latency quantiles (skew-adjusted).", hist,
-			telemetry.L("stage", stage), telemetry.L("scope", "cluster"))
-	}
-	for _, stage := range tc.stageSeq {
-		tc.onNewStage(stage, tc.stages[stage].hist)
-	}
+	tc.stages.Bind(reg, telemetry.DefaultStageMetric,
+		"Cluster-wide per-stage latency quantiles (skew-adjusted).", telemetry.L("scope", "cluster"))
 	tc.mu.Unlock()
 }
 
-func sortSpansByStart(spans []telemetry.Span) {
-	for i := 1; i < len(spans); i++ {
-		for j := i; j > 0 && spans[j].Start.Before(spans[j-1].Start); j-- {
-			spans[j], spans[j-1] = spans[j-1], spans[j]
-		}
-	}
+// sortedTrace copies spans into a trace ordered by (skew-adjusted) start.
+func sortedTrace(key telemetry.TraceKey, spans []telemetry.Span) telemetry.Trace {
+	spans = append([]telemetry.Span(nil), spans...)
+	sort.SliceStable(spans, func(a, b int) bool { return spans[a].Start.Before(spans[b].Start) })
+	return telemetry.Trace{Key: key, Spans: spans}
 }

@@ -1,5 +1,6 @@
-// Package metrics provides latency recording and summary statistics used by
-// the IFoT experiment harness and the middleware's self-monitoring.
+// Package metrics provides exact latency recording and summary statistics
+// for the IFoT experiment harness (the middleware's own bounded-memory
+// instruments live in internal/telemetry).
 package metrics
 
 import (
@@ -135,88 +136,4 @@ func Millis(d time.Duration) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d avg=%.3fms max=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms",
 		s.Count, Millis(s.Mean), Millis(s.Max), Millis(s.P50), Millis(s.P95), Millis(s.P99))
-}
-
-// Counter is a thread-safe monotonically increasing counter.
-type Counter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta int64) {
-	c.mu.Lock()
-	c.n += delta
-	c.mu.Unlock()
-}
-
-// Value reports the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// Histogram is a fixed-bucket latency histogram. Buckets are upper bounds;
-// samples above the last bound are counted in an overflow bucket.
-type Histogram struct {
-	mu       sync.Mutex
-	bounds   []time.Duration
-	counts   []int64
-	overflow int64
-}
-
-// NewHistogram creates a histogram with the given ascending bucket upper
-// bounds.
-func NewHistogram(bounds []time.Duration) (*Histogram, error) {
-	if len(bounds) == 0 {
-		return nil, fmt.Errorf("metrics: histogram needs at least one bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return nil, fmt.Errorf("metrics: histogram bounds must be ascending (bound %d = %v <= %v)", i, bounds[i], bounds[i-1])
-		}
-	}
-	b := make([]time.Duration, len(bounds))
-	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]int64, len(b))}, nil
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(d time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, b := range h.bounds {
-		if d <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.overflow++
-}
-
-// Buckets returns a copy of the cumulative (bound, count) pairs plus the
-// overflow count.
-func (h *Histogram) Buckets() (bounds []time.Duration, counts []int64, overflow int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	bounds = make([]time.Duration, len(h.bounds))
-	copy(bounds, h.bounds)
-	counts = make([]int64, len(h.counts))
-	copy(counts, h.counts)
-	return bounds, counts, h.overflow
-}
-
-// Total reports the total number of observed samples.
-func (h *Histogram) Total() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	total := h.overflow
-	for _, c := range h.counts {
-		total += c
-	}
-	return total
 }

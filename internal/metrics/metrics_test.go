@@ -166,55 +166,6 @@ func TestMillis(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != 1000 {
-		t.Fatalf("Counter = %d, want 1000", got)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	h, err := NewHistogram([]time.Duration{time.Millisecond, 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Observe(500 * time.Microsecond) // bucket 0
-	h.Observe(5 * time.Millisecond)   // bucket 1
-	h.Observe(time.Second)            // overflow
-	h.Observe(time.Millisecond)       // boundary -> bucket 0
-
-	_, counts, overflow := h.Buckets()
-	if counts[0] != 2 || counts[1] != 1 || overflow != 1 {
-		t.Fatalf("counts = %v overflow = %d, want [2 1] 1", counts, overflow)
-	}
-	if h.Total() != 4 {
-		t.Fatalf("Total = %d, want 4", h.Total())
-	}
-}
-
-func TestHistogramRejectsBadBounds(t *testing.T) {
-	if _, err := NewHistogram(nil); err == nil {
-		t.Error("NewHistogram(nil) succeeded, want error")
-	}
-	if _, err := NewHistogram([]time.Duration{2, 1}); err == nil {
-		t.Error("NewHistogram(descending) succeeded, want error")
-	}
-	if _, err := NewHistogram([]time.Duration{1, 1}); err == nil {
-		t.Error("NewHistogram(duplicate) succeeded, want error")
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	s := Summarize([]time.Duration{time.Millisecond})
 	if got := s.String(); got == "" {

@@ -39,9 +39,9 @@ type Event struct {
 // so a few hundred entries cover hours of normal operation.
 const DefaultEventCapacity = 512
 
-// DefaultEventExportBuffer bounds the pending-export queue when export is
-// enabled without an explicit size.
-const DefaultEventExportBuffer = 256
+// DefaultEventExportLimit bounds the export queue when SetExportBuffer is
+// given a non-positive size.
+const DefaultEventExportLimit = 256
 
 // DefaultEventQueryLimit caps /events responses when the client does not
 // pass ?limit.
@@ -55,14 +55,11 @@ const DefaultEventQueryLimit = 256
 // All methods are nil-safe no-ops on a nil receiver, so failure-path call
 // sites need no guards.
 type EventLog struct {
-	mu    sync.Mutex
-	ring  []Event
-	next  int
-	total uint64
-
-	export    []Event // nil until SetExportBuffer enables export queueing
-	exportCap int
-	dropped   uint64 // export-queue sheds
+	mu     sync.Mutex
+	ring   []Event
+	next   int
+	total  uint64
+	export exportQueue[Event] // off until SetExportBuffer
 }
 
 // NewEventLog creates a ring retaining the most recent capacity events
@@ -76,26 +73,30 @@ func NewEventLog(capacity int) *EventLog {
 }
 
 // SetExportBuffer enables the export queue, buffering at most n events
-// between Drain calls (non-positive = DefaultEventExportBuffer). Call
+// between Drain calls (non-positive = DefaultEventExportLimit). Call
 // before the log sees concurrent traffic.
 func (l *EventLog) SetExportBuffer(n int) {
 	if l == nil {
 		return
 	}
 	if n <= 0 {
-		n = DefaultEventExportBuffer
+		n = DefaultEventExportLimit
 	}
 	l.mu.Lock()
-	l.exportCap = n
-	if l.export == nil {
-		l.export = make([]Event, 0, n)
-	}
+	l.export.limit = n
 	l.mu.Unlock()
 }
 
 // Emit appends an event to the ring (and the export queue when enabled).
 // A zero Time is stamped with the wall clock.
-func (l *EventLog) Emit(ev Event) {
+func (l *EventLog) Emit(ev Event) { l.add(ev, true) }
+
+// Ingest appends an event to the ring only, bypassing the export queue —
+// for cluster views folding in events another module already exported
+// (re-exporting them would duplicate the originals on the wire).
+func (l *EventLog) Ingest(ev Event) { l.add(ev, false) }
+
+func (l *EventLog) add(ev Event, export bool) {
 	if l == nil {
 		return
 	}
@@ -106,18 +107,6 @@ func (l *EventLog) Emit(ev Event) {
 		ev.Severity = SevInfo
 	}
 	l.mu.Lock()
-	l.appendLocked(ev)
-	if l.export != nil {
-		if len(l.export) >= l.exportCap {
-			l.dropped++
-		} else {
-			l.export = append(l.export, ev)
-		}
-	}
-	l.mu.Unlock()
-}
-
-func (l *EventLog) appendLocked(ev Event) {
 	if len(l.ring) < cap(l.ring) {
 		l.ring = append(l.ring, ev)
 	} else {
@@ -125,23 +114,9 @@ func (l *EventLog) appendLocked(ev Event) {
 		l.next = (l.next + 1) % cap(l.ring)
 	}
 	l.total++
-}
-
-// Ingest appends an event to the ring only, bypassing the export queue —
-// for cluster views folding in events another module already exported
-// (re-exporting them would duplicate the originals on the wire).
-func (l *EventLog) Ingest(ev Event) {
-	if l == nil {
-		return
+	if export {
+		l.export.push(ev)
 	}
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
-	}
-	if ev.Severity == "" {
-		ev.Severity = SevInfo
-	}
-	l.mu.Lock()
-	l.appendLocked(ev)
 	l.mu.Unlock()
 }
 
@@ -216,7 +191,7 @@ func (l *EventLog) Dropped() uint64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.dropped
+	return l.export.dropped
 }
 
 // Drain removes and returns the pending export queue (nil when empty or
@@ -227,12 +202,7 @@ func (l *EventLog) Drain() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.export) == 0 {
-		return nil
-	}
-	out := l.export
-	l.export = make([]Event, 0, l.exportCap)
-	return out
+	return l.export.drain()
 }
 
 // Pending reports the number of events queued for export.
@@ -242,7 +212,7 @@ func (l *EventLog) Pending() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.export)
+	return len(l.export.buf)
 }
 
 // BindRegistry exposes the log's lifetime totals on reg as monotone
@@ -272,6 +242,18 @@ type EventBatch struct {
 
 // EncodeEventBatch serializes a batch for publishing.
 func EncodeEventBatch(b EventBatch) ([]byte, error) { return json.Marshal(b) }
+
+// ExportBatch drains the export queue into one encoded EventBatch from
+// module, stamped sentAt and carrying the cumulative drop count; nil when
+// no event is pending (or, like a shed event, when encoding fails).
+func (l *EventLog) ExportBatch(module string, sentAt time.Time) []byte {
+	events := l.Drain()
+	if len(events) == 0 {
+		return nil
+	}
+	payload, _ := EncodeEventBatch(EventBatch{Module: module, SentAt: sentAt, Dropped: l.Dropped(), Events: events})
+	return payload
+}
 
 // DecodeEventBatch parses a published batch.
 func DecodeEventBatch(data []byte) (EventBatch, error) {

@@ -2,10 +2,33 @@ package telemetry
 
 import (
 	"encoding/json"
-	"sync"
-	"sync/atomic"
 	"time"
 )
+
+// exportQueue is the bounded, drop-counting queue behind Tracer and
+// EventLog export, guarded by its owner's mutex. When full, new items are
+// shed and counted rather than queued: export must never apply
+// backpressure to the paths it observes. A zero limit turns queueing off.
+type exportQueue[T any] struct {
+	buf     []T
+	limit   int
+	dropped uint64
+}
+
+func (q *exportQueue[T]) push(v T) {
+	if len(q.buf) < q.limit {
+		q.buf = append(q.buf, v)
+	} else if q.limit > 0 {
+		q.dropped++
+	}
+}
+
+// drain removes and returns the queued items (nil when empty).
+func (q *exportQueue[T]) drain() []T {
+	out := q.buf
+	q.buf = nil
+	return out
+}
 
 // SpanBatch is the JSON payload a module publishes on
 // `ifot/ctrl/trace/<moduleID>`: the spans completed since the last flush,
@@ -29,62 +52,45 @@ func DecodeSpanBatch(data []byte) (SpanBatch, error) {
 	return b, err
 }
 
-// DefaultSpanExportBuffer bounds the exporter's pending-span buffer when
-// the caller does not choose a size.
-const DefaultSpanExportBuffer = 1024
+// DefaultSpanExportLimit bounds the tracer's export queue when
+// SetExportBuffer is given a non-positive size.
+const DefaultSpanExportLimit = 1024
 
-// SpanExporter buffers completed spans for periodic batched export.
-// Offer is the Tracer sink; when the bounded buffer is full, new spans
-// are dropped and counted rather than blocking the pipeline — trace
-// export must never apply backpressure to the data path. Drain swaps the
-// buffer out for publishing. All methods are safe for concurrent use.
-type SpanExporter struct {
-	mu      sync.Mutex
-	buf     []Span
-	limit   int
-	dropped atomic.Uint64
-}
-
-// NewSpanExporter creates an exporter buffering at most limit spans
-// between flushes (non-positive = DefaultSpanExportBuffer).
-func NewSpanExporter(limit int) *SpanExporter {
-	if limit <= 0 {
-		limit = DefaultSpanExportBuffer
+// SetExportBuffer turns on the tracer's export queue: every recorded span
+// is also queued for Drain, at most n between drains (non-positive =
+// DefaultSpanExportLimit), overflow dropped and counted.
+func (t *Tracer) SetExportBuffer(n int) {
+	if n <= 0 {
+		n = DefaultSpanExportLimit
 	}
-	return &SpanExporter{buf: make([]Span, 0, limit), limit: limit}
+	t.mu.Lock()
+	t.export.limit = n
+	t.mu.Unlock()
 }
 
-// Offer enqueues a completed span, dropping it (and counting the drop)
-// when the buffer is full.
-func (e *SpanExporter) Offer(s Span) {
-	e.mu.Lock()
-	if len(e.buf) >= e.limit {
-		e.mu.Unlock()
-		e.dropped.Add(1)
-		return
-	}
-	e.buf = append(e.buf, s)
-	e.mu.Unlock()
+// Drain removes and returns the spans queued for export (nil when empty
+// or export is off).
+func (t *Tracer) Drain() []Span {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.export.drain()
 }
 
-// Drain removes and returns all buffered spans (nil when empty).
-func (e *SpanExporter) Drain() []Span {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.buf) == 0 {
+// Dropped reports how many spans were shed on a full export queue.
+func (t *Tracer) Dropped() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.export.dropped
+}
+
+// ExportBatch drains the export queue into one encoded SpanBatch from
+// module, stamped sentAt and carrying the cumulative drop count; nil when
+// no span is pending (or, like a shed span, when encoding fails).
+func (t *Tracer) ExportBatch(module string, sentAt time.Time) []byte {
+	spans := t.Drain()
+	if len(spans) == 0 {
 		return nil
 	}
-	out := e.buf
-	e.buf = make([]Span, 0, e.limit)
-	return out
+	payload, _ := EncodeSpanBatch(SpanBatch{Module: module, SentAt: sentAt, Dropped: t.Dropped(), Spans: spans})
+	return payload
 }
-
-// Pending reports the number of buffered spans.
-func (e *SpanExporter) Pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.buf)
-}
-
-// Dropped reports how many spans were shed on a full buffer.
-func (e *SpanExporter) Dropped() uint64 { return e.dropped.Load() }

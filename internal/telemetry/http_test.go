@@ -126,7 +126,7 @@ func TestHTTPMetricsScrape(t *testing.T) {
 	reg.Counter("ifot_broker_messages_received_total", "msgs", L("class", "publish")).Add(12)
 	reg.Histogram("ifot_pipeline_seconds", "e2e", []float64{0.1, 1}).Observe(0.05)
 	tr := NewTracer(nil, 8)
-	tr.Begin(TraceKey{Recipe: "r", TaskID: "t", Seq: 1}, "publish", "s0").End()
+	tr.ObserveStage(TraceKey{Recipe: "r", TaskID: "t", Seq: 1}, "publish", "s0", tr.Now(), tr.Now())
 
 	srv := httptest.NewServer(Handler(reg, tr))
 	defer srv.Close()
@@ -161,7 +161,7 @@ func TestHTTPMetricsScrape(t *testing.T) {
 func TestHTTPTracesJSON(t *testing.T) {
 	tr := NewTracer(nil, 8)
 	for i := 0; i < 3; i++ {
-		tr.Begin(TraceKey{Recipe: "r", Seq: uint32(i)}, "publish", "s").End()
+		tr.ObserveStage(TraceKey{Recipe: "r", Seq: uint32(i)}, "publish", "s", tr.Now(), tr.Now())
 	}
 	srv := httptest.NewServer(Handler(nil, tr))
 	defer srv.Close()
@@ -230,7 +230,7 @@ func TestStartServer(t *testing.T) {
 
 func TestHTTPTracesBadLimit(t *testing.T) {
 	tr := NewTracer(nil, 8)
-	tr.Begin(TraceKey{Recipe: "r"}, "publish", "s").End()
+	tr.ObserveStage(TraceKey{Recipe: "r"}, "publish", "s", tr.Now(), tr.Now())
 	srv := httptest.NewServer(Handler(nil, tr))
 	defer srv.Close()
 

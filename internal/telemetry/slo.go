@@ -233,16 +233,17 @@ type FlowSummary struct {
 	Stages       []StageSummary `json:"stages"`
 }
 
-// SummarizeStage builds a StageSummary from a running aggregate plus its
-// log histogram (hist may be nil when only count/mean are known).
-func SummarizeStage(stage string, count int64, mean time.Duration, hist *LogHistogram) StageSummary {
+// SummarizeStage digests one stage's log histogram: its exact count, mean
+// and max plus the bucketed quantiles.
+func SummarizeStage(stage string, h *LogHistogram) StageSummary {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	s := StageSummary{Stage: stage, Count: count, MeanMs: ms(mean)}
-	if hist != nil {
-		s.P50Ms = ms(hist.Quantile(0.5))
-		s.P95Ms = ms(hist.Quantile(0.95))
-		s.P99Ms = ms(hist.Quantile(0.99))
-		s.MaxMs = ms(hist.Max())
+	return StageSummary{
+		Stage:  stage,
+		Count:  h.Count(),
+		MeanMs: ms(h.Mean()),
+		P50Ms:  ms(h.Quantile(0.5)),
+		P95Ms:  ms(h.Quantile(0.95)),
+		P99Ms:  ms(h.Quantile(0.99)),
+		MaxMs:  ms(h.Max()),
 	}
-	return s
 }

@@ -75,33 +75,6 @@ func TestLogHistogramMean(t *testing.T) {
 	}
 }
 
-func TestSpanExporterDropCounting(t *testing.T) {
-	e := NewSpanExporter(2)
-	s := Span{Key: TraceKey{Recipe: "r"}, Stage: "publish"}
-	e.Offer(s)
-	e.Offer(s)
-	e.Offer(s) // over capacity: dropped, not blocking
-	e.Offer(s)
-	if got := e.Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2", got)
-	}
-	if got := e.Dropped(); got != 2 {
-		t.Fatalf("Dropped = %d, want 2", got)
-	}
-	spans := e.Drain()
-	if len(spans) != 2 {
-		t.Fatalf("Drain = %d spans, want 2", len(spans))
-	}
-	if e.Pending() != 0 {
-		t.Fatal("Drain should empty the buffer")
-	}
-	// Buffer frees up after a drain; the drop counter is cumulative.
-	e.Offer(s)
-	if e.Pending() != 1 || e.Dropped() != 2 {
-		t.Fatalf("post-drain: pending=%d dropped=%d", e.Pending(), e.Dropped())
-	}
-}
-
 func TestSpanBatchRoundTrip(t *testing.T) {
 	now := time.Unix(100, 0).UTC()
 	in := SpanBatch{

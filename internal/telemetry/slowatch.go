@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"github.com/ifot-middleware/ifot/internal/clock"
 )
 
 // SLOTarget is one latency objective: "the stage's q-th quantile stays
@@ -241,17 +243,16 @@ func (w *SLOWatchdog) Alerting(stage string) bool {
 	return ok && st.alert
 }
 
-// Start launches the periodic evaluation loop and returns a stop
+// Start launches the evaluation loop, every EvalInterval on clk (the
+// caller's clock, so a virtual clock drives it too), and returns a stop
 // function.
-func (w *SLOWatchdog) Start() (stop func()) {
+func (w *SLOWatchdog) Start(clk clock.Clock) (stop func()) {
 	quit := make(chan struct{})
 	var once sync.Once
 	go func() {
-		tick := time.NewTicker(w.cfg.EvalInterval)
-		defer tick.Stop()
 		for {
 			select {
-			case t := <-tick.C:
+			case t := <-clk.After(w.cfg.EvalInterval):
 				w.EvalOnce(t)
 			case <-quit:
 				return

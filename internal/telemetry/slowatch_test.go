@@ -3,6 +3,8 @@ package telemetry
 import (
 	"testing"
 	"time"
+
+	"github.com/ifot-middleware/ifot/internal/clock"
 )
 
 type fakeHistSource map[string]*LogHistogram
@@ -144,4 +146,60 @@ func findEvents(l *EventLog, kind string) []Event {
 		}
 	}
 	return out
+}
+
+// TestSLOWatchdogStartOnVirtualClock drives the Start loop by advancing a
+// virtual clock alone: the watchdog must evaluate on the caller's clock,
+// not the wall clock.
+func TestSLOWatchdogStartOnVirtualClock(t *testing.T) {
+	h := NewLogHistogram(0, 0, 0)
+	events := NewEventLog(32)
+	clk := clock.NewVirtual(time.Unix(8000, 0))
+	w := NewSLOWatchdog(fakeHistSource{"judge": h}, SLOConfig{
+		Targets:       []SLOTarget{{Stage: "judge", Quantile: 0.95, Target: 10 * time.Millisecond}},
+		FastWindow:    time.Minute,
+		SlowWindow:    5 * time.Minute,
+		BurnThreshold: 2,
+		EvalInterval:  10 * time.Second,
+	}, events, nil)
+	stop := w.Start(clk)
+	defer stop()
+
+	// armed waits until the loop has a timer pending, i.e. it finished any
+	// evaluation the last Advance fired and re-armed.
+	armed := func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if _, ok := clk.NextDeadline(); ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("watchdog loop never armed its timer on the virtual clock")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	tick := func() {
+		armed()
+		clk.Advance(10 * time.Second)
+		armed()
+	}
+
+	tick() // baseline snapshot
+	observeN(h, 100, 100*time.Millisecond)
+	tick()
+	if !w.Alerting("judge") {
+		t.Fatal("not alerting after a violating burst evaluated on the virtual clock")
+	}
+	if got := findEvents(events, "slo_breach"); len(got) != 1 {
+		t.Fatalf("slo_breach events = %d, want 1", len(got))
+	}
+	observeN(h, 10000, time.Millisecond)
+	tick()
+	if w.Alerting("judge") {
+		t.Fatal("still alerting after compliant traffic diluted the burn")
+	}
+	if got := findEvents(events, "slo_recovered"); len(got) != 1 {
+		t.Fatalf("slo_recovered events = %d, want 1", len(got))
+	}
 }

@@ -70,41 +70,22 @@ func (t Trace) Duration() time.Duration {
 	return t.End().Sub(t.Start())
 }
 
-// StageStat summarizes every span observed for one stage name. Stats are
-// running aggregates (count/sum/max), so memory stays constant no matter
-// how many spans flow through.
-type StageStat struct {
-	Stage string        `json:"stage"`
-	Count int64         `json:"count"`
-	Mean  time.Duration `json:"mean"`
-	Max   time.Duration `json:"max"`
-	Total time.Duration `json:"total"`
-}
-
-type stageAgg struct {
-	count int64
-	sum   time.Duration
-	max   time.Duration
-	hist  *LogHistogram
-}
-
 // Tracer collects spans into a fixed-capacity ring buffer (old spans are
-// overwritten, bounding memory) and maintains per-stage running statistics
-// over every span ever recorded. It reads time from a clock.Clock, so the
-// same tracer instruments the wall-clock middleware and the virtual-time
-// simulator. All methods are safe for concurrent use.
+// overwritten, bounding memory), a per-stage latency table over every
+// span ever recorded (constant memory no matter how many spans flow
+// through), and, once SetExportBuffer is called, a bounded export queue.
+// It reads time from a clock.Clock, so the same tracer instruments the
+// wall-clock middleware and the virtual-time simulator. All methods are
+// safe for concurrent use.
 type Tracer struct {
 	clk clock.Clock
 
-	mu         sync.Mutex
-	ring       []Span
-	next       int
-	total      uint64
-	stages     map[string]*stageAgg
-	stageOrder []string
-	sink       func(Span)
-	reg        *Registry
-	regMetric  string
+	mu     sync.Mutex
+	ring   []Span
+	next   int
+	total  uint64
+	stages StageTable
+	export exportQueue[Span]
 }
 
 // DefaultTraceCapacity is the ring size used when NewTracer is given a
@@ -124,68 +105,31 @@ func NewTracer(clk clock.Clock, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{
-		clk:    clk,
-		ring:   make([]Span, 0, capacity),
-		stages: make(map[string]*stageAgg),
-	}
+	return &Tracer{clk: clk, ring: make([]Span, 0, capacity)}
 }
 
 // Now exposes the tracer's clock reading, letting instrumented code stamp
 // events on the same timeline as the spans.
 func (t *Tracer) Now() time.Time { return t.clk.Now() }
 
-// SetSink installs a hook invoked (outside the tracer lock) for every
-// recorded span — the attachment point for a SpanExporter shipping spans
-// to the cluster trace collector. A nil fn detaches. Set the sink before
-// the tracer sees concurrent traffic.
-func (t *Tracer) SetSink(fn func(Span)) {
-	t.mu.Lock()
-	t.sink = fn
-	t.mu.Unlock()
-}
-
 // DefaultStageMetric is the gauge family name used by BindRegistry.
 const DefaultStageMetric = "ifot_stage_latency_quantile_seconds"
 
 // BindRegistry mirrors per-stage latency quantiles (p50/p95/p99/max)
-// into reg as GaugeFuncs labelled {stage, quantile}. Gauges for a stage
-// are registered when its first span arrives; metric "" uses
-// DefaultStageMetric. Call before the tracer sees concurrent traffic.
+// into reg as GaugeFuncs labelled {stage, quantile}: stages already
+// recorded at once, later ones when their first span arrives. Metric ""
+// uses DefaultStageMetric.
 func (t *Tracer) BindRegistry(reg *Registry, metric string) {
 	if metric == "" {
 		metric = DefaultStageMetric
 	}
 	t.mu.Lock()
-	t.reg = reg
-	t.regMetric = metric
+	t.stages.Bind(reg, metric, "Per-stage cumulative sensing-to-stage latency quantiles.")
 	t.mu.Unlock()
 }
 
-// ActiveSpan is an in-progress span started by Begin.
-type ActiveSpan struct {
-	t    *Tracer
-	span Span
-}
-
-// Begin starts a span at the tracer clock's current instant. Call End (or
-// EndAt) to record it.
-func (t *Tracer) Begin(key TraceKey, stage, module string) *ActiveSpan {
-	return &ActiveSpan{t: t, span: Span{Key: key, Stage: stage, Module: module, Start: t.clk.Now()}}
-}
-
-// End completes the span at the tracer clock's current instant and records
-// it.
-func (a *ActiveSpan) End() { a.EndAt(a.t.clk.Now()) }
-
-// EndAt completes the span at the given instant and records it.
-func (a *ActiveSpan) EndAt(end time.Time) {
-	a.span.End = end
-	a.t.Record(a.span)
-}
-
-// Record stores a fully formed span (virtual-time pipelines record spans
-// with explicitly computed instants rather than Begin/End pairs).
+// Record stores a fully formed span: the one way a hop enters the ring,
+// the stage table and the export queue.
 func (t *Tracer) Record(s Span) {
 	if t == nil {
 		return
@@ -193,7 +137,6 @@ func (t *Tracer) Record(s Span) {
 	if s.End.Before(s.Start) {
 		s.End = s.Start // clock skew must not create negative durations
 	}
-	d := s.End.Sub(s.Start)
 	t.mu.Lock()
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, s)
@@ -202,28 +145,9 @@ func (t *Tracer) Record(s Span) {
 		t.next = (t.next + 1) % cap(t.ring)
 	}
 	t.total++
-	agg, ok := t.stages[s.Stage]
-	if !ok {
-		agg = &stageAgg{hist: NewLogHistogram(0, 0, 0)}
-		t.stages[s.Stage] = agg
-		t.stageOrder = append(t.stageOrder, s.Stage)
-		if t.reg != nil {
-			RegisterQuantileGauges(t.reg, t.regMetric,
-				"Per-stage cumulative sensing-to-stage latency quantiles.",
-				agg.hist, L("stage", s.Stage))
-		}
-	}
-	agg.count++
-	agg.sum += d
-	if d > agg.max {
-		agg.max = d
-	}
-	sink := t.sink
+	t.stages.Observe(s.Stage, s.End.Sub(s.Start))
+	t.export.push(s)
 	t.mu.Unlock()
-	agg.hist.Observe(d)
-	if sink != nil {
-		sink(s)
-	}
 }
 
 // ObserveStage records a span for stage with explicit bounds — a
@@ -286,7 +210,7 @@ func (t *Tracer) Traces() []Trace {
 	return traces
 }
 
-// StageStats reports the per-stage running aggregates in first-seen order
+// StageStats reports each stage's count, mean and max in first-seen order
 // (which, for a pipeline recording stages in flow order, is pipeline
 // order).
 func (t *Tracer) StageStats() []StageStat {
@@ -295,33 +219,18 @@ func (t *Tracer) StageStats() []StageStat {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]StageStat, 0, len(t.stageOrder))
-	for _, stage := range t.stageOrder {
-		agg := t.stages[stage]
-		mean := time.Duration(0)
-		if agg.count > 0 {
-			mean = agg.sum / time.Duration(agg.count)
-		}
-		out = append(out, StageStat{Stage: stage, Count: agg.count, Mean: mean, Max: agg.max, Total: agg.sum})
-	}
-	return out
+	return t.stages.Stats()
 }
 
 // StageHistograms snapshots the per-stage latency histograms keyed by
-// stage name. The histograms are shared live pointers (LogHistogram reads
-// are lock-free), so an SLO watchdog can poll them without re-copying
-// bucket state.
+// stage name (shared live pointers), implementing StageHistSource.
 func (t *Tracer) StageHistograms() map[string]*LogHistogram {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[string]*LogHistogram, len(t.stages))
-	for stage, agg := range t.stages {
-		out[stage] = agg.hist
-	}
-	return out
+	return t.stages.Histograms()
 }
 
 // FlowSummary digests the tracer's current state for the /flows endpoint:
@@ -336,26 +245,17 @@ func (t *Tracer) FlowSummary() FlowSummary {
 		keys[s.Key] = struct{}{}
 	}
 	t.mu.Lock()
-	sum := FlowSummary{Flows: len(keys), Spans: t.total}
-	for _, stage := range t.stageOrder {
-		agg := t.stages[stage]
-		mean := time.Duration(0)
-		if agg.count > 0 {
-			mean = agg.sum / time.Duration(agg.count)
-		}
-		sum.Stages = append(sum.Stages, SummarizeStage(stage, agg.count, mean, agg.hist))
-	}
-	t.mu.Unlock()
-	return sum
+	defer t.mu.Unlock()
+	return FlowSummary{Flows: len(keys), Spans: t.total, Stages: t.stages.Summaries()}
 }
 
-// Reset discards all retained spans and stage statistics.
+// Reset discards all retained spans and stage statistics; the export
+// queue and the registry binding stay.
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	t.ring = t.ring[:0]
 	t.next = 0
 	t.total = 0
-	t.stages = make(map[string]*stageAgg)
-	t.stageOrder = nil
+	t.stages.Reset()
 	t.mu.Unlock()
 }

@@ -13,9 +13,9 @@ func TestTracerSpansAndTraces(t *testing.T) {
 	tr := NewTracer(clk, 16)
 	key := TraceKey{Recipe: "heatstroke", TaskID: "t1", Seq: 7}
 
-	sp := tr.Begin(key, "publish", "sensor-0")
+	start := clk.Now()
 	clk.Advance(5 * time.Millisecond)
-	sp.End()
+	tr.ObserveStage(key, "publish", "sensor-0", start, clk.Now())
 
 	tr.ObserveStage(key, "broker", "broker", clk.Now(), clk.Now().Add(2*time.Millisecond))
 	clk.Advance(2 * time.Millisecond)
@@ -101,11 +101,12 @@ func TestTracerNegativeDurationClamped(t *testing.T) {
 	}
 }
 
-// TestTracerConcurrent hammers Record/Spans/Traces/StageStats from many
-// goroutines with a ring small enough to wrap constantly; meaningful under
-// -race.
+// TestTracerConcurrent hammers Record/Spans/Traces/StageStats/Drain from
+// many goroutines with a ring small enough to wrap constantly; meaningful
+// under -race.
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer(nil, 8)
+	tr.SetExportBuffer(64)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -113,11 +114,12 @@ func TestTracerConcurrent(t *testing.T) {
 			defer wg.Done()
 			key := TraceKey{TaskID: "t", Seq: uint32(id)}
 			for i := 0; i < 500; i++ {
-				tr.Begin(key, "stage", "mod").End()
+				tr.ObserveStage(key, "stage", "mod", tr.Now(), tr.Now())
 				if i%50 == 0 {
 					_ = tr.Spans()
 					_ = tr.Traces()
 					_ = tr.StageStats()
+					_ = tr.Drain()
 				}
 			}
 		}(w)
@@ -138,5 +140,64 @@ func TestNewTracerDefaults(t *testing.T) {
 	}
 	if tr.Now().IsZero() {
 		t.Fatal("nil clock should fall back to wall clock")
+	}
+}
+
+func TestTracerExportQueue(t *testing.T) {
+	tr := NewTracer(clock.NewVirtual(time.Unix(0, 0)), 8)
+	s := Span{Key: TraceKey{Recipe: "r"}, Stage: "publish"}
+	tr.Record(s) // export off: recorded, not queued
+	tr.SetExportBuffer(2)
+	for i := 0; i < 4; i++ {
+		tr.Record(s) // the last two overflow: dropped, not blocking
+	}
+	if got := tr.Dropped(); got != 2 {
+		t.Fatalf("Dropped = %d, want 2", got)
+	}
+	if spans := tr.Drain(); len(spans) != 2 {
+		t.Fatalf("Drain = %d spans, want 2", len(spans))
+	}
+	if spans := tr.Drain(); spans != nil {
+		t.Fatalf("second Drain = %v, want nil (Drain empties the queue)", spans)
+	}
+	// Export shedding never touches the ring or the stage table.
+	if got := len(tr.Spans()); got != 5 {
+		t.Fatalf("ring retained %d, want all 5", got)
+	}
+	if stats := tr.StageStats(); len(stats) != 1 || stats[0].Count != 5 {
+		t.Fatalf("stage stats = %+v, want one stage with count 5", stats)
+	}
+	// The queue accepts again after a drain; the drop counter is cumulative.
+	tr.Record(s)
+	payload := tr.ExportBatch("modA", time.Unix(9, 0))
+	batch, err := DecodeSpanBatch(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch.Module != "modA" || batch.Dropped != 2 || len(batch.Spans) != 1 {
+		t.Fatalf("export batch = %+v, want 1 span from modA with dropped=2", batch)
+	}
+	if tr.ExportBatch("modA", time.Unix(10, 0)) != nil {
+		t.Fatal("ExportBatch with nothing pending should be nil")
+	}
+}
+
+// TestTracerLateBindRegistersSeenStages binds the registry after a stage
+// already has spans: its gauges must appear at bind time, not wait for a
+// stage that never comes again.
+func TestTracerLateBindRegistersSeenStages(t *testing.T) {
+	tr := NewTracer(clock.NewVirtual(time.Unix(0, 0)), 8)
+	base := time.Unix(0, 0)
+	tr.ObserveStage(TraceKey{Seq: 1}, "judge", "", base, base.Add(3*time.Millisecond))
+	reg := NewRegistry()
+	tr.BindRegistry(reg, "")
+	got := scrape(t, reg)
+	for _, q := range []string{"0.5", "0.95", "0.99", "max"} {
+		if v, ok := got[DefaultStageMetric+"{quantile="+q+",stage=judge}"]; !ok || v <= 0 {
+			t.Fatalf("quantile %s gauge = %v (present %v), want > 0; got %v", q, v, ok, got)
+		}
+	}
+	if n := reg.SeriesCount(DefaultStageMetric); n != 4 {
+		t.Fatalf("series = %d, want 4", n)
 	}
 }
