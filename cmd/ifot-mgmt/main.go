@@ -67,8 +67,15 @@ func run() error {
 		DisableDeadFailover: !*failover,
 	}
 	mcfg.TraceFlowCapacity = *traceCap
-	mcfg.EventCapacity = *eventCap
+	// Create the event log up front and share it with the store, so WAL
+	// recovery events emitted during store.Open (before the manager
+	// exists) land in the manager's ring and export stream. The export
+	// queue must be armed before store.Open, or recovery events skip it.
+	mcfg.Events = telemetry.NewEventLog(*eventCap)
 	mcfg.EventExportInterval = *eventExp
+	if *eventExp > 0 {
+		mcfg.Events.SetExportBuffer(0)
+	}
 	if *sloTarget > 0 {
 		mcfg.SLO = telemetry.SLOConfig{
 			Targets:       []telemetry.SLOTarget{{Stage: "*", Quantile: *sloQ, Target: *sloTarget}},
@@ -83,6 +90,7 @@ func run() error {
 			Name:     "mgmt",
 			Registry: mcfg.Telemetry,
 			Logger:   mcfg.Logger,
+			Events:   mcfg.Events,
 		})
 		if err != nil {
 			return fmt.Errorf("open data dir %s: %w", *dataDir, err)

@@ -237,8 +237,7 @@ func Open(opts Options) (*Broker, error) {
 		if err := b.recoverState(st); err != nil {
 			return nil, err
 		}
-		b.persist.journal = store.NewJournal(st, b.captureState, b.opts.SnapshotBytes, b.opts.Logger)
-		b.persist.journal.SetEvents(b.opts.Events)
+		b.persist.journal = store.NewJournal(st, b.captureState, b.opts.SnapshotBytes, b.opts.Logger, b.opts.Events)
 	}
 	// Publish the initial route snapshot (covering any recovered
 	// subscriptions) before a connection or internal publisher can route.

@@ -33,6 +33,14 @@ import (
 // changed under the same name) fails restore loudly and the task starts
 // fresh.
 
+// ckptSnapshotThreshold is the live checkpoint-WAL size that triggers a
+// snapshot compaction; handoffFetchTimeout bounds the start-time wait for
+// a retained handoff blob.
+const (
+	ckptSnapshotThreshold = 4 << 20
+	handoffFetchTimeout   = 2 * time.Second
+)
+
 // ckptRec is one WAL record: the latest checkpoint of one learner.
 type ckptRec struct {
 	Task string          `json:"task"`
@@ -77,7 +85,7 @@ func (m *Module) initCheckpoints() error {
 		if d, ok := st.(interface{ AddRecoveryDuration(time.Duration) }); ok {
 			d.AddRecoveryDuration(time.Since(start))
 		}
-		ck.journal = store.NewJournal(st, ck.capture, m.cfg.CheckpointSnapshotBytes, m.cfg.Logger)
+		ck.journal = store.NewJournal(st, ck.capture, ckptSnapshotThreshold, m.cfg.Logger, m.events)
 	}
 	m.ckpt = ck
 	return nil
@@ -177,7 +185,7 @@ func (m *Module) registerCheckpointer(inst *taskInstance, name string, ck ml.Che
 }
 
 // fetchHandoff retrieves the retained handoff blob for one subtask,
-// waiting up to CheckpointFetchTimeout. The broker replays a retained
+// waiting up to handoffFetchTimeout. The broker replays a retained
 // message immediately on subscribe, so the wait only runs long when no
 // blob is retained. Returns nil on miss (none published, cleared by
 // undeploy, or timeout).
@@ -205,7 +213,7 @@ func (m *Module) fetchHandoff(name string) json.RawMessage {
 			return nil // cleared blob: the subtask was undeployed
 		}
 		return json.RawMessage(blob)
-	case <-m.cfg.Clock.After(m.cfg.CheckpointFetchTimeout):
+	case <-m.cfg.Clock.After(handoffFetchTimeout):
 		return nil
 	case <-m.ctx.Done():
 		return nil

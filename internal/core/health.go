@@ -27,7 +27,8 @@ type HealthConfig struct {
 	// missed-beacon count in snapshots.
 	BeaconInterval time.Duration
 	// SuspectAfter is the silence bound for healthy→suspect (default
-	// 15s, the manager's placement staleness bound).
+	// 15s) and the manager's one staleness bound: a module silent longer
+	// leaves its module table and placement pool.
 	SuspectAfter time.Duration
 	// DeadAfter is the silence bound for suspect→dead (default
 	// 2×SuspectAfter).
@@ -156,16 +157,19 @@ func (h *HealthMonitor) bindModuleLocked(id string, e *healthEntry) {
 		rt(func(r telemetry.RuntimeStats) float64 { return float64(r.TasksRunning) }), lbl)
 }
 
-// Observe folds one announce beacon in: the module refreshes to healthy,
-// emitting module_recovered when it was suspect or dead.
-func (h *HealthMonitor) Observe(ann Announce, now time.Time) {
+// Observe folds one announce beacon in and returns the module's prior
+// state ("" when it was unknown): the module refreshes to healthy,
+// emitting module_recovered when it was suspect or dead. Reading the prior
+// state in the same critical section as the refresh is what lets the
+// manager tell a zombie rejoin from a routine beacon.
+func (h *HealthMonitor) Observe(ann Announce, now time.Time) string {
 	if ann.ModuleID == "" {
-		return
+		return ""
 	}
 	h.mu.Lock()
 	e, ok := h.modules[ann.ModuleID]
 	if !ok {
-		e = &healthEntry{state: HealthHealthy}
+		e = &healthEntry{}
 		h.modules[ann.ModuleID] = e
 		h.bindModuleLocked(ann.ModuleID, e)
 	}
@@ -174,9 +178,10 @@ func (h *HealthMonitor) Observe(ann Announce, now time.Time) {
 	e.lastSeen = now
 	e.state = HealthHealthy
 	h.mu.Unlock()
-	if ok && prev != HealthHealthy {
+	if prev != "" && prev != HealthHealthy {
 		h.events.Eventf(telemetry.SevInfo, ann.ModuleID, "module_recovered", "was", prev)
 	}
+	return prev
 }
 
 // Remove drops a module on clean leave; departure is intentional, not a
@@ -198,6 +203,36 @@ func (h *HealthMonitor) State(moduleID string) string {
 	return e.state
 }
 
+// Live lists the announces of modules healthy at now — silent no longer
+// than SuspectAfter and not declared dead — sorted by ID. This is the
+// manager's module table.
+func (h *HealthMonitor) Live(now time.Time) []Announce {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := make([]Announce, 0, len(h.modules))
+	for _, e := range h.modules {
+		if state, _ := h.classify(e, now); state == HealthHealthy {
+			out = append(out, e.ann)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ModuleID < out[j].ModuleID })
+	return out
+}
+
+// classify is the state machine's age rule: silent past DeadAfter is
+// dead, past SuspectAfter suspect (a dead module stays dead until a beacon
+// refreshes it), otherwise the recorded state. Called with h.mu held.
+func (h *HealthMonitor) classify(e *healthEntry, now time.Time) (string, time.Duration) {
+	age := now.Sub(e.lastSeen)
+	switch {
+	case age > h.cfg.DeadAfter:
+		return HealthDead, age
+	case age > h.cfg.SuspectAfter && e.state != HealthDead:
+		return HealthSuspect, age
+	}
+	return e.state, age
+}
+
 // Sweep advances the state machine to now: modules silent past
 // SuspectAfter turn suspect, past DeadAfter dead. Exported so tests
 // drive transitions deterministically; the manager calls it on a timer.
@@ -210,16 +245,7 @@ func (h *HealthMonitor) Sweep(now time.Time) {
 	var changed []transition
 	h.mu.Lock()
 	for id, e := range h.modules {
-		age := now.Sub(e.lastSeen)
-		next := e.state
-		switch {
-		case age > h.cfg.DeadAfter:
-			next = HealthDead
-		case age > h.cfg.SuspectAfter:
-			if e.state != HealthDead {
-				next = HealthSuspect
-			}
-		}
+		next, age := h.classify(e, now)
 		if next != e.state {
 			e.state = next
 			changed = append(changed, transition{id: id, state: next, age: age})
@@ -257,16 +283,7 @@ func (h *HealthMonitor) HealthSnapshot() telemetry.HealthSnapshot {
 	defer h.mu.Unlock()
 	hs := telemetry.HealthSnapshot{Now: now}
 	for id, e := range h.modules {
-		age := now.Sub(e.lastSeen)
-		state := e.state
-		switch {
-		case age > h.cfg.DeadAfter:
-			state = HealthDead
-		case age > h.cfg.SuspectAfter:
-			if state != HealthDead {
-				state = HealthSuspect
-			}
-		}
+		state, age := h.classify(e, now)
 		switch state {
 		case HealthSuspect:
 			hs.Suspect++

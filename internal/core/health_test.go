@@ -25,14 +25,23 @@ func TestHealthMonitorStateMachine(t *testing.T) {
 	cfg := HealthConfig{BeaconInterval: time.Second, SuspectAfter: 3 * time.Second, DeadAfter: 6 * time.Second}
 	h := NewHealthMonitor(clk, cfg, events)
 
-	h.Observe(Announce{ModuleID: "a", CapacityOps: 100}, t0)
+	if prev := h.Observe(Announce{ModuleID: "a", CapacityOps: 100}, t0); prev != "" {
+		t.Fatalf("Observe(a) on first beacon returned %q, want \"\" (unknown)", prev)
+	}
 	h.Observe(Announce{ModuleID: "b"}, t0)
 	if got := h.State("a"); got != HealthHealthy {
 		t.Fatalf("state(a) = %q after announce, want healthy", got)
 	}
 
 	// Module b keeps beaconing; a falls silent.
-	h.Observe(Announce{ModuleID: "b"}, t0.Add(2*time.Second))
+	if prev := h.Observe(Announce{ModuleID: "b"}, t0.Add(2*time.Second)); prev != HealthHealthy {
+		t.Fatalf("Observe(b) on a routine beacon returned %q, want healthy", prev)
+	}
+	// The live set drops a module silent past SuspectAfter even before a
+	// sweep classifies it.
+	if live := h.Live(t0.Add(4 * time.Second)); len(live) != 1 || live[0].ModuleID != "b" {
+		t.Fatalf("Live = %+v, want only b (a silent 4s > SuspectAfter)", live)
+	}
 	h.Sweep(t0.Add(4 * time.Second)) // a silent 4s > SuspectAfter
 	if got := h.State("a"); got != HealthSuspect {
 		t.Fatalf("state(a) = %q, want suspect", got)
@@ -66,8 +75,14 @@ func TestHealthMonitorStateMachine(t *testing.T) {
 		t.Fatalf("module_dead events = %+v", dead)
 	}
 
-	// A fresh beacon resurrects the module and emits module_recovered.
-	h.Observe(Announce{ModuleID: "a"}, t0.Add(9*time.Second))
+	// A fresh beacon resurrects the module and emits module_recovered;
+	// Observe hands back the dead state it replaced.
+	if prev := h.Observe(Announce{ModuleID: "a"}, t0.Add(9*time.Second)); prev != HealthDead {
+		t.Fatalf("Observe(a) on the resurrection beacon returned %q, want dead", prev)
+	}
+	if live := h.Live(t0.Add(9 * time.Second)); len(live) != 2 {
+		t.Fatalf("Live = %+v, want a and b after a's resurrection", live)
+	}
 	if got := h.State("a"); got != HealthHealthy {
 		t.Fatalf("state(a) = %q after resurrection beacon, want healthy", got)
 	}

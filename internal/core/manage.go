@@ -46,16 +46,10 @@ type ManagerConfig struct {
 	Logger *log.Logger
 	// Strategy selects task placement (nil = least-loaded).
 	Strategy tasks.Strategy
-	// StaleAfter ages out silent modules (default 15s).
-	StaleAfter time.Duration
-	// DisableFailover turns off automatic re-assignment of subtasks
-	// hosted on modules that leave or crash (failover is on by default —
-	// the paper's dynamic join/leave future-work item).
-	DisableFailover bool
 	// DisableDeadFailover turns off failover driven by the health
 	// monitor's dead classification (beacon silence without a leave
-	// message — the partitioned-module case). On by default; also
-	// implied by DisableFailover.
+	// message — the partitioned-module case). Failover on leave and drain
+	// always runs — the paper's dynamic join/leave future-work item.
 	DisableDeadFailover bool
 	// Telemetry, when set, receives manager gauges (known modules,
 	// deployments, registered streams) and is passed to the manager's
@@ -72,26 +66,20 @@ type ManagerConfig struct {
 	// previous incarnation. The caller owns the store and closes it after
 	// Close. Nil keeps today's in-memory behavior.
 	Store store.Store
-	// SnapshotBytes bounds journal growth between snapshot compactions
-	// (default 1 MiB).
-	SnapshotBytes int64
 	// Events, when set, is the manager's event log: its own lifecycle
 	// events (deploys, failovers, health transitions) land here together
 	// with the cluster event view ingested from module exports on
 	// ifot/ctrl/events/#. Nil makes NewManager create one of
-	// EventCapacity.
+	// telemetry.DefaultEventCapacity.
 	Events *telemetry.EventLog
-	// EventCapacity bounds the ring NewManager creates when Events is
-	// nil (default telemetry.DefaultEventCapacity).
-	EventCapacity int
 	// EventExportInterval, when positive, publishes the manager's OWN
 	// events (deploys, failovers, health transitions — never re-exported
 	// ingested ones) as EventBatch JSON on TopicEventsPrefix+ID (QoS 0),
 	// so external tails like `ifot-bench -events` see them too.
 	EventExportInterval time.Duration
-	// Health tunes the missed-beacon liveness state machine; a zero
-	// SuspectAfter inherits StaleAfter, the rest default per
-	// HealthConfig.
+	// Health tunes the missed-beacon liveness state machine, whose
+	// entries are the manager's module table: SuspectAfter (default 15s)
+	// is the one staleness bound for listing and placement.
 	Health HealthConfig
 	// SLO, when it has Targets, arms the burn-rate watchdog over the
 	// trace collector's cluster-wide per-stage latency histograms:
@@ -111,23 +99,8 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	if c.Strategy == nil {
 		c.Strategy = tasks.LeastLoaded{}
 	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 15 * time.Second
-	}
-	if c.SnapshotBytes <= 0 {
-		c.SnapshotBytes = 1 << 20
-	}
-	if c.Health.SuspectAfter <= 0 {
-		c.Health.SuspectAfter = c.StaleAfter
-	}
 	c.Health = c.Health.withDefaults()
 	return c
-}
-
-// moduleState tracks one known module.
-type moduleState struct {
-	announce Announce
-	lastSeen time.Time
 }
 
 // Deployment tracks one deployed recipe.
@@ -204,21 +177,23 @@ func (d *Deployment) noteStatus(s Status) {
 // Manager is the management node (the paper's management software, Fig. 7/8):
 // it tracks module presence, splits submitted recipes, assigns subtasks,
 // and runs the stream-discovery registry.
+//
+// Each control-plane fact has one table: module presence is the health
+// monitor's, the deployment table changes only through applyLocked, and
+// the stream registry is derived from the deployment table on read.
 type Manager struct {
 	cfg    ManagerConfig
 	client *mqttclient.Client
 
 	mu          sync.Mutex
-	modules     map[string]*moduleState
-	deployments map[string]*Deployment
-	streams     map[string]StreamInfo // keyed by topic
-	draining    map[string]bool       // modules mid-drain: out of the placement pool
+	deployments map[string]*Deployment // written only by applyLocked
+	draining    map[string]bool        // modules mid-drain: out of the placement pool
 
 	collector *TraceCollector
 	journal   *store.Journal // nil without ManagerConfig.Store
 
 	events *telemetry.EventLog
-	health *HealthMonitor
+	health *HealthMonitor // the module table; lock order mu ⊃ health.mu
 
 	// failoverCounters counts subtasks moved per trigger reason; fencedTasks
 	// counts stale instances fenced on zombie rejoin. Nil without Telemetry.
@@ -240,16 +215,14 @@ type Manager struct {
 func NewManager(cfg ManagerConfig) *Manager {
 	mgr := &Manager{
 		cfg:         cfg.withDefaults(),
-		modules:     make(map[string]*moduleState),
 		deployments: make(map[string]*Deployment),
-		streams:     make(map[string]StreamInfo),
 		draining:    make(map[string]bool),
 		evDrops:     make(map[string]uint64),
 	}
 	mgr.collector = NewTraceCollector(mgr.cfg.Clock, mgr.cfg.TraceFlowCapacity)
 	mgr.events = mgr.cfg.Events
 	if mgr.events == nil {
-		mgr.events = telemetry.NewEventLog(mgr.cfg.EventCapacity)
+		mgr.events = telemetry.NewEventLog(0)
 	}
 	if mgr.cfg.EventExportInterval > 0 {
 		mgr.events.SetExportBuffer(0)
@@ -265,8 +238,6 @@ func NewManager(cfg ManagerConfig) *Manager {
 		}
 		mgr.fencedTasks = reg.Counter("ifot_mgmt_tasks_fenced_total",
 			"stale task instances fenced on module reconciliation")
-	}
-	if reg := mgr.cfg.Telemetry; reg != nil {
 		mgr.collector.BindRegistry(reg)
 		mgr.events.BindRegistry(reg, telemetry.L("module", mgr.cfg.ID))
 		mgr.health.BindRegistry(reg)
@@ -290,19 +261,17 @@ func NewManager(cfg ManagerConfig) *Manager {
 				}
 				return int64(sum)
 			})
-		count := func(f func() int) func() float64 {
-			return func() float64 {
-				mgr.mu.Lock()
-				defer mgr.mu.Unlock()
-				return float64(f())
-			}
-		}
+		// Modules not classified dead: a dead module stays in the health
+		// table (so a later beacon reads as a rejoin) but is no longer known.
 		reg.GaugeFunc("ifot_mgmt_modules_known", "modules currently announced to the manager",
-			count(func() int { return len(mgr.modules) }))
-		reg.GaugeFunc("ifot_mgmt_deployments", "recipes currently deployed",
-			count(func() int { return len(mgr.deployments) }))
+			func() float64 { hs := mgr.health.HealthSnapshot(); return float64(hs.Healthy + hs.Suspect) })
+		reg.GaugeFunc("ifot_mgmt_deployments", "recipes currently deployed", func() float64 {
+			mgr.mu.Lock()
+			defer mgr.mu.Unlock()
+			return float64(len(mgr.deployments))
+		})
 		reg.GaugeFunc("ifot_mgmt_streams", "streams in the discovery registry",
-			count(func() int { return len(mgr.streams) }))
+			func() float64 { return float64(len(mgr.Streams())) })
 	}
 	return mgr
 }
@@ -485,30 +454,46 @@ func (mgr *Manager) Close() error {
 	return nil
 }
 
-// Modules lists currently known (non-stale) modules, sorted by ID.
+// Modules lists the live modules (silent no longer than
+// Health.SuspectAfter and not declared dead), sorted by ID.
 func (mgr *Manager) Modules() []Announce {
-	now := mgr.cfg.Clock.Now()
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	out := make([]Announce, 0, len(mgr.modules))
-	for _, st := range mgr.modules {
-		if now.Sub(st.lastSeen) <= mgr.cfg.StaleAfter {
-			out = append(out, st.announce)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ModuleID < out[j].ModuleID })
-	return out
+	return mgr.health.Live(mgr.cfg.Clock.Now())
 }
 
-// Streams lists registered streams, sorted by topic.
+// Streams lists the stream registry, sorted by topic, then recipe.
 func (mgr *Manager) Streams() []StreamInfo {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
-	out := make([]StreamInfo, 0, len(mgr.streams))
-	for _, s := range mgr.streams {
-		out = append(out, s)
+	return mgr.streamsLocked()
+}
+
+// streamsLocked derives the stream registry from the deployment table:
+// one entry per (output topic, recipe), naming the host of the last
+// subtask that produces the topic. Called with mu held.
+func (mgr *Manager) streamsLocked() []StreamInfo {
+	var out []StreamInfo
+	for name, dep := range mgr.deployments {
+		at := make(map[string]int) // topic → index in out
+		for _, s := range dep.SubTasks {
+			if s.Task.Output == "" {
+				continue
+			}
+			info := StreamInfo{Topic: s.Task.Output, Recipe: name, TaskID: s.TaskID,
+				Kind: string(s.Task.Kind), ModuleID: dep.Assignment[s.Name()]}
+			if i, ok := at[info.Topic]; ok {
+				out[i] = info
+				continue
+			}
+			at[info.Topic] = len(out)
+			out = append(out, info)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Topic < out[j].Topic })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Topic != out[j].Topic {
+			return out[i].Topic < out[j].Topic
+		}
+		return out[i].Recipe < out[j].Recipe
+	})
 	return out
 }
 
@@ -533,18 +518,6 @@ func (mgr *Manager) Deploy(rec *recipe.Recipe) (*Deployment, error) {
 	for _, s := range subtasks {
 		epochs[s.Name()] = 1
 	}
-	dep := &Deployment{
-		Recipe:     *rec,
-		SubTasks:   subtasks,
-		Assignment: assignment,
-		Epochs:     epochs,
-		pending:    make(map[string]struct{}, len(subtasks)),
-		failed:     make(map[string]string),
-		done:       make(chan struct{}),
-	}
-	for _, s := range subtasks {
-		dep.pending[s.Name()] = struct{}{}
-	}
 
 	// A higher recipe version replaces the running deployment (rolling
 	// upgrade); the same or an older version is rejected.
@@ -561,21 +534,7 @@ func (mgr *Manager) Deploy(rec *recipe.Recipe) (*Deployment, error) {
 		}
 		mgr.mu.Lock()
 	}
-	mgr.deployments[rec.Name] = dep
-	for _, s := range subtasks {
-		if s.Task.Output != "" {
-			mgr.streams[s.Task.Output] = StreamInfo{
-				Topic:    s.Task.Output,
-				Recipe:   rec.Name,
-				TaskID:   s.TaskID,
-				Kind:     string(s.Task.Kind),
-				ModuleID: assignment[s.Name()],
-			}
-		}
-	}
-	// Journal under the same lock as the table mutation so WAL order
-	// matches memory order.
-	mgr.persist(mgrRec{
+	dep := mgr.commitLocked(mgrRec{
 		Op: mgrOpDeploy, Name: rec.Name, Recipe: rec,
 		SubTasks: subtasks, Assignment: assignment, Epochs: epochs,
 	})
@@ -607,12 +566,6 @@ func (mgr *Manager) Undeploy(name string) error {
 	mgr.mu.Lock()
 	dep, ok := mgr.deployments[name]
 	if ok {
-		delete(mgr.deployments, name)
-		for topic, info := range mgr.streams {
-			if info.Recipe == name {
-				delete(mgr.streams, topic)
-			}
-		}
 		// Snapshot the revocation targets under the lock: a concurrent
 		// failover may still be mutating this deployment's tables.
 		for _, s := range dep.SubTasks {
@@ -620,7 +573,7 @@ func (mgr *Manager) Undeploy(name string) error {
 				task: s.Name(), module: dep.Assignment[s.Name()], epoch: dep.Epochs[s.Name()],
 			})
 		}
-		mgr.persist(mgrRec{Op: mgrOpUndeploy, Name: name})
+		mgr.commitLocked(mgrRec{Op: mgrOpUndeploy, Name: name})
 	}
 	mgr.mu.Unlock()
 	if !ok {
@@ -644,39 +597,33 @@ func (mgr *Manager) Deployment(name string) (*Deployment, bool) {
 	return dep, ok
 }
 
+// moduleInfos is the placement pool, sorted by ID: the live modules
+// (suspect and dead ones are out — failover must never land tasks on
+// another dying module) minus draining ones, which are on their way out.
 func (mgr *Manager) moduleInfos() []tasks.ModuleInfo {
 	now := mgr.cfg.Clock.Now()
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
 	committed := mgr.committedLoadLocked()
-	infos := make([]tasks.ModuleInfo, 0, len(mgr.modules))
-	for id, st := range mgr.modules {
-		if now.Sub(st.lastSeen) > mgr.cfg.StaleAfter {
-			continue
-		}
-		// Suspect and dead modules leave the placement pool — failover
-		// must never land tasks on another dying module — and draining
-		// modules are on their way out.
-		if mgr.draining[id] {
-			continue
-		}
-		if hs := mgr.health.State(id); hs == HealthSuspect || hs == HealthDead {
+	live := mgr.health.Live(now)
+	infos := make([]tasks.ModuleInfo, 0, len(live))
+	for _, ann := range live {
+		if mgr.draining[ann.ModuleID] {
 			continue
 		}
 		info := tasks.ModuleInfo{
-			ID:           st.announce.ModuleID,
-			Capabilities: st.announce.Capabilities,
-			CapacityOps:  st.announce.CapacityOps,
-			BaseLoad:     committed[st.announce.ModuleID],
+			ID:           ann.ModuleID,
+			Capabilities: ann.Capabilities,
+			CapacityOps:  ann.CapacityOps,
+			BaseLoad:     committed[ann.ModuleID],
 		}
-		if rt := st.announce.Runtime; rt != nil {
+		if rt := ann.Runtime; rt != nil {
 			info.TasksRunning = rt.TasksRunning
 			info.Goroutines = rt.Goroutines
 			info.HeapBytes = rt.HeapBytes
 		}
 		infos = append(infos, info)
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 	return infos
 }
 
@@ -735,17 +682,13 @@ func (mgr *Manager) handleAnnounce(msg mqttclient.Message) {
 		return
 	}
 	now := mgr.cfg.Clock.Now()
-	// Read the prior classification BEFORE Observe refreshes it: a beacon
-	// from a module previously declared dead is a zombie rejoin, not a
-	// routine refresh.
-	rejoined := mgr.health.State(ann.ModuleID) == HealthDead
-	mgr.mu.Lock()
-	mgr.modules[ann.ModuleID] = &moduleState{announce: ann, lastSeen: now}
-	mgr.mu.Unlock()
 	// Announce beacons double as clock-skew probes for the trace
 	// collector: SentAt is stamped by the module's clock, now by ours.
 	mgr.collector.NoteAnnounce(ann.ModuleID, ann.SentAt, now)
-	mgr.health.Observe(ann, now)
+	// The prior classification comes out of the same critical section as
+	// the refresh: a beacon from a module declared dead is a zombie
+	// rejoin, not a routine refresh, even when a sweep just declared it.
+	rejoined := mgr.health.Observe(ann, now) == HealthDead
 	if rejoined {
 		mgr.events.Eventf(telemetry.SevWarn, ann.ModuleID, "module_rejoined",
 			"claimed_tasks", strconv.Itoa(len(ann.RunningTasks)))
@@ -770,14 +713,9 @@ func (mgr *Manager) reconcileModule(ann Announce) {
 	for _, dep := range mgr.deployments {
 		for _, s := range dep.SubTasks {
 			name := s.Name()
-			if dep.Assignment[name] != ann.ModuleID {
-				continue
+			if dep.Assignment[name] == ann.ModuleID {
+				desired[name] = dep.Epochs[name]
 			}
-			e := dep.Epochs[name]
-			if e == 0 {
-				e = 1
-			}
-			desired[name] = e
 		}
 	}
 	mgr.mu.Unlock()
@@ -807,17 +745,13 @@ func (mgr *Manager) reconcileModule(ann Announce) {
 // classification triggers the same failover a leave message would — the
 // partitioned-module case, where the MQTT will never fires.
 func (mgr *Manager) onHealthTransition(moduleID, state string) {
-	if state != HealthDead {
+	if state != HealthDead || mgr.cfg.DisableDeadFailover {
 		return
 	}
-	if mgr.cfg.DisableFailover || mgr.cfg.DisableDeadFailover {
-		return
-	}
-	// The dead module leaves the known-module table (and with it the
-	// placement pool) but stays in the health table, so a later beacon
-	// is recognized as a rejoin and reconciled.
+	// The dead module is out of the live set (and with it the placement
+	// pool) but stays in the health table, so a later beacon is
+	// recognized as a rejoin and reconciled.
 	mgr.mu.Lock()
-	delete(mgr.modules, moduleID)
 	delete(mgr.draining, moduleID)
 	mgr.mu.Unlock()
 	mgr.events.Eventf(telemetry.SevError, mgr.cfg.ID, "failover_dead", "module", moduleID)
@@ -831,15 +765,12 @@ func (mgr *Manager) handleLeave(msg mqttclient.Message) {
 		return
 	}
 	mgr.mu.Lock()
-	delete(mgr.modules, ann.ModuleID)
 	delete(mgr.draining, ann.ModuleID)
 	mgr.mu.Unlock()
 	mgr.health.Remove(ann.ModuleID)
 	mgr.events.Eventf(telemetry.SevInfo, ann.ModuleID, "module_left")
 	mgr.logf("manager: module %s left", ann.ModuleID)
-	if !mgr.cfg.DisableFailover {
-		mgr.reassignFrom(ann.ModuleID, failoverLeave)
-	}
+	mgr.reassignFrom(ann.ModuleID, failoverLeave)
 }
 
 // handleDrain starts a graceful drain: the module is pulled from the
@@ -919,19 +850,14 @@ func (mgr *Manager) reassignFrom(deadModuleID, reason string) (moved, unplaceabl
 			infos[i].TasksRunning++
 		}
 		mgr.mu.Lock()
-		dep.Assignment[s.Name()] = target
-		if dep.Epochs == nil {
-			dep.Epochs = make(map[string]uint64)
+		if mgr.deployments[dep.Recipe.Name] != dep {
+			// Undeployed or upgraded since the snapshot: the record would
+			// land on the replacement deployment.
+			mgr.mu.Unlock()
+			continue
 		}
-		dep.Epochs[s.Name()]++
-		epoch := dep.Epochs[s.Name()]
-		if s.Task.Output != "" {
-			if info, ok := mgr.streams[s.Task.Output]; ok {
-				info.ModuleID = target
-				mgr.streams[s.Task.Output] = info
-			}
-		}
-		mgr.persist(mgrRec{Op: mgrOpAssign, Name: dep.Recipe.Name, Task: s.Name(), Module: target, Epoch: epoch})
+		epoch := dep.Epochs[s.Name()] + 1
+		mgr.commitLocked(mgrRec{Op: mgrOpAssign, Name: dep.Recipe.Name, Task: s.Name(), Module: target, Epoch: epoch})
 		mgr.mu.Unlock()
 		if reason == failoverDrain {
 			// Revoke before re-assigning: the draining host checkpoints

@@ -11,12 +11,15 @@ import (
 	"github.com/ifot-middleware/ifot/internal/wire"
 )
 
-// Deployment journaling. With ManagerConfig.Store set, the manager
-// journals every deployment, undeployment, and failover reassignment; a
-// restarted manager replays the journal, re-publishes the recovered
-// assignments (modules already hosting a subtask acknowledge idempotently),
-// and resumes supervising — status tracking and failover keep working for
-// recipes deployed by the previous incarnation.
+// Deployment journaling. Every change to the deployment table is one
+// mgrRec folded in by applyLocked — on the live path (Deploy, Undeploy,
+// failover) and on replay alike, so the recovered table cannot drift from
+// the one that was journaled. With ManagerConfig.Store set, the live path
+// also journals each record; a restarted manager replays the journal,
+// re-publishes the recovered assignments (modules already hosting a
+// subtask acknowledge idempotently), and resumes supervising — status
+// tracking and failover keep working for recipes deployed by the previous
+// incarnation.
 //
 // Record application is idempotent and last-writer-wins per recipe, which
 // is what the store's snapshot contract requires (records between the
@@ -50,20 +53,88 @@ type mgrSnapshot struct {
 	Deployments []mgrRec `json:"deployments"`
 }
 
-// persist appends one journal record; journaling errors degrade
-// durability, they never take down a live manager.
-func (mgr *Manager) persist(rec mgrRec) {
+// mgrSnapshotThreshold is the live-journal size that triggers a snapshot
+// compaction.
+const mgrSnapshotThreshold = 1 << 20
+
+// applyLocked folds one record into the deployment table; it is the only
+// code that writes mgr.deployments, dep.Assignment or dep.Epochs. It
+// returns the deployment the record touched (nil when there is none).
+// Called with mu held.
+func (mgr *Manager) applyLocked(rec mgrRec) *Deployment {
+	switch rec.Op {
+	case mgrOpDeploy:
+		if rec.Recipe == nil {
+			return nil
+		}
+		// Every subtask is pending: a live deploy waits for the first
+		// acks, a recovered one for the acks to resumeDeployments'
+		// re-published assignments (idempotent when already running).
+		dep := &Deployment{
+			Recipe:     *rec.Recipe,
+			SubTasks:   rec.SubTasks,
+			Assignment: make(tasks.Assignment, len(rec.Assignment)),
+			Epochs:     make(map[string]uint64, len(rec.SubTasks)),
+			pending:    make(map[string]struct{}, len(rec.SubTasks)),
+			failed:     make(map[string]string),
+			done:       make(chan struct{}),
+		}
+		for k, v := range rec.Assignment {
+			dep.Assignment[k] = v
+		}
+		for _, s := range rec.SubTasks {
+			// Pre-epoch journals carry no epoch table: every subtask
+			// starts at the deploy epoch, so a later failover bump (→2)
+			// still outranks whatever instance is in the field.
+			e := rec.Epochs[s.Name()]
+			if e == 0 {
+				e = 1
+			}
+			dep.Epochs[s.Name()] = e
+			dep.pending[s.Name()] = struct{}{}
+		}
+		mgr.deployments[rec.Name] = dep
+		return dep
+	case mgrOpUndeploy:
+		dep := mgr.deployments[rec.Name]
+		delete(mgr.deployments, rec.Name)
+		return dep
+	case mgrOpAssign:
+		dep, ok := mgr.deployments[rec.Name]
+		if !ok {
+			return nil
+		}
+		dep.Assignment[rec.Task] = rec.Module
+		// Pre-epoch assign records (Epoch 0) still represent one failover
+		// move each; bumping keeps the table monotonic across upgrades.
+		e := rec.Epoch
+		if e == 0 {
+			e = dep.Epochs[rec.Task] + 1
+		}
+		dep.Epochs[rec.Task] = max(dep.Epochs[rec.Task], e)
+		return dep
+	}
+	return nil
+}
+
+// commitLocked is the live path's one write: it applies the record and
+// journals it under the same lock, so WAL order equals memory order.
+// Journaling errors degrade durability; they never take down a live
+// manager. Called with mu held.
+func (mgr *Manager) commitLocked(rec mgrRec) *Deployment {
+	dep := mgr.applyLocked(rec)
 	if mgr.journal == nil {
-		return
+		return dep
 	}
 	data, err := json.Marshal(rec)
 	if err != nil {
 		mgr.logf("manager: encode journal record: %v", err)
-		return
+		return dep
 	}
 	if err := mgr.journal.Append(data); err != nil {
 		mgr.logf("manager: journal append: %v", err)
 	}
+	return dep
 }
 
 // captureState serializes all deployments for snapshot compaction.
@@ -93,8 +164,11 @@ func (mgr *Manager) captureState() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// recoverState rebuilds the deployment table from snapshot plus WAL.
+// recoverState rebuilds the deployment table from snapshot plus WAL,
+// folding every record through applyLocked.
 func (mgr *Manager) recoverState(st store.Store) error {
+	mgr.mu.Lock()
+	defer mgr.mu.Unlock()
 	snap, err := st.LoadSnapshot()
 	if err != nil {
 		return err
@@ -104,8 +178,8 @@ func (mgr *Manager) recoverState(st store.Store) error {
 		if err := json.Unmarshal(snap, &s); err != nil {
 			return fmt.Errorf("decode snapshot: %w", err)
 		}
-		for i := range s.Deployments {
-			mgr.applyRecovered(s.Deployments[i])
+		for _, rec := range s.Deployments {
+			mgr.applyLocked(rec)
 		}
 	}
 	return st.Replay(func(data []byte) error {
@@ -113,96 +187,9 @@ func (mgr *Manager) recoverState(st store.Store) error {
 		if err := json.Unmarshal(data, &rec); err != nil {
 			return fmt.Errorf("decode record: %w", err)
 		}
-		mgr.applyRecovered(rec)
+		mgr.applyLocked(rec)
 		return nil
 	})
-}
-
-// applyRecovered folds one journal record into the deployment table.
-// Runs before Start connects, so no locking races with handlers.
-func (mgr *Manager) applyRecovered(rec mgrRec) {
-	switch rec.Op {
-	case mgrOpDeploy:
-		if rec.Recipe == nil {
-			return
-		}
-		dep := &Deployment{
-			Recipe:     *rec.Recipe,
-			SubTasks:   rec.SubTasks,
-			Assignment: rec.Assignment,
-			Epochs:     rec.Epochs,
-			pending:    make(map[string]struct{}, len(rec.SubTasks)),
-			failed:     make(map[string]string),
-			done:       make(chan struct{}),
-		}
-		if dep.Assignment == nil {
-			dep.Assignment = make(tasks.Assignment)
-		}
-		if dep.Epochs == nil {
-			dep.Epochs = make(map[string]uint64)
-		}
-		// Pre-epoch journals carry no epoch table: every assigned subtask
-		// starts at the deploy epoch, so a later failover bump (→2) still
-		// outranks whatever instance is in the field.
-		for _, s := range rec.SubTasks {
-			if dep.Epochs[s.Name()] == 0 {
-				dep.Epochs[s.Name()] = 1
-			}
-		}
-		// Every subtask is pending again: resumeDeployments re-publishes
-		// the assignments and modules ack (idempotently when already
-		// running), draining the set.
-		for _, s := range rec.SubTasks {
-			dep.pending[s.Name()] = struct{}{}
-		}
-		mgr.deployments[rec.Name] = dep
-		for _, s := range rec.SubTasks {
-			if s.Task.Output != "" {
-				mgr.streams[s.Task.Output] = StreamInfo{
-					Topic:    s.Task.Output,
-					Recipe:   rec.Name,
-					TaskID:   s.TaskID,
-					Kind:     string(s.Task.Kind),
-					ModuleID: dep.Assignment[s.Name()],
-				}
-			}
-		}
-	case mgrOpUndeploy:
-		delete(mgr.deployments, rec.Name)
-		for topic, info := range mgr.streams {
-			if info.Recipe == rec.Name {
-				delete(mgr.streams, topic)
-			}
-		}
-	case mgrOpAssign:
-		dep, ok := mgr.deployments[rec.Name]
-		if !ok {
-			return
-		}
-		dep.Assignment[rec.Task] = rec.Module
-		if dep.Epochs == nil {
-			dep.Epochs = make(map[string]uint64)
-		}
-		// Pre-epoch assign records (Epoch 0) still represent one failover
-		// move each; bumping keeps the table monotonic across upgrades.
-		e := rec.Epoch
-		if e == 0 {
-			e = dep.Epochs[rec.Task] + 1
-		}
-		if e > dep.Epochs[rec.Task] {
-			dep.Epochs[rec.Task] = e
-		}
-		for topic, info := range mgr.streams {
-			if info.Recipe == rec.Name {
-				for _, s := range dep.SubTasks {
-					if s.Name() == rec.Task && s.Task.Output == topic {
-						info.ModuleID = rec.Module
-						mgr.streams[topic] = info
-					}
-				}
-			}
-		}
-	}
 }
 
 // initPersistence recovers journaled deployments and arms the journal.
@@ -219,7 +206,7 @@ func (mgr *Manager) initPersistence() error {
 	if d, ok := st.(interface{ AddRecoveryDuration(time.Duration) }); ok {
 		d.AddRecoveryDuration(time.Since(start))
 	}
-	mgr.journal = store.NewJournal(st, mgr.captureState, mgr.cfg.SnapshotBytes, mgr.cfg.Logger)
+	mgr.journal = store.NewJournal(st, mgr.captureState, mgrSnapshotThreshold, mgr.cfg.Logger, mgr.events)
 	return nil
 }
 

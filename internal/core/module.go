@@ -118,11 +118,8 @@ type Config struct {
 	// here (and on the local /events endpoint). Share the same
 	// log with store.Options.Events so WAL recovery events emitted before
 	// the module exists ride the same export stream. Nil makes NewModule
-	// create one of EventCapacity.
+	// create one of telemetry.DefaultEventCapacity.
 	Events *telemetry.EventLog
-	// EventCapacity bounds the ring of the log NewModule creates when
-	// Events is nil (default telemetry.DefaultEventCapacity).
-	EventCapacity int
 	// EventExportInterval, when positive, turns on event export: buffered
 	// events are published as telemetry.EventBatch JSON on
 	// TopicEventsPrefix+ID (QoS 0) every interval, for the management
@@ -137,9 +134,6 @@ type Config struct {
 	// CheckpointInterval spaces model checkpoints (default 30s when Store
 	// is set).
 	CheckpointInterval time.Duration
-	// CheckpointSnapshotBytes bounds checkpoint-WAL growth between
-	// snapshot compactions (default 4 MiB).
-	CheckpointSnapshotBytes int64
 	// CheckpointHandoff, when set, publishes each subtask's latest model
 	// checkpoint as a retained blob on CheckpointTopic(name), and fetches
 	// that blob when a task starts without local checkpoint state — so the
@@ -147,9 +141,6 @@ type Config struct {
 	// saw the dead module's store. Orthogonal to Store: a module can hand
 	// off without journaling locally and vice versa.
 	CheckpointHandoff bool
-	// CheckpointFetchTimeout bounds the start-time wait for a retained
-	// handoff blob (default 2s). Only used with CheckpointHandoff.
-	CheckpointFetchTimeout time.Duration
 	// AckTimeout bounds QoS1 acknowledgement waits on the module's broker
 	// session (default mqttclient's 10s). Announce beacons are QoS1, so
 	// this is also how quickly a silent partition surfaces as a publish
@@ -185,12 +176,6 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 30 * time.Second
 	}
-	if c.CheckpointSnapshotBytes <= 0 {
-		c.CheckpointSnapshotBytes = 4 << 20
-	}
-	if c.CheckpointFetchTimeout <= 0 {
-		c.CheckpointFetchTimeout = 2 * time.Second
-	}
 	return c
 }
 
@@ -206,8 +191,7 @@ type Module struct {
 	sensors   map[string]*sensor.Sensor
 	actuators map[string]sensor.Actuator
 	customs   map[string]CustomFunc
-	running   map[string]*taskInstance
-	specs     map[string]taskSpec // survives reconnects
+	hosted    map[string]*hostedTask // the task table, by subtask name
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -241,6 +225,15 @@ type taskSpec struct {
 	epoch uint64
 }
 
+// hostedTask is one entry of the module's task table. The entry exists
+// from the moment a start reserves the name until the task is stopped;
+// inst is nil while a start or restart builds the instance and after a
+// restart failed (the spec survives for the next one).
+type hostedTask struct {
+	spec taskSpec
+	inst *taskInstance
+}
+
 // NewModule creates an unstarted module.
 func NewModule(cfg Config) *Module {
 	m := &Module{
@@ -248,13 +241,12 @@ func NewModule(cfg Config) *Module {
 		sensors:   make(map[string]*sensor.Sensor),
 		actuators: make(map[string]sensor.Actuator),
 		customs:   make(map[string]CustomFunc),
-		running:   make(map[string]*taskInstance),
-		specs:     make(map[string]taskSpec),
+		hosted:    make(map[string]*hostedTask),
 		warnLast:  make(map[[2]string]time.Time),
 	}
 	m.events = m.cfg.Events
 	if m.events == nil {
-		m.events = telemetry.NewEventLog(m.cfg.EventCapacity)
+		m.events = telemetry.NewEventLog(0)
 	}
 	if m.cfg.EventExportInterval > 0 {
 		m.events.SetExportBuffer(0)
@@ -274,11 +266,8 @@ func NewModule(cfg Config) *Module {
 			fencedDrops: reg.Counter("ifot_module_fenced_drops_total",
 				"data-plane publishes dropped while outputs were fenced", id),
 		}
-		reg.GaugeFunc("ifot_module_tasks_running", "subtasks currently hosted", func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			return float64(len(m.running))
-		}, id)
+		reg.GaugeFunc("ifot_module_tasks_running", "subtasks currently hosted",
+			func() float64 { return float64(len(m.RunningTasks())) }, id)
 	}
 	if m.cfg.Tracer == nil {
 		m.cfg.TraceExportInterval = 0 // no spans to ship
@@ -543,17 +532,13 @@ func (m *Module) connect() (*mqttclient.Client, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("core: module %s connect: %w", m.cfg.ID, err)
 	}
-	if _, err := client.Subscribe(TopicAssignPrefix+m.cfg.ID, wire.QoS1, m.handleAssign); err != nil {
-		_ = client.Close()
-		return nil, fmt.Errorf("core: module %s subscribe assign: %w", m.cfg.ID, err)
-	}
-	if _, err := client.Subscribe(TopicRevokePrefix+m.cfg.ID, wire.QoS1, m.handleRevoke); err != nil {
-		_ = client.Close()
-		return nil, fmt.Errorf("core: module %s subscribe revoke: %w", m.cfg.ID, err)
-	}
-	if _, err := client.Subscribe(TopicReconcilePrefix+m.cfg.ID, wire.QoS1, m.handleReconcile); err != nil {
-		_ = client.Close()
-		return nil, fmt.Errorf("core: module %s subscribe reconcile: %w", m.cfg.ID, err)
+	for prefix, handler := range map[string]mqttclient.Handler{
+		TopicAssignPrefix: m.handleAssign, TopicRevokePrefix: m.handleRevoke, TopicReconcilePrefix: m.handleReconcile,
+	} {
+		if _, err := client.Subscribe(prefix+m.cfg.ID, wire.QoS1, handler); err != nil {
+			_ = client.Close()
+			return nil, fmt.Errorf("core: module %s subscribe %s: %w", m.cfg.ID, prefix+m.cfg.ID, err)
+		}
 	}
 	return client, nil
 }
@@ -613,32 +598,54 @@ func (m *Module) watchConnection(client *mqttclient.Client) {
 	m.events.Eventf(telemetry.SevError, m.cfg.ID, "reconnect_gave_up")
 }
 
-// restartTasks rebuilds every assigned task on the current connection.
+// restartTasks rebuilds every hosted task on the current connection. A
+// task stopped (or fenced) while its instance is rebuilt stays stopped,
+// and one a concurrent start filled first keeps that start's instance.
 func (m *Module) restartTasks() {
 	m.mu.Lock()
-	specs := make(map[string]taskSpec, len(m.specs))
-	for name, spec := range m.specs {
-		specs[name] = spec
+	entries := make(map[string]*hostedTask, len(m.hosted))
+	var old []*taskInstance
+	for name, ht := range m.hosted {
+		entries[name] = ht
+		if ht.inst != nil {
+			old = append(old, ht.inst)
+			ht.inst = nil
+		}
 	}
-	old := m.running
-	m.running = make(map[string]*taskInstance, len(specs))
 	m.mu.Unlock()
 
 	for _, inst := range old {
 		inst.stop()
 	}
-	for name, spec := range specs {
-		inst, err := m.newTaskInstance(spec.rec, spec.sub)
+	for name, ht := range entries {
+		inst, err := m.newTaskInstance(ht.spec.rec, ht.spec.sub)
 		if err != nil {
 			m.logf("module %s restart %s: %v", m.cfg.ID, name, err)
 			m.reportStatus(name, StatusFailed, err.Error())
 			continue
 		}
-		m.mu.Lock()
-		m.running[name] = inst
-		m.mu.Unlock()
-		m.reportStatus(name, StatusStarted, "restarted after reconnect")
+		if m.install(name, ht, inst) {
+			m.reportStatus(name, StatusStarted, "restarted after reconnect")
+		}
 	}
+}
+
+// install fills entry ht with inst if ht is still name's entry and still
+// empty. Otherwise the build lost a race (stop, fence, Close or another
+// builder) and inst is stopped as fenced — it never owned the task, so
+// its stop-time checkpoint is not handed off. Reports whether it installed.
+func (m *Module) install(name string, ht *hostedTask, inst *taskInstance) bool {
+	m.mu.Lock()
+	ok := m.hosted[name] == ht && ht.inst == nil
+	if ok {
+		ht.inst = inst
+	}
+	m.mu.Unlock()
+	if !ok {
+		inst.markFenced()
+		inst.stop()
+	}
+	return ok
 }
 
 // Close stops all tasks, says goodbye, and disconnects.
@@ -649,17 +656,15 @@ func (m *Module) Close() error {
 		return nil
 	}
 	m.closed = true
-	instances := make([]*taskInstance, 0, len(m.running))
-	for _, inst := range m.running {
-		instances = append(instances, inst)
-	}
-	m.running = make(map[string]*taskInstance)
-	m.specs = make(map[string]taskSpec)
+	hosted := m.hosted
+	m.hosted = make(map[string]*hostedTask)
 	m.mu.Unlock()
 
 	m.cancel()
-	for _, inst := range instances {
-		inst.stop()
+	for _, ht := range hosted {
+		if ht.inst != nil {
+			ht.inst.stop()
+		}
 	}
 	m.wg.Wait()
 	if m.ckpt != nil && m.ckpt.journal != nil {
@@ -679,13 +684,8 @@ func (m *Module) Close() error {
 // RunningTasks lists the names of currently hosted subtasks, sorted order
 // not guaranteed.
 func (m *Module) RunningTasks() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.running))
-	for name := range m.running {
-		out = append(out, name)
-	}
-	return out
+	names, _ := m.taskSnapshot()
+	return names
 }
 
 // Publish exposes the Publish class for application code running beside
@@ -729,37 +729,40 @@ func (m *Module) StartTask(rec recipe.Recipe, sub recipe.SubTask) error {
 // epoch (0 for direct starts); it rides on the spec so reconciliation
 // and stale-assignment checks can compare generations.
 func (m *Module) startTask(rec recipe.Recipe, sub recipe.SubTask, epoch uint64) error {
+	name := sub.Name()
 	m.mu.Lock()
 	if !m.started || m.closed {
 		m.mu.Unlock()
 		return ErrNotStarted
 	}
-	if _, exists := m.running[sub.Name()]; exists {
+	if _, exists := m.hosted[name]; exists {
 		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrTaskExists, sub.Name())
+		return fmt.Errorf("%w: %s", ErrTaskExists, name)
 	}
-	// Taken with the closed check so a concurrent Close waits for this
-	// start: the task goroutines newTaskInstance adds never race Close's
-	// Wait, and the closed re-check below stops the instance.
+	// Reserve the name and take the wait-group slot with the closed and
+	// exists checks: a concurrent duplicate start sees the entry, and a
+	// concurrent Close waits for this start (the task goroutines
+	// newTaskInstance adds never race Close's Wait).
+	ht := &hostedTask{spec: taskSpec{rec: rec, sub: sub, epoch: epoch}}
+	m.hosted[name] = ht
 	m.wg.Add(1)
 	defer m.wg.Done()
 	m.mu.Unlock()
 
 	inst, err := m.newTaskInstance(rec, sub)
 	if err != nil {
-		m.reportStatus(sub.Name(), StatusFailed, err.Error())
+		m.mu.Lock()
+		if m.hosted[name] == ht && ht.inst == nil {
+			delete(m.hosted, name)
+		}
+		m.mu.Unlock()
+		m.reportStatus(name, StatusFailed, err.Error())
 		return err
 	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		inst.stop()
-		return ErrNotStarted
+	if !m.install(name, ht, inst) {
+		return fmt.Errorf("core: task %s stopped, restarted or closed while starting", name)
 	}
-	m.running[sub.Name()] = inst
-	m.specs[sub.Name()] = taskSpec{rec: rec, sub: sub, epoch: epoch}
-	m.mu.Unlock()
-	m.reportStatus(sub.Name(), StatusStarted, "")
+	m.reportStatus(name, StatusStarted, "")
 	m.logf("module %s started task %s (%s)", m.cfg.ID, sub.Name(), sub.Task.Kind)
 	return nil
 }
@@ -776,18 +779,23 @@ func (m *Module) StopTask(name string) error {
 // not clobber the new host's).
 func (m *Module) stopTask(name, reason string) error {
 	m.mu.Lock()
-	inst, ok := m.running[name]
-	delete(m.running, name)
-	delete(m.specs, name)
+	ht, ok := m.hosted[name]
+	delete(m.hosted, name)
 	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("core: task %s not running", name)
 	}
+	// A nil instance is still being built; its builder finds the entry
+	// gone and stops it.
+	if inst := ht.inst; inst != nil {
+		if reason == RevokeFence {
+			inst.markFenced()
+		}
+		inst.stop()
+	}
 	if reason == RevokeFence {
-		inst.markFenced()
 		m.events.Eventf(telemetry.SevWarn, m.cfg.ID, "task_fenced", "task", name)
 	}
-	inst.stop()
 	m.reportStatus(name, StatusStopped, reason)
 	if reason == RevokeUndeploy && m.cfg.CheckpointHandoff {
 		// The pipeline is gone: clear the retained handoff blob so a
@@ -807,19 +815,16 @@ func (m *Module) handleAssign(msg mqttclient.Message) {
 	}
 	name := a.SubTask.Name()
 	m.mu.Lock()
-	if spec, ok := m.specs[name]; ok {
+	if ht, ok := m.hosted[name]; ok {
 		// Epoch fencing: an assignment from an older generation (a
 		// delayed or replayed publish) must not disturb the newer one.
-		if a.Epoch != 0 && a.Epoch < spec.epoch {
+		if a.Epoch != 0 && a.Epoch < ht.spec.epoch {
 			m.mu.Unlock()
 			m.logf("module %s: ignoring stale assignment %s (epoch %d < %d)",
-				m.cfg.ID, name, a.Epoch, spec.epoch)
+				m.cfg.ID, name, a.Epoch, ht.spec.epoch)
 			return
 		}
-		if a.Epoch > spec.epoch {
-			spec.epoch = a.Epoch
-			m.specs[name] = spec
-		}
+		ht.spec.epoch = max(ht.spec.epoch, a.Epoch)
 	}
 	m.mu.Unlock()
 	if err := m.startTask(a.Recipe, a.SubTask, a.Epoch); err != nil {
@@ -840,10 +845,11 @@ func (m *Module) handleRevoke(msg mqttclient.Message) {
 		return
 	}
 	m.mu.Lock()
-	if spec, ok := m.specs[r.SubTaskName]; ok && r.Epoch != 0 && spec.epoch > r.Epoch {
+	if ht, ok := m.hosted[r.SubTaskName]; ok && r.Epoch != 0 && ht.spec.epoch > r.Epoch {
+		epoch := ht.spec.epoch
 		m.mu.Unlock()
 		m.logf("module %s: ignoring stale revocation %s (epoch %d < %d)",
-			m.cfg.ID, r.SubTaskName, r.Epoch, spec.epoch)
+			m.cfg.ID, r.SubTaskName, r.Epoch, epoch)
 		return
 	}
 	m.mu.Unlock()
@@ -872,21 +878,22 @@ func (m *Module) reportStatus(name string, kind StatusKind, detail string) {
 	_ = client.Publish(TopicStatusPrefix+m.cfg.ID, EncodeJSON(status), wire.QoS1, false)
 }
 
-// taskSnapshot reports the running task names and their assignment epochs
-// in one locked pass, for announce beacons. Epoch-0 (directly started)
-// tasks carry no epoch entry.
+// taskSnapshot reports the running task names (entries with a live
+// instance) and their assignment epochs in one locked pass. Epoch-0
+// (directly started) tasks carry no epoch entry, so the epoch map is the
+// manager-assigned running set.
 func (m *Module) taskSnapshot() ([]string, map[string]uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.running))
-	var epochs map[string]uint64
-	for name := range m.running {
+	names := make([]string, 0, len(m.hosted))
+	epochs := make(map[string]uint64)
+	for name, ht := range m.hosted {
+		if ht.inst == nil {
+			continue
+		}
 		names = append(names, name)
-		if spec, ok := m.specs[name]; ok && spec.epoch > 0 {
-			if epochs == nil {
-				epochs = make(map[string]uint64, len(m.running))
-			}
-			epochs[name] = spec.epoch
+		if ht.spec.epoch > 0 {
+			epochs[name] = ht.spec.epoch
 		}
 	}
 	return names, epochs
@@ -955,8 +962,8 @@ func (m *Module) handleReconcile(msg mqttclient.Message) {
 	}
 	var stale []string
 	m.mu.Lock()
-	for name, spec := range m.specs {
-		if spec.epoch == 0 {
+	for name, ht := range m.hosted {
+		if ht.spec.epoch == 0 {
 			continue // started directly by the application, not the manager's to fence
 		}
 		e, ok := rc.Tasks[name]
@@ -964,10 +971,7 @@ func (m *Module) handleReconcile(msg mqttclient.Message) {
 			stale = append(stale, name)
 			continue
 		}
-		if e > spec.epoch {
-			spec.epoch = e
-			m.specs[name] = spec
-		}
+		ht.spec.epoch = max(ht.spec.epoch, e)
 	}
 	m.mu.Unlock()
 	sort.Strings(stale)
@@ -1001,21 +1005,14 @@ func (m *Module) Drain(ctx context.Context) error {
 		return fmt.Errorf("core: module %s drain request: %w", m.cfg.ID, err)
 	}
 	for {
-		m.mu.Lock()
-		n := 0
-		for name := range m.running {
-			if spec, ok := m.specs[name]; ok && spec.epoch > 0 {
-				n++
-			}
-		}
-		m.mu.Unlock()
-		if n == 0 {
+		_, epochs := m.taskSnapshot()
+		if len(epochs) == 0 {
 			m.logf("module %s drained", m.cfg.ID)
 			return nil
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("core: module %s drain: %d tasks still running: %w", m.cfg.ID, n, ctx.Err())
+			return fmt.Errorf("core: module %s drain: %d tasks still running: %w", m.cfg.ID, len(epochs), ctx.Err())
 		case <-m.ctx.Done():
 			return ErrNotStarted
 		case <-m.cfg.Clock.After(20 * time.Millisecond):

@@ -267,7 +267,7 @@ func TestRedeployHigherVersionReplaces(t *testing.T) {
 // manager's view while a heartbeating one stays.
 func TestHeartbeatRefreshesStaleness(t *testing.T) {
 	tc := newTestCluster(t)
-	mgr := tc.manager(ManagerConfig{StaleAfter: 300 * time.Millisecond})
+	mgr := tc.manager(ManagerConfig{Health: HealthConfig{SuspectAfter: 300 * time.Millisecond}})
 	m := tc.module(Config{ID: "beater", CapacityOps: 100, HeartbeatInterval: 50 * time.Millisecond})
 	if err := m.Start(); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ type Journal struct {
 	store   Store
 	capture func() ([]byte, error)
 	logger  *log.Logger
-	events  atomic.Pointer[telemetry.EventLog]
+	events  *telemetry.EventLog
 
 	threshold int64
 	liveBytes atomic.Int64
@@ -35,12 +35,15 @@ type Journal struct {
 // NewJournal wraps store. capture serializes the consumer's full state
 // (called under the consumer's own locks, per the Snapshotter contract).
 // snapshotBytes is the live-log size that triggers compaction (<=0
-// disables snapshots). logger may be nil.
-func NewJournal(store Store, capture func() ([]byte, error), snapshotBytes int64, logger *log.Logger) *Journal {
+// disables snapshots). events, the owning daemon's event log, receives a
+// snapshot_failed event each time a background snapshot errors. logger
+// and events may be nil.
+func NewJournal(store Store, capture func() ([]byte, error), snapshotBytes int64, logger *log.Logger, events *telemetry.EventLog) *Journal {
 	j := &Journal{
 		store:     store,
 		capture:   capture,
 		logger:    logger,
+		events:    events,
 		threshold: snapshotBytes,
 		snapReq:   make(chan struct{}, 1),
 		quit:      make(chan struct{}),
@@ -50,13 +53,6 @@ func NewJournal(store Store, capture func() ([]byte, error), snapshotBytes int64
 	return j
 }
 
-// Store exposes the wrapped store (for Replay/LoadSnapshot at recovery).
-func (j *Journal) Store() Store { return j.store }
-
-// SetEvents attaches a structured event log receiving a snapshot_failed
-// event each time a background snapshot errors. Safe to call at any time.
-func (j *Journal) SetEvents(l *telemetry.EventLog) { j.events.Store(l) }
-
 // Append journals one record and arms the snapshot trigger when the live
 // log crosses the threshold. Errors are returned to the caller but the
 // journal stays usable (the store itself may have gone sticky).
@@ -64,29 +60,13 @@ func (j *Journal) Append(rec []byte) error {
 	if err := j.store.Append(rec); err != nil {
 		return err
 	}
-	j.noteBytes(recordSize(rec))
-	return nil
-}
-
-// AppendSync journals one record durably (group-committed).
-func (j *Journal) AppendSync(rec []byte) error {
-	if err := j.store.AppendSync(rec); err != nil {
-		return err
-	}
-	j.noteBytes(recordSize(rec))
-	return nil
-}
-
-func (j *Journal) noteBytes(n int64) {
-	if j.threshold <= 0 {
-		return
-	}
-	if j.liveBytes.Add(n) >= j.threshold {
+	if j.threshold > 0 && j.liveBytes.Add(recordSize(rec)) >= j.threshold {
 		select {
 		case j.snapReq <- struct{}{}:
 		default:
 		}
 	}
+	return nil
 }
 
 func (j *Journal) snapLoop() {
@@ -101,7 +81,7 @@ func (j *Journal) snapLoop() {
 			if j.logger != nil {
 				j.logger.Printf("store journal: snapshot failed: %v", err)
 			}
-			j.events.Load().Eventf(telemetry.SevError, "", "snapshot_failed", "error", err.Error())
+			j.events.Eventf(telemetry.SevError, "", "snapshot_failed", "error", err.Error())
 			continue
 		}
 		j.liveBytes.Store(0)

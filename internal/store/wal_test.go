@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/ifot-middleware/ifot/internal/telemetry"
 )
 
 func openTest(t *testing.T, dir string, opts Options) *FileStore {
@@ -389,7 +391,7 @@ func TestJournalAutoSnapshot(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		return []byte(fmt.Sprintf("state=%d", state)), nil
-	}, 64, nil)
+	}, 64, nil, nil)
 	defer j.Close()
 	for i := 0; i < 20; i++ {
 		mu.Lock()
@@ -407,4 +409,35 @@ func TestJournalAutoSnapshot(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("journal never took an automatic snapshot")
+}
+
+// failingSnapshots is a store whose snapshot compaction always fails.
+type failingSnapshots struct{ *MemStore }
+
+func (failingSnapshots) SaveSnapshot(func() ([]byte, error)) error {
+	return errors.New("disk full")
+}
+
+// TestJournalSnapshotFailedEvent: a failed background compaction reaches
+// the event log the journal was built with.
+func TestJournalSnapshotFailedEvent(t *testing.T) {
+	events := telemetry.NewEventLog(16)
+	j := NewJournal(failingSnapshots{NewMemStore()}, func() ([]byte, error) { return []byte("state"), nil }, 1, nil, events)
+	defer j.Close()
+	if err := j.Append([]byte("rec")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, ev := range events.Events(0, time.Time{}) {
+			if ev.Kind == "snapshot_failed" {
+				if ev.Severity != telemetry.SevError || ev.Fields["error"] != "disk full" {
+					t.Fatalf("snapshot_failed event = %+v", ev)
+				}
+				return
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("failed snapshot emitted no snapshot_failed event")
 }
