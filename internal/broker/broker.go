@@ -242,7 +242,6 @@ func Open(opts Options) (*Broker, error) {
 	// Publish the initial route snapshot (covering any recovered
 	// subscriptions) before a connection or internal publisher can route.
 	b.routes.Store(b.trie.build(b.routeEpoch.Add(1)))
-	b.retainedCount.Store(int64(len(b.retained)))
 	return b, nil
 }
 
@@ -490,28 +489,14 @@ func (b *Broker) registerSession(connect *wire.ConnectPacket, conn net.Conn) (*s
 	}
 
 	sess, existed := b.sessions[connect.ClientID]
-	sessionPresent := false
-	if connect.CleanSession || !existed {
-		if existed {
-			if b.trie.removeAll(connect.ClientID) {
-				// The discarded session's filters left the builder trie;
-				// retire them from the published snapshot too.
-				b.swapRoutesLocked()
-			}
-			if sess.persistent {
-				// A formerly durable session is being discarded.
-				b.persistSessionRemove(connect.ClientID)
-			}
-			b.droppedBase.Add(sess.dropped())
+	sessionPresent := existed && !connect.CleanSession
+	if !sessionPresent {
+		var rerouted bool
+		if sess, rerouted = b.openSessionLocked(connect.ClientID, !connect.CleanSession); rerouted {
+			// The discarded session's filters left the builder trie;
+			// retire them from the published snapshot too.
+			b.swapRoutesLocked()
 		}
-		sess = newSession(connect.ClientID, !connect.CleanSession)
-		sess.persist = b.persist
-		if sess.persistent {
-			b.persistSessionFresh(connect.ClientID)
-		}
-		b.sessions[connect.ClientID] = sess
-	} else {
-		sessionPresent = true
 	}
 	b.conns[connect.ClientID] = conn
 	return sess, sessionPresent, nil
@@ -525,12 +510,8 @@ func (b *Broker) unregisterConn(sess *session, conn net.Conn, gen uint64) {
 	defer b.mu.Unlock()
 	if b.conns[sess.clientID] == conn {
 		delete(b.conns, sess.clientID)
-		if !sess.persistent {
-			delete(b.sessions, sess.clientID)
-			b.droppedBase.Add(sess.dropped())
-			if b.trie.removeAll(sess.clientID) {
-				b.swapRoutesLocked()
-			}
+		if !sess.persistent && b.dropSessionLocked(sess) {
+			b.swapRoutesLocked()
 		}
 	}
 }
@@ -646,19 +627,7 @@ func (b *Broker) publish(p *wire.PublishPacket, fromClientID string) {
 	b.gate.RLock()
 	if p.Retain {
 		b.retainedMu.Lock()
-		if len(p.Payload) == 0 {
-			if _, ok := b.retained[p.Topic]; ok {
-				delete(b.retained, p.Topic)
-				b.retainedCount.Add(-1)
-			}
-		} else {
-			if _, ok := b.retained[p.Topic]; !ok {
-				b.retainedCount.Add(1)
-			}
-			b.retained[p.Topic] = retainedMsg{payload: append([]byte(nil), p.Payload...), qos: p.QoS}
-		}
-		// Journaled under retainedMu so WAL order equals map order.
-		b.persistRetain(p)
+		b.retainLocked(p.Topic, p.Payload, p.QoS)
 		b.retainedMu.Unlock()
 	}
 
@@ -752,7 +721,7 @@ const readerBufSize = 4 << 10
 
 // writeLoop is a connection's writer goroutine, the only code that writes
 // to conn after CONNACK. It first writes resend — the QoS1 redelivery attach
-// returned, already tracked in the inflight window — straight into the
+// returned, already tracked in the session's window — straight into the
 // buffered writer and flushes: a backlog of up to maxQueuedOffline messages
 // must not pass through the (smaller, non-blocking) session queue, and must
 // still precede anything delivered after attach. Then it drains the queue,
@@ -892,9 +861,7 @@ func (b *Broker) handleSubscribe(sess *session, p *wire.SubscribePacket) {
 	b.mu.Lock()
 	for i, sub := range p.Subscriptions {
 		granted := minQoS(sub.QoS, b.opts.MaxQoS)
-		b.trie.subscribe(sub.TopicFilter, sess, granted)
-		sess.addSubscription(sub.TopicFilter, granted)
-		b.persistSub(sess, sub.TopicFilter, granted)
+		b.subscribeLocked(sess, sub.TopicFilter, granted)
 		codes[i] = byte(granted)
 	}
 	tbl := b.trie.build(b.routeEpoch.Add(1))
@@ -925,11 +892,9 @@ func (b *Broker) handleUnsubscribe(sess *session, p *wire.UnsubscribePacket) {
 	b.mu.Lock()
 	removed := false
 	for _, f := range p.TopicFilters {
-		if b.trie.unsubscribe(f, sess.clientID) {
+		if b.unsubscribeLocked(sess, f) {
 			removed = true
 		}
-		sess.removeSubscription(f)
-		b.persistUnsub(sess, f)
 	}
 	if removed {
 		b.swapRoutesLocked()

@@ -15,13 +15,22 @@ import (
 
 // Broker durability. When Options.Store is set, the broker journals every
 // state mutation that must survive a restart — retained messages,
-// persistent-session lifecycle and subscriptions, QoS 1 inflight/queued
-// messages — as one WAL record each, and Open replays snapshot + WAL to
+// persistent-session lifecycle and subscriptions, each persistent session's
+// QoS 1 window — as one WAL record each, and Open replays snapshot + WAL to
 // rebuild that state before accepting connections.
+//
+// Each record op has exactly one mutator, called by the live path and by
+// replay alike: retainLocked (opRetain), openSessionLocked (opSess),
+// dropSessionLocked (opSessRm), subscribeLocked (opSub), unsubscribeLocked
+// (opUnsub), session.queueLocked (opQueue) and session.removeLocked
+// (opAck). A mutator journals its own record; the journal is armed only
+// after recovery, so replay journals nothing, and the recovered state is
+// the journaled state by construction. A snapshot replays as the records
+// that rebuild it.
 //
 // The journaling rules follow the broker's locking model: each record is
 // appended while holding the same lock that guards the in-memory mutation
-// (retainedMu for retained, session.mu for queues, b.mu for subscriptions
+// (retainedMu for retained, session.mu for windows, b.mu for subscriptions
 // and session lifecycle), so WAL order equals effective memory order. The
 // store's Append is a buffered write behind its own leaf mutex — cheap
 // enough to sit on those paths — and durability comes from group-commit
@@ -30,9 +39,10 @@ import (
 //
 // Replay idempotency: records between a snapshot's log mark and its
 // capture can be applied twice (once inside the snapshot, once from the
-// tail). Retained/subscription records are last-writer-wins; QoS1 queue
-// records carry a broker-wide message ID and are deduplicated on replay;
-// acks for unknown IDs are no-ops.
+// tail). Retained/subscription records are last-writer-wins; a session
+// record restarts the session, which the records after it rebuild; a queue
+// record whose message the window already holds is a no-op, as is an ack
+// for an unknown ID.
 
 // persist record ops.
 const (
@@ -72,7 +82,7 @@ type snapRetained struct {
 type snapSession struct {
 	ClientID string          `json:"client"`
 	Subs     map[string]byte `json:"subs,omitempty"`
-	Msgs     []snapMsg       `json:"msgs,omitempty"` // inflight then queued, delivery order
+	Msgs     []snapMsg       `json:"msgs,omitempty"` // the window, in order
 }
 
 type snapMsg struct {
@@ -85,7 +95,7 @@ type snapMsg struct {
 // persister owns the broker's journal handle and the broker-wide message
 // ID sequence that makes QoS1 queue records idempotent on replay.
 type persister struct {
-	journal *store.Journal
+	journal *store.Journal // nil until recovery is done
 	msgSeq  atomic.Uint64
 	logger  *log.Logger
 	events  *telemetry.EventLog
@@ -97,10 +107,14 @@ type persister struct {
 
 func (pp *persister) nextMsgID() uint64 { return pp.msgSeq.Add(1) }
 
-// append journals one record. Journal errors (disk full, store closed
-// during shutdown) are logged, not propagated: the broker keeps serving
-// from memory — degraded durability beats a dead broker on an edge node.
+// append journals one record; it is a no-op without a store and during
+// recovery. Journal errors (disk full, store closed during shutdown) are
+// logged, not propagated: the broker keeps serving from memory — degraded
+// durability beats a dead broker on an edge node.
 func (pp *persister) append(rec persistRec) {
+	if pp == nil || pp.journal == nil {
+		return
+	}
 	buf, err := json.Marshal(rec)
 	if err != nil {
 		pp.logf("broker persist: marshal %s: %v", rec.Op, err)
@@ -125,64 +139,76 @@ func (pp *persister) logf(format string, args ...any) {
 	}
 }
 
-// noteQueued assigns a message ID and journals a QoS1 message entering
-// the client's persistent window. Called under session.mu.
-func (pp *persister) noteQueued(clientID string, p *wire.PublishPacket) uint64 {
-	id := pp.nextMsgID()
-	pp.append(persistRec{Op: opQueue, Client: clientID, ID: id, Topic: p.Topic, Payload: p.Payload, QoS: byte(p.QoS)})
-	return id
-}
+// --- one mutator per durable fact (the session window's are in session.go) ---
 
-// noteAcked journals a QoS1 message leaving the window (PUBACK received,
-// or dropped by offline-queue overflow). Called under session.mu.
-func (pp *persister) noteAcked(clientID string, id uint64) {
-	pp.append(persistRec{Op: opAck, Client: clientID, ID: id})
-}
-
-// --- journaling hooks (called from broker.go under the locks noted) ---
-
-// persistRetain journals a retained set/delete. Caller holds retainedMu
-// (inside a publish's gate read section), so WAL order matches map order.
-func (b *Broker) persistRetain(p *wire.PublishPacket) {
-	if b.persist == nil {
-		return
+// retainLocked is the one mutator of the retained fact (opRetain): an
+// empty payload deletes topic's retained message, any other stores a copy.
+// It keeps retainedCount equal to len(retained). Caller holds retainedMu.
+func (b *Broker) retainLocked(topic string, payload []byte, qos wire.QoS) {
+	_, had := b.retained[topic]
+	switch {
+	case len(payload) == 0 && had:
+		delete(b.retained, topic)
+		b.retainedCount.Add(-1)
+	case len(payload) > 0:
+		if !had {
+			b.retainedCount.Add(1)
+		}
+		b.retained[topic] = retainedMsg{payload: append([]byte(nil), payload...), qos: qos}
 	}
-	b.persist.append(persistRec{Op: opRetain, Topic: p.Topic, Payload: p.Payload, QoS: byte(p.QoS)})
+	b.persist.append(persistRec{Op: opRetain, Topic: topic, Payload: payload, QoS: byte(qos)})
 }
 
-// persistSub journals a persistent session's subscription. Caller holds
-// b.mu (write).
-func (b *Broker) persistSub(sess *session, filter string, qos wire.QoS) {
-	if b.persist == nil || !sess.persistent {
-		return
+// openSessionLocked is the one mutator of the opSess fact: it installs a
+// fresh session for clientID, journaled when persistent, discarding the
+// current one first. It reports whether that discard changed routes.
+// Caller holds b.mu.
+func (b *Broker) openSessionLocked(clientID string, persistent bool) (sess *session, rerouted bool) {
+	if old, ok := b.sessions[clientID]; ok {
+		rerouted = b.dropSessionLocked(old)
 	}
-	b.persist.append(persistRec{Op: opSub, Client: sess.clientID, Filter: filter, QoS: byte(qos)})
+	sess = newSession(clientID, persistent)
+	sess.persist = b.persist
+	b.sessions[clientID] = sess
+	if persistent {
+		b.persist.append(persistRec{Op: opSess, Client: clientID})
+	}
+	return sess, rerouted
 }
 
-// persistUnsub journals a subscription removal. Caller holds b.mu (write).
-func (b *Broker) persistUnsub(sess *session, filter string) {
-	if b.persist == nil || !sess.persistent {
-		return
+// dropSessionLocked is the one mutator of the opSessRm fact: sess leaves
+// the session table and its filters the builder trie, its drops fold into
+// droppedBase, and a persistent one journals its removal. It reports
+// whether routes changed. Caller holds b.mu.
+func (b *Broker) dropSessionLocked(sess *session) bool {
+	delete(b.sessions, sess.clientID)
+	b.droppedBase.Add(sess.dropped())
+	if sess.persistent {
+		b.persist.append(persistRec{Op: opSessRm, Client: sess.clientID})
 	}
-	b.persist.append(persistRec{Op: opUnsub, Client: sess.clientID, Filter: filter})
+	return b.trie.removeAll(sess.clientID)
 }
 
-// persistSessionFresh journals that clientID's durable state starts fresh
-// (new persistent session). Caller holds b.mu (write).
-func (b *Broker) persistSessionFresh(clientID string) {
-	if b.persist == nil {
-		return
+// subscribeLocked is the one mutator of the opSub fact: filter routes to
+// sess in the builder trie and joins the session's own list, journaled when
+// the session is persistent. Caller holds b.mu.
+func (b *Broker) subscribeLocked(sess *session, filter string, qos wire.QoS) {
+	b.trie.subscribe(filter, sess, qos)
+	sess.addSubscription(filter, qos)
+	if sess.persistent {
+		b.persist.append(persistRec{Op: opSub, Client: sess.clientID, Filter: filter, QoS: byte(qos)})
 	}
-	b.persist.append(persistRec{Op: opSess, Client: clientID})
 }
 
-// persistSessionRemove journals that clientID's durable state is gone
-// (persistent session replaced by a clean one). Caller holds b.mu (write).
-func (b *Broker) persistSessionRemove(clientID string) {
-	if b.persist == nil {
-		return
+// unsubscribeLocked is the one mutator of the opUnsub fact. It reports
+// whether a route left the trie. Caller holds b.mu.
+func (b *Broker) unsubscribeLocked(sess *session, filter string) bool {
+	removed := b.trie.unsubscribe(filter, sess.clientID)
+	sess.removeSubscription(filter)
+	if sess.persistent {
+		b.persist.append(persistRec{Op: opUnsub, Client: sess.clientID, Filter: filter})
 	}
-	b.persist.append(persistRec{Op: opSessRm, Client: clientID})
+	return removed
 }
 
 // --- snapshot capture ---
@@ -232,26 +258,8 @@ func (s *session) snapshotLocked() snapSession {
 			out.Subs[f] = byte(q)
 		}
 	}
-	// Inflight first (they redeliver first on attach), ordered by message
-	// ID so the blob is deterministic; then the offline queue in order.
-	type flight struct {
-		id  uint64
-		pkt *wire.PublishPacket
-	}
-	inf := make([]flight, 0, len(s.inflight))
-	for pid, p := range s.inflight {
-		inf = append(inf, flight{id: s.inflightIDs[pid], pkt: p})
-	}
-	sort.Slice(inf, func(i, j int) bool { return inf[i].id < inf[j].id })
-	for _, f := range inf {
-		out.Msgs = append(out.Msgs, snapMsg{ID: f.id, Topic: f.pkt.Topic, Payload: f.pkt.Payload, QoS: byte(f.pkt.QoS)})
-	}
-	for i, p := range s.queued {
-		var id uint64
-		if i < len(s.queuedIDs) {
-			id = s.queuedIDs[i]
-		}
-		out.Msgs = append(out.Msgs, snapMsg{ID: id, Topic: p.Topic, Payload: p.Payload, QoS: byte(p.QoS)})
+	for _, e := range s.window {
+		out.Msgs = append(out.Msgs, snapMsg{ID: e.msgID, Topic: e.pkt.Topic, Payload: e.pkt.Payload, QoS: byte(e.pkt.QoS)})
 	}
 	return out
 }
@@ -259,14 +267,18 @@ func (s *session) snapshotLocked() snapSession {
 // --- recovery ---
 
 // recoverState rebuilds broker state from the store's snapshot and WAL
-// tail. It runs single-threaded from Open, before the broker is shared,
-// so it mutates maps directly.
+// tail, folding every record — the snapshot's as well — through
+// replayLocked. It runs from Open, before the broker is shared and before
+// the journal is armed.
 func (b *Broker) recoverState(st store.Store) error {
 	start := time.Now()
-	// seen tracks per-client message IDs already applied, deduplicating
-	// queue records that appear both in the snapshot and the WAL tail.
-	seen := make(map[string]map[uint64]bool)
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	var maxID uint64
+	apply := func(rec persistRec) {
+		maxID = max(maxID, rec.ID)
+		b.replayLocked(rec)
+	}
 
 	blob, err := st.LoadSnapshot()
 	if err != nil {
@@ -277,31 +289,8 @@ func (b *Broker) recoverState(st store.Store) error {
 		if err := json.Unmarshal(blob, &snap); err != nil {
 			return fmt.Errorf("broker: decode snapshot: %w", err)
 		}
-		if snap.MsgSeq > maxID {
-			maxID = snap.MsgSeq
-		}
-		for _, r := range snap.Retained {
-			b.retained[r.Topic] = retainedMsg{payload: r.Payload, qos: wire.QoS(r.QoS)}
-		}
-		for _, ss := range snap.Sessions {
-			sess := b.recoverSession(ss.ClientID)
-			for f, q := range ss.Subs {
-				b.trie.subscribe(f, sess, wire.QoS(q))
-				sess.subscriptions[f] = wire.QoS(q)
-			}
-			ids := seen[ss.ClientID]
-			for _, m := range ss.Msgs {
-				if m.ID > maxID {
-					maxID = m.ID
-				}
-				if ids == nil {
-					ids = make(map[uint64]bool)
-					seen[ss.ClientID] = ids
-				}
-				ids[m.ID] = true
-				sess.recoverQueued(&wire.PublishPacket{Topic: m.Topic, Payload: m.Payload, QoS: wire.QoS(m.QoS)}, m.ID)
-			}
-		}
+		maxID = snap.MsgSeq
+		snap.replay(apply)
 	}
 
 	replayed := 0
@@ -311,55 +300,7 @@ func (b *Broker) recoverState(st store.Store) error {
 			return fmt.Errorf("broker: decode WAL record: %w", err)
 		}
 		replayed++
-		if rec.ID > maxID {
-			maxID = rec.ID
-		}
-		switch rec.Op {
-		case opRetain:
-			if len(rec.Payload) == 0 {
-				delete(b.retained, rec.Topic)
-			} else {
-				b.retained[rec.Topic] = retainedMsg{payload: rec.Payload, qos: wire.QoS(rec.QoS)}
-			}
-		case opSess:
-			// Fresh durable state for this client: drop anything earlier.
-			b.dropRecoveredSession(rec.Client)
-			delete(seen, rec.Client)
-			b.recoverSession(rec.Client)
-		case opSessRm:
-			b.dropRecoveredSession(rec.Client)
-			delete(seen, rec.Client)
-		case opSub:
-			sess := b.recoverSession(rec.Client)
-			b.trie.subscribe(rec.Filter, sess, wire.QoS(rec.QoS))
-			sess.subscriptions[rec.Filter] = wire.QoS(rec.QoS)
-		case opUnsub:
-			if sess, ok := b.sessions[rec.Client]; ok {
-				b.trie.unsubscribe(rec.Filter, rec.Client)
-				delete(sess.subscriptions, rec.Filter)
-			}
-		case opQueue:
-			sess := b.recoverSession(rec.Client)
-			ids := seen[rec.Client]
-			if ids == nil {
-				ids = make(map[uint64]bool)
-				seen[rec.Client] = ids
-			}
-			if ids[rec.ID] {
-				return nil // duplicated across snapshot boundary
-			}
-			ids[rec.ID] = true
-			sess.recoverQueued(&wire.PublishPacket{Topic: rec.Topic, Payload: rec.Payload, QoS: wire.QoS(rec.QoS)}, rec.ID)
-		case opAck:
-			if sess, ok := b.sessions[rec.Client]; ok {
-				sess.dropRecoveredMsg(rec.ID)
-				if ids := seen[rec.Client]; ids != nil {
-					delete(ids, rec.ID)
-				}
-			}
-		default:
-			b.logf("broker persist: skipping unknown WAL op %q", rec.Op)
-		}
+		apply(rec)
 		return nil
 	})
 	if err != nil {
@@ -377,47 +318,57 @@ func (b *Broker) recoverState(st store.Store) error {
 	return nil
 }
 
-// recoverSession returns (creating if needed) the persistent session for
-// clientID during recovery.
-func (b *Broker) recoverSession(clientID string) *session {
-	if sess, ok := b.sessions[clientID]; ok {
-		return sess
+// replay hands apply the records that rebuild the snapshot's state, so a
+// snapshot and the WAL tail share one apply path.
+func (snap *persistSnapshot) replay(apply func(persistRec)) {
+	for _, r := range snap.Retained {
+		apply(persistRec{Op: opRetain, Topic: r.Topic, Payload: r.Payload, QoS: r.QoS})
 	}
-	sess := newSession(clientID, true)
-	sess.persist = b.persist
-	b.sessions[clientID] = sess
-	return sess
-}
-
-// dropRecoveredSession removes a session rebuilt during recovery.
-func (b *Broker) dropRecoveredSession(clientID string) {
-	if _, ok := b.sessions[clientID]; !ok {
-		return
-	}
-	delete(b.sessions, clientID)
-	b.trie.removeAll(clientID)
-}
-
-// recoverQueued appends a replayed QoS1 message to the offline queue
-// (every recovered message is offline: there are no connections yet).
-// Recovery is single-threaded, so no locking.
-func (s *session) recoverQueued(p *wire.PublishPacket, msgID uint64) {
-	if len(s.queued) >= maxQueuedOffline {
-		s.queued = s.queued[1:]
-		s.queuedIDs = s.queuedIDs[1:]
-		s.droppedMessages.Add(1)
-	}
-	s.queued = append(s.queued, p)
-	s.queuedIDs = append(s.queuedIDs, msgID)
-}
-
-// dropRecoveredMsg removes a replayed message by ID (ack record).
-func (s *session) dropRecoveredMsg(msgID uint64) {
-	for i, id := range s.queuedIDs {
-		if id == msgID {
-			s.queued = append(s.queued[:i], s.queued[i+1:]...)
-			s.queuedIDs = append(s.queuedIDs[:i], s.queuedIDs[i+1:]...)
-			return
+	for _, ss := range snap.Sessions {
+		apply(persistRec{Op: opSess, Client: ss.ClientID})
+		for f, q := range ss.Subs {
+			apply(persistRec{Op: opSub, Client: ss.ClientID, Filter: f, QoS: q})
 		}
+		for _, m := range ss.Msgs {
+			apply(persistRec{Op: opQueue, Client: ss.ClientID, ID: m.ID, Topic: m.Topic, Payload: m.Payload, QoS: m.QoS})
+		}
+	}
+}
+
+// replayLocked folds one record into the broker through the mutator the
+// live path uses for the same fact. Caller holds b.mu.
+func (b *Broker) replayLocked(rec persistRec) {
+	switch rec.Op {
+	case opRetain:
+		b.retainedMu.Lock()
+		b.retainLocked(rec.Topic, rec.Payload, wire.QoS(rec.QoS))
+		b.retainedMu.Unlock()
+	case opSess:
+		b.openSessionLocked(rec.Client, true)
+	case opSessRm, opSub, opUnsub, opQueue, opAck:
+		sess, ok := b.sessions[rec.Client]
+		if !ok {
+			return // no durable session: the live broker held none for it either
+		}
+		switch rec.Op {
+		case opSessRm:
+			b.dropSessionLocked(sess)
+		case opSub:
+			b.subscribeLocked(sess, rec.Filter, wire.QoS(rec.QoS))
+		case opUnsub:
+			b.unsubscribeLocked(sess, rec.Filter)
+		case opQueue:
+			sess.mu.Lock()
+			sess.queueLocked(rec.ID, &wire.PublishPacket{Topic: rec.Topic, Payload: rec.Payload, QoS: wire.QoS(rec.QoS)})
+			sess.mu.Unlock()
+		case opAck:
+			sess.mu.Lock()
+			if i := sess.msgIndexLocked(rec.ID); i >= 0 {
+				sess.removeLocked(i)
+			}
+			sess.mu.Unlock()
+		}
+	default:
+		b.logf("broker persist: skipping unknown WAL op %q", rec.Op)
 	}
 }

@@ -199,7 +199,7 @@ func TestPersistAckedMessagesNotRedelivered(t *testing.T) {
 		bus.broker.mu.RUnlock()
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
-		return len(sess.inflight) == 0
+		return sent(sess) == 0
 	})
 	_ = sub.Close()
 	_ = pub.Close()
@@ -329,13 +329,13 @@ func TestPersistCrashRecovery(t *testing.T) {
 	sess := b2.sessions["crash-sub"]
 	b2.mu.RUnlock()
 	sess.mu.Lock()
-	for i, p := range sess.queued {
-		if string(p.Payload) != expect[i] {
+	for i, e := range sess.window {
+		if string(e.pkt.Payload) != expect[i] {
 			sess.mu.Unlock()
-			t.Fatalf("queued[%d] = %q, want %q (prefix property violated)", i, p.Payload, expect[i])
+			t.Fatalf("queued[%d] = %q, want %q (prefix property violated)", i, e.pkt.Payload, expect[i])
 		}
 	}
-	n := len(sess.queued)
+	n := parked(sess)
 	sess.mu.Unlock()
 	if n == 0 {
 		t.Fatal("crash lost everything despite group-commit window")

@@ -7,8 +7,8 @@ import (
 	"github.com/ifot-middleware/ifot/internal/wire"
 )
 
-// maxQueuedOffline bounds the per-session offline message queue for
-// persistent sessions; the oldest messages are dropped first on overflow.
+// maxQueuedOffline bounds the parked entries of a session's QoS1 window;
+// the oldest parked message is dropped first on overflow.
 const maxQueuedOffline = 1000
 
 // outPacket is one queued outbound item: either a packet encoded at write
@@ -38,12 +38,12 @@ type session struct {
 	// they can be reported and cleaned up.
 	subscriptions map[string]wire.QoS
 
-	// inflight holds QoS1 messages sent to the client but not yet acked,
-	// keyed by packet ID; they are resent (Dup) on reconnect.
-	inflight map[uint16]*wire.PublishPacket
-	// queued holds QoS1 messages that arrived while a persistent session
-	// was offline.
-	queued []*wire.PublishPacket
+	// window is the session's QoS1 window: every unacked QoS1 message, in
+	// the order it entered the session, which is the order attach resends
+	// it in (MQTT 3.1.1 §4.6). An entry handed to a connection carries its
+	// packet ID; a parked one — the session was offline, or a full queue
+	// refused it — carries none.
+	window []windowEntry
 	// incomingQoS2 tracks QoS2 publishes received from the client whose
 	// PUBREL is still pending, to suppress redelivery duplicates.
 	incomingQoS2 map[uint16]struct{}
@@ -54,15 +54,17 @@ type session struct {
 	// without taking s.mu — a stats tick never contends with deliveries.
 	droppedMessages atomic.Int64
 
-	// persist, when non-nil, journals this session's QoS1 window to the
-	// broker's WAL. Packet IDs are per-connection, so durable messages
-	// are keyed by a broker-wide message ID instead: inflightIDs maps
-	// packet ID → message ID and queuedIDs parallels queued. Both are
-	// populated only for persistent sessions with persistence on; the
-	// QoS0 path never touches them.
-	persist     *persister
-	inflightIDs map[uint16]uint64
-	queuedIDs   []uint64
+	// persist, when non-nil, is the broker's journal; a persistent
+	// session's window entries are journaled under their message IDs.
+	persist *persister
+}
+
+// windowEntry is one QoS1 message in a session's window. Packet IDs are
+// per-connection, so a durable message is keyed by a broker-wide message
+// ID instead: msgID is set only when the session is journaled, else 0.
+type windowEntry struct {
+	msgID uint64
+	pkt   *wire.PublishPacket // PacketID 0 while parked
 }
 
 func newSession(clientID string, persistent bool) *session {
@@ -70,15 +72,13 @@ func newSession(clientID string, persistent bool) *session {
 		clientID:      clientID,
 		persistent:    persistent,
 		subscriptions: make(map[string]wire.QoS),
-		inflight:      make(map[uint16]*wire.PublishPacket),
 		incomingQoS2:  make(map[uint16]struct{}),
-		inflightIDs:   make(map[uint16]uint64),
 	}
 }
 
 // attach binds a new connection's outbound queue to the session and returns
-// the packets that must be (re)sent: unacked inflight messages first (with
-// DUP set), then queued offline messages (now given packet IDs). On a
+// the packets that must be (re)sent: the whole window in order, entries
+// already sent again with DUP set, parked ones now given packet IDs. On a
 // takeover it closes the predecessor's queue, ending that connection's
 // writer.
 func (s *session) attach(queueSize int) (outbound chan outPacket, resend []*wire.PublishPacket, gen uint64) {
@@ -90,22 +90,18 @@ func (s *session) attach(queueSize int) (outbound chan outPacket, resend []*wire
 	s.attachGen++
 	s.outbound = make(chan outPacket, queueSize)
 
-	resend = make([]*wire.PublishPacket, 0, len(s.inflight)+len(s.queued))
-	for _, p := range s.inflight {
-		dup := *p
-		dup.Dup = true
-		resend = append(resend, &dup)
-	}
-	for i, p := range s.queued {
-		p.PacketID = s.allocPacketIDLocked()
-		s.inflight[p.PacketID] = p
-		if s.durableLocked() && i < len(s.queuedIDs) {
-			s.inflightIDs[p.PacketID] = s.queuedIDs[i]
+	resend = make([]*wire.PublishPacket, 0, len(s.window))
+	for _, e := range s.window {
+		p := e.pkt
+		if p.PacketID != 0 {
+			dup := *p
+			dup.Dup = true
+			p = &dup
+		} else {
+			p.PacketID = s.allocPacketIDLocked()
 		}
 		resend = append(resend, p)
 	}
-	s.queued = nil
-	s.queuedIDs = nil
 	return s.outbound, resend, s.attachGen
 }
 
@@ -145,41 +141,34 @@ func (s *session) enqueueLocked(op outPacket) bool {
 
 // deliver routes an application message to the client. Connected sessions
 // get it on the outbound queue (dropped if the queue is full and the
-// message is QoS0). Offline persistent sessions queue QoS1 messages.
-// It reports whether the message was accepted.
+// message is QoS0). A QoS1 message enters the window first: offline
+// persistent sessions park it, and one a full queue refuses stays parked
+// in its slot. It reports whether the message was accepted.
 func (s *session) deliver(p *wire.PublishPacket) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.outbound == nil {
-		if !s.persistent || p.QoS == wire.QoS0 {
-			return false
-		}
-		var id uint64
-		if s.durableLocked() {
-			id = s.persist.noteQueued(s.clientID, p)
-		}
-		s.queueOfflineLocked(p, id)
-		return true
+	if p.QoS == wire.QoS0 {
+		return s.enqueueLocked(outPacket{pkt: p})
 	}
-	if p.QoS > wire.QoS0 {
+	connected := s.outbound != nil
+	if !connected && !s.persistent {
+		return false
+	}
+	if connected {
 		p.PacketID = s.allocPacketIDLocked()
-		s.inflight[p.PacketID] = p
-		if s.durableLocked() {
-			// Journaled under s.mu: WAL order = window order.
-			s.inflightIDs[p.PacketID] = s.persist.noteQueued(s.clientID, p)
-		}
 	}
-	if s.enqueueLocked(outPacket{pkt: p}) {
+	var id uint64
+	if s.durableLocked() {
+		id = s.persist.nextMsgID()
+	}
+	s.queueLocked(id, p)
+	if connected && s.enqueueLocked(outPacket{pkt: p}) {
 		return true
 	}
-	if p.QoS > wire.QoS0 {
-		// Parked instead of lost; it will be retried on reconnect.
-		delete(s.inflight, p.PacketID)
-		id := s.inflightIDs[p.PacketID]
-		delete(s.inflightIDs, p.PacketID)
-		s.queueOfflineLocked(p, id)
-	}
-	return false
+	// Parked instead of lost; it will be sent on reconnect.
+	p.PacketID = 0
+	s.trimParkedLocked()
+	return !connected
 }
 
 // deliverFrame routes a pre-encoded QoS0 application frame to a connected
@@ -191,23 +180,65 @@ func (s *session) deliverFrame(frame []byte) bool {
 	return s.enqueueLocked(outPacket{frame: frame})
 }
 
-// queueOfflineLocked parks a QoS1 message (with its durable message ID,
-// zero when persistence is off) until reconnect, dropping the oldest on
-// overflow — and journaling that drop as an ack so replay agrees.
-func (s *session) queueOfflineLocked(p *wire.PublishPacket, msgID uint64) {
-	if len(s.queued) >= maxQueuedOffline {
-		if s.durableLocked() && len(s.queuedIDs) > 0 {
-			s.persist.noteAcked(s.clientID, s.queuedIDs[0])
-			copy(s.queuedIDs, s.queuedIDs[1:])
-			s.queuedIDs = s.queuedIDs[:len(s.queuedIDs)-1]
-		}
-		copy(s.queued, s.queued[1:])
-		s.queued = s.queued[:len(s.queued)-1]
-		s.droppedMessages.Add(1)
+// queueLocked is the one mutator of the opQueue fact, shared by deliver
+// and WAL replay: it appends p to the window as its newest entry and, for a
+// durable message (msgID ≠ 0), journals it under s.mu, so WAL order equals
+// window order. A message the window already holds is a no-op — replay of
+// a record the snapshot captured too.
+func (s *session) queueLocked(msgID uint64, p *wire.PublishPacket) {
+	if msgID != 0 && s.msgIndexLocked(msgID) >= 0 {
+		return
 	}
-	s.queued = append(s.queued, p)
-	if s.durableLocked() {
-		s.queuedIDs = append(s.queuedIDs, msgID)
+	s.window = append(s.window, windowEntry{msgID: msgID, pkt: p})
+	if msgID != 0 {
+		s.persist.append(persistRec{Op: opQueue, Client: s.clientID, ID: msgID, Topic: p.Topic, Payload: p.Payload, QoS: byte(p.QoS)})
+	}
+}
+
+// removeLocked is the one mutator of the opAck fact, shared by a PUBACK,
+// queue overflow and WAL replay: window entry i leaves, and a durable one
+// journals its ack.
+func (s *session) removeLocked(i int) {
+	id := s.window[i].msgID
+	copy(s.window[i:], s.window[i+1:])
+	s.window[len(s.window)-1] = windowEntry{}
+	s.window = s.window[:len(s.window)-1]
+	if id != 0 {
+		s.persist.append(persistRec{Op: opAck, Client: s.clientID, ID: id})
+	}
+}
+
+// msgIndexLocked returns the position of the entry with message ID id, or
+// -1.
+func (s *session) msgIndexLocked(id uint64) int {
+	for i, e := range s.window {
+		if e.msgID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// trimParkedLocked enforces maxQueuedOffline over parked entries, dropping
+// the oldest first; each drop counts and is journaled as an ack.
+func (s *session) trimParkedLocked() {
+	if len(s.window) <= maxQueuedOffline {
+		return
+	}
+	parked := 0
+	for _, e := range s.window {
+		if e.pkt.PacketID == 0 {
+			parked++
+		}
+	}
+	for i := 0; parked > maxQueuedOffline; {
+		if s.window[i].pkt.PacketID != 0 {
+			i++
+			continue
+		}
+		s.removeLocked(i)
+		s.droppedMessages.Add(1)
+		parked--
 	}
 }
 
@@ -218,17 +249,27 @@ func (s *session) send(p wire.Packet) bool {
 	return s.enqueueLocked(outPacket{pkt: p})
 }
 
-// ack removes a client-acknowledged QoS1 message from the inflight window.
+// ack removes a client-acknowledged QoS1 message from the window.
 func (s *session) ack(packetID uint16) {
 	s.mu.Lock()
-	delete(s.inflight, packetID)
-	if id, ok := s.inflightIDs[packetID]; ok {
-		delete(s.inflightIDs, packetID)
-		if s.durableLocked() {
-			s.persist.noteAcked(s.clientID, id)
-		}
+	if i := s.packetIndexLocked(packetID); i >= 0 {
+		s.removeLocked(i)
 	}
 	s.mu.Unlock()
+}
+
+// packetIndexLocked returns the position of the sent entry carrying
+// packetID, or -1.
+func (s *session) packetIndexLocked(packetID uint16) int {
+	if packetID == 0 {
+		return -1 // parked entries carry none; 0 is never sent
+	}
+	for i, e := range s.window {
+		if e.pkt.PacketID == packetID {
+			return i
+		}
+	}
+	return -1
 }
 
 // markIncomingQoS2 records an incoming QoS2 publish. It reports true if the
@@ -276,14 +317,15 @@ func (s *session) subscriptionList() map[string]wire.QoS {
 // stats scrape never touches the delivery mutex.
 func (s *session) dropped() int64 { return s.droppedMessages.Load() }
 
-// allocPacketIDLocked returns the next free nonzero packet identifier.
+// allocPacketIDLocked returns the next nonzero packet identifier no window
+// entry holds.
 func (s *session) allocPacketIDLocked() uint16 {
 	for {
 		s.nextPacketID++
 		if s.nextPacketID == 0 {
 			s.nextPacketID = 1
 		}
-		if _, used := s.inflight[s.nextPacketID]; !used {
+		if s.packetIndexLocked(s.nextPacketID) < 0 {
 			return s.nextPacketID
 		}
 	}

@@ -29,12 +29,12 @@ func TestSessionAckClearsInflight(t *testing.T) {
 	out, _, _ := s.attach(8)
 	s.deliver(&wire.PublishPacket{Topic: "t", QoS: wire.QoS1})
 	pkt := (<-out).pkt.(*wire.PublishPacket)
-	if len(s.inflight) != 1 {
-		t.Fatalf("inflight = %d, want 1", len(s.inflight))
+	if sent(s) != 1 {
+		t.Fatalf("inflight = %d, want 1", sent(s))
 	}
 	s.ack(pkt.PacketID)
-	if len(s.inflight) != 0 {
-		t.Fatalf("inflight after ack = %d, want 0", len(s.inflight))
+	if sent(s) != 0 {
+		t.Fatalf("inflight after ack = %d, want 0", sent(s))
 	}
 }
 
@@ -62,8 +62,8 @@ func TestSessionOfflineQueueingOnlyQoS1(t *testing.T) {
 	if !s.deliver(&wire.PublishPacket{Topic: "t", QoS: wire.QoS1}) {
 		t.Fatal("offline QoS1 delivery rejected")
 	}
-	if len(s.queued) != 1 {
-		t.Fatalf("queued = %d, want 1", len(s.queued))
+	if parked(s) != 1 {
+		t.Fatalf("queued = %d, want 1", parked(s))
 	}
 }
 
@@ -72,8 +72,8 @@ func TestSessionOfflineQueueBounded(t *testing.T) {
 	for i := 0; i < maxQueuedOffline+50; i++ {
 		s.deliver(&wire.PublishPacket{Topic: "t", QoS: wire.QoS1})
 	}
-	if len(s.queued) != maxQueuedOffline {
-		t.Fatalf("queued = %d, want bounded at %d", len(s.queued), maxQueuedOffline)
+	if parked(s) != maxQueuedOffline {
+		t.Fatalf("queued = %d, want bounded at %d", parked(s), maxQueuedOffline)
 	}
 	if s.dropped() == 0 {
 		t.Fatal("overflow not counted as drops")
@@ -85,7 +85,7 @@ func TestSessionNonPersistentOfflineDrops(t *testing.T) {
 	if s.deliver(&wire.PublishPacket{Topic: "t", QoS: wire.QoS1}) {
 		t.Fatal("offline delivery to clean session accepted")
 	}
-	if len(s.queued) != 0 {
+	if parked(s) != 0 {
 		t.Fatal("clean session queued offline message")
 	}
 }
@@ -224,8 +224,8 @@ func TestSessionFullOutboundQueueRequeuesQoS1(t *testing.T) {
 	s.deliver(&wire.PublishPacket{Topic: "t", QoS: wire.QoS0}) // fill
 	s.deliver(&wire.PublishPacket{Topic: "t", QoS: wire.QoS1, Payload: []byte("keep")})
 	// The QoS1 message must be preserved for redelivery.
-	if len(s.queued) != 1 {
-		t.Fatalf("queued = %d, want the overflowed QoS1 message kept", len(s.queued))
+	if parked(s) != 1 {
+		t.Fatalf("queued = %d, want the overflowed QoS1 message kept", parked(s))
 	}
 }
 
@@ -255,7 +255,7 @@ func TestSessionPacketIDWraparound(t *testing.T) {
 
 func TestSessionPacketIDSkipsInflight(t *testing.T) {
 	s := newSession("c", false)
-	s.inflight[1] = &wire.PublishPacket{}
+	s.window = append(s.window, windowEntry{pkt: &wire.PublishPacket{PacketID: 1}})
 	s.nextPacketID = 65535
 	if got := s.allocPacketIDLocked(); got != 2 {
 		t.Fatalf("alloc = %d, want 2 (0 invalid, 1 in flight)", got)
@@ -275,3 +275,16 @@ func TestSessionSubscriptionBookkeeping(t *testing.T) {
 		t.Fatal("subscription not removed")
 	}
 }
+
+// sent counts the window entries handed to a connection.
+func sent(s *session) (n int) {
+	for _, e := range s.window {
+		if e.pkt.PacketID != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// parked counts the window entries awaiting a connection.
+func parked(s *session) int { return len(s.window) - sent(s) }

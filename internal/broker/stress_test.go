@@ -241,9 +241,17 @@ func TestBrokerStressConcurrentMixedQoS(t *testing.T) {
 		if r == nil {
 			continue
 		}
+		// The replay follows the SUBACK its Subscribe returned on; give it
+		// time to reach the handler. Check a copy: a failed check must not
+		// leave r.mu held against the handler the cleanup waits for.
+		for wait := time.Now().Add(5 * time.Second); count(r) == 0 && time.Now().Before(wait); {
+			time.Sleep(time.Millisecond)
+		}
 		r.mu.Lock()
+		msgs := append([]mqttclient.Message(nil), r.msgs...)
+		r.mu.Unlock()
 		last := -1
-		for j, m := range r.msgs {
+		for j, m := range msgs {
 			seq, err := strconv.Atoi(string(m.Payload))
 			if err != nil {
 				t.Fatalf("late-%d: bad payload %q", i, m.Payload)
@@ -254,9 +262,8 @@ func TestBrokerStressConcurrentMixedQoS(t *testing.T) {
 			}
 			last = seq
 		}
-		if len(r.msgs) == 0 {
+		if len(msgs) == 0 {
 			t.Fatalf("late-%d: no retained replay received", i)
 		}
-		r.mu.Unlock()
 	}
 }

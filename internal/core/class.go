@@ -356,11 +356,14 @@ func (m *Module) startSense(inst *taskInstance, rec recipe.Recipe, sub recipe.Su
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownSensor, name)
 	}
-	if rate := paramFloat(sub, "rate", 0); rate > 0 {
-		s.RateHz = rate
+	// The task's rate override and the module clock are this run loop's
+	// own inputs: other tasks may share the sensor.
+	rate, clk := s.RateHz, s.Clock
+	if r := paramFloat(sub, "rate", 0); r > 0 {
+		rate = r
 	}
-	if s.Clock == nil {
-		s.Clock = m.cfg.Clock
+	if clk == nil {
+		clk = m.cfg.Clock
 	}
 
 	ctx, cancel := context.WithCancel(m.ctx)
@@ -375,7 +378,7 @@ func (m *Module) startSense(inst *taskInstance, rec recipe.Recipe, sub recipe.Su
 		defer close(done)
 		traced := m.cfg.Tracer != nil
 		sample := m.cfg.TraceSampleEvery
-		_ = s.Run(ctx, func(smp sensor.Sample) {
+		_ = s.RunAt(ctx, rate, clk, func(smp sensor.Sample) {
 			// Untraced deployments publish the bare 32-byte sample as
 			// always; with tracing on, the sample rides in a one-sample
 			// batch carrying the freshly minted trace context, so every

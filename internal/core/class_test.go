@@ -337,3 +337,74 @@ func TestWindowedAnomalyDetection(t *testing.T) {
 		}
 	}
 }
+
+// Two sense tasks on one module may share a sensor: each runs it at its
+// own rate while the sensor's sequence advances under its lock, so the
+// two outputs carry disjoint seqs.
+func TestSenseTasksShareSensor(t *testing.T) {
+	tc := newTestCluster(t)
+	mgr := tc.manager(ManagerConfig{})
+	m := tc.module(Config{ID: "node", CapacityOps: 1000})
+	m.RegisterSensor(accelSensor("acc", 1, 200))
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "module", func() bool { return len(mgr.Modules()) == 1 })
+
+	watcher := tc.module(Config{ID: "watcher"})
+	if err := watcher.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seqs := map[string][]uint32{}
+	for _, topic := range []string{"share/a", "share/b"} {
+		if err := watcher.Subscribe(topic, func(msg mqttclient.Message) {
+			smp, err := sensor.DecodeSample(msg.Payload)
+			if err != nil {
+				t.Errorf("bad sample on %s: %v", topic, err)
+				return
+			}
+			mu.Lock()
+			seqs[topic] = append(seqs[topic], smp.Seq)
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rec := &recipe.Recipe{
+		Name: "share",
+		Tasks: []recipe.Task{
+			{ID: "a", Kind: recipe.KindSense, Output: "share/a",
+				Params: map[string]string{"sensor": "acc", "rate": "400"}},
+			{ID: "b", Kind: recipe.KindSense, Output: "share/b",
+				Params: map[string]string{"sensor": "acc"}},
+		},
+	}
+	dep, err := mgr.Deploy(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := dep.WaitRunning(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "samples from both tasks", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seqs["share/a"]) >= 40 && len(seqs["share/b"]) >= 40
+	})
+
+	mu.Lock()
+	defer mu.Unlock()
+	owner := map[uint32]string{}
+	for topic, list := range seqs {
+		for _, seq := range list {
+			if prev, dup := owner[seq]; dup {
+				t.Fatalf("seq %d emitted on %s and %s", seq, prev, topic)
+			}
+			owner[seq] = topic
+		}
+	}
+}

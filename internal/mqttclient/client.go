@@ -45,22 +45,6 @@ type Message struct {
 // concurrent use.
 type Handler func(Message)
 
-// LanePolicy selects what happens when a subscription's dispatch lane is
-// full.
-type LanePolicy int
-
-const (
-	// LaneBlock (default) applies backpressure: the dispatcher waits for
-	// space, eventually stalling the connection reader (and thus TCP).
-	// Nothing is ever dropped, matching QoS expectations.
-	LaneBlock LanePolicy = iota
-	// LaneDropNewest drops the incoming message for the full lane only
-	// (other lanes still receive it) and counts it in the lane-drop
-	// telemetry gauge. Use for lossy real-time feeds where stale data is
-	// worse than missing data.
-	LaneDropNewest
-)
-
 // Options configures a client connection.
 type Options struct {
 	// ClientID identifies the session; required unless CleanSession.
@@ -72,10 +56,10 @@ type Options struct {
 	// AckTimeout bounds waits for PUBACK/SUBACK/UNSUBACK (default 10s).
 	AckTimeout time.Duration
 	// DispatchBuffer sizes the reader's dispatch queue and each handler
-	// registration's lane (default 256).
+	// registration's lane (default 256). A full lane applies backpressure:
+	// the dispatcher waits for space, eventually stalling the connection
+	// reader (and thus TCP); nothing is dropped.
 	DispatchBuffer int
-	// LanePolicy selects the full-lane behavior (default LaneBlock).
-	LanePolicy LanePolicy
 	// Will, when set, is registered as the connection's will message.
 	Will *Message
 	// Username/Password are optional credentials.
@@ -95,11 +79,6 @@ type Options struct {
 	// registered subscription handler (e.g. persistent-session messages
 	// replayed before Subscribe re-registers its handler).
 	DefaultHandler Handler
-	// OnLaneDrop, when set with LaneDropNewest, is invoked from the
-	// dispatcher each time a full lane sheds a message, with the lane's
-	// subscription filter. It runs on the dispatch hot path — keep it
-	// cheap (rate-limit any downstream reporting in the callback).
-	OnLaneDrop func(filter string)
 	// Registry, when set, receives client metrics: publish/receive
 	// counters and a QoS1 publish→PUBACK round-trip histogram.
 	Registry *telemetry.Registry
@@ -133,15 +112,12 @@ func (o Options) withDefaults() Options {
 
 // lane is one handler registration's bounded FIFO dispatch queue, drained
 // by a dedicated goroutine so registrations never head-of-line block each
-// other. depth tracks queued-but-unhandled messages; drops is shared by
-// every lane on the same filter so the counter survives lane churn.
+// other. depth tracks queued-but-unhandled messages.
 type lane struct {
 	ch       chan Message
 	quit     chan struct{}
 	quitOnce sync.Once
 	depth    atomic.Int64
-	drops    *atomic.Int64
-	filter   string
 }
 
 func (l *lane) stop() { l.quitOnce.Do(func() { close(l.quit) }) }
@@ -196,7 +172,6 @@ type Client struct {
 	nextPacketID uint16
 	closed       bool
 	closeErr     error
-	laneDrops    map[string]*atomic.Int64 // per-filter drop counters (lanes share)
 
 	dispatch    chan Message
 	defaultLane *lane         // lane for Options.DefaultHandler (nil if unset)
@@ -272,19 +247,18 @@ func Connect(conn net.Conn, opts Options) (*Client, error) {
 	}
 
 	c := &Client{
-		opts:      opts,
-		conn:      conn,
-		br:        br,
-		pending:   make(map[uint16]chan wire.Packet),
-		laneDrops: make(map[string]*atomic.Int64),
-		dispatch:  make(chan Message, opts.DispatchBuffer),
-		done:      make(chan struct{}),
+		opts:     opts,
+		conn:     conn,
+		br:       br,
+		pending:  make(map[uint16]chan wire.Packet),
+		dispatch: make(chan Message, opts.DispatchBuffer),
+		done:     make(chan struct{}),
 	}
 	if opts.Registry != nil {
 		c.metrics = newClientMetrics(opts.Registry, opts.ClientID)
 	}
 	if opts.DefaultHandler != nil {
-		c.defaultLane = c.newLane("(default)")
+		c.defaultLane = c.newLane()
 		c.laneWg.Add(1)
 		go c.laneLoop(c.defaultLane, opts.DefaultHandler)
 		c.registerLaneMetrics("(default)")
@@ -383,7 +357,7 @@ func (c *Client) SubscribeHandle(filter string, qos wire.QoS, handler Handler) (
 		return 0, nil, ErrClosed
 	}
 	c.subID++
-	ln := c.newLane(filter)
+	ln := c.newLane()
 	reg := &HandlerRegistration{client: c, id: c.subID, filter: filter}
 	c.subs = append(c.subs, subscription{id: c.subID, filter: filter, lane: ln})
 	c.laneWg.Add(1)
@@ -617,25 +591,17 @@ func (c *Client) handleInboundPublish(p *wire.PublishPacket) {
 	}
 }
 
-// newLane builds a lane bound to the per-filter drop counter. Callers hold
-// c.mu (or are in Connect, before any concurrency).
-func (c *Client) newLane(filter string) *lane {
-	drops, ok := c.laneDrops[filter]
-	if !ok {
-		drops = &atomic.Int64{}
-		c.laneDrops[filter] = drops
-	}
+// newLane builds a lane of DispatchBuffer messages.
+func (c *Client) newLane() *lane {
 	return &lane{
-		ch:     make(chan Message, c.opts.DispatchBuffer),
-		quit:   make(chan struct{}),
-		drops:  drops,
-		filter: filter,
+		ch:   make(chan Message, c.opts.DispatchBuffer),
+		quit: make(chan struct{}),
 	}
 }
 
-// registerLaneMetrics exposes the filter's aggregate lane depth and drop
-// count as collection-time gauges. Idempotent per (client, filter): the
-// registry dedups series by name+labels.
+// registerLaneMetrics exposes the filter's aggregate lane depth as a
+// collection-time gauge. Idempotent per (client, filter): the registry
+// dedups series by name+labels.
 func (c *Client) registerLaneMetrics(filter string) {
 	if c.opts.Registry == nil {
 		return
@@ -660,36 +626,12 @@ func (c *Client) registerLaneMetrics(filter string) {
 			}
 			return float64(depth)
 		}, labels...)
-	c.opts.Registry.GaugeFunc("ifot_client_lane_dropped_total",
-		"messages dropped by full dispatch lanes (LaneDropNewest only)",
-		func() float64 {
-			c.mu.Lock()
-			drops := c.laneDrops[filter]
-			c.mu.Unlock()
-			if drops == nil {
-				return 0
-			}
-			return float64(drops.Load())
-		}, labels...)
 }
 
-// enqueue places msg on ln according to the lane policy. Only the
-// dispatcher goroutine sends on lane channels, which is what makes the
-// shutdown close(ln.ch) in dispatchLoop safe.
+// enqueue places msg on ln, waiting for space. Only the dispatcher
+// goroutine sends on lane channels, which is what makes the shutdown
+// close(ln.ch) in dispatchLoop safe.
 func (c *Client) enqueue(ln *lane, msg Message) {
-	if c.opts.LanePolicy == LaneDropNewest {
-		select {
-		case ln.ch <- msg:
-			ln.depth.Add(1)
-		case <-ln.quit:
-		default:
-			ln.drops.Add(1)
-			if c.opts.OnLaneDrop != nil {
-				c.opts.OnLaneDrop(ln.filter)
-			}
-		}
-		return
-	}
 	select {
 	case ln.ch <- msg:
 		ln.depth.Add(1)
@@ -725,8 +667,7 @@ func (c *Client) laneLoop(ln *lane, h Handler) {
 // dispatchLoop matches each inbound message against the subscription table
 // and fans it out to the matching lanes. Matching stays centralized (one
 // goroutine, read-mostly table) while handler execution is per-lane, so one
-// slow handler delays the others only once its own lane is full (LaneBlock)
-// or never (LaneDropNewest).
+// slow handler delays the others only once its own lane is full.
 func (c *Client) dispatchLoop() {
 	defer c.wg.Done()
 	var lanes []*lane // scratch, reused across messages

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ifot-middleware/ifot/internal/telemetry"
 	"github.com/ifot-middleware/ifot/internal/wire"
 )
 
@@ -92,76 +91,6 @@ func TestSlowHandlerDoesNotStallOtherSubscriptions(t *testing.T) {
 			t.Fatalf("slow order[%d] = %q, want %q", i, got, want)
 		}
 	}
-}
-
-// With LaneDropNewest a wedged subscription sheds load instead of applying
-// backpressure, and the shed messages show up in the drop gauge.
-func TestLaneDropNewestShedsAndCounts(t *testing.T) {
-	fb := newFakeBroker(t)
-	reg := telemetry.NewRegistry()
-	opts := NewOptions("dropper")
-	opts.DispatchBuffer = 2
-	opts.LanePolicy = LaneDropNewest
-	opts.Registry = reg
-	c := fb.connect(t, opts)
-	defer c.Close()
-
-	release := make(chan struct{})
-	started := make(chan struct{}, 1)
-	if _, err := c.Subscribe("lane/wedge", wire.QoS0, func(m Message) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-release
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	const sent = 20
-	for i := 0; i < sent; i++ {
-		if err := c.Publish("lane/wedge", []byte{byte(i)}, wire.QoS0, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-started:
-	case <-time.After(2 * time.Second):
-		t.Fatal("handler never started")
-	}
-
-	// 1 in the handler + 2 buffered; the rest must be counted as drops
-	// once the dispatcher has seen all 20.
-	wantDrops := float64(sent - 1 - opts.DispatchBuffer)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if got := laneGauge(t, reg, "ifot_client_lane_dropped_total", "lane/wedge"); got == wantDrops {
-			break
-		} else if time.Now().After(deadline) {
-			t.Fatalf("drop gauge = %v, want %v", got, wantDrops)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := laneGauge(t, reg, "ifot_client_lane_depth", "lane/wedge"); got != float64(opts.DispatchBuffer) {
-		t.Fatalf("depth gauge = %v, want %v", got, opts.DispatchBuffer)
-	}
-	close(release)
-}
-
-// laneGauge reads one lane telemetry sample by metric name and filter label.
-func laneGauge(t *testing.T, reg *telemetry.Registry, name, filter string) float64 {
-	t.Helper()
-	for _, s := range reg.Samples() {
-		if s.Name != name {
-			continue
-		}
-		for _, l := range s.Labels {
-			if l.Name == "filter" && l.Value == filter {
-				return s.Value
-			}
-		}
-	}
-	return -1
 }
 
 // Removing one of two registrations on the same filter must stop its lane

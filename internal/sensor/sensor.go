@@ -12,6 +12,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/ifot-middleware/ifot/internal/clock"
@@ -254,7 +255,9 @@ func SpikeInjector(base Generator, everyN uint32, magnitude float32) Generator {
 	})
 }
 
-// Sensor is a virtual sensor node emitting samples at a fixed rate.
+// Sensor is a virtual sensor node emitting samples at a fixed rate. Next
+// (and so Run and RunAt) is safe for concurrent use: several tasks may
+// share one sensor.
 type Sensor struct {
 	// ID names the sensor (used in MQTT topics).
 	ID string
@@ -269,11 +272,14 @@ type Sensor struct {
 	// Clock supplies time; nil means the wall clock.
 	Clock clock.Clock
 
+	mu  sync.Mutex // serializes seq and Gen
 	seq uint32
 }
 
 // Next produces the sensor's next sample at time t.
 func (s *Sensor) Next(t time.Time) Sample {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	gen := s.Gen
 	if gen == nil {
 		gen = Constant(0, 0, 0)
@@ -291,14 +297,20 @@ func (s *Sensor) Next(t time.Time) Sample {
 // Run emits samples at RateHz, invoking emit for each, until ctx is
 // cancelled. It returns ctx.Err.
 func (s *Sensor) Run(ctx context.Context, emit func(Sample)) error {
-	if s.RateHz <= 0 {
-		return fmt.Errorf("sensor %q: non-positive rate %v", s.ID, s.RateHz)
+	return s.RunAt(ctx, s.RateHz, s.Clock, emit)
+}
+
+// RunAt is Run at rateHz on clk (nil means the wall clock). It leaves the
+// sensor's own RateHz and Clock alone, so tasks sharing the sensor can
+// each sample it at their own rate.
+func (s *Sensor) RunAt(ctx context.Context, rateHz float64, clk clock.Clock, emit func(Sample)) error {
+	if rateHz <= 0 {
+		return fmt.Errorf("sensor %q: non-positive rate %v", s.ID, rateHz)
 	}
-	clk := s.Clock
 	if clk == nil {
 		clk = clock.NewReal()
 	}
-	period := time.Duration(float64(time.Second) / s.RateHz)
+	period := time.Duration(float64(time.Second) / rateHz)
 	for {
 		select {
 		case <-ctx.Done():
