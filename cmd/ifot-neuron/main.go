@@ -64,8 +64,8 @@ func run() error {
 		ckptHand  = flag.Bool("ckpt-handoff", false, "publish model checkpoints as retained broker blobs so a failover target resumes warm")
 		fenceAft  = flag.Duration("fence-after", 0, "self-fence task outputs after this long without a broker announce ack (0 = off)")
 		drainTmo  = flag.Duration("drain-timeout", 0, "on SIGTERM, ask the manager to move tasks off and wait up to this long before closing (0 = immediate close)")
-		mixKeyfr  = flag.Int("mix-keyframe", 0, "publish a retained full-state MIX keyframe every N rounds (0 = default cadence, 1 = every round)")
-		mixStale  = flag.Duration("mix-stale-after", 0, "evict MIX peers silent for longer than this (0 = 3x the mix interval)")
+		mixKeyfr  = flag.Int("mix-keyframe", 0, "publish this shard's MIX contribution as a retained keyframe every N rounds (0 = default cadence, 1 = the whole contribution every round)")
+		mixStale  = flag.Duration("mix-stale-after", 0, "evict MIX shards silent for longer than this (0 = 3x the mix interval)")
 		eventCap  = flag.Int("event-capacity", telemetry.DefaultEventCapacity, "structured events retained for the local /events endpoint")
 		eventExp  = flag.Duration("event-export", time.Second, "interval for publishing events on ifot/ctrl/events/<id> (0 = no export)")
 		sensors   stringsFlag

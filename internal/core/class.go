@@ -118,16 +118,27 @@ func (m *Module) resolveInputs(rec recipe.Recipe, sub recipe.SubTask) ([]string,
 
 // subscribeInputs is the one place a task's handlers are registered, data
 // inputs and MIX streams alike: it subscribes handler to every filter at
-// DataQoS and removes the subscriptions on task stop. The handler is told
-// which filter matched (one closure per subscription, none per message),
-// so a join can tell its sources apart without a subscribe loop of its own.
+// DataQoS, contains a panicking handler, and removes the subscriptions on
+// task stop. The handler is told which filter matched (one closure per
+// subscription, none per message), so a join can tell its sources apart
+// without a subscribe loop of its own.
 func (m *Module) subscribeInputs(inst *taskInstance, filters []string, handler func(filter string, msg mqttclient.Message)) error {
 	client := m.currentClient()
 	if client == nil {
 		return ErrNotStarted
 	}
 	for _, filter := range filters {
-		_, reg, err := client.SubscribeHandle(filter, m.cfg.DataQoS, func(msg mqttclient.Message) { handler(filter, msg) })
+		_, reg, err := client.SubscribeHandle(filter, m.cfg.DataQoS, func(msg mqttclient.Message) {
+			// A panicking handler loses its message, not the lane, the
+			// task or the module.
+			defer func() {
+				if v := recover(); v != nil && m.warnDue("handler_panic", filter) {
+					m.events.Eventf(telemetry.SevError, m.cfg.ID, "handler_panic",
+						"task", inst.name, "topic", msg.Topic, "panic", fmt.Sprint(v))
+				}
+			}()
+			handler(filter, msg)
+		})
 		if err != nil {
 			return fmt.Errorf("core: subscribe %s: %w", filter, err)
 		}
@@ -590,8 +601,13 @@ func (m *Module) startTrain(inst *taskInstance, rec recipe.Recipe, sub recipe.Su
 		}
 	}
 	// Restore before the first input subscription, so a restored model
-	// never trains on top of fresh weights.
+	// never trains on top of fresh weights, and capture the MIX starting
+	// contribution in between.
 	m.registerCheckpointer(inst, sub.Name(), ckpt)
+	var pub *mixPublisher
+	if mixer != nil {
+		pub = newMixPublisher(mixer, m.mixReceiverFor(mixer, sub.Shard), m.cfg.ID, sub.Shard, sub.ShardCount, m.cfg.MixKeyframeEvery)
+	}
 	var examples atomic.Int64
 	err := m.batchTask(inst, rec, sub, func(batch []sensor.Sample, fwd *TraceContext) {
 		if !learn(batch) {
@@ -604,20 +620,23 @@ func (m *Module) startTrain(inst *taskInstance, rec recipe.Recipe, sub recipe.Su
 			Trace:    fwd,
 		})
 	})
-	if err != nil || mixer == nil {
+	if err != nil || pub == nil {
 		return err
 	}
-	// MIX: publish weights for predictors and sibling shards; average in
-	// sibling snapshots (Jubatus-style distributed learning).
-	return m.startMixLoop(inst, rec, sub, mixer)
+	// MIX: publish this shard's updates for predictors and sibling shards;
+	// fold the sibling shards' in (Jubatus-style distributed learning).
+	return m.startMixLoop(inst, rec, sub, pub)
 }
 
-// mixEvictCounter returns the peer-eviction counter (nil without telemetry).
-func (m *Module) mixEvictCounter() *telemetry.Counter {
-	if m.metrics == nil {
-		return nil
+// mixReceiverFor returns a receiver folding MIX payloads into model, with
+// its evictions and sync events reported as this module's.
+func (m *Module) mixReceiverFor(model ml.DeltaMixer, ownShard int) *mixReceiver {
+	rx := newMixReceiver(model, ownShard, m.cfg.MixStaleAfter, nil)
+	rx.events, rx.module = m.events, m.cfg.ID
+	if m.metrics != nil {
+		rx.evictions = m.metrics.mixEvictions
 	}
-	return m.metrics.mixEvictions
+	return rx
 }
 
 // noteMixRound records one published MIX round and its payload bytes.
@@ -630,42 +649,25 @@ func (m *Module) noteMixRound(payloadBytes int, staleness time.Duration) {
 	m.metrics.mixStaleness.Set(staleness.Seconds())
 }
 
-// startMixLoop runs the Managing class's MIX protocol for one learner.
-// Every MixInterval the updates accumulated since the last round ship as
-// one QoS-DataQoS, non-retained binary delta with an unbroken round
-// sequence; every MixKeyframeEvery rounds the full state follows as a
-// retained keyframe (joiners bootstrap from it, desynchronized peers
-// resync). Incremental averaging happens in place: each in-order peer
-// delta is applied at 1/n, and after publishing, the local model keeps
-// only its own 1/n share of the round's updates — algebraically one
-// synchronized full average per round, without ever materializing the
-// union of weight maps.
-func (m *Module) startMixLoop(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, dm ml.DeltaMixer) error {
+// startMixLoop runs the Managing class's MIX protocol for one learner
+// (mixsync.go): every MixInterval one publisher round — the round's delta
+// as a QoS-DataQoS, non-retained payload and, every MixKeyframeEvery
+// rounds, the shard's contribution as a retained keyframe — while a
+// sharded task folds its sibling shards' payloads in.
+func (m *Module) startMixLoop(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, pub *mixPublisher) error {
 	topic := mixTopic(rec.Name, sub.TaskID)
 	mixClient := m.currentClient()
 	if mixClient == nil {
 		return ErrNotStarted
 	}
-	dm.EnableDeltaTracking()
-	syms := feature.DefaultSymbols()
-	rx := newMixReceiver(dm, true, m.cfg.MixStaleAfter, m.mixEvictCounter())
-	rx.setEvents(m.events, m.cfg.ID)
 	if sub.ShardCount > 1 {
-		// Reusable decode target: the handler runs serially on its lane.
-		var peerDelta ml.MixDelta
-		err := m.subscribeInputs(inst, []string{topic + "/+"}, func(filter string, msg mqttclient.Message) {
-			h, err := DecodeMix(msg.Payload, syms, &peerDelta)
-			if err != nil {
-				m.noteMixBadPayload(filter, msg.Topic, err)
-				return
-			}
-			if h.ModuleID == m.cfg.ID {
-				return
-			}
-			rx.onPayload(h, &peerDelta, m.now())
-		})
-		if err != nil {
+		if err := m.subscribeMix(inst, topic, pub.rx); err != nil {
 			return err
+		}
+	}
+	publish := func(payload []byte, keyframe bool) {
+		if err := mixClient.Publish(topic+"/"+m.cfg.ID, payload, m.cfg.DataQoS, keyframe); err != nil {
+			m.logf("train %s mix publish: %v", sub.Name(), err)
 		}
 	}
 
@@ -674,12 +676,6 @@ func (m *Module) startMixLoop(inst *taskInstance, rec recipe.Recipe, sub recipe.
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		var (
-			enc          []byte
-			delta, dense ml.MixDelta
-			round        uint64
-		)
-		keyframeEvery := uint64(m.cfg.MixKeyframeEvery)
 		for {
 			select {
 			case <-ctx.Done():
@@ -691,60 +687,26 @@ func (m *Module) startMixLoop(inst *taskInstance, rec recipe.Recipe, sub recipe.
 				if m.outputsFenced.Load() {
 					continue
 				}
-				round++
 				now := m.now()
-				dm.ExportDeltaInto(&delta)
-				if delta.Len() > 0 {
-					rx.noteLocalUpdate()
-				}
-				h := MixHeader{ModuleID: m.cfg.ID, Shard: sub.Shard, Round: round, At: now}
-				enc = AppendEncodeMix(enc[:0], h, &delta, syms)
-				if err := mixClient.Publish(topic+"/"+m.cfg.ID, enc, m.cfg.DataQoS, false); err != nil {
-					m.logf("train %s mix publish: %v", sub.Name(), err)
-				}
-				bytes := len(enc)
-				// Keep only the local 1/n share of this round's updates;
-				// every live peer applies the published delta at 1/n too,
-				// so the cluster-wide sum still adds each update exactly
-				// once — incremental averaging without the union maps.
-				if sub.ShardCount > 1 && delta.Len() > 0 {
-					if n := rx.shardCount(now); n > 1 {
-						dm.ApplyDelta(&delta, 1/float64(n)-1)
-					}
-				}
-				if keyframeEvery <= 1 || round%keyframeEvery == 1 {
-					dm.ExportDenseInto(&dense)
-					hk := h
-					hk.Keyframe = true
-					enc = AppendEncodeMix(enc[:0], hk, &dense, syms)
-					if err := mixClient.Publish(topic+"/"+m.cfg.ID, enc, m.cfg.DataQoS, true); err != nil {
-						m.logf("train %s mix keyframe publish: %v", sub.Name(), err)
-					}
-					bytes += len(enc)
-				}
-				m.noteMixRound(bytes, rx.staleness(now))
+				bytes := pub.publishRound(now, publish)
+				m.noteMixRound(bytes, pub.rx.staleness(now))
 			}
 		}
 	}()
 	return nil
 }
 
-// startModelSync subscribes a Judging-class model to the named trainer
-// task's MIX stream and folds arriving payloads (binary deltas and
-// keyframes) into it via a mixReceiver with no local shard membership.
-func (m *Module) startModelSync(inst *taskInstance, rec recipe.Recipe, from string, model ml.DeltaMixer) error {
+// subscribeMix folds every payload of the MIX stream under topic into rx.
+func (m *Module) subscribeMix(inst *taskInstance, topic string, rx *mixReceiver) error {
 	syms := feature.DefaultSymbols()
-	rx := newMixReceiver(model, false, m.cfg.MixStaleAfter, m.mixEvictCounter())
-	rx.setEvents(m.events, m.cfg.ID)
-	// Reusable decode target: the handler runs serially on its lane.
-	var pd ml.MixDelta
-	return m.subscribeInputs(inst, []string{mixTopic(rec.Name, from) + "/+"}, func(filter string, msg mqttclient.Message) {
-		h, err := DecodeMix(msg.Payload, syms, &pd)
+	var d ml.MixDelta // reusable decode target: the handler runs serially on its lane
+	return m.subscribeInputs(inst, []string{topic + "/+"}, func(filter string, msg mqttclient.Message) {
+		h, err := DecodeMix(msg.Payload, syms, &d)
 		if err != nil {
 			m.noteMixBadPayload(filter, msg.Topic, err)
 			return
 		}
-		rx.onPayload(h, &pd, m.now())
+		rx.onPayload(h, &d, m.now())
 	})
 }
 
@@ -780,10 +742,10 @@ func (m *Module) startPredict(inst *taskInstance, rec recipe.Recipe, sub recipe.
 			return best.Label, best.Score, true
 		}
 	}
-	// Model sync: fold the named trainer task's MIX stream (binary deltas
-	// and keyframes) into the local model.
+	// Model sync: fold the named trainer task's MIX stream into the local
+	// model, a slot for every shard.
 	if from := paramString(sub, "modelFrom", ""); from != "" && model != nil {
-		if err := m.startModelSync(inst, rec, from, model); err != nil {
+		if err := m.subscribeMix(inst, mixTopic(rec.Name, from), m.mixReceiverFor(model, noShard)); err != nil {
 			return err
 		}
 	}

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"log"
 	"os"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/ifot-middleware/ifot/internal/mqttclient"
 	"github.com/ifot-middleware/ifot/internal/recipe"
+	"github.com/ifot-middleware/ifot/internal/telemetry"
 	"github.com/ifot-middleware/ifot/internal/wire"
 )
 
@@ -67,6 +70,65 @@ func TestCustomTaskEndToEnd(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("custom stage output never arrived")
+	}
+}
+
+// TestHandlerPanicContained: a custom handler that panics on every odd
+// message loses only those messages. Its even messages are still handled,
+// a second task on the module keeps producing, and the panics surface as
+// exactly one rate-limited handler_panic event.
+func TestHandlerPanicContained(t *testing.T) {
+	tc := newTestCluster(t)
+	m := tc.module(Config{ID: "node"})
+	var handled, relayed atomic.Int64
+	m.RegisterCustom("flaky", func(msg mqttclient.Message, _ func(string, []byte) error) {
+		if n, _ := strconv.Atoi(string(msg.Payload)); n%2 == 1 {
+			panic("odd message " + string(msg.Payload))
+		}
+		handled.Add(1)
+	})
+	m.RegisterCustom("relay", func(msg mqttclient.Message, publish func(string, []byte) error) {
+		_ = publish("hp/out", msg.Payload)
+	})
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Subscribe("hp/out", func(mqttclient.Message) { relayed.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	rec := recipe.Recipe{Name: "hp", Tasks: []recipe.Task{
+		{ID: "flaky", Kind: recipe.KindCustom, Inputs: []string{"hp/in"}},
+		{ID: "relay", Kind: recipe.KindCustom, Inputs: []string{"hp/in"}, Output: "hp/out"},
+	}}
+	for _, task := range rec.Tasks {
+		if err := m.StartTask(rec, recipe.SubTask{Recipe: rec.Name, TaskID: task.ID, ShardCount: 1, Task: task}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const msgs = 20
+	for i := 1; i <= msgs; i++ {
+		if err := m.Publish("hp/in", []byte(strconv.Itoa(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "even messages handled and every message relayed", func() bool {
+		return handled.Load() == msgs/2 && relayed.Load() == msgs
+	})
+	var panics []telemetry.Event
+	for _, ev := range m.Events().Events(0, time.Time{}) {
+		if ev.Kind == "handler_panic" {
+			panics = append(panics, ev)
+		}
+	}
+	if len(panics) != 1 {
+		t.Fatalf("handler_panic events = %d, want 1 (rate-limited)", len(panics))
+	}
+	if f := panics[0].Fields; f["task"] != "hp/flaky" || f["topic"] != "hp/in" || f["panic"] != "odd message 1" {
+		t.Fatalf("handler_panic fields = %v", f)
+	}
+	if running := m.RunningTasks(); len(running) != 2 {
+		t.Fatalf("running tasks = %v, want both", running)
 	}
 }
 

@@ -37,7 +37,7 @@ func mixBenchStream(n, nFeatures, touch int) []mixBenchSample {
 }
 
 // BenchmarkMixRound measures one full MIX exchange — export → encode →
-// decode → import on a receiving peer — for the two payload kinds:
+// decode → receive on a peer's mixReceiver — for the two payload kinds:
 //
 //	binary-full:  binary codec carrying the full model (a keyframe)
 //	binary-delta: binary codec carrying only the round's weight updates
@@ -68,7 +68,7 @@ func BenchmarkMixRound(b *testing.B) {
 
 	b.Run("binary-full", func(b *testing.B) {
 		trainer := newTrained(false)
-		receiver := ml.NewPassiveAggressive(0.1)
+		receiver := newMixReceiver(ml.NewPassiveAggressive(0.1), noShard, 0, nil)
 		var (
 			dense, rx    ml.MixDelta
 			enc          []byte
@@ -87,14 +87,14 @@ func BenchmarkMixRound(b *testing.B) {
 			if _, err := DecodeMix(enc, syms, &rx); err != nil {
 				b.Fatal(err)
 			}
-			receiver.ImportDense(&rx)
+			receiver.onPayload(h, &rx, h.At)
 		}
 		b.ReportMetric(float64(payloadBytes)/float64(b.N), "payload-B/round")
 	})
 
 	b.Run("binary-delta", func(b *testing.B) {
 		trainer := newTrained(true)
-		receiver := ml.NewPassiveAggressive(0.1)
+		receiver := newMixReceiver(ml.NewPassiveAggressive(0.1), noShard, 0, nil)
 		var (
 			delta, rx    ml.MixDelta
 			enc          []byte
@@ -102,7 +102,7 @@ func BenchmarkMixRound(b *testing.B) {
 		)
 		// Bootstrap the receiver once (keyframe), then steady-state deltas.
 		trainer.ExportDenseInto(&delta)
-		receiver.ImportDense(&delta)
+		receiver.onPayload(MixHeader{ModuleID: "bench", Keyframe: true}, &delta, time.Unix(0, 0))
 		trainer.ExportDeltaInto(&delta) // drain warmup updates
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -117,7 +117,7 @@ func BenchmarkMixRound(b *testing.B) {
 			if _, err := DecodeMix(enc, syms, &rx); err != nil {
 				b.Fatal(err)
 			}
-			receiver.ApplyDelta(&rx, 0.5)
+			receiver.onPayload(h, &rx, h.At)
 		}
 		b.ReportMetric(float64(payloadBytes)/float64(b.N), "payload-B/round")
 	})

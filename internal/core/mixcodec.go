@@ -15,8 +15,8 @@ import (
 // Binary MIX payload format (versioned):
 //
 //	byte 0:  magic 0xCE
-//	byte 1:  version (1)
-//	byte 2:  flags (bit 0: keyframe — full state; clear: delta)
+//	byte 1:  version (2)
+//	byte 2:  flags (bit 0: keyframe — a shard's contribution; clear: delta)
 //	uvarint: shard index
 //	uvarint: round sequence number
 //	8 bytes: At as little-endian unix nanoseconds
@@ -36,7 +36,7 @@ import (
 // varint deltas stay small.
 const (
 	mixMagic        = 0xCE
-	mixVersion      = 1
+	mixVersion      = 2
 	mixFlagKeyframe = 1 << 0
 )
 

@@ -125,7 +125,7 @@ func TestMixCodecRejectsMalformed(t *testing.T) {
 		"trailing":     append(append([]byte{}, valid...), 0x00),
 		"not json":     []byte("{nope"),
 		"nan weight":   nanPayload(syms),
-		"huge counts":  {0xCE, 0x01, 0x00, 0x00, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x01, 'm', 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
+		"huge counts":  {0xCE, mixVersion, 0x00, 0x00, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x01, 'm', 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
 		"dup name":     dupNamePayload(),
 		"nonascending": nonAscendingPayload(),
 	}
@@ -150,7 +150,7 @@ func nanPayload(syms *feature.Symbols) []byte {
 
 // dupNamePayload hand-assembles a frame whose name table repeats a name.
 func dupNamePayload() []byte {
-	b := []byte{0xCE, 0x01, 0x00, 0x00, 0x00}
+	b := []byte{0xCE, mixVersion, 0x00, 0x00, 0x00}
 	b = append(b, make([]byte, 8)...)         // At
 	b = append(b, 0x01, 'm')                  // moduleID
 	b = append(b, 0x02, 0x01, 'a', 0x01, 'a') // table: "a","a"
@@ -160,7 +160,7 @@ func dupNamePayload() []byte {
 
 // nonAscendingPayload repeats index delta 0 for the second entry.
 func nonAscendingPayload() []byte {
-	b := []byte{0xCE, 0x01, 0x00, 0x00, 0x00}
+	b := []byte{0xCE, mixVersion, 0x00, 0x00, 0x00}
 	b = append(b, make([]byte, 8)...)         // At
 	b = append(b, 0x01, 'm')                  // moduleID
 	b = append(b, 0x02, 0x01, 'a', 0x01, 'b') // table: "a","b"

@@ -1,213 +1,250 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
+	"github.com/ifot-middleware/ifot/internal/feature"
 	"github.com/ifot-middleware/ifot/internal/ml"
 	"github.com/ifot-middleware/ifot/internal/telemetry"
 )
 
-// mixPeer is the per-publisher sync state a receiver keeps.
-type mixPeer struct {
+// noShard is the own shard of a receiver that trains nothing (a modelFrom
+// predictor): it keeps a slot for every shard.
+const noShard = -1
+
+// mixContrib is one shard's contribution to a MIX model: per-label weights
+// over interned feature IDs, dense like the model's own.
+type mixContrib struct {
+	labels []string
+	w      [][]float64
+}
+
+func (c *mixContrib) add(d *ml.MixDelta) {
+	for i := range d.Labels {
+		ld := &d.Labels[i]
+		li := slices.Index(c.labels, ld.Label)
+		if li < 0 {
+			li = len(c.labels)
+			c.labels, c.w = append(c.labels, ld.Label), append(c.w, nil)
+		}
+		for j, id := range ld.IDs {
+			c.w[li] = feature.GrowDense(c.w[li], id+1)
+			c.w[li][id] += ld.Vals[j]
+		}
+	}
+}
+
+// exportInto fills d with the contribution's nonzero entries; every label
+// is emitted, so a receiver learns the full label set.
+func (c *mixContrib) exportInto(d *ml.MixDelta) {
+	d.Reset()
+	for li, label := range c.labels {
+		ld := d.Grow(label)
+		for id, v := range c.w[li] {
+			if v != 0 {
+				ld.IDs = append(ld.IDs, uint32(id))
+				ld.Vals = append(ld.Vals, v)
+			}
+		}
+	}
+}
+
+// replace makes d the contribution and fills diff with d minus the old
+// contribution. An entry d leaves unchanged comes out exactly zero and is
+// not emitted, so replacing a contribution with itself changes nothing.
+func (c *mixContrib) replace(d, diff *ml.MixDelta) {
+	for _, w := range c.w {
+		for id := range w {
+			w[id] = -w[id]
+		}
+	}
+	c.add(d)
+	c.exportInto(diff)
+	for _, w := range c.w {
+		clear(w)
+	}
+	c.add(d)
+}
+
+// mixSlot is what a receiver knows of one shard. A slot that has an owner
+// but is not synced lost sync (round gap or eviction) and waits for a
+// keyframe.
+type mixSlot struct {
+	owner     string // module whose keyframe the slot last took
+	contrib   mixContrib
 	lastRound uint64
-	synced    bool // bootstrapped from a keyframe; deltas apply in order
-	desynced  bool // lost sync to a round gap; pending keyframe recovery
+	synced    bool // the owner's deltas apply in round order
 	lastAt    time.Time
 }
 
-// mixReceiver folds peer MIX payloads into one local model with round-
-// sequence discipline (the idempotent-replay rules the WAL/snapshot pair
-// established): deltas apply only in unbroken round order at 1/n weight; a
-// gap desynchronizes the peer until its next keyframe; keyframes bootstrap
-// joiners (wholesale import when nothing is blended locally yet) and
-// resynchronize at contractive merge weight otherwise. Peers whose last
-// payload is older than staleAfter are evicted, so departed modules stop
-// dragging the average — the fix for the retained-snapshot drag bug.
-//
-// Shared by the trainer mix loop (hasLocal: the local model is a shard
-// member) and by predictor model sync (hasLocal false).
+// mixReceiver is the MIX state of one participant, a trainer shard or a
+// modelFrom predictor alike: its model is the sum of one contribution per
+// shard — the local one (a trainer's own shard, skipped on the wire) plus
+// one slot per other shard. A shard's keyframe replaces its slot; its delta
+// adds to the slot only when it comes from the slot's owner at exactly the
+// next round, and a gap desynchronizes the slot until the next keyframe.
+// The scale of an update is decided once, by the shard that trained on it,
+// so two participants that disagree on n still agree on the model.
 type mixReceiver struct {
 	model      ml.DeltaMixer
-	hasLocal   bool
+	ownShard   int // a trainer's own shard, or noShard
 	staleAfter time.Duration
+	evictions  *telemetry.Counter // may be nil
+	events     *telemetry.EventLog
+	module     string // the receiving module, in events
 
-	mu          sync.Mutex
-	peers       map[string]*mixPeer
-	localMember bool // local state already represents >=1 blend member
-
-	evictions *telemetry.Counter // may be nil
-
-	// events (may be nil) receives sync-discipline occurrences: peer
-	// evictions, delta-gap desyncs, keyframe resyncs. module names the
-	// receiving module in those events.
-	events *telemetry.EventLog
-	module string
+	mu    sync.Mutex
+	slots map[int]*mixSlot
+	diff  ml.MixDelta // keyframe scratch
 }
 
-func newMixReceiver(model ml.DeltaMixer, hasLocal bool, staleAfter time.Duration, evictions *telemetry.Counter) *mixReceiver {
-	return &mixReceiver{
-		model:      model,
-		hasLocal:   hasLocal,
-		staleAfter: staleAfter,
-		peers:      make(map[string]*mixPeer),
-		evictions:  evictions,
-	}
+func newMixReceiver(model ml.DeltaMixer, ownShard int, staleAfter time.Duration, evictions *telemetry.Counter) *mixReceiver {
+	return &mixReceiver{model: model, ownShard: ownShard, staleAfter: staleAfter, evictions: evictions,
+		slots: make(map[int]*mixSlot)}
 }
 
-// setEvents routes sync-discipline events (evictions, desyncs, resyncs)
-// into the module's event log. Call before the receiver sees traffic.
-func (rx *mixReceiver) setEvents(l *telemetry.EventLog, moduleID string) {
-	rx.events = l
-	rx.module = moduleID
-}
-
-// noteLocalUpdate marks the local model as holding real state (the trainer
-// produced updates), so later keyframes merge instead of wholesale-import.
-func (rx *mixReceiver) noteLocalUpdate() {
-	rx.mu.Lock()
-	rx.localMember = true
-	rx.mu.Unlock()
-}
-
-// onPayload ingests one decoded peer payload received at local time now.
+// onPayload ingests one decoded payload received at local time now.
 func (rx *mixReceiver) onPayload(h MixHeader, d *ml.MixDelta, now time.Time) {
-	rx.mu.Lock()
-	defer rx.mu.Unlock()
-	// Refresh the publisher before the eviction sweep: an arriving payload
-	// proves the peer is alive, even after a long silence.
-	p := rx.peers[h.ModuleID]
-	if p == nil {
-		p = &mixPeer{}
-		rx.peers[h.ModuleID] = p
-	}
-	p.lastAt = now
-	rx.evictLocked(now)
-	switch {
-	case h.Keyframe:
-		if p.synced && h.Round <= p.lastRound {
-			return // periodic keyframe for an in-sync peer: nothing new
-		}
-		// Join, or resync after missed deltas: count the peer out of the
-		// current blend first, then fold its full state in.
-		if p.desynced {
-			p.desynced = false
-			rx.events.Eventf(telemetry.SevInfo, rx.module, "mix_resync",
-				"peer", h.ModuleID, "round", strconv.FormatUint(h.Round, 10))
-		}
-		p.synced = false
-		rx.absorbLocked(d, rx.blendMembersLocked(now)+1)
-		p.synced = true
-		p.lastRound = h.Round
-	default: // delta
-		if !p.synced {
-			return // not bootstrapped; wait for the peer's next keyframe
-		}
-		if h.Round <= p.lastRound {
-			return // duplicate replay: idempotent skip
-		}
-		if h.Round != p.lastRound+1 {
-			p.synced = false // gap: desync until the next keyframe
-			p.desynced = true
-			rx.events.Eventf(telemetry.SevWarn, rx.module, "mix_desync",
-				"peer", h.ModuleID,
-				"expected", strconv.FormatUint(p.lastRound+1, 10),
-				"got", strconv.FormatUint(h.Round, 10))
-			return
-		}
-		p.lastRound = h.Round
-		rx.model.ApplyDelta(d, 1/float64(rx.shardCountLocked(now)))
-	}
-}
-
-// absorbLocked folds a full peer state into the local model as the total-th
-// blend member: wholesale import when nothing is represented locally yet
-// (joiner bootstrap), contractive merge at 1/total otherwise.
-func (rx *mixReceiver) absorbLocked(d *ml.MixDelta, total int) {
-	if total <= 1 {
-		rx.model.ImportDense(d)
-	} else {
-		rx.model.MergeDense(d, 1/float64(total))
-	}
-	rx.localMember = true
-}
-
-// blendMembersLocked counts how many members the local state represents:
-// the local shard (once it holds real state) plus every fresh in-sync peer.
-func (rx *mixReceiver) blendMembersLocked(now time.Time) int {
-	n := 0
-	if rx.hasLocal && rx.localMember {
-		n++
-	}
-	for _, p := range rx.peers {
-		if p.synced && rx.freshLocked(p, now) {
-			n++
-		}
-	}
-	return n
-}
-
-// shardCountLocked is n for delta weighting: the live shard members — the
-// local trainer (if any) plus every fresh in-sync delta publisher.
-func (rx *mixReceiver) shardCountLocked(now time.Time) int {
-	n := 0
-	if rx.hasLocal {
-		n++
-	}
-	for _, p := range rx.peers {
-		if p.synced && rx.freshLocked(p, now) {
-			n++
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-func (rx *mixReceiver) freshLocked(p *mixPeer, now time.Time) bool {
-	return rx.staleAfter <= 0 || now.Sub(p.lastAt) <= rx.staleAfter
-}
-
-// evictLocked drops peers not heard from within staleAfter. Their already-
-// blended contribution stays (it is part of history); they simply stop
-// counting toward n and never re-average in — a reappearing peer starts
-// over with a keyframe bootstrap.
-func (rx *mixReceiver) evictLocked(now time.Time) {
-	if rx.staleAfter <= 0 {
+	if h.Shard == rx.ownShard {
 		return
 	}
-	for id, p := range rx.peers {
-		if now.Sub(p.lastAt) > rx.staleAfter {
-			delete(rx.peers, id)
+	rx.mu.Lock()
+	defer rx.mu.Unlock()
+	s := rx.slots[h.Shard]
+	if s == nil {
+		s = &mixSlot{}
+		rx.slots[h.Shard] = s
+	}
+	s.lastAt = now
+	if h.Keyframe {
+		// Every keyframe replaces the slot, whatever its round or module:
+		// a restarted publisher (rounds back at 1) or a shard's new host is
+		// heard at once, and an in-sync publisher's keyframe is a no-op.
+		if s.owner != "" && !s.synced {
+			rx.events.Eventf(telemetry.SevInfo, rx.module, "mix_resync",
+				"peer", h.ModuleID, "shard", strconv.Itoa(h.Shard), "round", strconv.FormatUint(h.Round, 10))
+		}
+		s.contrib.replace(d, &rx.diff)
+		rx.model.ApplyDelta(&rx.diff, 1)
+		s.owner, s.lastRound, s.synced = h.ModuleID, h.Round, true
+		return
+	}
+	if !s.synced || h.ModuleID != s.owner || h.Round <= s.lastRound {
+		return // no keyframe yet, another module's delta, or a replay
+	}
+	if h.Round != s.lastRound+1 {
+		s.synced = false
+		rx.events.Eventf(telemetry.SevWarn, rx.module, "mix_desync",
+			"peer", h.ModuleID, "shard", strconv.Itoa(h.Shard),
+			"expected", strconv.FormatUint(s.lastRound+1, 10), "got", strconv.FormatUint(h.Round, 10))
+		return
+	}
+	s.lastRound = h.Round
+	s.contrib.add(d)
+	rx.model.ApplyDelta(d, 1)
+}
+
+// shardCount is n for a publisher's round: its own shard plus every other
+// shard whose slot is in sync. A synced slot silent for longer than
+// staleAfter is evicted here: it stops counting toward n and the staleness
+// gauge, while its contribution stays in the model and in the slot for its
+// next keyframe to replace.
+func (rx *mixReceiver) shardCount(now time.Time) int {
+	rx.mu.Lock()
+	defer rx.mu.Unlock()
+	n := 1
+	for shard, s := range rx.slots {
+		if s.synced && rx.staleAfter > 0 && now.Sub(s.lastAt) > rx.staleAfter {
+			s.synced = false
 			if rx.evictions != nil {
 				rx.evictions.Inc()
 			}
 			rx.events.Eventf(telemetry.SevWarn, rx.module, "mix_peer_evicted",
-				"peer", id, "age", now.Sub(p.lastAt).String())
+				"peer", s.owner, "shard", strconv.Itoa(shard), "age", now.Sub(s.lastAt).String())
+		}
+		if s.synced {
+			n++
 		}
 	}
+	return n
 }
 
-// shardCount is the exported-for-the-loop view of live shard membership.
-func (rx *mixReceiver) shardCount(now time.Time) int {
-	rx.mu.Lock()
-	defer rx.mu.Unlock()
-	rx.evictLocked(now)
-	return rx.shardCountLocked(now)
-}
-
-// staleness returns the age of the oldest live peer's last payload — the
+// staleness returns the age of the oldest synced slot's last payload — the
 // value behind ifot_mix_peer_staleness_seconds.
 func (rx *mixReceiver) staleness(now time.Time) time.Duration {
 	rx.mu.Lock()
 	defer rx.mu.Unlock()
 	var worst time.Duration
-	for _, p := range rx.peers {
-		if age := now.Sub(p.lastAt); age > worst {
-			worst = age
+	for _, s := range rx.slots {
+		if s.synced {
+			worst = max(worst, now.Sub(s.lastAt))
 		}
 	}
 	return worst
+}
+
+// mixPublisher is a trainer shard's side of MIX. It keeps the shard's own
+// contribution: the learner's state when the task started plus every delta
+// published since, exactly as published.
+type mixPublisher struct {
+	model         ml.DeltaMixer
+	rx            *mixReceiver // the trainer's receiver: n for each round
+	h             MixHeader    // module, shard and the last round published
+	keyframeEvery uint64
+
+	contrib      mixContrib
+	delta, frame ml.MixDelta
+	enc          []byte
+}
+
+// newMixPublisher switches delta tracking on and captures the starting
+// contribution, the learner's state as restored. Call it before the task's
+// first input subscription, so no update is missed or counted twice. With
+// shardCount > 1 the model and the contribution are scaled by
+// 1/shardCount, so shards restored from one converged model sum back to it.
+func newMixPublisher(model ml.DeltaMixer, rx *mixReceiver, module string, shard, shardCount, keyframeEvery int) *mixPublisher {
+	model.EnableDeltaTracking()
+	p := &mixPublisher{model: model, rx: rx, h: MixHeader{ModuleID: module, Shard: shard}, keyframeEvery: uint64(keyframeEvery)}
+	model.ExportDenseInto(&p.frame)
+	if shardCount > 1 {
+		model.ApplyDelta(&p.frame, 1/float64(shardCount)-1)
+		model.ExportDenseInto(&p.frame)
+	}
+	p.contrib.add(&p.frame)
+	return p
+}
+
+// publishRound runs one MIX round at now. It drains the learner's updates,
+// keeps 1/n of them in the model and publishes them scaled by 1/n as the
+// round's delta, adding exactly what it published to the contribution;
+// every keyframeEvery rounds it also publishes the contribution as a
+// keyframe. publish must not retain the payload. It returns the bytes
+// published.
+func (p *mixPublisher) publishRound(now time.Time, publish func(payload []byte, keyframe bool)) int {
+	p.h.Round, p.h.At = p.h.Round+1, now
+	p.model.ExportDeltaInto(&p.delta)
+	if n := float64(p.rx.shardCount(now)); n > 1 {
+		p.model.ApplyDelta(&p.delta, 1/n-1)
+		for _, ld := range p.delta.Labels {
+			for j := range ld.Vals {
+				ld.Vals[j] /= n
+			}
+		}
+	}
+	p.contrib.add(&p.delta)
+	p.enc = AppendEncodeMix(p.enc[:0], p.h, &p.delta, feature.DefaultSymbols())
+	publish(p.enc, false)
+	bytes := len(p.enc)
+	if p.keyframeEvery <= 1 || p.h.Round%p.keyframeEvery == 1 {
+		p.contrib.exportInto(&p.frame)
+		kf := p.h
+		kf.Keyframe = true
+		p.enc = AppendEncodeMix(p.enc[:0], kf, &p.frame, feature.DefaultSymbols())
+		publish(p.enc, true)
+		bytes += len(p.enc)
+	}
+	return bytes
 }

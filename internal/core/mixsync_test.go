@@ -8,11 +8,10 @@ import (
 
 	"github.com/ifot-middleware/ifot/internal/feature"
 	"github.com/ifot-middleware/ifot/internal/ml"
-	"github.com/ifot-middleware/ifot/internal/mqttclient"
 	"github.com/ifot-middleware/ifot/internal/recipe"
 	"github.com/ifot-middleware/ifot/internal/sensor"
+	"github.com/ifot-middleware/ifot/internal/store"
 	"github.com/ifot-middleware/ifot/internal/telemetry"
-	"github.com/ifot-middleware/ifot/internal/wire"
 )
 
 func mixDeltaOf(syms *feature.Symbols, label string, weights map[string]float64) *ml.MixDelta {
@@ -36,7 +35,7 @@ func weightOf(m ml.WeightExporter, label, name string) float64 {
 func TestMixReceiverDeltaSequencing(t *testing.T) {
 	syms := feature.DefaultSymbols()
 	model := ml.NewPassiveAggressive(1)
-	rx := newMixReceiver(model, false, 0, nil)
+	rx := newMixReceiver(model, noShard, 0, nil)
 	t0 := time.Unix(100, 0)
 
 	// Unsynced peer: deltas are dropped until a keyframe arrives.
@@ -95,18 +94,18 @@ func TestMixReceiverEvictsStalePeers(t *testing.T) {
 	evictions := reg.Counter("test_mix_evictions", "")
 	model := ml.NewPassiveAggressive(1)
 	model.EnableDeltaTracking()
-	rx := newMixReceiver(model, true, 100*time.Millisecond, evictions)
+	rx := newMixReceiver(model, 0, 100*time.Millisecond, evictions)
 	t0 := time.Unix(100, 0)
 
-	rx.onPayload(MixHeader{ModuleID: "p1", Round: 1, Keyframe: true}, mixDeltaOf(syms, "hot", map[string]float64{"a@x": 1}), t0)
-	rx.onPayload(MixHeader{ModuleID: "p2", Round: 1, Keyframe: true}, mixDeltaOf(syms, "hot", map[string]float64{"a@x": 1}), t0)
+	rx.onPayload(MixHeader{ModuleID: "p1", Shard: 1, Round: 1, Keyframe: true}, mixDeltaOf(syms, "hot", map[string]float64{"a@x": 1}), t0)
+	rx.onPayload(MixHeader{ModuleID: "p2", Shard: 2, Round: 1, Keyframe: true}, mixDeltaOf(syms, "hot", map[string]float64{"a@x": 1}), t0)
 	if n := rx.shardCount(t0); n != 3 {
 		t.Fatalf("shardCount = %d, want 3 (local + two peers)", n)
 	}
 
 	// p2 keeps publishing; p1 goes silent past the bound.
 	t1 := t0.Add(150 * time.Millisecond)
-	rx.onPayload(MixHeader{ModuleID: "p2", Round: 2}, mixDeltaOf(syms, "hot", map[string]float64{"a@x": 0}), t1)
+	rx.onPayload(MixHeader{ModuleID: "p2", Shard: 2, Round: 2}, mixDeltaOf(syms, "hot", map[string]float64{"a@x": 0}), t1)
 	if n := rx.shardCount(t1); n != 2 {
 		t.Fatalf("shardCount = %d, want 2 after eviction", n)
 	}
@@ -117,15 +116,47 @@ func TestMixReceiverEvictsStalePeers(t *testing.T) {
 	// A reappearing peer is unknown again: its deltas drop until the next
 	// keyframe re-bootstraps it.
 	before := weightOf(model, "hot", "a@x")
-	rx.onPayload(MixHeader{ModuleID: "p1", Round: 7}, mixDeltaOf(syms, "hot", map[string]float64{"a@x": 50}), t1)
+	rx.onPayload(MixHeader{ModuleID: "p1", Shard: 1, Round: 7}, mixDeltaOf(syms, "hot", map[string]float64{"a@x": 50}), t1)
 	if got := weightOf(model, "hot", "a@x"); got != before {
 		t.Fatalf("evicted peer's delta applied: %v", got)
 	}
 }
 
+// TestMixRestartedPublisherResyncs: a publisher that restarts (rounds back
+// at 1) is heard at its first keyframe, not once its new round counter
+// passes the old one.
+func TestMixRestartedPublisherResyncs(t *testing.T) {
+	syms := feature.DefaultSymbols()
+	model := ml.NewPassiveAggressive(1)
+	rx := newMixReceiver(model, noShard, 0, nil)
+	t0 := time.Unix(100, 0)
+	payload := func(v float64) *ml.MixDelta { return mixDeltaOf(syms, "hot", map[string]float64{"a@x": v}) }
+
+	rx.onPayload(MixHeader{ModuleID: "p", Round: 49, Keyframe: true}, payload(5), t0)
+	rx.onPayload(MixHeader{ModuleID: "p", Round: 50}, payload(1), t0)
+	if got := weightOf(model, "hot", "a@x"); got != 6 {
+		t.Fatalf("in sync at round 50: %v, want 6", got)
+	}
+
+	// p restarts with a new contribution: round 1's delta, then its keyframe.
+	rx.onPayload(MixHeader{ModuleID: "p", Round: 1}, payload(0.5), t0)
+	rx.onPayload(MixHeader{ModuleID: "p", Round: 1, Keyframe: true}, payload(2), t0)
+	if got := weightOf(model, "hot", "a@x"); got != 2 {
+		t.Fatalf("after the restarted publisher's keyframe: %v, want its contribution 2", got)
+	}
+	want := 2.0
+	for r := uint64(2); r <= 10; r++ {
+		rx.onPayload(MixHeader{ModuleID: "p", Round: r}, payload(0.25), t0)
+		want += 0.25
+		if got := weightOf(model, "hot", "a@x"); got != want {
+			t.Fatalf("after round %d: %v, want %v", r, got, want)
+		}
+	}
+}
+
 // TestShardedMixConvergesExactly runs a two-module sharded trainer over a
-// real broker, stops the sensor source, and verifies both shards' next
-// keyframes carry identical weights — the delta exchange left no residue.
+// real broker, stops the sensor source, and verifies both shards' models
+// carry identical weights — the delta exchange left no residue.
 // Run under -race in CI, it also exercises handler/loop synchronization.
 func TestShardedMixConvergesExactly(t *testing.T) {
 	tc := newTestCluster(t)
@@ -145,6 +176,9 @@ func TestShardedMixConvergesExactly(t *testing.T) {
 			// coarsely, and a spurious eviction would skew the averaging
 			// weights this test pins down.
 			MixStaleAfter: 5 * time.Second,
+			// A store enrolls each shard's learner for checkpointing: the
+			// models compared below.
+			Store: store.NewMemStore(),
 			Observer: Observer{OnTrain: func(ev TrainEvent) {
 				mu.Lock()
 				seen[id]++
@@ -210,88 +244,21 @@ func TestShardedMixConvergesExactly(t *testing.T) {
 	}
 	time.Sleep(300 * time.Millisecond)
 
-	// Collect one fresh post-quiescence keyframe from each shard.
-	conn, err := tc.listener.Dial()
-	if err != nil {
-		t.Fatal(err)
+	// The shards' models must agree weight-for-weight.
+	hosts := map[string]*Module{"w1": w1, "w2": w2}
+	model := func(host, name string) map[string]feature.Vector {
+		ck := hosts[host].ckpt
+		ck.mu.Lock()
+		learner := ck.learners[name]
+		ck.mu.Unlock()
+		return learner.(ml.WeightExporter).ExportWeights()
 	}
-	obs, err := mqttclient.Connect(conn, mqttclient.NewOptions("mix-observer"))
-	if err != nil {
-		t.Fatal(err)
+	modelDiff := func() float64 {
+		return maxWeightDiff(model(shard0, "dmix/train#0"), model(shard1, "dmix/train#1"))
 	}
-	defer obs.Close()
-
-	syms := feature.DefaultSymbols()
-	type kf struct {
-		round   uint64
-		weights map[string]map[string]float64
-	}
-	var (
-		kfMu   sync.Mutex
-		frames = map[string]kf{}
-	)
-	started := time.Now()
-	_, err = obs.Subscribe(mixTopic("dmix", "train")+"/+", wire.QoS0, func(msg mqttclient.Message) {
-		var d ml.MixDelta
-		h, err := DecodeMix(msg.Payload, syms, &d)
-		if err != nil || !h.Keyframe {
-			return
-		}
-		// Retained keyframes replay on subscribe; only trust frames
-		// published after quiescence.
-		if h.At.Before(started) {
-			return
-		}
-		kfMu.Lock()
-		frames[h.ModuleID] = kf{round: h.Round, weights: mixDeltaMap(&d, syms)}
-		kfMu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The shards' post-quiescence keyframes must agree weight-for-weight.
-	frameDiff := func() (float64, bool) {
-		kfMu.Lock()
-		defer kfMu.Unlock()
-		a, b := frames[shard0], frames[shard1]
-		if len(a.weights) == 0 || len(b.weights) == 0 {
-			return 0, false
-		}
-		worst := 0.0
-		labels := map[string]struct{}{}
-		for l := range a.weights {
-			labels[l] = struct{}{}
-		}
-		for l := range b.weights {
-			labels[l] = struct{}{}
-		}
-		for l := range labels {
-			names := map[string]struct{}{}
-			for n := range a.weights[l] {
-				names[n] = struct{}{}
-			}
-			for n := range b.weights[l] {
-				names[n] = struct{}{}
-			}
-			for n := range names {
-				diff := a.weights[l][n] - b.weights[l][n]
-				if diff < 0 {
-					diff = -diff
-				}
-				if diff > worst {
-					worst = diff
-				}
-			}
-		}
-		return worst, true
-	}
-	waitFor(t, "keyframes from both shards converge", func() bool {
-		diff, ok := frameDiff()
-		return ok && diff <= 1e-9
-	})
-	if diff, ok := frameDiff(); !ok || diff > 1e-9 {
-		t.Fatalf("shards diverged: max weight diff %.3e (frames ok=%v)", diff, ok)
+	waitFor(t, "both shards' models converge", func() bool { return modelDiff() <= 1e-9 })
+	if diff := modelDiff(); diff > 1e-9 {
+		t.Fatalf("shards diverged: max weight diff %.3e", diff)
 	}
 }
 

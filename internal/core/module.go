@@ -68,14 +68,14 @@ type Config struct {
 	// (default 2s).
 	MixInterval time.Duration
 	// MixKeyframeEvery is the keyframe cadence of the delta MIX protocol:
-	// every Nth round the full model state is published retained (QoS as
-	// DataQoS) in addition to that round's delta, so joiners bootstrap and
-	// desynchronized peers recover. 1 publishes full state every round
-	// (deltas effectively disabled); default 8.
+	// every Nth round the shard's whole contribution is published retained
+	// (QoS as DataQoS) in addition to that round's delta, so joiners
+	// bootstrap and desynchronized receivers recover. 1 = the whole
+	// contribution every round; default 8.
 	MixKeyframeEvery int
-	// MixStaleAfter evicts MIX peers whose last payload is older than this
-	// bound, so departed or stalled modules stop dragging the average
-	// (default 3×MixInterval).
+	// MixStaleAfter evicts a MIX shard silent for longer than this bound:
+	// it stops counting toward n and the staleness gauge, its contribution
+	// stays until its next keyframe replaces it (default 3×MixInterval).
 	MixStaleAfter time.Duration
 	// Observer receives middleware events.
 	Observer Observer

@@ -94,18 +94,10 @@ type DeltaMixer interface {
 	// ExportDenseInto fills d with the model's full nonzero state (a
 	// keyframe). It does not disturb the delta accumulator.
 	ExportDenseInto(d *MixDelta)
-	// ApplyDelta adds scale*d into the weights in place — the streaming
-	// half of incremental averaging. Applied deltas are not re-tracked,
-	// so a mix round never echoes peer updates back out.
+	// ApplyDelta adds scale*d into the weights in place, creating every
+	// label d names. Applied deltas are not re-tracked, so a mix round
+	// never echoes peer updates back out.
 	ApplyDelta(d *MixDelta, scale float64)
-	// MergeDense folds a full peer state into the model:
-	// w = (1-alpha)*w + alpha*d over the union of entries (local entries
-	// absent from d decay by 1-alpha, matching union averaging where a
-	// missing entry is zero).
-	MergeDense(d *MixDelta, alpha float64)
-	// ImportDense wholesale-replaces the model state with d (keyframe
-	// bootstrap for fresh joiners) and clears the delta accumulator.
-	ImportDense(d *MixDelta)
 }
 
 // --- linearModel implementation (Perceptron, PassiveAggressive) ---
@@ -126,8 +118,8 @@ func (m *linearModel) enableDeltaTracking() {
 
 // addScaledLocked routes every training weight update through one place so
 // delta tracking sees exactly what training changed. Mix-side mutation
-// (ApplyDelta/MergeDense) bypasses this on purpose: peer updates must not
-// be re-exported as our own.
+// (ApplyDelta) bypasses this on purpose: peer updates must not be
+// re-exported as our own.
 func (m *linearModel) addScaledLocked(li int, dv *feature.DenseVec, scale float64) {
 	m.weights[li] = dv.AddScaledTo(m.weights[li], scale)
 	if !m.trackDeltas || dv.Len() == 0 {
@@ -186,7 +178,7 @@ func (m *linearModel) exportDenseInto(d *MixDelta) {
 	defer m.mu.RUnlock()
 	d.Reset()
 	// Labels with no nonzero weights are still emitted (empty), so a
-	// keyframe reproduces the full label set on import.
+	// keyframe reproduces the full label set on a receiver.
 	for li, label := range m.labels {
 		ld := d.Grow(label)
 		for id, w := range m.weights[li] {
@@ -206,10 +198,10 @@ func (m *linearModel) applyDelta(d *MixDelta, scale float64) {
 	defer m.mu.Unlock()
 	for i := range d.Labels {
 		ld := &d.Labels[i]
+		li := m.ensureLabelLocked(ld.Label)
 		if len(ld.IDs) == 0 {
 			continue
 		}
-		li := m.ensureLabelLocked(ld.Label)
 		var max uint32
 		for _, id := range ld.IDs {
 			if id > max {
@@ -219,66 +211,6 @@ func (m *linearModel) applyDelta(d *MixDelta, scale float64) {
 		w := feature.GrowDense(m.weights[li], max+1)
 		for j, id := range ld.IDs {
 			w[id] += scale * ld.Vals[j]
-		}
-		m.weights[li] = w
-	}
-}
-
-func (m *linearModel) mergeDense(d *MixDelta, alpha float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keep := 1 - alpha
-	for _, w := range m.weights {
-		for id := range w {
-			w[id] *= keep
-		}
-	}
-	for i := range d.Labels {
-		ld := &d.Labels[i]
-		li := m.ensureLabelLocked(ld.Label)
-		if len(ld.IDs) == 0 {
-			continue
-		}
-		var max uint32
-		for _, id := range ld.IDs {
-			if id > max {
-				max = id
-			}
-		}
-		w := feature.GrowDense(m.weights[li], max+1)
-		for j, id := range ld.IDs {
-			w[id] += alpha * ld.Vals[j]
-		}
-		m.weights[li] = w
-	}
-}
-
-func (m *linearModel) importDense(d *MixDelta) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.labels = m.labels[:0]
-	m.labelIdx = make(map[string]int, len(d.Labels))
-	m.weights = m.weights[:0]
-	if m.trackDeltas {
-		m.acc = m.acc[:0]
-		m.dirty = m.dirty[:0]
-		m.inDirty = m.inDirty[:0]
-	}
-	for i := range d.Labels {
-		ld := &d.Labels[i]
-		li := m.ensureLabelLocked(ld.Label)
-		if len(ld.IDs) == 0 {
-			continue
-		}
-		var max uint32
-		for _, id := range ld.IDs {
-			if id > max {
-				max = id
-			}
-		}
-		w := feature.GrowDense(nil, max+1)
-		for j, id := range ld.IDs {
-			w[id] += ld.Vals[j]
 		}
 		m.weights[li] = w
 	}
@@ -298,12 +230,6 @@ func (p *Perceptron) ExportDenseInto(d *MixDelta) { p.model.exportDenseInto(d) }
 // ApplyDelta implements DeltaMixer.
 func (p *Perceptron) ApplyDelta(d *MixDelta, scale float64) { p.model.applyDelta(d, scale) }
 
-// MergeDense implements DeltaMixer.
-func (p *Perceptron) MergeDense(d *MixDelta, alpha float64) { p.model.mergeDense(d, alpha) }
-
-// ImportDense implements DeltaMixer.
-func (p *Perceptron) ImportDense(d *MixDelta) { p.model.importDense(d) }
-
 var _ DeltaMixer = (*Perceptron)(nil)
 
 // DeltaMixer forwarding for PassiveAggressive.
@@ -320,57 +246,4 @@ func (p *PassiveAggressive) ExportDenseInto(d *MixDelta) { p.model.exportDenseIn
 // ApplyDelta implements DeltaMixer.
 func (p *PassiveAggressive) ApplyDelta(d *MixDelta, scale float64) { p.model.applyDelta(d, scale) }
 
-// MergeDense implements DeltaMixer.
-func (p *PassiveAggressive) MergeDense(d *MixDelta, alpha float64) { p.model.mergeDense(d, alpha) }
-
-// ImportDense implements DeltaMixer.
-func (p *PassiveAggressive) ImportDense(d *MixDelta) { p.model.importDense(d) }
-
 var _ DeltaMixer = (*PassiveAggressive)(nil)
-
-// MixDense is one MIX round over in-process models using the dense delta
-// path: every model's nonzero state streams into a per-label dense
-// accumulator (no string maps, no re-interning) and the average streams
-// back via ImportDense.
-func MixDense(models ...DeltaMixer) error {
-	if len(models) == 0 {
-		return ErrNothingToMix
-	}
-	n := float64(len(models))
-	sums := make(map[string][]float64)
-	var scratch MixDelta
-	for _, m := range models {
-		m.ExportDenseInto(&scratch)
-		for i := range scratch.Labels {
-			ld := &scratch.Labels[i]
-			arr, ok := sums[ld.Label]
-			if !ok {
-				sums[ld.Label] = nil // keep the label even if all-zero
-			}
-			for j, id := range ld.IDs {
-				arr = feature.GrowDense(arr, id+1)
-				arr[id] += ld.Vals[j] / n
-			}
-			sums[ld.Label] = arr
-		}
-	}
-	labels := make([]string, 0, len(sums))
-	for label := range sums {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	var avg MixDelta
-	for _, label := range labels {
-		ld := avg.Grow(label)
-		for id, w := range sums[label] {
-			if w != 0 {
-				ld.IDs = append(ld.IDs, uint32(id))
-				ld.Vals = append(ld.Vals, w)
-			}
-		}
-	}
-	for _, m := range models {
-		m.ImportDense(&avg)
-	}
-	return nil
-}

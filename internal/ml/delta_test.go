@@ -157,62 +157,6 @@ func TestDeltaExchangeMatchesFullSnapshotRegressor(t *testing.T) {
 	}
 }
 
-// TestDeltaLateJoinerConverges bootstraps a non-member (a predictor) from
-// a keyframe taken after round R and feeds it only the subsequent per-round
-// deltas at 1/n; it must land on the members' exact synchronized state.
-func TestDeltaLateJoinerConverges(t *testing.T) {
-	const shards, warmRounds, tailRounds, perRound = 2, 4, 4, 30
-	members := make([]DeltaMixer, shards)
-	for i := 0; i < shards; i++ {
-		m := NewPassiveAggressive(1)
-		m.EnableDeltaTracking()
-		members[i] = m
-	}
-	rng := rand.New(rand.NewSource(3))
-	trainRound := func() {
-		for k := 0; k < perRound; k++ {
-			v, label := classifierSample(rng)
-			members[k%shards].(*PassiveAggressive).Train(v, label)
-		}
-	}
-	for round := 0; round < warmRounds; round++ {
-		trainRound()
-		deltaExchangeRound(members)
-	}
-
-	// Keyframe = a member's full post-round state (members are in sync).
-	var keyframe MixDelta
-	members[0].ExportDenseInto(&keyframe)
-	joiner := NewPassiveAggressive(1)
-	joiner.ImportDense(&keyframe)
-
-	n := float64(shards)
-	for round := 0; round < tailRounds; round++ {
-		trainRound()
-		deltas := make([]MixDelta, shards)
-		for i, m := range members {
-			m.ExportDeltaInto(&deltas[i])
-		}
-		for i, m := range members {
-			for j := range deltas {
-				if j == i {
-					m.ApplyDelta(&deltas[j], 1/n-1)
-				} else {
-					m.ApplyDelta(&deltas[j], 1/n)
-				}
-			}
-		}
-		for j := range deltas {
-			joiner.ApplyDelta(&deltas[j], 1/n)
-		}
-	}
-	got := joiner.ExportWeights()
-	want := members[0].ExportWeights()
-	if diff := maxWeightDiff(got, want); diff > 1e-9 {
-		t.Fatalf("late joiner max weight diff %.3e > 1e-9", diff)
-	}
-}
-
 // TestExportDeltaDrains checks drain semantics: a second export with no
 // intervening training is empty, and applied peer deltas never echo back
 // out as local updates.
@@ -238,33 +182,5 @@ func TestExportDeltaDrains(t *testing.T) {
 	p.ExportDeltaInto(&again)
 	if again.Len() != 0 {
 		t.Fatalf("after ApplyDelta: want empty delta, got %d entries", again.Len())
-	}
-}
-
-// TestMixDenseMatchesAverageWeights pins the dense in-process mix to the
-// map-based reference averaging.
-func TestMixDenseMatchesAverageWeights(t *testing.T) {
-	a, b := NewPassiveAggressive(1), NewPassiveAggressive(1)
-	ref1, ref2 := NewPassiveAggressive(1), NewPassiveAggressive(1)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 60; i++ {
-		v, label := classifierSample(rng)
-		if i%2 == 0 {
-			a.Train(v, label)
-			ref1.Train(v.Clone(), label)
-		} else {
-			b.Train(v, label)
-			ref2.Train(v.Clone(), label)
-		}
-	}
-	if err := MixDense(a, b); err != nil {
-		t.Fatalf("MixDense: %v", err)
-	}
-	fullSnapshotRound(t, []WeightExporter{ref1, ref2})
-	if diff := maxWeightDiff(a.ExportWeights(), ref1.ExportWeights()); diff > 1e-9 {
-		t.Fatalf("MixDense vs AverageWeights max diff %.3e > 1e-9", diff)
-	}
-	if diff := maxWeightDiff(a.ExportWeights(), b.ExportWeights()); diff > 1e-12 {
-		t.Fatalf("MixDense left models diverged by %.3e", diff)
 	}
 }

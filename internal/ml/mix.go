@@ -107,26 +107,9 @@ func AverageWeights(snapshots []map[string]feature.Vector) (map[string]feature.V
 }
 
 // Mix gathers weights from every model, averages them, and pushes the
-// average back into each model — one MIX round of distributed training.
-// When every model supports the delta path it runs as MixDense (streaming,
-// no string-keyed maps); otherwise it falls back to the map-based union
-// average.
+// average back into each model — one MIX round of distributed training by
+// the map-based union average, the reference delta-MIX is tested against.
 func Mix(models ...WeightExporter) error {
-	if len(models) == 0 {
-		return ErrNothingToMix
-	}
-	mixers := make([]DeltaMixer, 0, len(models))
-	for _, m := range models {
-		dm, ok := m.(DeltaMixer)
-		if !ok {
-			mixers = nil
-			break
-		}
-		mixers = append(mixers, dm)
-	}
-	if mixers != nil {
-		return MixDense(mixers...)
-	}
 	snapshots := make([]map[string]feature.Vector, len(models))
 	for i, m := range models {
 		snapshots[i] = m.ExportWeights()

@@ -142,16 +142,4 @@ func (r *PARegressor) ApplyDelta(d *MixDelta, scale float64) {
 	r.model.applyDelta(&own, scale)
 }
 
-// MergeDense implements DeltaMixer.
-func (r *PARegressor) MergeDense(d *MixDelta, alpha float64) {
-	own := ownLabel(d)
-	r.model.mergeDense(&own, alpha)
-}
-
-// ImportDense implements DeltaMixer.
-func (r *PARegressor) ImportDense(d *MixDelta) {
-	own := ownLabel(d)
-	r.model.importDense(&own)
-}
-
 var _ DeltaMixer = (*PARegressor)(nil)

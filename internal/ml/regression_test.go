@@ -107,10 +107,6 @@ func TestPARegressorIgnoresForeignLabels(t *testing.T) {
 	}{
 		{"ApplyDelta", func(r *PARegressor, d *MixDelta) { r.ApplyDelta(d, 0.5) },
 			func(b float64) float64 { return b + 0.5*(2*1+0.25) }},
-		{"MergeDense", func(r *PARegressor, d *MixDelta) { r.MergeDense(d, 0.5) },
-			func(b float64) float64 { return 0.5*b + 0.5*(2*1+0.25) }},
-		{"ImportDense", func(r *PARegressor, d *MixDelta) { r.ImportDense(d) },
-			func(float64) float64 { return 2*1 + 0.25 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
