@@ -62,6 +62,8 @@ type ckptManager struct {
 	mu       sync.Mutex
 	learners map[string]ml.Checkpointer
 	latest   map[string]json.RawMessage
+
+	handoffMu sync.Mutex // serializes publishHandoff
 }
 
 // initCheckpoints recovers checkpoint state from the configured store and
@@ -256,11 +258,28 @@ func (m *Module) checkpointTask(name string, ck ml.Checkpointer, allowHandoff bo
 				"task", name, "error", err.Error())
 		}
 	}
-	if m.cfg.CheckpointHandoff && allowHandoff {
-		if client := m.currentClient(); client != nil {
-			if err := client.Publish(CheckpointTopic(name), blob, wire.QoS1, true); err != nil {
-				m.logf("module %s: handoff checkpoint %s: %v", m.cfg.ID, name, err)
-			}
+	if allowHandoff {
+		m.publishHandoff(name, ck, blob)
+	}
+}
+
+// publishHandoff retains blob as a subtask's handoff checkpoint, if ck is
+// still the subtask's enrolled learner; a nil ck and blob clear it, after
+// an undeploy stop. One lock orders the two, so a periodic checkpoint
+// racing the stop lands before the clear or not at all.
+func (m *Module) publishHandoff(name string, ck ml.Checkpointer, blob []byte) {
+	cm := m.ckpt
+	if cm == nil || !m.cfg.CheckpointHandoff {
+		return
+	}
+	cm.handoffMu.Lock()
+	defer cm.handoffMu.Unlock()
+	cm.mu.Lock()
+	enrolled := ck == nil || cm.learners[name] == ck
+	cm.mu.Unlock()
+	if client := m.currentClient(); client != nil && enrolled {
+		if err := client.Publish(CheckpointTopic(name), blob, wire.QoS1, true); err != nil {
+			m.logf("module %s: handoff checkpoint %s: %v", m.cfg.ID, name, err)
 		}
 	}
 }

@@ -123,7 +123,7 @@ func TestRestartTasksVsFence(t *testing.T) {
 	r := newRestartRace(t)
 	for i := 0; i < 200; i++ {
 		done := r.startRestart(t)
-		err := r.m.stopTask(r.sub.Name(), RevokeFence)
+		err := r.m.stopTask(r.sub.Name(), stopFence)
 		<-done
 		if left := r.m.RunningTasks(); len(left) != 0 {
 			t.Fatalf("iteration %d: fenced task resurrected by restart: %v (fence: %v)", i, left, err)

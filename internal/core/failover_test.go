@@ -212,8 +212,8 @@ func TestZombieReconcileFences(t *testing.T) {
 	mgr.health.modules["zombie"].state = HealthDead
 	mgr.health.mu.Unlock()
 
-	// The first beacon after the dead classification reads as a rejoin,
-	// triggering reconciliation that stops the stale instance.
+	// The failover's desired set stops the stale instance (fenced), and
+	// the first beacon after the dead classification reads as a rejoin.
 	waitFor(t, "stale task fenced on the zombie", func() bool {
 		for _, name := range zombie.RunningTasks() {
 			if name == "zb/detect" {
@@ -224,7 +224,7 @@ func TestZombieReconcileFences(t *testing.T) {
 	})
 	waitFor(t, "rejoin and fence events", func() bool {
 		return hasEvent(mgr.Events(), "module_rejoined", "zombie") &&
-			hasEvent(mgr.Events(), "task_fenced", "")
+			hasEvent(zombie.Events(), "task_fenced", "")
 	})
 
 	// The survivor's instance is untouched by the reconciliation.

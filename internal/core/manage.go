@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -180,14 +181,25 @@ func (d *Deployment) noteStatus(s Status) {
 //
 // Each control-plane fact has one table: module presence is the health
 // monitor's, the deployment table changes only through applyLocked, and
-// the stream registry is derived from the deployment table on read.
+// the stream registry and every module's desired set are derived from the
+// deployment table.
 type Manager struct {
 	cfg    ManagerConfig
 	client *mqttclient.Client
+	// retain publishes a retained QoS 1 control message (client.Publish;
+	// the control-plane sweep routes it through its broker model).
+	retain func(topic string, payload []byte) error
 
+	// pubMu serializes desired-set publishes: each derivation and its
+	// publish share one hold, so the retained set on a module's topic is
+	// always the latest derivation. Lock order pubMu ⊃ mu.
+	pubMu       sync.Mutex
 	mu          sync.Mutex
 	deployments map[string]*Deployment // written only by applyLocked
 	draining    map[string]bool        // modules mid-drain: out of the placement pool
+	// scope holds every recipe a deploy record applied here named — the
+	// ones this manager's sets may undeploy (Desired.Scope).
+	scope map[string]bool
 
 	collector *TraceCollector
 	journal   *store.Journal // nil without ManagerConfig.Store
@@ -217,7 +229,11 @@ func NewManager(cfg ManagerConfig) *Manager {
 		cfg:         cfg.withDefaults(),
 		deployments: make(map[string]*Deployment),
 		draining:    make(map[string]bool),
+		scope:       make(map[string]bool),
 		evDrops:     make(map[string]uint64),
+	}
+	mgr.retain = func(topic string, payload []byte) error {
+		return mgr.client.Publish(topic, payload, wire.QoS1, true)
 	}
 	mgr.collector = NewTraceCollector(mgr.cfg.Clock, mgr.cfg.TraceFlowCapacity)
 	mgr.events = mgr.cfg.Events
@@ -342,7 +358,9 @@ func (mgr *Manager) Start() error {
 		}
 		mgr.sloStop = telemetry.NewSLOWatchdog(mgr.collector, slo, mgr.events, mgr.cfg.Telemetry).Start(mgr.cfg.Clock)
 	}
-	mgr.resumeDeployments()
+	if err := mgr.publishRecovered(); err != nil {
+		mgr.logf("manager: resume: %v", err)
+	}
 	mgr.logf("manager %s started", mgr.cfg.ID)
 	return nil
 }
@@ -540,13 +558,11 @@ func (mgr *Manager) Deploy(rec *recipe.Recipe) (*Deployment, error) {
 	})
 	mgr.mu.Unlock()
 
+	if err := mgr.publishDesired(hostsOf(assignment)...); err != nil {
+		return nil, err
+	}
 	for _, s := range subtasks {
-		moduleID := assignment[s.Name()]
-		payload := EncodeJSON(Assignment{SubTask: s, Recipe: *rec, Epoch: epochs[s.Name()]})
-		if err := mgr.client.Publish(TopicAssignPrefix+moduleID, payload, wire.QoS1, false); err != nil {
-			return nil, fmt.Errorf("core: assign %s to %s: %w", s.Name(), moduleID, err)
-		}
-		mgr.logf("manager: assigned %s (%s) to %s", s.Name(), describeKind(s.Task.Kind), moduleID)
+		mgr.logf("manager: assigned %s (%s) to %s", s.Name(), describeKind(s.Task.Kind), assignment[s.Name()])
 	}
 	mgr.events.Eventf(telemetry.SevInfo, mgr.cfg.ID, "deploy",
 		"recipe", rec.Name,
@@ -555,24 +571,17 @@ func (mgr *Manager) Deploy(rec *recipe.Recipe) (*Deployment, error) {
 	return dep, nil
 }
 
-// Undeploy stops every subtask of a deployed recipe.
+// Undeploy stops every subtask of a deployed recipe and clears the
+// subtasks' retained handoff checkpoints, so a later deployment of the
+// same name starts fresh even when a host is down.
 func (mgr *Manager) Undeploy(name string) error {
-	type revokeTarget struct {
-		task   string
-		module string
-		epoch  uint64
-	}
-	var revokes []revokeTarget
 	mgr.mu.Lock()
 	dep, ok := mgr.deployments[name]
+	var hosts []string
 	if ok {
-		// Snapshot the revocation targets under the lock: a concurrent
-		// failover may still be mutating this deployment's tables.
-		for _, s := range dep.SubTasks {
-			revokes = append(revokes, revokeTarget{
-				task: s.Name(), module: dep.Assignment[s.Name()], epoch: dep.Epochs[s.Name()],
-			})
-		}
+		// Read the hosts under the lock: a concurrent failover may still
+		// be mutating this deployment's tables.
+		hosts = hostsOf(dep.Assignment)
 		mgr.commitLocked(mgrRec{Op: mgrOpUndeploy, Name: name})
 	}
 	mgr.mu.Unlock()
@@ -580,13 +589,87 @@ func (mgr *Manager) Undeploy(name string) error {
 		return fmt.Errorf("%w: %s", ErrNoSuchDeployment, name)
 	}
 	mgr.events.Eventf(telemetry.SevInfo, mgr.cfg.ID, "undeploy", "recipe", name)
-	for _, r := range revokes {
-		payload := EncodeJSON(Revocation{SubTaskName: r.task, Reason: RevokeUndeploy, Epoch: r.epoch})
-		if err := mgr.client.Publish(TopicRevokePrefix+r.module, payload, wire.QoS1, false); err != nil {
-			return fmt.Errorf("core: revoke %s on %s: %w", r.task, r.module, err)
+	errs := []error{mgr.publishDesired(hosts...)}
+	for _, s := range dep.SubTasks {
+		if err := mgr.retain(CheckpointTopic(s.Name()), nil); err != nil {
+			errs = append(errs, fmt.Errorf("core: clear handoff checkpoint %s: %w", s.Name(), err))
 		}
 	}
-	return nil
+	return errors.Join(errs...)
+}
+
+// hostsOf lists the module of every subtask in an assignment.
+func hostsOf(assignment tasks.Assignment) []string {
+	out := make([]string, 0, len(assignment))
+	for _, moduleID := range assignment {
+		out = append(out, moduleID)
+	}
+	return out
+}
+
+// desiredLocked derives a module's desired set from the deployment table
+// (see Desired). Called with mu held.
+func (mgr *Manager) desiredLocked(moduleID string) Desired {
+	d := Desired{ModuleID: moduleID, Deployed: make(map[string]int),
+		Scope: sortedKeys(mgr.scope), Draining: mgr.draining[moduleID]}
+	for _, name := range sortedKeys(mgr.deployments) {
+		dep := mgr.deployments[name]
+		d.Deployed[name] = dep.Recipe.Version
+		for _, s := range dep.SubTasks {
+			if dep.Assignment[s.Name()] != moduleID {
+				continue
+			}
+			if d.Recipes == nil {
+				d.Recipes = make(map[string]recipe.Recipe)
+			}
+			d.Recipes[name] = dep.Recipe
+			d.Tasks = append(d.Tasks, DesiredTask{SubTask: s, Epoch: dep.Epochs[s.Name()]})
+		}
+	}
+	return d
+}
+
+// sortedKeys lists a map's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// publishRecovered publishes the set of every module the recovered table
+// names: the previous incarnation may have died between a commit and its
+// publish. Start calls it once its subscriptions are live.
+func (mgr *Manager) publishRecovered() error {
+	var hosts []string
+	mgr.mu.Lock()
+	for _, dep := range mgr.deployments {
+		hosts = append(hosts, hostsOf(dep.Assignment)...)
+	}
+	mgr.mu.Unlock()
+	return mgr.publishDesired(hosts...)
+}
+
+// publishDesired publishes the desired set of each named module once, in
+// ID order, as a retained QoS 1 message — an empty set too, so a module
+// that reconnects receives "run nothing" rather than silence.
+func (mgr *Manager) publishDesired(modules ...string) error {
+	mgr.pubMu.Lock()
+	defer mgr.pubMu.Unlock()
+	var errs []error
+	slices.Sort(modules)
+	for _, moduleID := range slices.Compact(modules) {
+		mgr.mu.Lock()
+		d := mgr.desiredLocked(moduleID)
+		mgr.mu.Unlock()
+		d.SentAt = mgr.cfg.Clock.Now()
+		if err := mgr.retain(TopicDesiredPrefix+moduleID, EncodeJSON(d)); err != nil {
+			errs = append(errs, fmt.Errorf("core: publish desired set of %s: %w", moduleID, err))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Deployment returns the tracking handle for a deployed recipe.
@@ -625,13 +708,6 @@ func (mgr *Manager) moduleInfos() []tasks.ModuleInfo {
 		infos = append(infos, info)
 	}
 	return infos
-}
-
-// epochOf reads one subtask's assignment epoch under the manager lock.
-func (mgr *Manager) epochOf(dep *Deployment, task string) uint64 {
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	return dep.Epochs[task]
 }
 
 // countFailover bumps the per-reason failover counter (no-op without
@@ -688,57 +764,60 @@ func (mgr *Manager) handleAnnounce(msg mqttclient.Message) {
 	// The prior classification comes out of the same critical section as
 	// the refresh: a beacon from a module declared dead is a zombie
 	// rejoin, not a routine refresh, even when a sweep just declared it.
-	rejoined := mgr.health.Observe(ann, now) == HealthDead
+	prev := mgr.health.Observe(ann, now)
+	rejoined := prev == HealthDead
 	if rejoined {
 		mgr.events.Eventf(telemetry.SevWarn, ann.ModuleID, "module_rejoined",
 			"claimed_tasks", strconv.Itoa(len(ann.RunningTasks)))
 		mgr.logf("manager: module %s rejoined after being declared dead", ann.ModuleID)
 	}
-	// Rejoining and self-fenced modules go through epoch reconciliation:
-	// the manager replies with the set of subtasks the module should be
-	// running, so stale instances (moved while it was partitioned) stop
-	// instead of silently resurrecting.
-	if rejoined || ann.Fenced {
-		mgr.reconcileModule(ann)
-	}
-}
-
-// reconcileModule answers one module's rejoin/fenced announce with a
-// Reconcile verdict: every subtask currently assigned to the module, with
-// epochs. Tasks the module claims beyond that set are counted as fenced
-// (the module stops them on receipt).
-func (mgr *Manager) reconcileModule(ann Announce) {
-	desired := make(map[string]uint64)
+	// A claimed manager-assigned task the table deploys elsewhere was
+	// moved away: the module stops it, fenced, when its set lands.
+	var moved []string
 	mgr.mu.Lock()
-	for _, dep := range mgr.deployments {
-		for _, s := range dep.SubTasks {
-			name := s.Name()
-			if dep.Assignment[name] == ann.ModuleID {
-				desired[name] = dep.Epochs[name]
-			}
+	d := mgr.desiredLocked(ann.ModuleID)
+	scoped := len(mgr.scope) > 0
+	for name := range ann.TaskEpochs {
+		mine := slices.ContainsFunc(d.Tasks, func(t DesiredTask) bool { return t.SubTask.Name() == name })
+		if !mine && mgr.deployedLocked(name) {
+			moved = append(moved, name)
 		}
 	}
 	mgr.mu.Unlock()
-	for _, name := range ann.RunningTasks {
-		if _, ok := desired[name]; ok {
-			continue
+	if rejoined || ann.Fenced {
+		for _, name := range moved {
+			mgr.events.Eventf(telemetry.SevWarn, mgr.cfg.ID, "task_fenced",
+				"task", name, "module", ann.ModuleID)
+			if mgr.fencedTasks != nil {
+				mgr.fencedTasks.Add(1)
+			}
+			mgr.logf("manager: fencing stale task %s on %s", name, ann.ModuleID)
 		}
-		// Only manager-assigned instances (epoch > 0) count: tasks
-		// started directly via StartTask are not the manager's to fence.
-		if ann.TaskEpochs[name] == 0 {
-			continue
-		}
-		mgr.events.Eventf(telemetry.SevWarn, mgr.cfg.ID, "task_fenced",
-			"task", name, "module", ann.ModuleID)
-		if mgr.fencedTasks != nil {
-			mgr.fencedTasks.Add(1)
-		}
-		mgr.logf("manager: fencing stale task %s on %s", name, ann.ModuleID)
 	}
-	payload := EncodeJSON(Reconcile{ModuleID: ann.ModuleID, Tasks: desired, SentAt: mgr.cfg.Clock.Now()})
-	if err := mgr.client.Publish(TopicReconcilePrefix+ann.ModuleID, payload, wire.QoS1, false); err != nil {
-		mgr.logf("manager: reconcile %s: %v", ann.ModuleID, err)
+	// The set is retained, so a module normally holds the latest one. It
+	// is published again when the module rejoins, is fenced (the set lifts
+	// the fence) or claims a moved task (a set still in flight), and on
+	// its first beacon to this manager once the manager has deployed
+	// anything — a restarted manager may have died between an undeploy's
+	// commit and its publish, and the recovered table no longer names the
+	// host. A desired task the module lacks (its start failed, and was
+	// reported) is not chased.
+	if rejoined || ann.Fenced || len(moved) > 0 || (prev == "" && scoped) {
+		if err := mgr.publishDesired(ann.ModuleID); err != nil {
+			mgr.logf("manager: %v", err)
+		}
 	}
+}
+
+// deployedLocked reports whether a subtask of that name is deployed.
+// Called with mu held.
+func (mgr *Manager) deployedLocked(task string) bool {
+	for _, dep := range mgr.deployments {
+		if _, ok := dep.Epochs[task]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // onHealthTransition is the HealthMonitor's sweep callback: a dead
@@ -750,7 +829,7 @@ func (mgr *Manager) onHealthTransition(moduleID, state string) {
 	}
 	// The dead module is out of the live set (and with it the placement
 	// pool) but stays in the health table, so a later beacon is
-	// recognized as a rejoin and reconciled.
+	// recognized as a rejoin and gets its set again.
 	mgr.mu.Lock()
 	delete(mgr.draining, moduleID)
 	mgr.mu.Unlock()
@@ -831,6 +910,7 @@ func (mgr *Manager) reassignFrom(deadModuleID, reason string) (moved, unplaceabl
 	}
 	// Re-place each orphan individually so one unplaceable subtask (its
 	// sensor died with the module) does not block the others.
+	var targets []string
 	for _, o := range orphans {
 		dep, s := o.dep, o.sub
 		assignment, err := mgr.cfg.Strategy.Assign([]recipe.SubTask{s}, infos)
@@ -859,24 +939,19 @@ func (mgr *Manager) reassignFrom(deadModuleID, reason string) (moved, unplaceabl
 		epoch := dep.Epochs[s.Name()] + 1
 		mgr.commitLocked(mgrRec{Op: mgrOpAssign, Name: dep.Recipe.Name, Task: s.Name(), Module: target, Epoch: epoch})
 		mgr.mu.Unlock()
-		if reason == failoverDrain {
-			// Revoke before re-assigning: the draining host checkpoints
-			// the learner state on stop, so the new host restores warm.
-			revoke := EncodeJSON(Revocation{SubTaskName: s.Name(), Reason: RevokeDrain, Epoch: epoch})
-			if err := mgr.client.Publish(TopicRevokePrefix+deadModuleID, revoke, wire.QoS1, false); err != nil {
-				mgr.logf("manager: drain revoke %s on %s: %v", s.Name(), deadModuleID, err)
-			}
-		}
-		payload := EncodeJSON(Assignment{SubTask: s, Recipe: dep.Recipe, Epoch: epoch})
-		if err := mgr.client.Publish(TopicAssignPrefix+target, payload, wire.QoS1, false); err != nil {
-			mgr.logf("manager: failover publish %s to %s: %v", s.Name(), target, err)
-			continue
-		}
+		targets = append(targets, target)
 		moved++
 		mgr.countFailover(reason)
 		mgr.events.Eventf(telemetry.SevWarn, mgr.cfg.ID, "failover",
 			"task", s.Name(), "from", deadModuleID, "to", target, "reason", reason)
 		mgr.logf("manager: failover (%s): moved %s from %s to %s", reason, s.Name(), deadModuleID, target)
+	}
+	// The source's set goes first: on a drain, its final checkpoint lands
+	// before a new host starts.
+	if moved > 0 {
+		if err := errors.Join(mgr.publishDesired(deadModuleID), mgr.publishDesired(targets...)); err != nil {
+			mgr.logf("manager: failover (%s): %v", reason, err)
+		}
 	}
 	return moved, unplaceable
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/ifot-middleware/ifot/internal/recipe"
 	"github.com/ifot-middleware/ifot/internal/store"
 	"github.com/ifot-middleware/ifot/internal/tasks"
-	"github.com/ifot-middleware/ifot/internal/wire"
 )
 
 // Deployment journaling. Every change to the deployment table is one
@@ -16,10 +15,10 @@ import (
 // failover) and on replay alike, so the recovered table cannot drift from
 // the one that was journaled. With ManagerConfig.Store set, the live path
 // also journals each record; a restarted manager replays the journal,
-// re-publishes the recovered assignments (modules already hosting a
-// subtask acknowledge idempotently), and resumes supervising — status
-// tracking and failover keep working for recipes deployed by the previous
-// incarnation.
+// publishes the desired set of every module the recovered table names
+// (modules already running a subtask acknowledge it again), and resumes
+// supervising — status tracking and failover keep working for recipes
+// deployed by the previous incarnation.
 //
 // Record application is idempotent and last-writer-wins per recipe, which
 // is what the store's snapshot contract requires (records between the
@@ -58,18 +57,19 @@ type mgrSnapshot struct {
 const mgrSnapshotThreshold = 1 << 20
 
 // applyLocked folds one record into the deployment table; it is the only
-// code that writes mgr.deployments, dep.Assignment or dep.Epochs. It
-// returns the deployment the record touched (nil when there is none).
-// Called with mu held.
+// code that writes mgr.deployments, mgr.scope, dep.Assignment or
+// dep.Epochs. It returns the deployment the record touched (nil when
+// there is none). Called with mu held.
 func (mgr *Manager) applyLocked(rec mgrRec) *Deployment {
 	switch rec.Op {
 	case mgrOpDeploy:
 		if rec.Recipe == nil {
 			return nil
 		}
+		mgr.scope[rec.Name] = true
 		// Every subtask is pending: a live deploy waits for the first
-		// acks, a recovered one for the acks to resumeDeployments'
-		// re-published assignments (idempotent when already running).
+		// acks, a recovered one for the acks to the desired sets Start
+		// publishes again (a running task is acknowledged as such).
 		dep := &Deployment{
 			Recipe:     *rec.Recipe,
 			SubTasks:   rec.SubTasks,
@@ -208,30 +208,4 @@ func (mgr *Manager) initPersistence() error {
 	}
 	mgr.journal = store.NewJournal(st, mgr.captureState, mgrSnapshotThreshold, mgr.cfg.Logger, mgr.events)
 	return nil
-}
-
-// resumeDeployments re-publishes every recovered assignment so modules
-// (re)start their subtasks and re-ack; the previous incarnation's
-// deployments become supervised again. Called once after Start's
-// subscriptions are live.
-func (mgr *Manager) resumeDeployments() {
-	mgr.mu.Lock()
-	deps := make([]*Deployment, 0, len(mgr.deployments))
-	for _, d := range mgr.deployments {
-		deps = append(deps, d)
-	}
-	mgr.mu.Unlock()
-	for _, dep := range deps {
-		for _, s := range dep.SubTasks {
-			moduleID, ok := dep.Assignment[s.Name()]
-			if !ok {
-				continue
-			}
-			payload := EncodeJSON(Assignment{SubTask: s, Recipe: dep.Recipe, Epoch: mgr.epochOf(dep, s.Name())})
-			if err := mgr.client.Publish(TopicAssignPrefix+moduleID, payload, wire.QoS1, false); err != nil {
-				mgr.logf("manager: resume %s on %s: %v", s.Name(), moduleID, err)
-			}
-		}
-		mgr.logf("manager: resumed supervision of %s (%d subtasks)", dep.Recipe.Name, len(dep.SubTasks))
-	}
 }

@@ -24,10 +24,9 @@ const (
 	TopicAnnounce = "ifot/ctrl/announce"
 	// TopicLeavePrefix + moduleID carries departure notices (wills).
 	TopicLeavePrefix = "ifot/ctrl/leave/"
-	// TopicAssignPrefix + moduleID carries task assignments.
-	TopicAssignPrefix = "ifot/ctrl/assign/"
-	// TopicRevokePrefix + moduleID carries task revocations.
-	TopicRevokePrefix = "ifot/ctrl/revoke/"
+	// TopicDesiredPrefix + moduleID carries the module's desired set
+	// (retained): every subtask the manager wants it to run.
+	TopicDesiredPrefix = "ifot/ctrl/desired/"
 	// TopicStatusPrefix + moduleID carries task status reports.
 	TopicStatusPrefix = "ifot/ctrl/status/"
 	// TopicDiscoverQuery carries stream-discovery requests.
@@ -47,9 +46,6 @@ const (
 	// TopicDrainPrefix + moduleID carries graceful-drain requests toward
 	// the management node (which subscribes TopicDrainPrefix + "+").
 	TopicDrainPrefix = "ifot/ctrl/drain/"
-	// TopicReconcilePrefix + moduleID carries the manager's assignment
-	// reconciliation verdicts toward a fenced or rejoining module.
-	TopicReconcilePrefix = "ifot/ctrl/reconcile/"
 	// TopicCkptPrefix + escaped subtask name carries retained checkpoint
 	// handoff blobs (see CheckpointTopic).
 	TopicCkptPrefix = "ifot/ctrl/ckpt/"
@@ -94,45 +90,43 @@ type Announce struct {
 	TaskEpochs map[string]uint64 `json:"taskEpochs,omitempty"`
 	// Fenced reports that the module has self-fenced its outputs
 	// (announce beacons went unacknowledged past Config.FenceAfter) and
-	// is waiting for a Reconcile before publishing again.
+	// is waiting for a desired set before publishing again.
 	Fenced bool `json:"fenced,omitempty"`
 }
 
-// Assignment instructs a module to start one subtask.
-type Assignment struct {
-	SubTask recipe.SubTask `json:"subTask"`
-	// Recipe carries the full recipe so modules can resolve task
-	// references without a second round trip.
-	Recipe recipe.Recipe `json:"recipe"`
-	// Epoch is the subtask's assignment epoch: bumped on every failover
-	// or drain move, journaled with the assignment, and used to fence
-	// stale instances. Zero on messages from pre-epoch managers.
-	Epoch uint64 `json:"epoch,omitempty"`
+// Desired is the manager's one control message to a module, published
+// retained on TopicDesiredPrefix+ModuleID and derived from the deployment
+// table: the complete set of subtasks the module should run. The module
+// starts what is missing, stops what is absent and adopts the epochs of
+// the rest, so a set received late, twice or after a reconnect converges
+// the same way.
+type Desired struct {
+	ModuleID string `json:"moduleId"`
+	// Recipes carries each recipe named by Tasks once, by name, so the
+	// module resolves task references without a second round trip.
+	Recipes map[string]recipe.Recipe `json:"recipes,omitempty"`
+	Tasks   []DesiredTask            `json:"tasks,omitempty"`
+	// Deployed maps every recipe in the deployment table to its version.
+	// A manager-assigned task absent from Tasks whose recipe version is
+	// deployed was moved to another module; any other was undeployed.
+	Deployed map[string]int `json:"deployed,omitempty"`
+	// Scope lists the only recipes the set may undeploy: every recipe the
+	// manager's table has held since its journal began (or, without one,
+	// since the process started). A module keeps any other manager-
+	// assigned task — another manager assigned it.
+	Scope []string `json:"scope,omitempty"`
+	// Draining is set while the module drains: its moved tasks stop with
+	// a final checkpoint handed off to their new hosts, not fenced.
+	Draining bool      `json:"draining,omitempty"`
+	SentAt   time.Time `json:"sentAt"`
 }
 
-// Revocation reasons; the module's final-checkpoint and handoff behavior
-// differ per reason (see Module.stopTask).
-const (
-	// RevokeUndeploy: the recipe is gone — the retained handoff
-	// checkpoint is cleared.
-	RevokeUndeploy = "undeploy"
-	// RevokeDrain: the subtask moves to another host — stop with a final
-	// checkpoint so the new host resumes warm.
-	RevokeDrain = "drain"
-	// RevokeFence: this instance is stale (the subtask was reassigned
-	// while the module was partitioned) — stop WITHOUT publishing a
-	// handoff checkpoint, which would clobber the new host's state.
-	RevokeFence = "fence"
-)
-
-// Revocation instructs a module to stop a subtask.
-type Revocation struct {
-	SubTaskName string `json:"subTaskName"`
-	// Reason is one of the Revoke* constants ("" from pre-epoch managers
-	// behaves like RevokeUndeploy).
-	Reason string `json:"reason,omitempty"`
-	// Epoch is the current assignment epoch at the manager.
-	Epoch uint64 `json:"epoch,omitempty"`
+// DesiredTask is one subtask of a desired set at its assignment epoch:
+// 1 at deploy, bumped on every failover or drain move, and used to tell
+// a stale instance from the current one.
+type DesiredTask struct {
+	SubTask recipe.SubTask `json:"subTask"`
+	Epoch   uint64         `json:"epoch"`
 }
 
 // DrainRequest asks the management node to move every subtask off the
@@ -140,17 +134,6 @@ type Revocation struct {
 type DrainRequest struct {
 	ModuleID string    `json:"moduleId"`
 	SentAt   time.Time `json:"sentAt"`
-}
-
-// Reconcile is the manager's answer to a fenced or rejoining module's
-// announce: the complete set of subtasks the module SHOULD be running,
-// with current epochs. The module stops manager-assigned tasks absent
-// from the set (they were moved while it was partitioned), adopts the
-// epochs of the rest, and lifts its output fence.
-type Reconcile struct {
-	ModuleID string            `json:"moduleId"`
-	Tasks    map[string]uint64 `json:"tasks,omitempty"`
-	SentAt   time.Time         `json:"sentAt"`
 }
 
 // StatusKind enumerates task status transitions.

@@ -181,15 +181,35 @@ func TestModuleUnstartedHelpers(t *testing.T) {
 }
 
 // TestBadControlPayloadsIgnored sends malformed JSON on control topics and
-// verifies nothing crashes and the module keeps working.
+// verifies nothing crashes and the module keeps working. Junk on the
+// module's desired-set topic — plain, retained, and a well-formed set for
+// another module — leaves its running task alone, also when a reconnect
+// replays the retained junk.
 func TestBadControlPayloadsIgnored(t *testing.T) {
 	tc := newTestCluster(t)
 	mgr := tc.manager(ManagerConfig{})
-	m := tc.module(Config{ID: "victim", CapacityOps: 100})
+	m := tc.module(Config{ID: "victim", CapacityOps: 100, ReconnectBackoff: 20 * time.Millisecond})
+	m.RegisterCustom("relay", func(mqttclient.Message, func(string, []byte) error) {})
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "module", func() bool { return len(mgr.Modules()) == 1 })
+	dep, err := mgr.Deploy(&recipe.Recipe{Name: "bad", Tasks: []recipe.Task{{
+		ID: "relay", Kind: recipe.KindCustom, Inputs: []string{"bad/in"},
+		Params: map[string]string{"handler": "relay"},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := dep.WaitRunning(ctx); err != nil {
+		t.Fatal(err)
+	}
+	onlyRelay := func() bool {
+		running := m.RunningTasks()
+		return len(running) == 1 && running[0] == "bad/relay"
+	}
 
 	// Raw client floods control topics with junk.
 	conn, err := tc.listener.Dial()
@@ -201,9 +221,9 @@ func TestBadControlPayloadsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer attacker.Close()
+	desired := TopicDesiredPrefix + "victim"
 	for _, topic := range []string{
-		TopicAssignPrefix + "victim",
-		TopicRevokePrefix + "victim",
+		desired,
 		TopicAnnounce,
 		TopicLeavePrefix + "victim",
 		TopicStatusPrefix + "victim",
@@ -216,17 +236,37 @@ func TestBadControlPayloadsIgnored(t *testing.T) {
 	// Valid-JSON-but-empty payloads too.
 	_ = attacker.Publish(TopicAnnounce, []byte("{}"), wire.QoS1, false)
 	_ = attacker.Publish(TopicDiscoverQuery, []byte(`{"requestId":"x","filter":"bad/#/f"}`), wire.QoS1, false)
+	// Another module's (empty) set, then junk that stays retained.
+	if err := attacker.Publish(desired, EncodeJSON(Desired{ModuleID: "other"}), wire.QoS1, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := attacker.Publish(desired, []byte("{not-json"), wire.QoS1, true); err != nil {
+		t.Fatal(err)
+	}
 
 	time.Sleep(100 * time.Millisecond)
 	// Module and manager still alive and functional.
-	if len(m.RunningTasks()) != 0 {
-		t.Fatal("junk payload started a task")
+	if !onlyRelay() {
+		t.Fatalf("junk payloads changed the running tasks: %v", m.RunningTasks())
 	}
 	streams, err := m.DiscoverStreams("#", 5*time.Second)
 	if err != nil {
 		t.Fatalf("middleware wedged after junk: %v", err)
 	}
 	_ = streams
+
+	// A reconnect replays the retained junk; the task restarts and stays.
+	old := m.currentClient()
+	old.Close()
+	waitFor(t, "reconnect", func() bool {
+		c := m.currentClient()
+		return c != nil && c != old
+	})
+	waitFor(t, "task restarted after reconnect", onlyRelay)
+	time.Sleep(100 * time.Millisecond)
+	if !onlyRelay() {
+		t.Fatalf("retained junk changed the running tasks after reconnect: %v", m.RunningTasks())
+	}
 }
 
 // TestDeploymentPendingTasks exercises the progress listing.

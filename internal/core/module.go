@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -149,8 +149,8 @@ type Config struct {
 	// FenceAfter, when positive, arms self-fencing: once the broker has
 	// not acknowledged an announce for longer than this bound the module
 	// assumes it is partitioned, stops publishing task outputs (drops are
-	// counted) and marks its beacons Fenced until the manager's Reconcile
-	// clears the fence. Zero disables self-fencing.
+	// counted) and marks its beacons Fenced until the next desired set from
+	// the manager clears the fence. Zero disables self-fencing.
 	FenceAfter time.Duration
 }
 
@@ -192,6 +192,9 @@ type Module struct {
 	actuators map[string]sensor.Actuator
 	customs   map[string]CustomFunc
 	hosted    map[string]*hostedTask // the task table, by subtask name
+	// build instantiates a task (newTaskInstance; the control-plane sweep
+	// stubs it).
+	build func(recipe.Recipe, recipe.SubTask) (*taskInstance, error)
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -221,7 +224,7 @@ type taskSpec struct {
 	rec recipe.Recipe
 	sub recipe.SubTask
 	// epoch is the assignment epoch the manager stamped; 0 marks tasks
-	// started directly via StartTask, which reconciliation never fences.
+	// started directly via StartTask, which desired sets never stop.
 	epoch uint64
 }
 
@@ -244,6 +247,7 @@ func NewModule(cfg Config) *Module {
 		hosted:    make(map[string]*hostedTask),
 		warnLast:  make(map[[2]string]time.Time),
 	}
+	m.build = m.newTaskInstance
 	m.events = m.cfg.Events
 	if m.events == nil {
 		m.events = telemetry.NewEventLog(0)
@@ -394,9 +398,6 @@ func (m *Module) Start() error {
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	m.client = client
-	m.mu.Unlock()
 
 	m.fenceMu.Lock()
 	m.lastAnnounceAck = m.now()
@@ -507,7 +508,10 @@ func (m *Module) noteMixBadPayload(filter, topic string, err error) {
 	}
 }
 
-// connect dials the broker and establishes the control-plane session.
+// connect dials the broker, makes the new session the module's client and
+// subscribes the desired-set topic. The client is in place before the
+// subscription: the retained set arrives right behind the SUBACK, and the
+// tasks it starts publish and subscribe on this session.
 func (m *Module) connect() (*mqttclient.Client, error) {
 	conn, err := m.cfg.Dial()
 	if err != nil {
@@ -532,13 +536,17 @@ func (m *Module) connect() (*mqttclient.Client, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("core: module %s connect: %w", m.cfg.ID, err)
 	}
-	for prefix, handler := range map[string]mqttclient.Handler{
-		TopicAssignPrefix: m.handleAssign, TopicRevokePrefix: m.handleRevoke, TopicReconcilePrefix: m.handleReconcile,
-	} {
-		if _, err := client.Subscribe(prefix+m.cfg.ID, wire.QoS1, handler); err != nil {
-			_ = client.Close()
-			return nil, fmt.Errorf("core: module %s subscribe %s: %w", m.cfg.ID, prefix+m.cfg.ID, err)
-		}
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		_ = client.Close()
+		return nil, ErrNotStarted
+	}
+	m.client = client
+	m.mu.Unlock()
+	if _, err := client.Subscribe(TopicDesiredPrefix+m.cfg.ID, wire.QoS1, m.applyDesired); err != nil {
+		_ = client.Close()
+		return nil, fmt.Errorf("core: module %s subscribe %s: %w", m.cfg.ID, TopicDesiredPrefix+m.cfg.ID, err)
 	}
 	return client, nil
 }
@@ -570,6 +578,9 @@ func (m *Module) watchConnection(client *mqttclient.Client) {
 		case <-m.cfg.Clock.After(backoff):
 		}
 		next, err := m.connect()
+		if errors.Is(err, ErrNotStarted) {
+			return // closed while redialing
+		}
 		if err != nil {
 			m.logf("module %s reconnect attempt %d: %v", m.cfg.ID, attempt+1, err)
 			if backoff < 10*time.Second {
@@ -577,14 +588,6 @@ func (m *Module) watchConnection(client *mqttclient.Client) {
 			}
 			continue
 		}
-		m.mu.Lock()
-		if m.closed {
-			m.mu.Unlock()
-			_ = next.Close()
-			return
-		}
-		m.client = next
-		m.mu.Unlock()
 		m.logf("module %s reconnected", m.cfg.ID)
 		m.events.Eventf(telemetry.SevInfo, m.cfg.ID, "reconnected",
 			"attempts", fmt.Sprintf("%d", attempt+1))
@@ -618,7 +621,7 @@ func (m *Module) restartTasks() {
 		inst.stop()
 	}
 	for name, ht := range entries {
-		inst, err := m.newTaskInstance(ht.spec.rec, ht.spec.sub)
+		inst, err := m.build(ht.spec.rec, ht.spec.sub)
 		if err != nil {
 			m.logf("module %s restart %s: %v", m.cfg.ID, name, err)
 			m.reportStatus(name, StatusFailed, err.Error())
@@ -720,14 +723,14 @@ func (m *Module) Subscribe(filter string, handler mqttclient.Handler) error {
 }
 
 // StartTask launches a subtask directly (bypassing the management node);
-// the same path handleAssign uses, minus the assignment epoch.
+// the same path a desired set uses, minus the assignment epoch.
 func (m *Module) StartTask(rec recipe.Recipe, sub recipe.SubTask) error {
 	return m.startTask(rec, sub, 0)
 }
 
 // startTask launches one subtask. epoch is the manager's assignment
-// epoch (0 for direct starts); it rides on the spec so reconciliation
-// and stale-assignment checks can compare generations.
+// epoch (0 for direct starts); it rides on the spec, so desired sets tell
+// manager-assigned tasks from direct ones and beacons report generations.
 func (m *Module) startTask(rec recipe.Recipe, sub recipe.SubTask, epoch uint64) error {
 	name := sub.Name()
 	m.mu.Lock()
@@ -749,7 +752,7 @@ func (m *Module) startTask(rec recipe.Recipe, sub recipe.SubTask, epoch uint64) 
 	defer m.wg.Done()
 	m.mu.Unlock()
 
-	inst, err := m.newTaskInstance(rec, sub)
+	inst, err := m.build(rec, sub)
 	if err != nil {
 		m.mu.Lock()
 		if m.hosted[name] == ht && ht.inst == nil {
@@ -769,15 +772,26 @@ func (m *Module) startTask(rec recipe.Recipe, sub recipe.SubTask, epoch uint64) 
 
 // StopTask stops a running subtask by name.
 func (m *Module) StopTask(name string) error {
-	return m.stopTask(name, "")
+	return m.stopTask(name, stopDirect)
 }
 
-// stopTask stops one subtask; reason distinguishes undeploy (the retained
-// handoff checkpoint is cleared — the pipeline is gone), drain (the final
-// stop-time checkpoint hands state to the next host) and fence (the
-// stop-time handoff publish is suppressed — a zombie's stale state must
-// not clobber the new host's).
-func (m *Module) stopTask(name, reason string) error {
+// stopReason says why a subtask stops and is its stop report's detail. A
+// direct or drain stop hands the final checkpoint to the subtask's next
+// host. A fenced stop (the subtask moved while this module was away) does
+// not — the new host's state must not be clobbered — and neither does an
+// undeploy, which clears the retained handoff blob once the instance has
+// stopped, so a later deployment of the name starts fresh.
+type stopReason string
+
+const (
+	stopDirect   stopReason = ""
+	stopDrain    stopReason = "drain"
+	stopFence    stopReason = "fence"
+	stopUndeploy stopReason = "undeploy"
+)
+
+// stopTask stops one subtask for the given reason.
+func (m *Module) stopTask(name string, reason stopReason) error {
 	m.mu.Lock()
 	ht, ok := m.hosted[name]
 	delete(m.hosted, name)
@@ -788,73 +802,98 @@ func (m *Module) stopTask(name, reason string) error {
 	// A nil instance is still being built; its builder finds the entry
 	// gone and stops it.
 	if inst := ht.inst; inst != nil {
-		if reason == RevokeFence {
+		if reason == stopFence || reason == stopUndeploy {
 			inst.markFenced()
 		}
 		inst.stop()
 	}
-	if reason == RevokeFence {
+	switch reason {
+	case stopFence:
 		m.events.Eventf(telemetry.SevWarn, m.cfg.ID, "task_fenced", "task", name)
+	case stopUndeploy:
+		m.publishHandoff(name, nil, nil)
 	}
-	m.reportStatus(name, StatusStopped, reason)
-	if reason == RevokeUndeploy && m.cfg.CheckpointHandoff {
-		// The pipeline is gone: clear the retained handoff blob so a
-		// future deployment of the same name starts fresh.
-		if client := m.currentClient(); client != nil {
-			_ = client.Publish(CheckpointTopic(name), nil, wire.QoS1, true)
-		}
-	}
+	m.reportStatus(name, StatusStopped, string(reason))
 	return nil
 }
 
-func (m *Module) handleAssign(msg mqttclient.Message) {
-	var a Assignment
-	if err := DecodeJSON(msg.Payload, &a); err != nil {
-		m.logf("module %s: bad assignment: %v", m.cfg.ID, err)
+// applyDesired is the module's one control handler: it makes the task
+// table match the manager's desired set (see DESIGN.md, "Control-plane
+// state"). Directly started (epoch 0) tasks are not the manager's and
+// stay. A set arriving proves the broker → module path works, so the
+// output fence lifts once the stops are done. An undecodable set, or one
+// for another module, is ignored.
+func (m *Module) applyDesired(msg mqttclient.Message) {
+	var d Desired
+	if err := DecodeJSON(msg.Payload, &d); err != nil || d.ModuleID != m.cfg.ID {
+		m.logf("module %s: ignoring desired set for %q on %s (%v)", m.cfg.ID, d.ModuleID, msg.Topic, err)
 		return
 	}
-	name := a.SubTask.Name()
+	want := make(map[string]DesiredTask, len(d.Tasks))
+	for _, t := range d.Tasks {
+		want[t.SubTask.Name()] = t
+	}
+	stops := make(map[string]stopReason)
+	var running []string
+	var starts []DesiredTask
 	m.mu.Lock()
-	if ht, ok := m.hosted[name]; ok {
-		// Epoch fencing: an assignment from an older generation (a
-		// delayed or replayed publish) must not disturb the newer one.
-		if a.Epoch != 0 && a.Epoch < ht.spec.epoch {
-			m.mu.Unlock()
-			m.logf("module %s: ignoring stale assignment %s (epoch %d < %d)",
-				m.cfg.ID, name, a.Epoch, ht.spec.epoch)
-			return
+	for name, ht := range m.hosted {
+		t, ok := want[name]
+		rec := ht.spec.rec
+		version, deployed := d.Deployed[rec.Name]
+		switch {
+		case ht.spec.epoch == 0:
+		case ok && rec.Version == d.Recipes[rec.Name].Version:
+			// Kept: adopt the epoch, acknowledge (a restarted manager's
+			// recovered deployment completes on these acks).
+			ht.spec.epoch = max(ht.spec.epoch, t.Epoch)
+			if ht.inst != nil {
+				running = append(running, name)
+			}
+			delete(want, name)
+		case !ok && deployed && rec.Version == version && d.Draining:
+			stops[name] = stopDrain // moved off a draining module
+		case !ok && deployed && rec.Version == version:
+			stops[name] = stopFence // moved while this module was away
+		case slices.Contains(d.Scope, rec.Name):
+			// Undeployed, or an upgrade's undeploy this module missed
+			// (restarted below at the set's version).
+			stops[name] = stopUndeploy
 		}
-		ht.spec.epoch = max(ht.spec.epoch, a.Epoch)
+	}
+	for _, t := range d.Tasks {
+		if _, ok := want[t.SubTask.Name()]; ok {
+			starts = append(starts, t)
+		}
 	}
 	m.mu.Unlock()
-	if err := m.startTask(a.Recipe, a.SubTask, a.Epoch); err != nil {
-		if errors.Is(err, ErrTaskExists) {
-			// A restarted manager re-publishes recovered assignments;
-			// acknowledge so its pending set drains.
-			m.reportStatus(name, StatusStarted, "already running")
-			return
-		}
-		m.logf("module %s: start %s: %v", m.cfg.ID, name, err)
-	}
-}
 
-func (m *Module) handleRevoke(msg mqttclient.Message) {
-	var r Revocation
-	if err := DecodeJSON(msg.Payload, &r); err != nil {
-		m.logf("module %s: bad revocation: %v", m.cfg.ID, err)
-		return
+	fenced := 0
+	for name, reason := range stops {
+		if reason == stopFence {
+			fenced++
+		}
+		if err := m.stopTask(name, reason); err != nil {
+			m.logf("module %s: stop %s: %v", m.cfg.ID, name, err)
+		}
 	}
-	m.mu.Lock()
-	if ht, ok := m.hosted[r.SubTaskName]; ok && r.Epoch != 0 && ht.spec.epoch > r.Epoch {
-		epoch := ht.spec.epoch
-		m.mu.Unlock()
-		m.logf("module %s: ignoring stale revocation %s (epoch %d < %d)",
-			m.cfg.ID, r.SubTaskName, r.Epoch, epoch)
-		return
+	if m.outputsFenced.CompareAndSwap(true, false) {
+		m.events.Eventf(telemetry.SevInfo, m.cfg.ID, "fence_cleared",
+			"fenced_tasks", strconv.Itoa(fenced))
+		m.logf("module %s fence cleared (%d stale tasks stopped)", m.cfg.ID, fenced)
 	}
-	m.mu.Unlock()
-	if err := m.stopTask(r.SubTaskName, r.Reason); err != nil {
-		m.logf("module %s: revoke %s: %v", m.cfg.ID, r.SubTaskName, err)
+	for _, name := range running {
+		m.reportStatus(name, StatusStarted, "running")
+	}
+	for _, t := range starts {
+		rec, ok := d.Recipes[t.SubTask.Recipe]
+		if !ok {
+			m.logf("module %s: desired set lacks recipe %q", m.cfg.ID, t.SubTask.Recipe)
+			continue
+		}
+		if err := m.startTask(rec, t.SubTask, t.Epoch); err != nil {
+			m.logf("module %s: start %s: %v", m.cfg.ID, t.SubTask.Name(), err)
+		}
 	}
 }
 
@@ -931,7 +970,7 @@ func (m *Module) announce() {
 // maybeSelfFence flips the output fence when the broker has not
 // acknowledged an announce for longer than FenceAfter — the module-side
 // symptom of a network partition. Fenced outputs are dropped (counted)
-// until a manager Reconcile clears the fence, so a zombie on the far side
+// until a desired set clears the fence, so a zombie on the far side
 // of a partition cannot double-publish decisions for tasks that were
 // failed over to a surviving module.
 func (m *Module) maybeSelfFence() {
@@ -947,43 +986,6 @@ func (m *Module) maybeSelfFence() {
 	if m.outputsFenced.CompareAndSwap(false, true) {
 		m.events.Eventf(telemetry.SevError, m.cfg.ID, "self_fenced", "unacked_for", silent.String())
 		m.logf("module %s self-fenced: no announce ack for %s", m.cfg.ID, silent)
-	}
-}
-
-// handleReconcile applies the manager's verdict after a rejoin or
-// self-fence: manager-owned tasks absent from the desired set stop
-// (fenced — their stop-time checkpoints are NOT handed off, the new
-// host's state is authoritative), kept tasks adopt the manager's epochs,
-// and the output fence lifts.
-func (m *Module) handleReconcile(msg mqttclient.Message) {
-	var rc Reconcile
-	if err := DecodeJSON(msg.Payload, &rc); err != nil || rc.ModuleID != m.cfg.ID {
-		return
-	}
-	var stale []string
-	m.mu.Lock()
-	for name, ht := range m.hosted {
-		if ht.spec.epoch == 0 {
-			continue // started directly by the application, not the manager's to fence
-		}
-		e, ok := rc.Tasks[name]
-		if !ok {
-			stale = append(stale, name)
-			continue
-		}
-		ht.spec.epoch = max(ht.spec.epoch, e)
-	}
-	m.mu.Unlock()
-	sort.Strings(stale)
-	for _, name := range stale {
-		if err := m.stopTask(name, RevokeFence); err != nil {
-			m.logf("module %s: fence %s: %v", m.cfg.ID, name, err)
-		}
-	}
-	if m.outputsFenced.CompareAndSwap(true, false) {
-		m.events.Eventf(telemetry.SevInfo, m.cfg.ID, "fence_cleared",
-			"fenced_tasks", strconv.Itoa(len(stale)))
-		m.logf("module %s fence cleared (%d stale tasks stopped)", m.cfg.ID, len(stale))
 	}
 }
 
