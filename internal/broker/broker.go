@@ -105,8 +105,9 @@ type retainedMsg struct {
 // read-locks gate (a sync.RWMutex) for its whole length, loads the current
 // immutable routeTable snapshot, and routes through the epoch-keyed route
 // cache or the zero-alloc snapshot matcher (routes.go). Subscribe,
-// unsubscribe, and session churn mutate the builder trie under mu, build a
-// fresh snapshot, and swap it in under gate's write lock.
+// unsubscribe, and session churn mutate the sessions' filter maps (the one
+// subscription table) under mu, derive a fresh snapshot from them, and swap
+// it in under gate's write lock.
 //
 // The store+route atomicity invariant for retained messages (see publish)
 // holds because the write lock excludes every in-flight publish read
@@ -114,14 +115,14 @@ type retainedMsg struct {
 // concurrent publish either entirely (retained stored AND fanned out) or
 // not at all. The fence covers only the snapshot swap and retained replay;
 // snapshot *rebuilding* happens outside it, so publishes keep flowing
-// while a large trie is copied. A waiting writer blocks new readers
+// while a large snapshot is built. A waiting writer blocks new readers
 // (sync.RWMutex's rule), so subscribes cannot starve under publish load.
 //
-// Lock order: mu ⊃ gate ⊃ {retainedMu, session.mu}; trie.mu and pubMu are
-// leaf locks never taken by the publish path (a cached publish touches
-// neither). Counters (received, delivered, retained count, per-topic
-// accounting) are atomics so neither the publish path nor the
-// per-connection writer goroutines ever take mu.
+// Lock order: mu ⊃ gate ⊃ {retainedMu, session.mu}; pubMu is a leaf lock
+// a cached publish never takes. mu also guards every session's filter map.
+// Counters (received, delivered, retained count, per-topic accounting) are
+// atomics so neither the publish path nor the per-connection writer
+// goroutines ever take mu.
 type Broker struct {
 	opts  Options
 	start time.Time
@@ -176,7 +177,6 @@ type Broker struct {
 	pubMu      sync.RWMutex
 	pubByTopic map[string]*topicCount
 
-	trie    *subTrie
 	wg      sync.WaitGroup
 	metrics *brokerMetrics
 
@@ -227,7 +227,6 @@ func Open(opts Options) (*Broker, error) {
 		conns:      make(map[string]net.Conn),
 		retained:   make(map[string]retainedMsg),
 		pubByTopic: make(map[string]*topicCount),
-		trie:       newSubTrie(),
 	}
 	if b.opts.Registry != nil {
 		b.metrics = newBrokerMetrics(b.opts.Registry, b)
@@ -241,7 +240,7 @@ func Open(opts Options) (*Broker, error) {
 	}
 	// Publish the initial route snapshot (covering any recovered
 	// subscriptions) before a connection or internal publisher can route.
-	b.routes.Store(b.trie.build(b.routeEpoch.Add(1)))
+	b.routes.Store(buildRoutes(b.sessions, b.routeEpoch.Add(1)))
 	return b, nil
 }
 
@@ -493,8 +492,8 @@ func (b *Broker) registerSession(connect *wire.ConnectPacket, conn net.Conn) (*s
 	if !sessionPresent {
 		var rerouted bool
 		if sess, rerouted = b.openSessionLocked(connect.ClientID, !connect.CleanSession); rerouted {
-			// The discarded session's filters left the builder trie;
-			// retire them from the published snapshot too.
+			// The discarded session held filters; retire them from the
+			// published snapshot too.
 			b.swapRoutesLocked()
 		}
 	}
@@ -516,12 +515,12 @@ func (b *Broker) unregisterConn(sess *session, conn net.Conn, gen uint64) {
 	}
 }
 
-// swapRoutesLocked rebuilds the route snapshot from the builder trie and
-// publishes it under the gate fence. Callers hold b.mu. The rebuild runs
-// outside the fence — publishes flow (against the old snapshot) while the
-// copy is made; only the pointer swap excludes them.
+// swapRoutesLocked rebuilds the route snapshot from the sessions' filter
+// maps and publishes it under the gate fence. Callers hold b.mu. The
+// rebuild runs outside the fence — publishes flow (against the old
+// snapshot) while it is built; only the pointer swap excludes them.
 func (b *Broker) swapRoutesLocked() {
-	tbl := b.trie.build(b.routeEpoch.Add(1))
+	tbl := buildRoutes(b.sessions, b.routeEpoch.Add(1))
 	b.gate.Lock()
 	b.routes.Store(tbl)
 	b.gate.Unlock()
@@ -856,15 +855,15 @@ func (b *Broker) handleSubscribe(sess *session, p *wire.SubscribePacket) {
 	// the publishes whose store+route completed against the old routing
 	// snapshot, and every later publish routes against the new one and
 	// delivers live. The live stream can therefore never run behind the
-	// replay. Builder registration and the snapshot rebuild stay outside
-	// the fence (under mu only) so publishes flow during the copy.
+	// replay. The filter-map writes and the snapshot rebuild stay outside
+	// the fence (under mu only) so publishes flow during the build.
 	b.mu.Lock()
 	for i, sub := range p.Subscriptions {
 		granted := minQoS(sub.QoS, b.opts.MaxQoS)
 		b.subscribeLocked(sess, sub.TopicFilter, granted)
 		codes[i] = byte(granted)
 	}
-	tbl := b.trie.build(b.routeEpoch.Add(1))
+	tbl := buildRoutes(b.sessions, b.routeEpoch.Add(1))
 	b.gate.Lock()
 	b.routes.Store(tbl)
 	// SUBACK follows the swap, so whoever has seen it is already routed to,

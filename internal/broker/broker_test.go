@@ -376,9 +376,18 @@ func TestDroppedTotalSurvivesSessionDiscard(t *testing.T) {
 	}
 }
 
+// A second CONNECT with a client's ID takes the connection over. A clean
+// takeover discards the subscribed session, and its routes go with it; a
+// persistent re-attach keeps the session and its routes.
 func TestSessionTakeover(t *testing.T) {
 	bus := newTestBus(t, Options{})
 	first := bus.connect(t, mqttclient.NewOptions("dup-id"))
+	if _, err := first.Subscribe("take/t", wire.QoS0, func(mqttclient.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	if n := bus.broker.Stats().Subscriptions; n != 1 {
+		t.Fatalf("Subscriptions = %d before the takeover, want 1", n)
+	}
 	_ = bus.connect(t, mqttclient.NewOptions("dup-id"))
 
 	select {
@@ -387,6 +396,47 @@ func TestSessionTakeover(t *testing.T) {
 		t.Fatal("first connection not taken over")
 	}
 	waitFor(t, "single connection", func() bool { return bus.broker.Stats().ConnectedClients == 1 })
+	if n := bus.broker.Stats().Subscriptions; n != 0 {
+		t.Fatalf("Subscriptions = %d after a clean takeover, want 0", n)
+	}
+	mb := getMatchBuf()
+	defer mb.release()
+	if subs := bus.broker.routes.Load().match("take/t", mb); len(subs) != 0 {
+		t.Fatalf("the discarded session is still routed to: %v", idsRoute(subs))
+	}
+	// Publish fans out before it returns: a stale route would count a drop.
+	base := bus.broker.Stats()
+	bus.broker.Publish("take/t", []byte("x"), wire.QoS0, false)
+	if st := bus.broker.Stats(); st.MessagesDropped != base.MessagesDropped {
+		t.Fatalf("a publish to the old filter reached a session: %d drops", st.MessagesDropped-base.MessagesDropped)
+	}
+
+	opts := mqttclient.NewOptions("keep")
+	opts.CleanSession = false
+	kept := bus.connect(t, opts)
+	if _, err := kept.Subscribe("keep/t", wire.QoS1, func(mqttclient.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan mqttclient.Message, 1)
+	opts.DefaultHandler = func(m mqttclient.Message) { got <- m }
+	_ = bus.connect(t, opts)
+	select {
+	case <-kept.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("persistent connection not taken over")
+	}
+	if n := bus.broker.Stats().Subscriptions; n != 1 {
+		t.Fatalf("Subscriptions = %d after a persistent re-attach, want 1", n)
+	}
+	bus.broker.Publish("keep/t", []byte("y"), wire.QoS1, false)
+	select {
+	case m := <-got:
+		if m.Topic != "keep/t" || string(m.Payload) != "y" {
+			t.Fatalf("re-attached client got %s=%q, want keep/t=y", m.Topic, m.Payload)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the re-attached session's route was lost")
+	}
 }
 
 func TestAuthenticatorRejects(t *testing.T) {

@@ -176,39 +176,38 @@ func (b *Broker) openSessionLocked(clientID string, persistent bool) (sess *sess
 	return sess, rerouted
 }
 
-// dropSessionLocked is the one mutator of the opSessRm fact: sess leaves
-// the session table and its filters the builder trie, its drops fold into
-// droppedBase, and a persistent one journals its removal. It reports
-// whether routes changed. Caller holds b.mu.
+// dropSessionLocked is the one mutator of the opSessRm fact: sess and its
+// filters leave the session table, its drops fold into droppedBase, and a
+// persistent one journals its removal. It reports whether routes changed.
+// Caller holds b.mu.
 func (b *Broker) dropSessionLocked(sess *session) bool {
 	delete(b.sessions, sess.clientID)
 	b.droppedBase.Add(sess.dropped())
 	if sess.persistent {
 		b.persist.append(persistRec{Op: opSessRm, Client: sess.clientID})
 	}
-	return b.trie.removeAll(sess.clientID)
+	return len(sess.subscriptions) > 0
 }
 
-// subscribeLocked is the one mutator of the opSub fact: filter routes to
-// sess in the builder trie and joins the session's own list, journaled when
-// the session is persistent. Caller holds b.mu.
+// subscribeLocked is the one mutator of the opSub fact: filter joins the
+// session's filter map, journaled when the session is persistent. Caller
+// holds b.mu.
 func (b *Broker) subscribeLocked(sess *session, filter string, qos wire.QoS) {
-	b.trie.subscribe(filter, sess, qos)
-	sess.addSubscription(filter, qos)
+	sess.subscriptions[filter] = qos
 	if sess.persistent {
 		b.persist.append(persistRec{Op: opSub, Client: sess.clientID, Filter: filter, QoS: byte(qos)})
 	}
 }
 
 // unsubscribeLocked is the one mutator of the opUnsub fact. It reports
-// whether a route left the trie. Caller holds b.mu.
+// whether the filter was in the session's map. Caller holds b.mu.
 func (b *Broker) unsubscribeLocked(sess *session, filter string) bool {
-	removed := b.trie.unsubscribe(filter, sess.clientID)
-	sess.removeSubscription(filter)
+	_, had := sess.subscriptions[filter]
+	delete(sess.subscriptions, filter)
 	if sess.persistent {
 		b.persist.append(persistRec{Op: opUnsub, Client: sess.clientID, Filter: filter})
 	}
-	return removed
+	return had
 }
 
 // --- snapshot capture ---
@@ -247,7 +246,7 @@ func (b *Broker) captureState() ([]byte, error) {
 }
 
 // snapshotLocked captures one session's durable state. Takes session.mu
-// (caller holds b.mu, matching the lock order).
+// for the window; the caller holds b.mu, which guards the filter map.
 func (s *session) snapshotLocked() snapSession {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -9,9 +9,11 @@ import (
 )
 
 // Epoch-published routing. The broker's publish path routes against an
-// immutable routeTable snapshot published through an atomic pointer:
-// subscribe/unsubscribe/session churn mutate the builder trie under
-// Broker.mu, build a fresh snapshot, and swap it in under the write lock of
+// immutable routeTable snapshot published through an atomic pointer. The
+// one subscription table is the sessions' own filter maps
+// (session.subscriptions, guarded by Broker.mu): subscribe/unsubscribe/
+// session churn mutate them under Broker.mu, derive a fresh snapshot from
+// them with buildRoutes, and swap it in under the write lock of
 // Broker.gate, which every publish read-locks. A publish read section
 // therefore always observes the snapshot that is current for its entire
 // section (the write lock waits out in-flight sections before a swap
@@ -32,9 +34,9 @@ type routeTable struct {
 	subCount int
 }
 
-// routeNode mirrors trieNode in immutable form: children holds only
-// literal levels; the `+` and `#` wildcard children get their own fields
-// so matching skips two map probes per level.
+// routeNode is one level of the immutable route trie: children holds
+// only literal levels; the `+` and `#` wildcard children get their own
+// fields so matching skips two map probes per level.
 type routeNode struct {
 	children map[string]*routeNode
 	plus     *routeNode
@@ -42,40 +44,49 @@ type routeNode struct {
 	subs     []routeSub
 }
 
-// build converts the mutable builder trie into an immutable snapshot
-// stamped with epoch. Callers hold Broker.mu, so the builder is quiescent.
-func (t *subTrie) build(epoch uint64) *routeTable {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	root, count := buildRouteNode(t.root)
-	return &routeTable{epoch: epoch, root: root, subCount: count}
+// buildRoutes derives a snapshot stamped with epoch from every session's
+// filters. Callers hold Broker.mu, which guards the filter maps. A session
+// holds each filter once, so sessions within one node's subs are unique.
+func buildRoutes(sessions map[string]*session, epoch uint64) *routeTable {
+	tbl := &routeTable{epoch: epoch, root: &routeNode{}}
+	for _, s := range sessions {
+		for filter, qos := range s.subscriptions {
+			n := tbl.root
+			for rest, more := filter, true; more; {
+				var level string
+				level, rest, more = strings.Cut(rest, "/")
+				n = n.child(level)
+			}
+			n.subs = append(n.subs, routeSub{session: s, qos: qos})
+			tbl.subCount++
+		}
+	}
+	return tbl
 }
 
-func buildRouteNode(n *trieNode) (*routeNode, int) {
-	rn := &routeNode{}
-	count := len(n.subs)
-	if len(n.subs) > 0 {
-		rn.subs = make([]routeSub, 0, len(n.subs))
-		for _, s := range n.subs {
-			rn.subs = append(rn.subs, routeSub{session: s.session, qos: s.qos})
+// child returns n's child for one filter level, adding it if absent.
+func (n *routeNode) child(level string) *routeNode {
+	switch level {
+	case "+":
+		if n.plus == nil {
+			n.plus = &routeNode{}
 		}
-	}
-	for level, child := range n.children {
-		c, cc := buildRouteNode(child)
-		count += cc
-		switch level {
-		case "+":
-			rn.plus = c
-		case "#":
-			rn.hash = c
-		default:
-			if rn.children == nil {
-				rn.children = make(map[string]*routeNode, len(n.children))
-			}
-			rn.children[level] = c
+		return n.plus
+	case "#":
+		if n.hash == nil {
+			n.hash = &routeNode{}
 		}
+		return n.hash
 	}
-	return rn, count
+	c := n.children[level]
+	if c == nil {
+		if n.children == nil {
+			n.children = make(map[string]*routeNode)
+		}
+		c = &routeNode{}
+		n.children[level] = c
+	}
+	return c
 }
 
 // matchBuf is pooled matching scratch: matched terminal nodes, a merge

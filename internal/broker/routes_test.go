@@ -156,13 +156,8 @@ func TestSubscriptionChurnUnderPublishLoad(t *testing.T) {
 // single-filter fast path and the multi-filter merge path) and a route
 // cache hit must be allocation-free once scratch buffers are warm.
 func TestRouteMatchZeroAllocs(t *testing.T) {
-	tr := newSubTrie()
-	s1 := newSession("c1", false)
-	s2 := newSession("c2", false)
-	tr.subscribe("iot/dev/+", s1, wire.QoS0)
-	tr.subscribe("iot/dev/temp", s2, wire.QoS1)
-	tr.subscribe("iot/#", s2, wire.QoS0)
-	tbl := tr.build(1)
+	tbl := routesAfter(t, sub("c1", "iot/dev/+", wire.QoS0), sub("c2", "iot/dev/temp", wire.QoS1), sub("c2", "iot/#", wire.QoS0))
+	epoch := tbl.epoch
 
 	mb := getMatchBuf()
 	defer mb.release()
@@ -189,9 +184,9 @@ func TestRouteMatchZeroAllocs(t *testing.T) {
 
 	// Route cache hit: one shard-map load, one cell load, epoch compare.
 	var rc routeCache
-	rc.store("iot/dev/temp", 1, tbl.match("iot/dev/temp", mb), nil, true)
+	rc.store("iot/dev/temp", epoch, tbl.match("iot/dev/temp", mb), nil, true)
 	if n := testing.AllocsPerRun(200, func() {
-		if rc.lookup("iot/dev/temp", 1) == nil {
+		if rc.lookup("iot/dev/temp", epoch) == nil {
 			t.Fatal("unexpected cache miss")
 		}
 	}); n != 0 {
@@ -235,7 +230,7 @@ func TestWideFanoutDeliversAll(t *testing.T) {
 	for i := 0; i < n; i++ {
 		s := newSession(fmt.Sprintf("f%d", i), false)
 		b.sessions[s.clientID] = s
-		b.trie.subscribe("fan/t", s, wire.QoS0)
+		b.subscribeLocked(s, "fan/t", wire.QoS0)
 		ch, _, _ := s.attach(4)
 		chans[i] = ch
 	}

@@ -34,8 +34,9 @@ type session struct {
 	outbound  chan outPacket
 	attachGen uint64 // increments per (re)connection
 
-	// subscriptions mirrors the trie entries owned by this session so
-	// they can be reported and cleaned up.
+	// subscriptions maps each filter to its granted QoS. It is the
+	// broker's one subscription table, guarded by Broker.mu, not mu: the
+	// route snapshots are derived from it (buildRoutes).
 	subscriptions map[string]wire.QoS
 
 	// window is the session's QoS1 window: every unacked QoS1 message, in
@@ -289,28 +290,6 @@ func (s *session) releaseIncomingQoS2(packetID uint16) {
 	s.mu.Lock()
 	delete(s.incomingQoS2, packetID)
 	s.mu.Unlock()
-}
-
-func (s *session) addSubscription(filter string, qos wire.QoS) {
-	s.mu.Lock()
-	s.subscriptions[filter] = qos
-	s.mu.Unlock()
-}
-
-func (s *session) removeSubscription(filter string) {
-	s.mu.Lock()
-	delete(s.subscriptions, filter)
-	s.mu.Unlock()
-}
-
-func (s *session) subscriptionList() map[string]wire.QoS {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]wire.QoS, len(s.subscriptions))
-	for f, q := range s.subscriptions {
-		out[f] = q
-	}
-	return out
 }
 
 // dropped reports this session's cumulative drop count; lock-free so a

@@ -262,17 +262,32 @@ func TestSessionPacketIDSkipsInflight(t *testing.T) {
 	}
 }
 
+// The session's filter map is the broker's subscription table: the
+// mutators keep it, a resubscribe replaces the granted QoS, and their
+// reports say when the routes must be rebuilt.
 func TestSessionSubscriptionBookkeeping(t *testing.T) {
-	s := newSession("c", false)
-	s.addSubscription("a/#", wire.QoS1)
-	s.addSubscription("b", wire.QoS0)
-	subs := s.subscriptionList()
-	if len(subs) != 2 || subs["a/#"] != wire.QoS1 {
-		t.Fatalf("subscriptions = %v", subs)
+	b := New(Options{})
+	defer b.Close()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s, _ := b.openSessionLocked("c", false)
+	b.subscribeLocked(s, "a/#", wire.QoS0)
+	b.subscribeLocked(s, "a/#", wire.QoS1)
+	b.subscribeLocked(s, "b", wire.QoS0)
+	if len(s.subscriptions) != 2 || s.subscriptions["a/#"] != wire.QoS1 {
+		t.Fatalf("subscriptions = %v", s.subscriptions)
 	}
-	s.removeSubscription("a/#")
-	if len(s.subscriptionList()) != 1 {
+	if !b.unsubscribeLocked(s, "a/#") || b.unsubscribeLocked(s, "a/#") {
+		t.Fatal("unsubscribe must report exactly the filter it removed")
+	}
+	if len(s.subscriptions) != 1 {
 		t.Fatal("subscription not removed")
+	}
+	if !b.dropSessionLocked(s) {
+		t.Fatal("dropping a session with a filter reported no route change")
+	}
+	if s, _ = b.openSessionLocked("c", false); b.dropSessionLocked(s) {
+		t.Fatal("dropping a session without filters reported a route change")
 	}
 }
 

@@ -306,10 +306,10 @@ func TestBrokerRecoversParentJournal(t *testing.T) {
 	if dev == nil || other == nil {
 		t.Fatalf("sessions = %v, want dev and other", b.sessions)
 	}
-	if subs := dev.subscriptionList(); len(subs) != 1 || subs["jobs/#"] != wire.QoS1 {
+	if subs := dev.subscriptions; len(subs) != 1 || subs["jobs/#"] != wire.QoS1 {
 		t.Fatalf("dev subscriptions = %v", subs)
 	}
-	if subs := other.subscriptionList(); len(subs) != 1 || subs["o/+"] != wire.QoS1 {
+	if subs := other.subscriptions; len(subs) != 1 || subs["o/+"] != wire.QoS1 {
 		t.Fatalf("other subscriptions = %v", subs)
 	}
 	_, resend, _ := dev.attach(8)

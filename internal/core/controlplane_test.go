@@ -171,6 +171,7 @@ type depView struct {
 // replayView is the part of the manager state a journal must reproduce.
 type replayView struct {
 	deps    map[string]depView
+	scope   []string
 	streams []StreamInfo
 }
 
@@ -178,6 +179,7 @@ func captureView(mgr *Manager, names ...string) replayView {
 	v := replayView{deps: make(map[string]depView), streams: mgr.Streams()}
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
+	v.scope = sortedKeys(mgr.scope)
 	for _, name := range names {
 		if dep, ok := mgr.deployments[name]; ok {
 			v.deps[name] = depView{Recipe: dep.Recipe, SubTasks: dep.SubTasks,
@@ -202,13 +204,14 @@ func detectorRecipe(name string, version, n int) *recipe.Recipe {
 	return rec
 }
 
-// TestManagerReplayEquivalence: the table a restarted manager replays from
-// the journal equals the one the live path built, across deploy, upgrade,
-// failover on leave, drain and undeploy — with and without a snapshot
-// compaction in the middle of the sequence.
+// TestManagerReplayEquivalence: the table and scope a restarted manager
+// replays from the journal equal the ones the live path built, across
+// deploy, upgrade, failover on leave, drain and undeploy — without a
+// snapshot compaction, with one in the middle of the sequence, and with one
+// after the undeploy (which must keep the undeployed recipe in scope).
 func TestManagerReplayEquivalence(t *testing.T) {
-	for _, snapshot := range []bool{false, true} {
-		t.Run(fmt.Sprintf("snapshot=%v", snapshot), func(t *testing.T) {
+	for _, snapshot := range []string{"false", "true", "after-undeploy"} {
+		t.Run("snapshot="+snapshot, func(t *testing.T) {
 			tc := newTestCluster(t)
 			st := store.NewMemStore()
 			mgr := tc.manager(ManagerConfig{Store: st})
@@ -228,7 +231,7 @@ func TestManagerReplayEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if snapshot {
+			if snapshot == "true" {
 				if err := st.SaveSnapshot(mgr.captureState); err != nil {
 					t.Fatal(err)
 				}
@@ -256,9 +259,9 @@ func TestManagerReplayEquivalence(t *testing.T) {
 			if hosted("drainer") == 0 {
 				t.Fatal("nothing failed over to the draining module")
 			}
-			// Drain only once the moved tasks run there: assignment and
-			// revocation ride different control topics, so a drain
-			// revocation may otherwise overtake the assignment it undoes.
+			// Drain only once the moved tasks run there: Drain returns as
+			// soon as the module runs no manager-assigned task, so one
+			// started before the failover set arrives proves nothing.
 			waitFor(t, "failed-over tasks running on the drainer", func() bool {
 				return len(drainer.RunningTasks()) == hosted("drainer")
 			})
@@ -270,6 +273,11 @@ func TestManagerReplayEquivalence(t *testing.T) {
 			waitFor(t, "drain complete", func() bool { return hasEvent(mgr.Events(), "drain_complete", "drainer") })
 			if err := mgr.Undeploy("gone"); err != nil {
 				t.Fatal(err)
+			}
+			if snapshot == "after-undeploy" {
+				if err := st.SaveSnapshot(mgr.captureState); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			live := captureView(mgr, "keep", "gone")
@@ -309,6 +317,9 @@ func TestManagerReplayEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(live.streams, replayed.streams) {
 				t.Fatalf("Streams: live %+v, replayed %+v", live.streams, replayed.streams)
+			}
+			if want := []string{"gone", "keep"}; !reflect.DeepEqual(live.scope, want) || !reflect.DeepEqual(replayed.scope, want) {
+				t.Fatalf("scope: live %v, replayed %v, want %v", live.scope, replayed.scope, want)
 			}
 		})
 	}

@@ -97,6 +97,13 @@ func (s *ctrlSchedule) startManager() {
 	_ = mgr.publishRecovered()
 }
 
+// compact is a journal snapshot compaction at this point of the schedule.
+func (s *ctrlSchedule) compact() {
+	if err := s.st.SaveSnapshot(s.mgr.captureState); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
 // restartManager drops the manager with whatever it had in flight and
 // starts a new one from the journal.
 func (s *ctrlSchedule) restartManager() {
@@ -324,10 +331,16 @@ func (s *ctrlSchedule) step() {
 		s.restartManager()
 	case r < 80:
 		// The manager dies partway through a table change, after zero or
-		// more of its publishes.
+		// more of its publishes; the journal may be compacted before the
+		// restart.
 		s.crashIn = s.rng.Intn(3)
 		s.managerOp()
+		if s.rng.Intn(2) == 0 {
+			s.compact()
+		}
 		s.restartManager()
+	case r < 82:
+		s.compact()
 	default:
 		s.deliverManager()
 	}
@@ -401,7 +414,7 @@ func (s *ctrlSchedule) settle() {
 }
 
 // checkQuiesced compares every module's task table with the manager's
-// deployment table, and the table with its journal replay.
+// deployment table, and the table and scope with their journal replay.
 func (s *ctrlSchedule) checkQuiesced() error {
 	type owner struct {
 		module  string
@@ -455,19 +468,25 @@ func (s *ctrlSchedule) checkQuiesced() error {
 	if err := replay.recoverState(s.st); err != nil {
 		return err
 	}
-	if live, replayed := tableView(s.mgr), tableView(replay); !reflect.DeepEqual(live, replayed) {
+	if live, replayed := journaled(s.mgr), journaled(replay); !reflect.DeepEqual(live, replayed) {
 		return fmt.Errorf("replayed table differs:\nlive     %+v\nreplayed %+v", live, replayed)
 	}
 	return nil
 }
 
-// tableView is the journaled part of a manager's deployment table.
-func tableView(mgr *Manager) map[string]depView {
+// journaledView is the journaled part of a manager: its deployment table
+// and its scope.
+type journaledView struct {
+	deps  map[string]depView
+	scope []string
+}
+
+func journaled(mgr *Manager) journaledView {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
-	out := make(map[string]depView, len(mgr.deployments))
+	out := journaledView{deps: make(map[string]depView, len(mgr.deployments)), scope: sortedKeys(mgr.scope)}
 	for name, dep := range mgr.deployments {
-		out[name] = depView{Recipe: dep.Recipe, SubTasks: dep.SubTasks, Assignment: dep.Assignment, Epochs: dep.Epochs}
+		out.deps[name] = depView{Recipe: dep.Recipe, SubTasks: dep.SubTasks, Assignment: dep.Assignment, Epochs: dep.Epochs}
 	}
 	return out
 }
@@ -505,14 +524,16 @@ func (s *ctrlSchedule) run() error {
 // interleavings of deliveries, beacons, deploys, upgrades, undeploys,
 // drains, dead declarations, connection drops with and without a will,
 // reconnects racing restartTasks, self-fences, manager restarts from the
-// journal and manager crashes between a commit and its publishes, with
+// journal, journal compactions, and manager crashes between a commit and
+// its publishes (compacted or not before the restart), with
 // 10 % loss of non-retained traffic and one task in ten failing to build.
 // After every step no two unfenced instances share a (subtask, version,
 // epoch); after a lossless quiesce every deployed subtask that builds runs
 // exactly on its assigned module at its epoch, nothing else
 // manager-assigned runs anywhere (so every placeable drain completed),
 // direct tasks are untouched, no module is fenced, further beacons make
-// the manager publish nothing, and the journal replays to the live table.
+// the manager publish nothing, and the journal replays to the live table
+// and scope.
 // Failing seeds are logged.
 func TestControlPlaneConvergesUnderAnySchedule(t *testing.T) {
 	for modules := 2; modules <= 4; modules++ {

@@ -197,8 +197,8 @@ type Manager struct {
 	mu          sync.Mutex
 	deployments map[string]*Deployment // written only by applyLocked
 	draining    map[string]bool        // modules mid-drain: out of the placement pool
-	// scope holds every recipe a deploy record applied here named — the
-	// ones this manager's sets may undeploy (Desired.Scope).
+	// scope holds every recipe a deploy or undeploy record applied here
+	// named — the ones this manager's sets may undeploy (Desired.Scope).
 	scope map[string]bool
 
 	collector *TraceCollector

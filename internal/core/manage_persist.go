@@ -47,7 +47,9 @@ type mgrRec struct {
 	Epochs map[string]uint64 `json:"epochs,omitempty"`
 }
 
-// mgrSnapshot is the compacted journal: every live deployment.
+// mgrSnapshot is the compacted journal: a deploy record per live
+// deployment and an undeploy record per recipe in scope but no longer
+// deployed, so compaction keeps the scope.
 type mgrSnapshot struct {
 	Deployments []mgrRec `json:"deployments"`
 }
@@ -96,6 +98,9 @@ func (mgr *Manager) applyLocked(rec mgrRec) *Deployment {
 		mgr.deployments[rec.Name] = dep
 		return dep
 	case mgrOpUndeploy:
+		// An undeploy names a recipe this manager deployed, whose deploy
+		// record a compaction may have dropped.
+		mgr.scope[rec.Name] = true
 		dep := mgr.deployments[rec.Name]
 		delete(mgr.deployments, rec.Name)
 		return dep
@@ -137,10 +142,11 @@ func (mgr *Manager) commitLocked(rec mgrRec) *Deployment {
 	return dep
 }
 
-// captureState serializes all deployments for snapshot compaction.
+// captureState serializes the deployment table and scope for snapshot
+// compaction.
 func (mgr *Manager) captureState() ([]byte, error) {
 	mgr.mu.Lock()
-	snap := mgrSnapshot{Deployments: make([]mgrRec, 0, len(mgr.deployments))}
+	snap := mgrSnapshot{Deployments: make([]mgrRec, 0, len(mgr.scope))}
 	for _, dep := range mgr.deployments {
 		rec := dep.Recipe
 		assignment := make(tasks.Assignment, len(dep.Assignment))
@@ -159,6 +165,11 @@ func (mgr *Manager) captureState() ([]byte, error) {
 			Assignment: assignment,
 			Epochs:     epochs,
 		})
+	}
+	for name := range mgr.scope {
+		if _, ok := mgr.deployments[name]; !ok {
+			snap.Deployments = append(snap.Deployments, mgrRec{Op: mgrOpUndeploy, Name: name})
+		}
 	}
 	mgr.mu.Unlock()
 	return json.Marshal(snap)
