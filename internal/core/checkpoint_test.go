@@ -183,3 +183,73 @@ func TestModuleCheckpointPeriodicLoop(t *testing.T) {
 	}
 	waitFor(t, "periodic checkpoint", func() bool { return st.Records() > 0 })
 }
+
+// TestNonFiniteBatchDoesNotPoisonCheckpoint: a batch carrying a NaN
+// reading is dropped as undecodable, so the anomaly task's learner stays
+// finite, keeps flagging outliers and can still be checkpointed.
+func TestNonFiniteBatchDoesNotPoisonCheckpoint(t *testing.T) {
+	for _, detector := range []string{"zscore", "knn"} {
+		t.Run(detector, func(t *testing.T) {
+			tc := newTestCluster(t)
+			decisions := make(chan Decision, 1024)
+			observe := Observer{OnDecision: func(d Decision) {
+				select {
+				case decisions <- d:
+				default:
+				}
+			}}
+			rec, sub := anomalySub(detector)
+			m := tc.module(Config{ID: "node", Store: store.NewMemStore(), Observer: observe})
+			if err := m.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.StartTask(rec, sub); err != nil {
+				t.Fatal(err)
+			}
+			feeder := tc.module(Config{ID: "feeder"})
+			if err := feeder.Start(); err != nil {
+				t.Fatal(err)
+			}
+			poisoned, err := EncodeBatch([]sensor.Sample{sample(0, 1), sample(1, math.NaN()), sample(2, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := feeder.Publish("ck/in", poisoned); err != nil {
+				t.Fatal(err)
+			}
+			for i := 3; i < 203; i++ {
+				if err := feeder.Publish("ck/in", sample(i, math.Sin(float64(i))).Encode()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := feeder.Publish("ck/in", sample(1000, 500).Encode()); err != nil {
+				t.Fatal(err)
+			}
+			var last Decision
+			for last.Seq != 1000 {
+				select {
+				case last = <-decisions:
+					if last.Seq < 3 {
+						t.Fatalf("decision %+v for the batch holding a NaN reading", last)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("no decision for the outlier")
+				}
+			}
+			if detector == "zscore" && last.Label != "anomaly" {
+				t.Fatalf("outlier scored %q (score %v), want anomaly", last.Label, last.Score)
+			}
+
+			m.ckpt.mu.Lock()
+			learners := len(m.ckpt.learners)
+			var blobErr error
+			for _, ck := range m.ckpt.learners {
+				_, blobErr = ck.CheckpointState()
+			}
+			m.ckpt.mu.Unlock()
+			if learners != 1 || blobErr != nil {
+				t.Fatalf("checkpoint of %d learners: %v", learners, blobErr)
+			}
+		})
+	}
+}

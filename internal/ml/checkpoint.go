@@ -230,8 +230,10 @@ func (d *KNNAnomalyDetector) CheckpointState() ([]byte, error) {
 
 // RestoreState implements Checkpointer. The neighbourhood size and
 // capacity stay as constructed (they come from the recipe, not the
-// checkpoint). When the checkpoint fits, the ring layout is restored
-// verbatim; when capacity shrank, excess points are dropped oldest-first.
+// checkpoint). A same-capacity restore keeps the ring layout verbatim.
+// Otherwise the points are rotated oldest-first with the cursor at 0, so
+// eviction stays oldest-first: a larger ring appends until full, and a
+// smaller one keeps the newest `capacity`.
 func (d *KNNAnomalyDetector) RestoreState(data []byte) error {
 	blob, err := unmarshalCheckpoint(data, ckKNN)
 	if err != nil {
@@ -242,13 +244,12 @@ func (d *KNNAnomalyDetector) RestoreState(data []byte) error {
 	if next < 0 || next >= len(pts) {
 		next = 0
 	}
-	if len(pts) > d.capacity {
-		// Rotate to oldest-first (points[next:] precede points[:next]
-		// once the ring has wrapped), then keep the newest `capacity`.
+	if len(pts) != d.capacity {
+		// points[next:] precede points[:next] once the ring has wrapped.
 		ordered := make([]feature.Vector, 0, len(pts))
 		ordered = append(ordered, pts[next:]...)
 		ordered = append(ordered, pts[:next]...)
-		pts = ordered[len(ordered)-d.capacity:]
+		pts = ordered[max(len(ordered)-d.capacity, 0):]
 		next = 0
 	}
 	d.mu.Lock()

@@ -160,6 +160,38 @@ func TestCheckpointKNN(t *testing.T) {
 	}
 }
 
+// ringValues lists the x of every stored point in ring slice order.
+func ringValues(d *KNNAnomalyDetector) []float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var xs []float64
+	for _, p := range d.points {
+		xs = append(xs, p.Vals[0])
+	}
+	return xs
+}
+
+// TestCheckpointKNNIntoLargerRing: a wrapped ring restored into a larger
+// capacity is laid out oldest-first, so later adds still evict the oldest
+// points and the ring ends holding the newest.
+func TestCheckpointKNNIntoLargerRing(t *testing.T) {
+	src := NewKNNAnomalyDetector(1, 4)
+	for i := 0; i < 6; i++ { // holds 2..5 with the cursor at 2
+		src.Add(feature.Vector{"x": float64(i)})
+	}
+	dst := NewKNNAnomalyDetector(1, 8)
+	roundTrip(t, src, dst)
+	if got, want := fmt.Sprint(ringValues(dst)), "[2 3 4 5]"; got != want {
+		t.Fatalf("restored ring = %s, want %s", got, want)
+	}
+	for i := 6; i < 14; i++ {
+		dst.Add(feature.Vector{"x": float64(i)})
+	}
+	if got, want := fmt.Sprint(ringValues(dst)), "[10 11 12 13 6 7 8 9]"; got != want {
+		t.Fatalf("ring after adds = %s, want %s (oldest evicted first)", got, want)
+	}
+}
+
 func TestCheckpointKMeans(t *testing.T) {
 	src := NewSequentialKMeans(3)
 	for i := 0; i < 300; i++ {

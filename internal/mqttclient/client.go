@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/ifot-middleware/ifot/internal/clock"
 	"github.com/ifot-middleware/ifot/internal/telemetry"
 	"github.com/ifot-middleware/ifot/internal/wire"
 )
@@ -53,7 +54,10 @@ type Options struct {
 	CleanSession bool
 	// KeepAlive is the keep-alive interval; zero disables pings.
 	KeepAlive time.Duration
-	// AckTimeout bounds waits for PUBACK/SUBACK/UNSUBACK (default 10s).
+	// AckTimeout bounds waits for PUBACK/SUBACK/UNSUBACK (default 10s),
+	// counted from when the packet has been written. A wait fails with
+	// ErrAckTimeout no earlier than AckTimeout and no later than one sweep
+	// period, a tenth of AckTimeout, after that.
 	AckTimeout time.Duration
 	// DispatchBuffer sizes the reader's dispatch queue and each handler
 	// registration's lane (default 256). A full lane applies backpressure:
@@ -82,6 +86,10 @@ type Options struct {
 	// Registry, when set, receives client metrics: publish/receive
 	// counters and a QoS1 publish→PUBACK round-trip histogram.
 	Registry *telemetry.Registry
+
+	// clock drives keep-alive pings and ack timeouts; nil means the wall
+	// clock. The package's tests set a virtual one.
+	clock clock.Clock
 }
 
 // NewOptions returns Options with sensible defaults for the given client ID.
@@ -97,9 +105,20 @@ func NewOptions(clientID string) Options {
 // of small packets costs one read; a larger packet bypasses the buffer.
 const readBufSize = 4 << 10
 
+// sweepsPerAckTimeout is how often per AckTimeout the timer loop looks for
+// overdue acks: a timeout fires at most AckTimeout/sweepsPerAckTimeout late.
+const sweepsPerAckTimeout = 10
+
+// maxFrameBuf bounds the frame buffer a client keeps between QoS 0
+// publishes, so one oversized payload does not pin its memory.
+const maxFrameBuf = 64 << 10
+
 func (o Options) withDefaults() Options {
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = 10 * time.Second
+	}
+	if o.clock == nil {
+		o.clock = clock.Real{}
 	}
 	if o.DispatchBuffer <= 0 {
 		o.DispatchBuffer = 256
@@ -156,6 +175,23 @@ func (r *HandlerRegistration) Remove() {
 	r.client.subs = kept
 }
 
+// waiter is one QoS>0 PUBLISH, SUBSCRIBE or UNSUBSCRIBE awaiting its ack.
+// It sits in Client.pending until exactly one of the reader (ack or
+// connection end) or the timer loop (deadline passed) removes it, and that
+// remover sends the one result on ch while still holding Client.mu. So a
+// waiter whose result has been received is out of pending with ch empty,
+// and it goes back on Client.free: an ack arriving late for its old packet
+// ID finds nothing to complete.
+type waiter struct {
+	ch       chan ackResult // capacity 1
+	deadline time.Time      // zero until the packet has been written
+}
+
+type ackResult struct {
+	pkt wire.Packet
+	err error
+}
+
 // Client is an MQTT client bound to one connection. Use Connect to create
 // one; all methods are safe for concurrent use.
 type Client struct {
@@ -163,12 +199,15 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader // the only reader of conn, from CONNACK on
 
-	writeMu sync.Mutex // serializes packet writes
+	writeMu sync.Mutex  // serializes packet writes
+	frame   []byte      // QoS 0 PUBLISH frame buffer, under writeMu
+	pinging atomic.Bool // a PINGREQ write is in progress
 
 	mu           sync.Mutex
 	subs         []subscription
 	subID        int64
-	pending      map[uint16]chan wire.Packet // awaiting acks, keyed by packet ID
+	pending      map[uint16]*waiter // awaiting acks, keyed by packet ID
+	free         []*waiter          // recycled waiters
 	nextPacketID uint16
 	closed       bool
 	closeErr     error
@@ -250,7 +289,7 @@ func Connect(conn net.Conn, opts Options) (*Client, error) {
 		opts:     opts,
 		conn:     conn,
 		br:       br,
-		pending:  make(map[uint16]chan wire.Packet),
+		pending:  make(map[uint16]*waiter),
 		dispatch: make(chan Message, opts.DispatchBuffer),
 		done:     make(chan struct{}),
 	}
@@ -263,13 +302,10 @@ func Connect(conn net.Conn, opts Options) (*Client, error) {
 		go c.laneLoop(c.defaultLane, opts.DefaultHandler)
 		c.registerLaneMetrics("(default)")
 	}
-	c.wg.Add(2)
+	c.wg.Add(3)
 	go c.readLoop()
 	go c.dispatchLoop()
-	if opts.KeepAlive > 0 {
-		c.wg.Add(1)
-		go c.pingLoop()
-	}
+	go c.timerLoop()
 	return c, nil
 }
 
@@ -290,25 +326,24 @@ func Dial(addr string, opts Options) (*Client, error) {
 // Publish sends an application message. For QoS1 it blocks until the broker
 // acknowledges (or AckTimeout elapses).
 func (c *Client) Publish(topic string, payload []byte, qos wire.QoS, retain bool) error {
-	pub := &wire.PublishPacket{Topic: topic, Payload: payload, QoS: qos, Retain: retain}
 	if qos == wire.QoS0 {
-		err := c.write(pub)
+		err := c.writePublish0(topic, payload, retain)
 		if err == nil && c.metrics != nil {
 			c.metrics.published.Inc()
 		}
 		return err
 	}
-	id, ackCh, err := c.registerPending()
+	id, w, err := c.registerPending()
 	if err != nil {
 		return err
 	}
-	pub.PacketID = id
 	sentAt := time.Now()
+	pub := &wire.PublishPacket{Topic: topic, Payload: payload, QoS: qos, Retain: retain, PacketID: id}
 	if err := c.write(pub); err != nil {
-		c.unregisterPending(id)
+		c.unregisterPending(id, w)
 		return err
 	}
-	ack, err := c.waitAck(id, ackCh)
+	ack, err := c.waitAck(id, w)
 	if err != nil {
 		return err
 	}
@@ -339,7 +374,7 @@ func (c *Client) SubscribeHandle(filter string, qos wire.QoS, handler Handler) (
 	if err := wire.ValidateTopicFilter(filter); err != nil {
 		return 0, nil, err
 	}
-	id, ackCh, err := c.registerPending()
+	id, w, err := c.registerPending()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -353,7 +388,7 @@ func (c *Client) SubscribeHandle(filter string, qos wire.QoS, handler Handler) (
 		// The reader may have exited (and swept the lanes) between
 		// registerPending and here; a lane started now would leak.
 		c.mu.Unlock()
-		c.unregisterPending(id)
+		c.unregisterPending(id, w)
 		return 0, nil, ErrClosed
 	}
 	c.subID++
@@ -370,11 +405,11 @@ func (c *Client) SubscribeHandle(filter string, qos wire.QoS, handler Handler) (
 		Subscriptions: []wire.Subscription{{TopicFilter: filter, QoS: qos}},
 	}
 	if err := c.write(sub); err != nil {
-		c.unregisterPending(id)
+		c.unregisterPending(id, w)
 		reg.Remove()
 		return 0, nil, err
 	}
-	ack, err := c.waitAck(id, ackCh)
+	ack, err := c.waitAck(id, w)
 	if err != nil {
 		reg.Remove()
 		return 0, nil, err
@@ -393,16 +428,16 @@ func (c *Client) SubscribeHandle(filter string, qos wire.QoS, handler Handler) (
 
 // Unsubscribe removes the subscription for filter and its handlers.
 func (c *Client) Unsubscribe(filter string) error {
-	id, ackCh, err := c.registerPending()
+	id, w, err := c.registerPending()
 	if err != nil {
 		return err
 	}
 	unsub := &wire.UnsubscribePacket{PacketID: id, TopicFilters: []string{filter}}
 	if err := c.write(unsub); err != nil {
-		c.unregisterPending(id)
+		c.unregisterPending(id, w)
 		return err
 	}
-	if _, err := c.waitAck(id, ackCh); err != nil {
+	if _, err := c.waitAck(id, w); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -475,7 +510,29 @@ func (c *Client) write(p wire.Packet) error {
 	return nil
 }
 
-func (c *Client) registerPending() (uint16, chan wire.Packet, error) {
+// writePublish0 writes a QoS 0 PUBLISH encoded straight into the client's
+// frame buffer: no packet value, no pooled scratch, one Write.
+func (c *Client) writePublish0(topic string, payload []byte, retain bool) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	frame, err := wire.AppendEncodeQoS0Publish(c.frame[:0], topic, payload, retain)
+	if err == nil {
+		_, err = c.conn.Write(frame)
+	}
+	if cap(frame) <= maxFrameBuf {
+		c.frame = frame[:0]
+	} else {
+		c.frame = nil
+	}
+	if err != nil {
+		return fmt.Errorf("mqttclient write %v: %w", wire.PUBLISH, err)
+	}
+	return nil
+}
+
+// registerPending enters a waiter, recycled when one is free, under a
+// fresh packet ID. Its timeout starts in waitAck, once the packet is out.
+func (c *Client) registerPending() (uint16, *waiter, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -490,27 +547,53 @@ func (c *Client) registerPending() (uint16, chan wire.Packet, error) {
 			break
 		}
 	}
-	ch := make(chan wire.Packet, 1)
-	c.pending[c.nextPacketID] = ch
-	return c.nextPacketID, ch, nil
+	var w *waiter
+	if n := len(c.free); n > 0 {
+		w = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		w = &waiter{ch: make(chan ackResult, 1)}
+	}
+	w.deadline = time.Time{}
+	c.pending[c.nextPacketID] = w
+	return c.nextPacketID, w, nil
 }
 
-func (c *Client) unregisterPending(id uint16) {
+// unregisterPending withdraws w after its packet could not be sent. If a
+// remover got to it first, its result is already in ch (so the receive
+// never blocks) and is discarded.
+func (c *Client) unregisterPending(id uint16, w *waiter) {
 	c.mu.Lock()
-	delete(c.pending, id)
+	if c.pending[id] == w {
+		delete(c.pending, id)
+	} else {
+		<-w.ch
+	}
+	c.free = append(c.free, w)
 	c.mu.Unlock()
 }
 
-func (c *Client) waitAck(id uint16, ch chan wire.Packet) (wire.Packet, error) {
-	defer c.unregisterPending(id)
-	select {
-	case pkt := <-ch:
-		return pkt, nil
-	case <-c.done:
-		return nil, ErrNotConnected
-	case <-time.After(c.opts.AckTimeout):
-		return nil, ErrAckTimeout
+// waitAck starts w's timeout, as its packet has just been written, blocks
+// until w's result arrives, then recycles w.
+func (c *Client) waitAck(id uint16, w *waiter) (wire.Packet, error) {
+	c.mu.Lock()
+	if c.pending[id] == w {
+		w.deadline = c.opts.clock.Now().Add(c.opts.AckTimeout)
 	}
+	c.mu.Unlock()
+	r := <-w.ch
+	c.mu.Lock()
+	c.free = append(c.free, w)
+	c.mu.Unlock()
+	return r.pkt, r.err
+}
+
+// finishLocked removes the waiter under id and sends it its result; the
+// send never blocks, as ch has room for exactly this one. The caller holds
+// c.mu, which is what keeps a late ack off a recycled waiter.
+func (c *Client) finishLocked(id uint16, w *waiter, r ackResult) {
+	delete(c.pending, id)
+	w.ch <- r
 }
 
 func (c *Client) readLoop() {
@@ -551,6 +634,9 @@ func (c *Client) readLoop() {
 	if c.closeErr == nil {
 		c.closeErr = readErr
 	}
+	for id, w := range c.pending {
+		c.finishLocked(id, w, ackResult{err: ErrNotConnected})
+	}
 	c.mu.Unlock()
 
 	close(c.done)
@@ -563,14 +649,10 @@ func (c *Client) readLoop() {
 
 func (c *Client) resolvePending(id uint16, pkt wire.Packet) {
 	c.mu.Lock()
-	ch, ok := c.pending[id]
-	c.mu.Unlock()
-	if ok {
-		select {
-		case ch <- pkt:
-		default:
-		}
+	if w, ok := c.pending[id]; ok {
+		c.finishLocked(id, w, ackResult{pkt: pkt})
 	}
+	c.mu.Unlock()
 }
 
 func (c *Client) handleInboundPublish(p *wire.PublishPacket) {
@@ -707,18 +789,60 @@ func (c *Client) matchLanes(dst []*lane, topic string) []*lane {
 	return dst
 }
 
-func (c *Client) pingLoop() {
+// timerLoop is the client's one timer: every sweep period it fails the
+// waits whose deadline has passed with ErrAckTimeout, and every KeepAlive,
+// as a ticker would, it starts a PINGREQ. It never writes itself, so a
+// stalled connection cannot hold up the timeouts. It exits when the reader
+// does.
+func (c *Client) timerLoop() {
 	defer c.wg.Done()
-	ticker := time.NewTicker(c.opts.KeepAlive)
-	defer ticker.Stop()
+	clk, keepAlive := c.opts.clock, c.opts.KeepAlive
+	sweep := max(c.opts.AckTimeout/sweepsPerAckTimeout, time.Millisecond)
+	now := clk.Now()
+	nextSweep, nextPing := now.Add(sweep), now.Add(keepAlive)
 	for {
+		wake := nextSweep
+		if keepAlive > 0 && nextPing.Before(wake) {
+			wake = nextPing
+		}
 		select {
-		case <-ticker.C:
-			if err := c.write(&wire.PingreqPacket{}); err != nil {
-				return
-			}
+		case <-clk.After(wake.Sub(clk.Now())):
 		case <-c.done:
 			return
 		}
+		now = clk.Now()
+		if !now.Before(nextSweep) {
+			c.expireWaits(now)
+			nextSweep = now.Add(sweep)
+		}
+		if keepAlive > 0 && !now.Before(nextPing) {
+			if c.pinging.CompareAndSwap(false, true) {
+				c.wg.Add(1)
+				go c.ping()
+			}
+			for !nextPing.After(now) {
+				nextPing = nextPing.Add(keepAlive)
+			}
+		}
 	}
+}
+
+// ping writes one PINGREQ. While a write stalls, the pings that fall due
+// are skipped; a dead link ends the reader, and Close unblocks the write.
+func (c *Client) ping() {
+	defer c.wg.Done()
+	_ = c.write(&wire.PingreqPacket{})
+	c.pinging.Store(false)
+}
+
+// expireWaits fails every wait whose packet is out and whose deadline is
+// not after now.
+func (c *Client) expireWaits(now time.Time) {
+	c.mu.Lock()
+	for id, w := range c.pending {
+		if !w.deadline.IsZero() && !now.Before(w.deadline) {
+			c.finishLocked(id, w, ackResult{err: ErrAckTimeout})
+		}
+	}
+	c.mu.Unlock()
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/ifot-middleware/ifot/internal/broker"
+	"github.com/ifot-middleware/ifot/internal/clock"
 	"github.com/ifot-middleware/ifot/internal/netsim"
 	"github.com/ifot-middleware/ifot/internal/wire"
 )
@@ -93,39 +94,39 @@ func TestHandlerRegistrationRemove(t *testing.T) {
 	}
 }
 
+// TestClientAckTimeout: on a virtual clock, a publish the broker never
+// acknowledges fails with ErrAckTimeout no earlier than AckTimeout after it
+// was sent and no later than one sweep period after that.
 func TestClientAckTimeout(t *testing.T) {
-	// A server that accepts the connection but never acks publishes.
-	listener := netsim.NewPipeListener()
-	t.Cleanup(func() { _ = listener.Close() })
-	go func() {
-		conn, err := listener.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		if _, err := wire.ReadPacket(conn, 0); err != nil { // CONNECT
-			return
-		}
-		_ = wire.WritePacket(conn, &wire.ConnackPacket{Code: wire.ConnAccepted})
-		for { // swallow everything silently
-			if _, err := wire.ReadPacket(conn, 0); err != nil {
-				return
-			}
-		}
-	}()
-
-	conn, err := listener.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, pubs, _ := silentBroker(t)
+	v := clock.NewVirtual(virtualEpoch)
 	opts := NewOptions("quiet")
-	opts.AckTimeout = 50 * time.Millisecond
+	opts.AckTimeout = 10 * time.Second
+	opts.clock = v
 	c, err := Connect(conn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Publish("t", []byte("x"), wire.QoS1, false); !errors.Is(err, ErrAckTimeout) {
+	awaitArmed(t, v)
+	sweep := opts.AckTimeout / sweepsPerAckTimeout
+	advance(t, v, sweep/2) // send between two sweeps
+
+	sentAt := v.Now()
+	res := make(chan error, 1)
+	go func() { res <- c.Publish("t", []byte("x"), wire.QoS1, false) }()
+	recv(t, pubs, "PUBLISH")
+	awaitSent(t, c, 1)
+	for c.pendingLen() == 1 {
+		if waited := v.Now().Sub(sentAt); waited > opts.AckTimeout+sweep {
+			t.Fatalf("still waiting %v after the send", waited)
+		}
+		advance(t, v, sweep/4)
+	}
+	if waited := v.Now().Sub(sentAt); waited < opts.AckTimeout {
+		t.Fatalf("timed out %v after the send, before AckTimeout %v", waited, opts.AckTimeout)
+	}
+	if err := recv(t, res, "publish result"); !errors.Is(err, ErrAckTimeout) {
 		t.Fatalf("err = %v, want ErrAckTimeout", err)
 	}
 }
@@ -158,18 +159,26 @@ func TestClientConnectRejectsNonConnack(t *testing.T) {
 func TestClientQoS1RetainedPublishFlagPreserved(t *testing.T) {
 	fb := newFakeBroker(t)
 	c := fb.connect(t, NewOptions("c"))
+	// The QoS 0 frame is encoded by a different path; the QoS 1 publish
+	// after it returns only once the broker has read both.
+	if err := c.Publish("t", []byte("x"), wire.QoS0, true); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Publish("t", []byte("x"), wire.QoS1, true); err != nil {
 		t.Fatal(err)
 	}
+	var qos []wire.QoS
 	for _, p := range fb.packets() {
 		if pub, ok := p.(*wire.PublishPacket); ok {
 			if !pub.Retain {
-				t.Fatal("retain flag lost on the wire")
+				t.Fatalf("retain flag lost on the wire at QoS %d", pub.QoS)
 			}
-			return
+			qos = append(qos, pub.QoS)
 		}
 	}
-	t.Fatal("publish never reached the fake broker")
+	if len(qos) != 2 || qos[0] != wire.QoS0 || qos[1] != wire.QoS1 {
+		t.Fatalf("broker read publishes at QoS %v, want [0 1]", qos)
+	}
 }
 
 func TestClientInboundQoS1IsAcked(t *testing.T) {

@@ -2,10 +2,14 @@ package mqttclient
 
 import (
 	"errors"
+	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/ifot-middleware/ifot/internal/clock"
 	"github.com/ifot-middleware/ifot/internal/netsim"
 	"github.com/ifot-middleware/ifot/internal/wire"
 )
@@ -247,22 +251,53 @@ func TestClientOnDisconnectNotFiredOnExplicitDisconnect(t *testing.T) {
 	}
 }
 
+// pingConn counts the PINGREQ frames the client writes.
+type pingConn struct {
+	net.Conn
+	pings atomic.Int64
+}
+
+func (c *pingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if err == nil && len(p) == 2 && p[0] == byte(wire.PINGREQ)<<4 && p[1] == 0 {
+		c.pings.Add(1)
+	}
+	return n, err
+}
+
+// TestClientKeepAlivePings: on a virtual clock, the client sends exactly
+// one PINGREQ per KeepAlive, on the KeepAlive grid, between ack sweeps.
 func TestClientKeepAlivePings(t *testing.T) {
 	fb := newFakeBroker(t)
-	opts := NewOptions("c")
-	opts.KeepAlive = 20 * time.Millisecond
-	_ = fb.connect(t, opts)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, p := range fb.packets() {
-			if p.Type() == wire.PINGREQ {
-				return
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
+	raw, err := fb.listener.Dial()
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("no PINGREQ observed")
+	conn := &pingConn{Conn: raw}
+	v := clock.NewVirtual(virtualEpoch)
+	opts := NewOptions("c")
+	opts.KeepAlive = 30 * time.Second
+	opts.AckTimeout = 7 * time.Second // sweeps every 700ms, off the ping grid
+	opts.clock = v
+	c, err := Connect(conn, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	awaitArmed(t, v)
+	for step := 1; step <= 380; step++ {
+		advance(t, v, 250*time.Millisecond)
+		elapsed := v.Now().Sub(virtualEpoch)
+		want := int64(elapsed / opts.KeepAlive)
+		// The timer loop hands the PINGREQ write to its own goroutine.
+		guard := time.Now().Add(5 * time.Second)
+		for conn.pings.Load() < want && time.Now().Before(guard) {
+			runtime.Gosched()
+		}
+		if got := conn.pings.Load(); got != want {
+			t.Fatalf("after %v: %d PINGREQs, want %d", elapsed, got, want)
+		}
+	}
 }
 
 func TestClientConcurrentPublishes(t *testing.T) {

@@ -89,7 +89,8 @@ func (s Sample) Encode() []byte {
 	return buf
 }
 
-// DecodeSample parses a 32-byte sample.
+// DecodeSample parses a 32-byte sample. A NaN or infinite channel is
+// malformed: one such reading would poison every learner it reached.
 func DecodeSample(data []byte) (Sample, error) {
 	if len(data) != SampleSize || data[0] != sampleMagic {
 		return Sample{}, ErrBadSample
@@ -101,7 +102,11 @@ func DecodeSample(data []byte) (Sample, error) {
 		Timestamp:   time.Unix(0, int64(binary.BigEndian.Uint64(data[8:16]))),
 	}
 	for i := range s.Values {
-		s.Values[i] = math.Float32frombits(binary.BigEndian.Uint32(data[16+4*i : 20+4*i]))
+		v := float64(math.Float32frombits(binary.BigEndian.Uint32(data[16+4*i : 20+4*i])))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Sample{}, ErrBadSample
+		}
+		s.Values[i] = float32(v)
 	}
 	return s, nil
 }

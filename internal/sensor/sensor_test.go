@@ -47,6 +47,15 @@ func TestDecodeSampleRejectsBadInput(t *testing.T) {
 	if _, err := DecodeSample(make([]byte, SampleSize-1)); !errors.Is(err, ErrBadSample) {
 		t.Fatalf("short: err = %v", err)
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for ch := 0; ch < 3; ch++ {
+			s := Sample{Kind: Accelerometer}
+			s.Values[ch] = float32(v)
+			if _, err := DecodeSample(s.Encode()); !errors.Is(err, ErrBadSample) {
+				t.Fatalf("channel %d = %v: err = %v", ch, v, err)
+			}
+		}
+	}
 }
 
 // Property: every sample round-trips through the 32-byte codec.

@@ -273,11 +273,18 @@ func AppendEncode(dst []byte, p Packet) ([]byte, error) {
 
 // AppendEncodePublish appends a QoS 0, non-retained, non-dup PUBLISH frame
 // for topic/payload to dst — the frame brokers fan out to every effective-
-// QoS-0 subscriber. It is equivalent to AppendEncode with such a
-// PublishPacket but encodes in a single pass with the exact frame size
-// reserved up front: no packet value, no interface dispatch, no pooled
-// body scratch. On error dst is returned unchanged.
+// QoS-0 subscriber. It is AppendEncodeQoS0Publish with retain false.
 func AppendEncodePublish(dst []byte, topic string, payload []byte) ([]byte, error) {
+	return AppendEncodeQoS0Publish(dst, topic, payload, false)
+}
+
+// AppendEncodeQoS0Publish appends a QoS 0, non-dup PUBLISH frame for
+// topic/payload to dst, with the RETAIN flag set when retain is true. It is
+// equivalent to AppendEncode with such a PublishPacket but encodes in a
+// single pass with the exact frame size reserved up front: no packet value,
+// no interface dispatch, no pooled body scratch. On error dst is returned
+// unchanged.
+func AppendEncodeQoS0Publish(dst []byte, topic string, payload []byte, retain bool) ([]byte, error) {
 	if err := ValidateTopicName(topic); err != nil {
 		return dst, err
 	}
@@ -289,7 +296,11 @@ func AppendEncodePublish(dst []byte, topic string, payload []byte) ([]byte, erro
 		// 1 type byte + at most 4 remaining-length digits + body.
 		dst = make([]byte, 0, 5+remaining)
 	}
-	dst = append(dst, byte(PUBLISH)<<4)
+	first := byte(PUBLISH) << 4
+	if retain {
+		first |= publishRetain
+	}
+	dst = append(dst, first)
 	dst = appendRemainingLength(dst, remaining)
 	dst = appendString(dst, topic)
 	return append(dst, payload...), nil
@@ -536,6 +547,9 @@ func (p *ConnackPacket) decode(flags byte, body []byte) error {
 
 // --- PUBLISH ---
 
+// publishRetain is the RETAIN bit of a PUBLISH fixed header's flags.
+const publishRetain = 1
+
 func (p *PublishPacket) encode(buf *[]byte) (byte, error) {
 	if p.QoS > QoS2 {
 		return 0, ErrInvalidQoS
@@ -549,7 +563,7 @@ func (p *PublishPacket) encode(buf *[]byte) (byte, error) {
 	}
 	flags |= byte(p.QoS) << 1
 	if p.Retain {
-		flags |= 1
+		flags |= publishRetain
 	}
 	b := appendString(*buf, p.Topic)
 	if p.QoS > QoS0 {
@@ -566,7 +580,7 @@ func (p *PublishPacket) encode(buf *[]byte) (byte, error) {
 func (p *PublishPacket) decode(flags byte, body []byte) error {
 	p.Dup = flags&(1<<3) != 0
 	p.QoS = QoS((flags >> 1) & 0x3)
-	p.Retain = flags&1 != 0
+	p.Retain = flags&publishRetain != 0
 	if p.QoS > QoS2 {
 		return ErrInvalidQoS
 	}

@@ -120,6 +120,30 @@ func TestPublishQoS1RequiresPacketID(t *testing.T) {
 	}
 }
 
+// TestAppendEncodeQoS0PublishMatchesAppendEncode: the single-pass QoS 0
+// encoder writes the same frame as a PublishPacket, RETAIN flag included.
+func TestAppendEncodeQoS0PublishMatchesAppendEncode(t *testing.T) {
+	for _, retain := range []bool{false, true} {
+		want, err := Encode(&PublishPacket{Topic: "a/b", Payload: []byte("xyz"), Retain: retain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendEncodeQoS0Publish([]byte("pre"), "a/b", []byte("xyz"), retain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append([]byte("pre"), want...)) {
+			t.Fatalf("retain %v: frame %x, want pre+%x", retain, got, want)
+		}
+		if !retain {
+			plain, _ := AppendEncodePublish(nil, "a/b", []byte("xyz"))
+			if !bytes.Equal(plain, want) {
+				t.Fatalf("AppendEncodePublish frame %x, want %x", plain, want)
+			}
+		}
+	}
+}
+
 func TestPublishRejectsWildcardTopic(t *testing.T) {
 	_, err := Encode(&PublishPacket{Topic: "a/+/b"})
 	if !errors.Is(err, ErrInvalidTopic) {
