@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/ifot-middleware/ifot/internal/clock"
 	"github.com/ifot-middleware/ifot/internal/store"
 	"github.com/ifot-middleware/ifot/internal/telemetry"
 	"github.com/ifot-middleware/ifot/internal/wire"
@@ -61,6 +63,10 @@ type Options struct {
 	// the same log with Store's Options.Events to get WAL recovery
 	// events alongside them.
 	Events *telemetry.EventLog
+
+	// clock drives the $SYS publisher's ticks and the uptime; nil means
+	// the wall clock. The package's tests set a virtual one.
+	clock clock.Clock
 }
 
 func (o Options) withDefaults() Options {
@@ -78,6 +84,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SnapshotBytes <= 0 {
 		o.SnapshotBytes = 4 << 20
+	}
+	if o.clock == nil {
+		o.clock = clock.Real{}
 	}
 	return o
 }
@@ -220,9 +229,10 @@ func New(opts Options) *Broker {
 // state (retained messages, persistent sessions, QoS1 queues) from it
 // before any connection is accepted.
 func Open(opts Options) (*Broker, error) {
+	opts = opts.withDefaults()
 	b := &Broker{
-		opts:       opts.withDefaults(),
-		start:      time.Now(),
+		opts:       opts,
+		start:      opts.clock.Now(),
 		sessions:   make(map[string]*session),
 		conns:      make(map[string]net.Conn),
 		retained:   make(map[string]retainedMsg),
@@ -245,7 +255,7 @@ func Open(opts Options) (*Broker, error) {
 }
 
 // Uptime reports how long ago the broker was created.
-func (b *Broker) Uptime() time.Duration { return time.Since(b.start) }
+func (b *Broker) Uptime() time.Duration { return b.opts.clock.Now().Sub(b.start) }
 
 // brokerMetrics holds the broker's telemetry handles. Per-topic counter
 // handles live on the topicCount entries in Broker.pubByTopic.
@@ -392,14 +402,14 @@ func (b *Broker) logf(format string, args ...any) {
 func (b *Broker) handleConn(conn net.Conn) {
 	defer conn.Close()
 
-	// One buffered reader serves CONNECT and the steady state alike, so
+	// One packet reader serves CONNECT and the steady state alike, so
 	// packets a client pipelines behind its CONNECT are not lost and a burst
 	// of small packets costs one read. Deadlines stay on conn.
-	br := bufio.NewReaderSize(conn, readerBufSize)
+	rd := b.newConnReader(conn)
 
 	// The first packet must be CONNECT; give slow clients 10 seconds.
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	pkt, err := wire.ReadPacket(br, b.opts.MaxPacketSize)
+	pkt, err := rd.ReadPacket()
 	if err != nil {
 		return
 	}
@@ -442,7 +452,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 	}()
 
 	will := willOf(connect)
-	normal := b.readLoop(conn, br, sess, connect.KeepAlive)
+	normal := b.readLoop(conn, rd, sess, connect.KeepAlive)
 
 	// Tear down: detach so no further deliveries target this connection
 	// (which closes the queue, the writer's one exit), and close the socket
@@ -454,7 +464,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 	if !normal && will != nil {
 		// The unified path also honors WillRetain (spec 3.1.2-17): the
 		// will is stored retained before fan-out, atomically.
-		b.publish(will, sess.clientID)
+		b.publish(will, nil)
 	}
 	b.logf("broker: client %q disconnected (graceful=%v)", sess.clientID, normal)
 }
@@ -527,8 +537,11 @@ func (b *Broker) swapRoutesLocked() {
 }
 
 // readLoop processes inbound packets until the connection ends. It reports
-// whether the client disconnected gracefully (DISCONNECT packet).
-func (b *Broker) readLoop(conn net.Conn, br *bufio.Reader, sess *session, keepAlive uint16) (graceful bool) {
+// whether the client disconnected gracefully (DISCONNECT packet). The
+// PUBLISH and ack values rd returns are reused by its next read, so nothing
+// here or below keeps them: fanout copies a QoS 1 delivery's fields and
+// retainLocked copies the payload.
+func (b *Broker) readLoop(conn net.Conn, rd *wire.Reader, sess *session, keepAlive uint16) (graceful bool) {
 	for {
 		if keepAlive > 0 {
 			deadline := time.Duration(keepAlive) * time.Second * 3 / 2
@@ -536,13 +549,13 @@ func (b *Broker) readLoop(conn net.Conn, br *bufio.Reader, sess *session, keepAl
 		} else {
 			_ = conn.SetReadDeadline(time.Time{})
 		}
-		pkt, err := wire.ReadPacket(br, b.opts.MaxPacketSize)
+		pkt, err := rd.ReadPacket()
 		if err != nil {
 			return false
 		}
 		switch p := pkt.(type) {
 		case *wire.PublishPacket:
-			b.handlePublish(sess, p)
+			b.handlePublish(sess, p, rd.Frame())
 		case *wire.AckPacket:
 			switch p.PacketType {
 			case wire.PUBACK:
@@ -570,7 +583,9 @@ func (b *Broker) readLoop(conn net.Conn, br *bufio.Reader, sess *session, keepAl
 	}
 }
 
-func (b *Broker) handlePublish(sess *session, p *wire.PublishPacket) {
+// handlePublish acks and routes an inbound PUBLISH; frame is its forward
+// frame (wire.Reader.Frame), or nil.
+func (b *Broker) handlePublish(sess *session, p *wire.PublishPacket, frame []byte) {
 	b.received.Add(1)
 	if b.metrics != nil {
 		b.metrics.received.Inc()
@@ -587,13 +602,13 @@ func (b *Broker) handlePublish(sess *session, p *wire.PublishPacket) {
 	if !deliver {
 		return
 	}
-	b.publish(p, sess.clientID)
+	b.publish(p, frame)
 }
 
 // Publish injects a message into the broker as if published by an internal
 // client — the path the $SYS publisher and telemetry exporters use.
 func (b *Broker) Publish(topic string, payload []byte, qos wire.QoS, retain bool) {
-	b.publish(&wire.PublishPacket{Topic: topic, Payload: payload, QoS: qos, Retain: retain}, "$internal")
+	b.publish(&wire.PublishPacket{Topic: topic, Payload: payload, QoS: qos, Retain: retain}, nil)
 }
 
 // publish is the broker's single publish path. The whole operation runs
@@ -618,11 +633,13 @@ func (b *Broker) Publish(topic string, payload []byte, qos wire.QoS, retain bool
 // to the snapshot's zero-alloc matcher and refreshes the cache.
 //
 // Deliveries whose effective QoS is 0 — the identical frame for every such
-// subscriber — share one pre-encoded byte slice instead of per-subscriber
-// packet allocation and re-encoding. QoS1 deliveries still carry a packet
-// per subscriber, since each session assigns its own packet ID.
-func (b *Broker) publish(p *wire.PublishPacket, fromClientID string) {
-	_ = fromClientID // brokers may loop messages back to the publisher; MQTT allows it
+// subscriber — share one byte slice instead of per-subscriber packet
+// allocation and re-encoding: frame, the publish's own frame as it was
+// read, when the caller has one, else one encoded on first need. QoS1
+// deliveries still carry a packet per subscriber, since each session
+// assigns its own packet ID. Brokers may loop messages back to the
+// publisher; MQTT allows it.
+func (b *Broker) publish(p *wire.PublishPacket, frame []byte) {
 	b.gate.RLock()
 	if p.Retain {
 		b.retainedMu.Lock()
@@ -662,7 +679,7 @@ func (b *Broker) publish(p *wire.PublishPacket, fromClientID string) {
 		droppedHere = int64(len(subs))
 		b.droppedBase.Add(droppedHere)
 	default:
-		droppedHere = b.fanout(p, subs)
+		droppedHere = b.fanout(p, subs, frame)
 	}
 	b.gate.RUnlock()
 	if b.metrics != nil && droppedHere > 0 {
@@ -671,10 +688,10 @@ func (b *Broker) publish(p *wire.PublishPacket, fromClientID string) {
 }
 
 // fanout delivers to each matched subscriber on the publisher's own
-// goroutine and returns the number of drops.
-func (b *Broker) fanout(p *wire.PublishPacket, subs []routeSub) int64 {
+// goroutine and returns the number of drops. frame is the shared QoS0
+// frame; when nil, it is encoded on first need.
+func (b *Broker) fanout(p *wire.PublishPacket, subs []routeSub, frame []byte) int64 {
 	var dropped int64
-	var frame []byte // shared QoS0 frame, encoded on first need
 	for i, sub := range subs {
 		qos := minQoS(p.QoS, sub.qos)
 		// Retain flag is false on normal routed deliveries (spec
@@ -717,6 +734,12 @@ const writerBufSize = 64 << 10
 // holds some hundred sensor-sized PUBLISH frames per read; a larger packet
 // bypasses it and is read straight into its own body.
 const readerBufSize = 4 << 10
+
+// newConnReader returns the packet reader of one client connection. It
+// forwards: a QoS 0 PUBLISH arrives as the frame fanout shares.
+func (b *Broker) newConnReader(conn io.Reader) *wire.Reader {
+	return wire.NewReader(bufio.NewReaderSize(conn, readerBufSize), b.opts.MaxPacketSize, true)
+}
 
 // writeLoop is a connection's writer goroutine, the only code that writes
 // to conn after CONNACK. It first writes resend — the QoS1 redelivery attach

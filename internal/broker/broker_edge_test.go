@@ -89,6 +89,29 @@ func TestBrokerSecondConnectPacketDisconnects(t *testing.T) {
 	}
 }
 
+// A QoS 0 PUBLISH with DUP set violates MQTT-3.3.1-2: the broker drops
+// the connection.
+func TestBrokerDropsQoS0PublishWithDup(t *testing.T) {
+	bus := newTestBus(t, Options{})
+	conn, err := bus.listener.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WritePacket(conn, &wire.ConnectPacket{ClientID: "dup0", CleanSession: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadPacket(conn, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte{0x38, 0x04, 0x00, 0x01, 'a', 'x'}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadPacket(conn, 0); err == nil {
+		t.Fatal("broker tolerated a QoS 0 PUBLISH with DUP set")
+	}
+}
+
 func TestBrokerFanOutToManySubscribers(t *testing.T) {
 	bus := newTestBus(t, Options{})
 	const subscribers = 20

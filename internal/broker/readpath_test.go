@@ -2,11 +2,13 @@ package broker
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/ifot-middleware/ifot/internal/mqttclient"
 	"github.com/ifot-middleware/ifot/internal/wire"
 )
 
@@ -162,5 +164,115 @@ func TestBrokerFramingSurvivesAnySegmentation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Nothing keeps the values the connection readers reuse: a QoS 1
+// subscriber's window entry, a retained entry and a client Message keep
+// their topic and payload while the broker's and the subscriber's readers
+// decode 1,000 more packets, QoS 0 (forwarded as read) and QoS 1 mixed.
+func TestReceivedPublishOutlivesReader(t *testing.T) {
+	bus := newTestBus(t, Options{})
+	holderOpts := mqttclient.NewOptions("holder")
+	holderOpts.CleanSession = false
+	holder := bus.connect(t, holderOpts)
+	if _, err := holder.Subscribe("life/first", wire.QoS1, func(mqttclient.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	_ = holder.Close() // the session stays, so its window keeps the message
+
+	got := make(chan mqttclient.Message, 64)
+	keeper := bus.connect(t, mqttclient.NewOptions("keeper"))
+	if _, err := keeper.Subscribe("life/#", wire.QoS1, func(m mqttclient.Message) { got <- m }); err != nil {
+		t.Fatal(err)
+	}
+	pub := bus.connect(t, mqttclient.NewOptions("life-pub"))
+
+	const firstTopic, firstPayload = "life/first", "the first payload, 32 bytes long"
+	if err := pub.Publish(firstTopic, []byte(firstPayload), wire.QoS1, true); err != nil {
+		t.Fatal(err)
+	}
+	first := recv(t, got, "message")
+
+	const more, batch = 1000, 50 // batches stay far below every queue bound
+	for i := 0; i < more; i += batch {
+		for j := i; j < i+batch; j++ {
+			payload := bytes.Repeat([]byte{byte(j)}, len(firstPayload))
+			if err := pub.Publish(fmt.Sprintf("life/n/%d", j%10), payload, wire.QoS(j%2), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j := i; j < i+batch; j++ {
+			m := recv(t, got, "message")
+			if m.Topic != fmt.Sprintf("life/n/%d", j%10) || !bytes.Equal(m.Payload, bytes.Repeat([]byte{byte(j)}, len(firstPayload))) {
+				t.Fatalf("message %d arrived as %q %q", j, m.Topic, m.Payload)
+			}
+		}
+	}
+
+	if first.Topic != firstTopic || string(first.Payload) != firstPayload {
+		t.Fatalf("client Message changed to %q %q", first.Topic, first.Payload)
+	}
+	b := bus.broker
+	b.retainedMu.Lock()
+	retained := b.retained[firstTopic]
+	b.retainedMu.Unlock()
+	if string(retained.payload) != firstPayload {
+		t.Fatalf("retained entry changed to %q", retained.payload)
+	}
+	b.mu.RLock()
+	sess := b.sessions["holder"]
+	b.mu.RUnlock()
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if len(sess.window) != 1 || sess.window[0].pkt.Topic != firstTopic || string(sess.window[0].pkt.Payload) != firstPayload {
+		t.Fatalf("window = %+v, want the first message", sess.window)
+	}
+}
+
+// Relaying one QoS 0 publish to a QoS 0 subscriber costs the broker two
+// heap objects on the read side: the frame the reader reads the packet
+// into, which the subscriber's queue then carries as is, and the topic
+// string. Reading with wire.ReadPacket and encoding the fan-out frame
+// afresh made four: body, packet, topic string and frame.
+func TestRelayQoS0ReadSideAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const runs = 1000
+	b := New(Options{SessionQueueSize: 2 * runs})
+	defer b.Close()
+	b.mu.Lock()
+	sub, _ := b.openSessionLocked("relay-sub", false)
+	b.subscribeLocked(sub, "relay/#", wire.QoS0)
+	b.swapRoutesLocked()
+	b.mu.Unlock()
+	out, _, _ := sub.attach(2 * runs)
+	from := newSession("relay-pub", false)
+
+	var stream []byte
+	for i := 0; i < 2*runs+1; i++ {
+		frame, err := wire.AppendEncodePublish(nil, fmt.Sprintf("relay/a%02d", i%8), make([]byte, 32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, frame...)
+	}
+	rd := b.newConnReader(bytes.NewReader(stream))
+	relay := func() {
+		pkt, err := rd.ReadPacket()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.handlePublish(from, pkt.(*wire.PublishPacket), rd.Frame())
+		if op := <-out; op.frame == nil {
+			t.Fatal("the QoS 0 delivery was not a shared frame")
+		}
+	}
+	for i := 0; i < runs; i++ { // warm the route cache
+		relay()
+	}
+	if allocs := testing.AllocsPerRun(runs-1, relay); allocs != 2 {
+		t.Fatalf("relaying a QoS 0 publish: %.2f allocs, want 2", allocs)
 	}
 }

@@ -19,9 +19,9 @@ const SysTopicPrefix = "$SYS/broker/"
 const Version = "ifot-broker 0.2"
 
 // PublishSysStats starts a goroutine that publishes broker statistics as
-// retained messages under $SYS/broker/ every interval, until stop is
-// closed or the broker shuts down. It returns a channel that is closed
-// when the publisher exits.
+// retained messages under $SYS/broker/ at once and then every interval,
+// until stop is closed or the broker shuts down. It returns a channel that
+// is closed when the publisher exits.
 func (b *Broker) PublishSysStats(interval time.Duration, stop <-chan struct{}) <-chan struct{} {
 	if interval <= 0 {
 		interval = 10 * time.Second
@@ -29,17 +29,22 @@ func (b *Broker) PublishSysStats(interval time.Duration, stop <-chan struct{}) <
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
+		clk := b.opts.clock
+		next := clk.Now()
 		var prev map[string]int64
 		var prevAt time.Time
 		for {
-			now := time.Now()
+			now := clk.Now()
 			counts := b.PublishCounts()
 			b.publishSysStatsOnce(counts, prev, now.Sub(prevAt))
 			prev, prevAt = counts, now
+			// Ticks stay on the interval grid, as a ticker's do; those
+			// that fell due while this one published are skipped.
+			for !next.After(now) {
+				next = next.Add(interval)
+			}
 			select {
-			case <-ticker.C:
+			case <-clk.After(next.Sub(clk.Now())):
 			case <-stop:
 				return
 			}

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -133,128 +132,4 @@ func TestRetainedStoreRouteAtomic(t *testing.T) {
 	}
 	close(stop)
 	writerWG.Wait()
-}
-
-func TestSysUptimeAndVersionRetained(t *testing.T) {
-	bus := newTestBus(t, Options{})
-	stop := make(chan struct{})
-	done := bus.broker.PublishSysStats(time.Hour, stop) // one shot, then idle
-	t.Cleanup(func() {
-		close(stop)
-		<-done
-	})
-	waitFor(t, "sys publish", func() bool { return bus.broker.Stats().RetainedMessages > 0 })
-
-	late := bus.connect(t, mqttclient.NewOptions("late-uptime"))
-	got := make(chan mqttclient.Message, 8)
-	for _, topic := range []string{SysTopicPrefix + "uptime", SysTopicPrefix + "version"} {
-		if _, err := late.Subscribe(topic, wire.QoS0, func(m mqttclient.Message) { got <- m }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seen := map[string]string{}
-	for len(seen) < 2 {
-		select {
-		case m := <-got:
-			if !m.Retain {
-				t.Fatalf("%s not retained", m.Topic)
-			}
-			seen[m.Topic] = string(m.Payload)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("missing retained sys topics, saw %v", seen)
-		}
-	}
-	if up := seen[SysTopicPrefix+"uptime"]; !strings.HasSuffix(up, " seconds") {
-		t.Fatalf("uptime payload %q not in Mosquitto format", up)
-	}
-	if v := seen[SysTopicPrefix+"version"]; v != Version {
-		t.Fatalf("version payload = %q, want %q", v, Version)
-	}
-}
-
-func TestSysPerTopicRates(t *testing.T) {
-	bus := newTestBus(t, Options{})
-	pub := bus.connect(t, mqttclient.NewOptions("rate-pub"))
-
-	stop := make(chan struct{})
-	done := bus.broker.PublishSysStats(30*time.Millisecond, stop)
-	t.Cleanup(func() {
-		close(stop)
-		<-done
-	})
-
-	c := bus.connect(t, mqttclient.NewOptions("rate-watch"))
-	got := make(chan mqttclient.Message, 64)
-	if _, err := c.Subscribe(SysTopicPrefix+"load/publish/rt/s1", wire.QoS0, func(m mqttclient.Message) {
-		got <- m
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	stopPub := make(chan struct{})
-	var pubWG sync.WaitGroup
-	pubWG.Add(1)
-	go func() {
-		defer pubWG.Done()
-		for {
-			select {
-			case <-stopPub:
-				return
-			default:
-			}
-			_ = pub.Publish("rt/s1", []byte("x"), wire.QoS0, false)
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	defer func() {
-		close(stopPub)
-		pubWG.Wait()
-	}()
-
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case m := <-got:
-			rate, err := strconv.ParseFloat(string(m.Payload), 64)
-			if err != nil {
-				t.Fatalf("non-numeric rate payload %q", m.Payload)
-			}
-			if rate > 0 {
-				return
-			}
-		case <-deadline:
-			t.Fatal("no per-topic publish rate observed")
-		}
-	}
-}
-
-// TestPublishSysStatsShutdownPaths covers both ways the publisher exits:
-// the caller's stop channel and broker Close.
-func TestPublishSysStatsShutdownPaths(t *testing.T) {
-	t.Run("stop channel", func(t *testing.T) {
-		b := New(Options{})
-		defer b.Close()
-		stop := make(chan struct{})
-		done := b.PublishSysStats(10*time.Millisecond, stop)
-		time.Sleep(25 * time.Millisecond)
-		close(stop)
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("publisher did not exit on stop")
-		}
-	})
-	t.Run("broker close", func(t *testing.T) {
-		b := New(Options{})
-		done := b.PublishSysStats(10*time.Millisecond, nil)
-		time.Sleep(25 * time.Millisecond)
-		if err := b.Close(); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("publisher did not exit on broker close")
-		}
-	})
 }

@@ -109,8 +109,8 @@ const readBufSize = 4 << 10
 // overdue acks: a timeout fires at most AckTimeout/sweepsPerAckTimeout late.
 const sweepsPerAckTimeout = 10
 
-// maxFrameBuf bounds the frame buffer a client keeps between QoS 0
-// publishes, so one oversized payload does not pin its memory.
+// maxFrameBuf bounds the frame buffer a client keeps between frames, so
+// one oversized payload does not pin its memory.
 const maxFrameBuf = 64 << 10
 
 func (o Options) withDefaults() Options {
@@ -187,9 +187,12 @@ type waiter struct {
 	deadline time.Time      // zero until the packet has been written
 }
 
+// ackResult is what a waiter receives. It holds the ack by value: the
+// reader's decoded packets are reused by its next read.
 type ackResult struct {
-	pkt wire.Packet
-	err error
+	typ   wire.PacketType // PUBACK, PUBCOMP, SUBACK or UNSUBACK
+	codes []byte          // a SUBACK's return codes
+	err   error
 }
 
 // Client is an MQTT client bound to one connection. Use Connect to create
@@ -197,10 +200,10 @@ type ackResult struct {
 type Client struct {
 	opts Options
 	conn net.Conn
-	br   *bufio.Reader // the only reader of conn, from CONNACK on
+	rd   *wire.Reader // the only reader of conn, from CONNACK on
 
 	writeMu sync.Mutex  // serializes packet writes
-	frame   []byte      // QoS 0 PUBLISH frame buffer, under writeMu
+	frame   []byte      // QoS 0 PUBLISH and ack frame buffer, under writeMu
 	pinging atomic.Bool // a PINGREQ write is in progress
 
 	mu           sync.Mutex
@@ -270,9 +273,9 @@ func Connect(conn net.Conn, opts Options) (*Client, error) {
 	}
 	// The broker may send retained replay in the same segment as CONNACK,
 	// so the reader that takes CONNACK must be the one readLoop keeps.
-	br := bufio.NewReaderSize(conn, readBufSize)
+	rd := wire.NewReader(bufio.NewReaderSize(conn, readBufSize), opts.MaxPacketSize, false)
 	_ = conn.SetReadDeadline(time.Now().Add(opts.AckTimeout))
-	pkt, err := wire.ReadPacket(br, opts.MaxPacketSize)
+	pkt, err := rd.ReadPacket()
 	if err != nil {
 		return nil, fmt.Errorf("mqttclient connack: %w", err)
 	}
@@ -288,7 +291,7 @@ func Connect(conn net.Conn, opts Options) (*Client, error) {
 	c := &Client{
 		opts:     opts,
 		conn:     conn,
-		br:       br,
+		rd:       rd,
 		pending:  make(map[uint16]*waiter),
 		dispatch: make(chan Message, opts.DispatchBuffer),
 		done:     make(chan struct{}),
@@ -347,8 +350,8 @@ func (c *Client) Publish(topic string, payload []byte, qos wire.QoS, retain bool
 	if err != nil {
 		return err
 	}
-	if ack.Type() != wire.PUBACK {
-		return fmt.Errorf("mqttclient: unexpected ack %v for publish", ack.Type())
+	if ack.typ != wire.PUBACK {
+		return fmt.Errorf("mqttclient: unexpected ack %v for publish", ack.typ)
 	}
 	if c.metrics != nil {
 		c.metrics.published.Inc()
@@ -414,16 +417,15 @@ func (c *Client) SubscribeHandle(filter string, qos wire.QoS, handler Handler) (
 		reg.Remove()
 		return 0, nil, err
 	}
-	suback, ok := ack.(*wire.SubackPacket)
-	if !ok || len(suback.ReturnCodes) != 1 {
+	if ack.typ != wire.SUBACK || len(ack.codes) != 1 {
 		reg.Remove()
 		return 0, nil, fmt.Errorf("mqttclient: malformed SUBACK")
 	}
-	if suback.ReturnCodes[0] == wire.SubackFailure {
+	if ack.codes[0] == wire.SubackFailure {
 		reg.Remove()
 		return 0, nil, ErrSubRejected
 	}
-	return wire.QoS(suback.ReturnCodes[0]), reg, nil
+	return wire.QoS(ack.codes[0]), reg, nil
 }
 
 // Unsubscribe removes the subscription for filter and its handlers.
@@ -516,6 +518,21 @@ func (c *Client) writePublish0(topic string, payload []byte, retain bool) error 
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	frame, err := wire.AppendEncodeQoS0Publish(c.frame[:0], topic, payload, retain)
+	return c.writeFrameLocked(wire.PUBLISH, frame, err)
+}
+
+// writeAck writes the ack packet t for packet id from the client's frame
+// buffer, as writePublish0 writes a publish.
+func (c *Client) writeAck(t wire.PacketType, id uint16) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	return c.writeFrameLocked(t, wire.AppendEncodeAck(c.frame[:0], t, id), nil)
+}
+
+// writeFrameLocked writes frame, a packet of type t built in c.frame unless
+// its encoding failed with err, and keeps the buffer for the next frame
+// unless it grew past maxFrameBuf. The caller holds writeMu.
+func (c *Client) writeFrameLocked(t wire.PacketType, frame []byte, err error) error {
 	if err == nil {
 		_, err = c.conn.Write(frame)
 	}
@@ -525,7 +542,7 @@ func (c *Client) writePublish0(topic string, payload []byte, retain bool) error 
 		c.frame = nil
 	}
 	if err != nil {
-		return fmt.Errorf("mqttclient write %v: %w", wire.PUBLISH, err)
+		return fmt.Errorf("mqttclient write %v: %w", t, err)
 	}
 	return nil
 }
@@ -575,7 +592,7 @@ func (c *Client) unregisterPending(id uint16, w *waiter) {
 
 // waitAck starts w's timeout, as its packet has just been written, blocks
 // until w's result arrives, then recycles w.
-func (c *Client) waitAck(id uint16, w *waiter) (wire.Packet, error) {
+func (c *Client) waitAck(id uint16, w *waiter) (ackResult, error) {
 	c.mu.Lock()
 	if c.pending[id] == w {
 		w.deadline = c.opts.clock.Now().Add(c.opts.AckTimeout)
@@ -585,7 +602,7 @@ func (c *Client) waitAck(id uint16, w *waiter) (wire.Packet, error) {
 	c.mu.Lock()
 	c.free = append(c.free, w)
 	c.mu.Unlock()
-	return r.pkt, r.err
+	return r, r.err
 }
 
 // finishLocked removes the waiter under id and sends it its result; the
@@ -600,7 +617,9 @@ func (c *Client) readLoop() {
 	defer c.wg.Done()
 	var readErr error
 	for {
-		pkt, err := wire.ReadPacket(c.br, c.opts.MaxPacketSize)
+		// The PUBLISH and ack values rd returns are reused by its next
+		// read: a Message and an ackResult take their fields by value.
+		pkt, err := c.rd.ReadPacket()
 		if err != nil {
 			readErr = err
 			break
@@ -610,17 +629,15 @@ func (c *Client) readLoop() {
 			c.handleInboundPublish(p)
 		case *wire.AckPacket:
 			switch p.PacketType {
-			case wire.PUBACK, wire.UNSUBACK:
-				c.resolvePending(p.PacketID, p)
+			case wire.PUBACK, wire.UNSUBACK, wire.PUBCOMP:
+				c.resolvePending(p.PacketID, ackResult{typ: p.PacketType})
 			case wire.PUBREC:
-				_ = c.write(&wire.AckPacket{PacketType: wire.PUBREL, PacketID: p.PacketID})
-			case wire.PUBCOMP:
-				c.resolvePending(p.PacketID, p)
+				_ = c.writeAck(wire.PUBREL, p.PacketID)
 			case wire.PUBREL:
-				_ = c.write(&wire.AckPacket{PacketType: wire.PUBCOMP, PacketID: p.PacketID})
+				_ = c.writeAck(wire.PUBCOMP, p.PacketID)
 			}
 		case *wire.SubackPacket:
-			c.resolvePending(p.PacketID, p)
+			c.resolvePending(p.PacketID, ackResult{typ: wire.SUBACK, codes: p.ReturnCodes})
 		case *wire.PingrespPacket:
 			// Liveness confirmed; nothing to do.
 		default:
@@ -647,10 +664,10 @@ func (c *Client) readLoop() {
 	}
 }
 
-func (c *Client) resolvePending(id uint16, pkt wire.Packet) {
+func (c *Client) resolvePending(id uint16, r ackResult) {
 	c.mu.Lock()
 	if w, ok := c.pending[id]; ok {
-		c.finishLocked(id, w, ackResult{pkt: pkt})
+		c.finishLocked(id, w, r)
 	}
 	c.mu.Unlock()
 }
@@ -660,7 +677,7 @@ func (c *Client) handleInboundPublish(p *wire.PublishPacket) {
 		c.metrics.received.Inc()
 	}
 	if p.QoS == wire.QoS1 {
-		_ = c.write(&wire.AckPacket{PacketType: wire.PUBACK, PacketID: p.PacketID})
+		_ = c.writeAck(wire.PUBACK, p.PacketID)
 	}
 	// The dispatch send applies TCP backpressure when handlers are slow:
 	// the reader stalls rather than dropping messages.

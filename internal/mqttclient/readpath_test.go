@@ -1,6 +1,7 @@
 package mqttclient
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"net"
@@ -153,5 +154,36 @@ func TestMatchLanesDoesNotAllocate(t *testing.T) {
 	}
 	if len(lanes) != 3 {
 		t.Fatalf("matched %d lanes, want 3", len(lanes))
+	}
+}
+
+// Receiving one QoS 0 publish costs the client two heap objects on the
+// read side: the body the reader reads the packet into, which the
+// handler's Message then carries as its payload, and the topic string.
+// Reading with wire.ReadPacket made three: body, packet and topic string.
+func TestReceiveQoS0ReadSideAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const runs = 1000
+	frame, err := wire.AppendEncodePublish(nil, "ifot/sensor/acc/1", make([]byte, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReaderSize(bytes.NewReader(bytes.Repeat(frame, 2*runs+1)), readBufSize)
+	c := &Client{opts: Options{}.withDefaults(), rd: wire.NewReader(br, 0, false), dispatch: make(chan Message, 1)}
+	receive := func() {
+		pkt, err := c.rd.ReadPacket()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.handleInboundPublish(pkt.(*wire.PublishPacket))
+		<-c.dispatch
+	}
+	for i := 0; i < runs; i++ {
+		receive()
+	}
+	if allocs := testing.AllocsPerRun(runs-1, receive); allocs != 2 {
+		t.Fatalf("receiving a QoS 0 publish: %.2f allocs, want 2", allocs)
 	}
 }

@@ -314,29 +314,37 @@ func AppendEncodeQoS0Publish(dst []byte, topic string, payload []byte, retain bo
 // A clean close between packets returns io.EOF; a close after any byte of
 // a packet returns io.ErrUnexpectedEOF.
 func ReadPacket(r io.Reader, maxSize int) (Packet, error) {
-	if maxSize <= 0 || maxSize > MaxRemainingLength {
-		maxSize = MaxRemainingLength
-	}
 	br, ok := r.(io.ByteReader)
 	if !ok {
 		br = &byteReader{r: r}
 	}
-	first, err := br.ReadByte()
+	first, remaining, err := readFixedHeader(br, maxSize)
 	if err != nil {
 		return nil, err
-	}
-	remaining, err := readRemainingLength(br)
-	if err != nil {
-		return nil, err
-	}
-	if remaining > maxSize {
-		return nil, ErrPacketTooLarge
 	}
 	body := make([]byte, remaining)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, midPacket(err)
 	}
 	return Decode(PacketType(first>>4), first&0x0F, body)
+}
+
+// readFixedHeader reads a packet's first byte and remaining length,
+// refusing a remaining length above maxSize (0: the protocol maximum).
+func readFixedHeader(br io.ByteReader, maxSize int) (first byte, remaining int, err error) {
+	if maxSize <= 0 || maxSize > MaxRemainingLength {
+		maxSize = MaxRemainingLength
+	}
+	if first, err = br.ReadByte(); err != nil {
+		return 0, 0, err
+	}
+	if remaining, err = readRemainingLength(br); err != nil {
+		return 0, 0, err
+	}
+	if remaining > maxSize {
+		return 0, 0, ErrPacketTooLarge
+	}
+	return first, remaining, nil
 }
 
 // byteReader is ReadPacket's fallback for a reader without ReadByte.
@@ -360,7 +368,8 @@ func midPacket(err error) error {
 }
 
 // Decode parses a packet body given its type and fixed-header flags. A
-// PUBLISH keeps body as its Payload, so body must not be reused.
+// PUBLISH keeps body as its Payload, so body must not be reused. Every
+// other packet copies what it keeps out of body.
 func Decode(pt PacketType, flags byte, body []byte) (Packet, error) {
 	var p Packet
 	switch pt {
@@ -554,6 +563,9 @@ func (p *PublishPacket) encode(buf *[]byte) (byte, error) {
 	if p.QoS > QoS2 {
 		return 0, ErrInvalidQoS
 	}
+	if p.Dup && p.QoS == QoS0 {
+		return 0, fmt.Errorf("%w: QoS 0 publish with DUP set", ErrProtocolViolated)
+	}
 	if err := ValidateTopicName(p.Topic); err != nil {
 		return 0, err
 	}
@@ -584,6 +596,9 @@ func (p *PublishPacket) decode(flags byte, body []byte) error {
 	if p.QoS > QoS2 {
 		return ErrInvalidQoS
 	}
+	if p.Dup && p.QoS == QoS0 { // MQTT-3.3.1-2
+		return ErrProtocolViolated
+	}
 	r := reader{buf: body}
 	var err error
 	if p.Topic, err = r.string(); err != nil {
@@ -600,7 +615,7 @@ func (p *PublishPacket) decode(flags byte, body []byte) error {
 			return ErrProtocolViolated
 		}
 	}
-	// The payload aliases body, which ReadPacket allocated for this packet
+	// The payload aliases body, which the reader allocated for this packet
 	// alone: every holder of the packet shares it read-only. The capacity
 	// is clipped so that an append by one holder reallocates.
 	if r.off < len(body) {
@@ -611,20 +626,29 @@ func (p *PublishPacket) decode(flags byte, body []byte) error {
 
 // --- PUBACK / PUBREC / PUBREL / PUBCOMP / UNSUBACK ---
 
+// ackFlags returns the fixed-header flags of ack packet type t.
+func ackFlags(t PacketType) byte {
+	if t == PUBREL {
+		return 0x2 // spec: PUBREL fixed-header flags are 0010
+	}
+	return 0
+}
+
+// AppendEncodeAck appends the 4-byte frame of ack packet type t (PUBACK,
+// PUBREC, PUBREL, PUBCOMP or UNSUBACK) for packet id to dst: AppendEncode
+// of such an AckPacket, without the packet value.
+func AppendEncodeAck(dst []byte, t PacketType, id uint16) []byte {
+	dst = append(dst, byte(t)<<4|ackFlags(t), 2)
+	return appendUint16(dst, id)
+}
+
 func (p *AckPacket) encode(buf *[]byte) (byte, error) {
 	*buf = appendUint16(*buf, p.PacketID)
-	if p.PacketType == PUBREL {
-		return 0x2, nil // spec: PUBREL fixed-header flags are 0010
-	}
-	return 0, nil
+	return ackFlags(p.PacketType), nil
 }
 
 func (p *AckPacket) decode(flags byte, body []byte) error {
-	want := byte(0)
-	if p.PacketType == PUBREL {
-		want = 0x2
-	}
-	if flags != want || len(body) != 2 {
+	if flags != ackFlags(p.PacketType) || len(body) != 2 {
 		return ErrMalformedPacket
 	}
 	p.PacketID = uint16(body[0])<<8 | uint16(body[1])

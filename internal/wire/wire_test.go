@@ -144,6 +144,17 @@ func TestAppendEncodeQoS0PublishMatchesAppendEncode(t *testing.T) {
 	}
 }
 
+// A QoS 0 PUBLISH must not have DUP set (MQTT-3.3.1-2): neither decoded
+// nor encoded.
+func TestQoS0PublishWithDupIsProtocolViolation(t *testing.T) {
+	if _, err := ReadPacket(bytes.NewReader([]byte{0x38, 0x04, 0x00, 0x01, 'a', 'x'}), 0); !errors.Is(err, ErrProtocolViolated) {
+		t.Fatalf("decode: err = %v, want ErrProtocolViolated", err)
+	}
+	if _, err := Encode(&PublishPacket{Topic: "a", Payload: []byte("x"), Dup: true}); !errors.Is(err, ErrProtocolViolated) {
+		t.Fatalf("encode: err = %v, want ErrProtocolViolated", err)
+	}
+}
+
 func TestPublishRejectsWildcardTopic(t *testing.T) {
 	_, err := Encode(&PublishPacket{Topic: "a/+/b"})
 	if !errors.Is(err, ErrInvalidTopic) {
@@ -157,6 +168,10 @@ func TestAckRoundTrip(t *testing.T) {
 		got := roundTrip(t, pkt)
 		if !reflect.DeepEqual(got, pkt) {
 			t.Errorf("%v round trip: got %+v want %+v", pt, got, pkt)
+		}
+		want, _ := Encode(pkt)
+		if frame := AppendEncodeAck([]byte("pre"), pt, 1234); !bytes.Equal(frame, append([]byte("pre"), want...)) {
+			t.Errorf("%v: AppendEncodeAck frame %x, want pre+%x", pt, frame, want)
 		}
 	}
 }
