@@ -99,7 +99,7 @@ func BenchmarkClassify(b *testing.B) {
 // startPredict: decode → pooled dense features → single-pass BestDense →
 // decision JSON.
 func analyzeDense(payload []byte, clf ml.DenseClassifier) ([]byte, error) {
-	batch, _, err := decodeSamplesTraced(payload)
+	batch, _, err := appendDecodeSamples(nil, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func analyzeDense(payload []byte, clf ml.DenseClassifier) ([]byte, error) {
 		Seq:      batch[0].Seq,
 		SensedAt: EarliestTimestamp(batch),
 	}
-	return EncodeJSON(d), nil
+	return d.appendJSON(nil)
 }
 
 // analyzeDenseTraced is the same hot path with distributed tracing on, as
@@ -125,7 +125,7 @@ func analyzeDense(payload []byte, clf ml.DenseClassifier) ([]byte, error) {
 // trailer, the decision forwards the context, and a cumulative judge span
 // is recorded (tracer ring + histogram + export sink).
 func analyzeDenseTraced(payload []byte, clf ml.DenseClassifier, tr *telemetry.Tracer) ([]byte, error) {
-	batch, tctx, err := decodeSamplesTraced(payload)
+	batch, tctx, err := appendDecodeSamples(nil, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,10 @@ func analyzeDenseTraced(payload []byte, clf ml.DenseClassifier, tr *telemetry.Tr
 		SensedAt: EarliestTimestamp(batch),
 		Trace:    forward(tctx),
 	}
-	out := EncodeJSON(d)
+	out, err := d.appendJSON(nil)
+	if err != nil {
+		return nil, err
+	}
 	if tctx != nil {
 		end := tr.Now()
 		from := tctx.Origin()

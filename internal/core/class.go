@@ -117,17 +117,21 @@ func (m *Module) resolveInputs(rec recipe.Recipe, sub recipe.SubTask) ([]string,
 }
 
 // subscribeInputs is the one place a task's handlers are registered, data
-// inputs and MIX streams alike: it subscribes handler to every filter at
-// DataQoS, contains a panicking handler, and removes the subscriptions on
-// task stop. The handler is told which filter matched (one closure per
-// subscription, none per message), so a join can tell its sources apart
-// without a subscribe loop of its own.
-func (m *Module) subscribeInputs(inst *taskInstance, filters []string, handler func(filter string, msg mqttclient.Message)) error {
+// inputs and MIX streams alike: it subscribes every filter at DataQoS with
+// the handler newLane builds for that filter, contains a panicking
+// handler, and removes the subscriptions on task stop. newLane runs once
+// per filter, before the filter is subscribed, and is told which filter
+// it serves, so a join can tell its sources apart without a subscribe
+// loop of its own. Each handler runs serially on its filter's lane, so
+// state newLane creates for it (a decode scratch, a reused decode target)
+// needs no lock.
+func (m *Module) subscribeInputs(inst *taskInstance, filters []string, newLane func(filter string) mqttclient.Handler) error {
 	client := m.currentClient()
 	if client == nil {
 		return ErrNotStarted
 	}
 	for _, filter := range filters {
+		handler := newLane(filter)
 		_, reg, err := client.SubscribeHandle(filter, m.cfg.DataQoS, func(msg mqttclient.Message) {
 			// A panicking handler loses its message, not the lane, the
 			// task or the module.
@@ -137,7 +141,7 @@ func (m *Module) subscribeInputs(inst *taskInstance, filters []string, handler f
 						"task", inst.name, "topic", msg.Topic, "panic", fmt.Sprint(v))
 				}
 			}()
-			handler(filter, msg)
+			handler(msg)
 		})
 		if err != nil {
 			return fmt.Errorf("core: subscribe %s: %w", filter, err)
@@ -154,17 +158,24 @@ func (m *Module) subscribeInputs(inst *taskInstance, filters []string, handler f
 // whatever step publishes (nil for an untraced flow). A kind contributes
 // only its step. Shard ownership is decided here, once, so no kind can
 // forget it: with parallelism n, exactly one subtask sees each seq.
+//
+// The batch is decoded into its input lane's scratch slice, so it is
+// valid only during step: a step that keeps samples copies them.
 func (m *Module) batchTask(inst *taskInstance, rec recipe.Recipe, sub recipe.SubTask, step func(batch []sensor.Sample, fwd *TraceContext)) error {
 	topics, err := m.resolveInputs(rec, sub)
 	if err != nil {
 		return err
 	}
-	return m.subscribeInputs(inst, topics, func(_ string, msg mqttclient.Message) {
-		batch, tc, err := decodeSamplesTraced(msg.Payload)
-		if err != nil || len(batch) == 0 || !shardOwnsBatch(sub, batch[0].Seq) {
-			return
+	return m.subscribeInputs(inst, topics, func(string) mqttclient.Handler {
+		var scratch []sensor.Sample
+		return func(msg mqttclient.Message) {
+			batch, tc, err := appendDecodeSamples(scratch[:0], msg.Payload)
+			scratch = batch
+			if err != nil || len(batch) == 0 || !shardOwnsBatch(sub, batch[0].Seq) {
+				return
+			}
+			step(batch, forward(tc))
 		}
-		step(batch, forward(tc))
 	})
 }
 
@@ -205,19 +216,72 @@ func (m *Module) publishData(topic string, payload []byte) error {
 	return client.Publish(topic, payload, m.cfg.DataQoS, false)
 }
 
-// decodeSamplesTraced accepts either a bare 32-byte sample or a batch
-// payload, and returns the optional trace context a traced publisher
-// appended (nil when absent — the common untraced case costs nothing
-// extra).
-func decodeSamplesTraced(payload []byte) ([]sensor.Sample, *TraceContext, error) {
+// payloadPool recycles the data plane's output payload buffers (see
+// publishEncoded).
+var payloadPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
+// maxPooledPayload bounds the buffers payloadPool keeps: a rare large
+// batch's buffer goes to the collector instead of staying pinned.
+const maxPooledPayload = 64 << 10
+
+// publishEncoded publishes on topic the payload encode appends to a
+// pooled buffer, and reuses the buffer once publishData returns: the
+// client keeps no reference to a payload after Publish returns. An encode
+// error skips the publish and is returned; encode returns dst unchanged
+// with it.
+func (m *Module) publishEncoded(topic string, encode func(dst []byte) ([]byte, error)) error {
+	bp := payloadPool.Get().(*[]byte)
+	payload, err := encode((*bp)[:0])
+	if err == nil {
+		err = m.publishData(topic, payload)
+	}
+	if cap(payload) <= maxPooledPayload {
+		*bp = payload[:0]
+		payloadPool.Put(bp)
+	}
+	return err
+}
+
+// appendDecodeSamples accepts either a bare 32-byte sample or a batch
+// payload, appends its samples to dst, and returns the optional trace
+// context a traced publisher appended (nil when absent — the common
+// untraced case costs nothing extra). On error dst is returned unchanged.
+func appendDecodeSamples(dst []sensor.Sample, payload []byte) ([]sensor.Sample, *TraceContext, error) {
 	if len(payload) == sensor.SampleSize {
 		s, err := sensor.DecodeSample(payload)
 		if err != nil {
-			return nil, nil, err
+			return dst, nil, err
 		}
-		return []sensor.Sample{s}, nil, nil
+		return append(dst, s), nil, nil
 	}
-	return DecodeBatchTraced(payload)
+	return AppendDecodeBatch(dst, payload)
+}
+
+// appendSamplePayload appends one sample's payload: a one-sample batch
+// carrying tc when the flow is traced and the trailer fits, the bare
+// 32-byte sample otherwise. Tracing never costs the sample itself.
+func appendSamplePayload(dst []byte, s sensor.Sample, tc *TraceContext) []byte {
+	if tc != nil {
+		if p, err := AppendEncodeBatch(dst, []sensor.Sample{s}, tc); err == nil {
+			return p
+		}
+	}
+	return s.AppendEncode(dst)
+}
+
+// appendBatchPayload appends a batch's payload, carrying tc when the flow
+// is traced and the trailer fits (every trace string within 255 bytes),
+// untraced otherwise: tracing never costs the batch.
+func appendBatchPayload(dst []byte, batch []sensor.Sample, tc *TraceContext) ([]byte, error) {
+	if tc != nil {
+		if p, err := AppendEncodeBatch(dst, batch, tc); err == nil {
+			return p, nil
+		}
+	}
+	return AppendEncodeBatch(dst, batch, nil)
 }
 
 // forward returns the context to attach to a re-publish: the inbound
@@ -397,18 +461,18 @@ func (m *Module) startSense(inst *taskInstance, rec recipe.Recipe, sub recipe.Su
 			// Sampling (TraceSampleEvery > 1) mints a context only for
 			// every Nth flow; the rest ship bare, costing nothing anywhere
 			// downstream.
-			payload := smp.Encode()
+			var tc *TraceContext
 			if traced && (sample <= 1 || smp.Seq%sample == 0) {
-				tc := &TraceContext{
+				tc = &TraceContext{
 					Key:            telemetry.TraceKey{Recipe: rec.Name, TaskID: sub.TaskID, Seq: smp.Seq},
 					OriginUnixNano: smp.Timestamp.UnixNano(),
 					OriginModule:   m.cfg.ID,
 				}
-				if p, err := EncodeBatchTraced([]sensor.Sample{smp}, tc); err == nil {
-					payload = p
-				}
 			}
-			if err := m.publishData(sub.Task.Output, payload); err != nil {
+			err := m.publishEncoded(sub.Task.Output, func(dst []byte) ([]byte, error) {
+				return appendSamplePayload(dst, smp, tc), nil
+			})
+			if err != nil {
 				m.logf("sense %s publish: %v", sub.Name(), err)
 				return
 			}
@@ -441,29 +505,31 @@ func (m *Module) startWindow(inst *taskInstance, rec recipe.Recipe, sub recipe.S
 		tc := forward(pendingCtx)
 		pendingCtx = nil
 		pendingMu.Unlock()
-		payload, err := EncodeBatchTraced(batch, tc)
+		err := m.publishEncoded(sub.Task.Output, func(dst []byte) ([]byte, error) {
+			return appendBatchPayload(dst, batch, tc)
+		})
 		if err != nil {
-			m.logf("window %s encode: %v", sub.Name(), err)
-			return
-		}
-		if err := m.publishData(sub.Task.Output, payload); err != nil {
 			m.logf("window %s publish: %v", sub.Name(), err)
 		}
 	})
-	return m.subscribeInputs(inst, topics, func(_ string, msg mqttclient.Message) {
-		samples, tc, err := decodeSamplesTraced(msg.Payload)
-		if err != nil {
-			return
-		}
-		if tc != nil {
-			pendingMu.Lock()
-			if pendingCtx == nil {
-				pendingCtx = tc
+	return m.subscribeInputs(inst, topics, func(string) mqttclient.Handler {
+		var scratch []sensor.Sample
+		return func(msg mqttclient.Message) {
+			samples, tc, err := appendDecodeSamples(scratch[:0], msg.Payload)
+			scratch = samples
+			if err != nil {
+				return
 			}
-			pendingMu.Unlock()
-		}
-		for _, s := range samples {
-			w.Push(s)
+			if tc != nil {
+				pendingMu.Lock()
+				if pendingCtx == nil {
+					pendingCtx = tc
+				}
+				pendingMu.Unlock()
+			}
+			for _, s := range samples {
+				w.Push(s)
+			}
 		}
 	})
 }
@@ -482,13 +548,10 @@ func (m *Module) startFilter(inst *taskInstance, rec recipe.Recipe, sub recipe.S
 	max := float32(paramFloat(sub, "max", float64(1e38)))
 	dedup := flow.NewDeduper(uint32(paramInt(sub, "dedupWindow", 128)))
 	emit := func(s sensor.Sample, tc *TraceContext) {
-		payload := s.Encode()
-		if tc != nil {
-			if p, err := EncodeBatchTraced([]sensor.Sample{s}, tc); err == nil {
-				payload = p
-			}
-		}
-		if err := m.publishData(sub.Task.Output, payload); err != nil {
+		err := m.publishEncoded(sub.Task.Output, func(dst []byte) ([]byte, error) {
+			return appendSamplePayload(dst, s, tc), nil
+		})
+		if err != nil {
 			m.logf("filter %s publish: %v", sub.Name(), err)
 		}
 	}
@@ -500,19 +563,23 @@ func (m *Module) startFilter(inst *taskInstance, rec recipe.Recipe, sub recipe.S
 		curFwd *TraceContext
 	)
 	f := flow.NewFilter(flow.RangePredicate(min, max), func(s sensor.Sample) { emit(s, curFwd) })
-	return m.subscribeInputs(inst, topics, func(_ string, msg mqttclient.Message) {
-		samples, tc, err := decodeSamplesTraced(msg.Payload)
-		if err != nil {
-			return
-		}
-		fmu.Lock()
-		curFwd = forward(tc)
-		for _, s := range samples {
-			if dedup.Fresh(s) {
-				f.Push(s)
+	return m.subscribeInputs(inst, topics, func(string) mqttclient.Handler {
+		var scratch []sensor.Sample
+		return func(msg mqttclient.Message) {
+			samples, tc, err := appendDecodeSamples(scratch[:0], msg.Payload)
+			scratch = samples
+			if err != nil {
+				return
 			}
+			fmu.Lock()
+			curFwd = forward(tc)
+			for _, s := range samples {
+				if dedup.Fresh(s) {
+					f.Push(s)
+				}
+			}
+			fmu.Unlock()
 		}
-		fmu.Unlock()
 	})
 }
 
@@ -531,28 +598,33 @@ func (m *Module) startAggregate(inst *taskInstance, rec recipe.Recipe, sub recip
 	// sequence number (follows-from), so the assembled batch carries one
 	// flow identity downstream; sibling sources' publish spans remain
 	// visible under their own keys.
+	// The joined batch is the joiner's slot slice, reused once this
+	// function returns: it is encoded and published here and kept nowhere.
 	ctxs := newCtxCache(int(4 * maxLag))
 	joiner := flow.NewJoiner(topics, maxLag, func(seq uint32, batch []sensor.Sample) {
 		adopted := ctxs.take(seq)
-		payload, err := EncodeBatchTraced(batch, forward(adopted))
-		if err != nil {
-			m.logf("aggregate %s encode: %v", sub.Name(), err)
-			return
-		}
 		m.traceHop(adopted, rec.Name, sub.TaskID, seq, "join", EarliestTimestamp(batch))
-		if err := m.publishData(sub.Task.Output, payload); err != nil {
+		err := m.publishEncoded(sub.Task.Output, func(dst []byte) ([]byte, error) {
+			return appendBatchPayload(dst, batch, forward(adopted))
+		})
+		if err != nil {
 			m.logf("aggregate %s publish: %v", sub.Name(), err)
 		}
 	})
-	// The matched filter is the input topic: it names the source to the joiner.
-	return m.subscribeInputs(inst, topics, func(topic string, msg mqttclient.Message) {
-		samples, tc, err := decodeSamplesTraced(msg.Payload)
-		if err != nil {
-			return
-		}
-		for _, s := range samples {
-			ctxs.put(s.Seq, tc)
-			joiner.Push(topic, s)
+	// The matched filter is the input topic: it names the source to the
+	// joiner. Each input lane decodes into its own scratch slice.
+	return m.subscribeInputs(inst, topics, func(topic string) mqttclient.Handler {
+		var scratch []sensor.Sample
+		return func(msg mqttclient.Message) {
+			samples, tc, err := appendDecodeSamples(scratch[:0], msg.Payload)
+			scratch = samples
+			if err != nil {
+				return
+			}
+			for _, s := range samples {
+				ctxs.put(s.Seq, tc)
+				joiner.Push(topic, s)
+			}
 		}
 	})
 }
@@ -699,14 +771,16 @@ func (m *Module) startMixLoop(inst *taskInstance, rec recipe.Recipe, sub recipe.
 // subscribeMix folds every payload of the MIX stream under topic into rx.
 func (m *Module) subscribeMix(inst *taskInstance, topic string, rx *mixReceiver) error {
 	syms := feature.DefaultSymbols()
-	var d ml.MixDelta // reusable decode target: the handler runs serially on its lane
-	return m.subscribeInputs(inst, []string{topic + "/+"}, func(filter string, msg mqttclient.Message) {
-		h, err := DecodeMix(msg.Payload, syms, &d)
-		if err != nil {
-			m.noteMixBadPayload(filter, msg.Topic, err)
-			return
+	return m.subscribeInputs(inst, []string{topic + "/+"}, func(filter string) mqttclient.Handler {
+		var d ml.MixDelta // reusable decode target: the handler runs serially on its lane
+		return func(msg mqttclient.Message) {
+			h, err := DecodeMix(msg.Payload, syms, &d)
+			if err != nil {
+				m.noteMixBadPayload(filter, msg.Topic, err)
+				return
+			}
+			rx.onPayload(h, &d, m.now())
 		}
-		rx.onPayload(h, &d, m.now())
 	})
 }
 
@@ -869,25 +943,30 @@ func (m *Module) startActuate(inst *taskInstance, rec recipe.Recipe, sub recipe.
 	command := paramString(sub, "command", "actuate")
 	when := paramString(sub, "when", "")
 
-	return m.subscribeInputs(inst, topics, func(_ string, msg mqttclient.Message) {
-		var d Decision
-		if err := DecodeJSON(msg.Payload, &d); err != nil {
-			return
+	return m.subscribeInputs(inst, topics, func(string) mqttclient.Handler {
+		var d Decision // reusable decode target: the handler runs serially on its lane
+		return func(msg mqttclient.Message) {
+			// Reset first: Unmarshal into a used struct keeps every field
+			// the new message omits (an omitted label, an absent trace).
+			d = Decision{}
+			if err := DecodeJSON(msg.Payload, &d); err != nil {
+				return
+			}
+			if when != "" && d.Label != when {
+				return
+			}
+			cmd := sensor.Command{
+				Name:     command,
+				Value:    d.Score,
+				Detail:   d.Label,
+				IssuedAt: m.now(),
+			}
+			if err := act.Apply(cmd); err != nil {
+				m.logf("actuate %s: %v", sub.Name(), err)
+				return
+			}
+			m.traceHop(d.Trace, d.Recipe, d.TaskID, d.Seq, "actuate", d.SensedAt)
 		}
-		if when != "" && d.Label != when {
-			return
-		}
-		cmd := sensor.Command{
-			Name:     command,
-			Value:    d.Score,
-			Detail:   d.Label,
-			IssuedAt: m.now(),
-		}
-		if err := act.Apply(cmd); err != nil {
-			m.logf("actuate %s: %v", sub.Name(), err)
-			return
-		}
-		m.traceHop(d.Trace, d.Recipe, d.TaskID, d.Seq, "actuate", d.SensedAt)
 	})
 }
 
@@ -905,8 +984,8 @@ func (m *Module) startCustom(inst *taskInstance, rec recipe.Recipe, sub recipe.S
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownHandler, name)
 	}
-	return m.subscribeInputs(inst, topics, func(_ string, msg mqttclient.Message) {
-		fn(msg, m.publishData)
+	return m.subscribeInputs(inst, topics, func(string) mqttclient.Handler {
+		return func(msg mqttclient.Message) { fn(msg, m.publishData) }
 	})
 }
 
@@ -922,7 +1001,7 @@ func (m *Module) emitTrain(rec recipe.Recipe, sub recipe.SubTask, ev TrainEvent)
 		m.metrics.trained.Inc()
 	}
 	if sub.Task.Output != "" {
-		if err := m.publishData(sub.Task.Output, EncodeJSON(ev)); err != nil {
+		if err := m.publishEncoded(sub.Task.Output, ev.appendJSON); err != nil {
 			m.logf("train %s publish: %v", sub.Name(), err)
 		}
 	}
@@ -932,7 +1011,9 @@ func (m *Module) emitTrain(rec recipe.Recipe, sub recipe.SubTask, ev TrainEvent)
 }
 
 // emitDecision is the Judging class's one emitter, the counterpart of
-// emitTrain for a "judge" span and a Decision.
+// emitTrain for a "judge" span and a Decision. A decision JSON cannot
+// carry (a non-finite score) is logged and not published; the observer
+// still sees it.
 func (m *Module) emitDecision(rec recipe.Recipe, sub recipe.SubTask, d Decision) {
 	d.Recipe = rec.Name
 	d.TaskID = sub.TaskID
@@ -942,7 +1023,7 @@ func (m *Module) emitDecision(rec recipe.Recipe, sub recipe.SubTask, d Decision)
 		m.metrics.decisions.Inc()
 	}
 	if sub.Task.Output != "" {
-		if err := m.publishData(sub.Task.Output, EncodeJSON(d)); err != nil {
+		if err := m.publishEncoded(sub.Task.Output, d.appendJSON); err != nil {
 			m.logf("%s %s publish: %v", sub.Task.Kind, sub.Name(), err)
 		}
 	}

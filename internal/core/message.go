@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -277,21 +278,28 @@ const (
 	maxTraceString      = 255
 )
 
-// appendTraceTrailer appends tc's wire encoding to out.
-func appendTraceTrailer(out []byte, tc *TraceContext) ([]byte, error) {
-	for _, s := range []string{tc.Key.Recipe, tc.Key.TaskID, tc.OriginModule} {
+// checkTraceTrailer reports whether tc fits the trailer: each of its
+// three strings carries a one-byte length.
+func checkTraceTrailer(tc *TraceContext) error {
+	for _, s := range [3]string{tc.Key.Recipe, tc.Key.TaskID, tc.OriginModule} {
 		if len(s) > maxTraceString {
-			return nil, fmt.Errorf("%w: trace string %q exceeds %d bytes", ErrBatchTooLarge, s[:16]+"…", maxTraceString)
+			return fmt.Errorf("%w: trace string %q exceeds %d bytes", ErrBatchTooLarge, s[:16]+"…", maxTraceString)
 		}
 	}
+	return nil
+}
+
+// appendTraceTrailer appends tc's wire encoding to out; tc has passed
+// checkTraceTrailer.
+func appendTraceTrailer(out []byte, tc *TraceContext) []byte {
 	out = append(out, traceTrailerMagic, traceTrailerVersion, tc.Hops)
 	out = binary.BigEndian.AppendUint32(out, tc.Key.Seq)
 	out = binary.BigEndian.AppendUint64(out, uint64(tc.OriginUnixNano))
-	for _, s := range []string{tc.Key.Recipe, tc.Key.TaskID, tc.OriginModule} {
+	for _, s := range [3]string{tc.Key.Recipe, tc.Key.TaskID, tc.OriginModule} {
 		out = append(out, byte(len(s)))
 		out = append(out, s...)
 	}
-	return out, nil
+	return out
 }
 
 // decodeTraceTrailer parses a trailer occupying exactly data.
@@ -337,19 +345,30 @@ func EncodeBatch(batch []sensor.Sample) ([]byte, error) {
 // deployment runs with tracing enabled; plain consumers of traced streams
 // should use DecodeBatchTraced.
 func EncodeBatchTraced(batch []sensor.Sample, tc *TraceContext) ([]byte, error) {
-	if len(batch) > MaxBatchSamples {
-		return nil, fmt.Errorf("%w: %d samples > %d", ErrBatchTooLarge, len(batch), MaxBatchSamples)
+	out, err := AppendEncodeBatch(make([]byte, 0, 2+len(batch)*sensor.SampleSize+trailerCap(tc)), batch, tc)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]byte, 2, 2+len(batch)*sensor.SampleSize+trailerCap(tc))
-	binary.BigEndian.PutUint16(out, uint16(len(batch)))
-	for _, s := range batch {
-		out = append(out, s.Encode()...)
+	return out, nil
+}
+
+// AppendEncodeBatch appends the EncodeBatchTraced form of batch (traced
+// when tc is non-nil) to dst. On error dst is returned unchanged.
+func AppendEncodeBatch(dst []byte, batch []sensor.Sample, tc *TraceContext) ([]byte, error) {
+	if len(batch) > MaxBatchSamples {
+		return dst, fmt.Errorf("%w: %d samples > %d", ErrBatchTooLarge, len(batch), MaxBatchSamples)
 	}
 	if tc != nil {
-		var err error
-		if out, err = appendTraceTrailer(out, tc); err != nil {
-			return nil, err
+		if err := checkTraceTrailer(tc); err != nil {
+			return dst, err
 		}
+	}
+	out := binary.BigEndian.AppendUint16(dst, uint16(len(batch)))
+	for _, s := range batch {
+		out = s.AppendEncode(out)
+	}
+	if tc != nil {
+		out = appendTraceTrailer(out, tc)
 	}
 	return out, nil
 }
@@ -373,30 +392,45 @@ func DecodeBatch(data []byte) ([]sensor.Sample, error) {
 // returning the trace context when the optional trailer is present (nil
 // otherwise — absent context decodes exactly as the pre-trace format).
 func DecodeBatchTraced(data []byte) ([]sensor.Sample, *TraceContext, error) {
+	batch, tc, err := AppendDecodeBatch(nil, data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if batch == nil {
+		batch = []sensor.Sample{}
+	}
+	return batch, tc, nil
+}
+
+// AppendDecodeBatch parses an EncodeBatch/EncodeBatchTraced payload like
+// DecodeBatchTraced, appending the samples to dst, so a caller that
+// decodes into dst[:0] reuses its capacity. On error dst is returned
+// unchanged.
+func AppendDecodeBatch(dst []sensor.Sample, data []byte) ([]sensor.Sample, *TraceContext, error) {
 	if len(data) < 2 {
-		return nil, nil, ErrBadBatch
+		return dst, nil, ErrBadBatch
 	}
 	n := int(binary.BigEndian.Uint16(data))
 	body := 2 + n*sensor.SampleSize
 	if len(data) < body {
-		return nil, nil, fmt.Errorf("%w: count %d but %d payload bytes", ErrBadBatch, n, len(data)-2)
+		return dst, nil, fmt.Errorf("%w: count %d but %d payload bytes", ErrBadBatch, n, len(data)-2)
 	}
 	var tc *TraceContext
 	if len(data) > body {
 		var err error
 		if tc, err = decodeTraceTrailer(data[body:]); err != nil {
-			return nil, nil, err
+			return dst, nil, err
 		}
 	}
-	batch := make([]sensor.Sample, n)
+	out := slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		s, err := sensor.DecodeSample(data[2+i*sensor.SampleSize : 2+(i+1)*sensor.SampleSize])
 		if err != nil {
-			return nil, nil, err
+			return dst, nil, err
 		}
-		batch[i] = s
+		out = append(out, s)
 	}
-	return batch, tc, nil
+	return out, tc, nil
 }
 
 // EarliestTimestamp returns the earliest sensing timestamp in a batch

@@ -108,17 +108,28 @@ func (w *SlidingWindow) Push(s sensor.Sample) {
 //
 // Entries older than MaxLag sequence numbers behind the newest seen are
 // evicted so one lost sample cannot stall the join forever.
+//
+// An emitted batch is the join's own slot slice: it is valid only until
+// emit returns, after which the Joiner clears and reuses it. An emit that
+// keeps samples copies them.
 type Joiner struct {
 	mu      sync.Mutex
 	sources []string
 	index   map[string]int
-	pending map[uint32][]sensor.Sample // seq -> per-source slots
-	count   map[uint32]int
+	pending map[uint32]*joinSlots // seq -> per-source slots
+	free    []*joinSlots          // cleared slots, reused before allocating
 	highest uint32
 	maxLag  uint32
 	emit    func(seq uint32, batch []sensor.Sample)
 	// dropped is atomic so Dropped() reads without taking the join lock.
 	dropped atomic.Int64
+}
+
+// joinSlots is one sequence number's join in progress: a slot per source
+// and how many sources have filled theirs.
+type joinSlots struct {
+	samples []sensor.Sample
+	filled  int
 }
 
 // NewJoiner creates a join over the given source names (order preserved in
@@ -135,8 +146,7 @@ func NewJoiner(sources []string, maxLag uint32, emit func(seq uint32, batch []se
 	return &Joiner{
 		sources: append([]string(nil), sources...),
 		index:   idx,
-		pending: make(map[uint32][]sensor.Sample),
-		count:   make(map[uint32]int),
+		pending: make(map[uint32]*joinSlots),
 		maxLag:  maxLag,
 		emit:    emit,
 	}
@@ -152,42 +162,54 @@ func (j *Joiner) Push(source string, s sensor.Sample) bool {
 		return false
 	}
 	seq := s.Seq
-	slots, ok := j.pending[seq]
+	js, ok := j.pending[seq]
 	if !ok {
-		slots = make([]sensor.Sample, len(j.sources))
-		j.pending[seq] = slots
+		if n := len(j.free); n > 0 {
+			js = j.free[n-1]
+			j.free = j.free[:n-1]
+		} else {
+			js = &joinSlots{samples: make([]sensor.Sample, len(j.sources))}
+		}
+		j.pending[seq] = js
 	}
 	// Overwrite duplicates silently; count only first arrival.
-	if slots[i].Seq == 0 && slots[i].Timestamp.IsZero() {
-		j.count[seq]++
+	if slot := &js.samples[i]; slot.Seq == 0 && slot.Timestamp.IsZero() {
+		js.filled++
 	}
-	slots[i] = s
+	js.samples[i] = s
 
 	if seq > j.highest {
 		j.highest = seq
 		// Evict stale incomplete joins.
-		for old := range j.pending {
+		for old, stale := range j.pending {
 			if old+j.maxLag < j.highest {
 				delete(j.pending, old)
-				delete(j.count, old)
+				j.recycleLocked(stale)
 				j.dropped.Add(1)
 			}
 		}
 	}
 
-	complete := j.count[seq] == len(j.sources)
-	var batch []sensor.Sample
+	complete := js.filled == len(j.sources)
 	if complete {
-		batch = slots
 		delete(j.pending, seq)
-		delete(j.count, seq)
 	}
 	j.mu.Unlock()
 
 	if complete {
-		j.emit(seq, batch)
+		j.emit(seq, js.samples)
+		j.mu.Lock()
+		j.recycleLocked(js)
+		j.mu.Unlock()
 	}
 	return complete
+}
+
+// recycleLocked clears js and puts it on the free list.
+func (j *Joiner) recycleLocked(js *joinSlots) {
+	clear(js.samples)
+	js.filled = 0
+	j.free = append(j.free, js)
 }
 
 // PendingJoins reports incomplete joins currently buffered.

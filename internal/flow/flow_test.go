@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -52,7 +53,8 @@ func TestJoinerCompletesInOrder(t *testing.T) {
 	)
 	j := NewJoiner([]string{"a", "b", "c"}, 0, func(seq uint32, batch []sensor.Sample) {
 		mu.Lock()
-		joined = append(joined, batch)
+		// The batch is reused once emit returns: keep a copy.
+		joined = append(joined, slices.Clone(batch))
 		seqs = append(seqs, seq)
 		mu.Unlock()
 	})

@@ -161,7 +161,9 @@ func (d *KNNAnomalyDetector) scoreLocked(dv *feature.DenseVec) float64 {
 		if dist <= 1e-12 {
 			return 1 // everything identical: perfectly normal
 		}
-		return math.Inf(1)
+		// A stuck stream that moves: as anomalous as a score gets, and
+		// finite, so a decision can carry it.
+		return math.MaxFloat64
 	}
 	return dist / ref
 }

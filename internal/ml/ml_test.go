@@ -153,6 +153,24 @@ func TestKNNAnomalyDetectorFlagsOutlier(t *testing.T) {
 	}
 }
 
+// A stuck stream that then moves scores above any threshold, and finitely:
+// a decision must be able to carry the score in JSON.
+func TestKNNAnomalyDetectorStuckStreamScoresFinite(t *testing.T) {
+	d := NewKNNAnomalyDetector(5, 64)
+	for i := 0; i < 20; i++ {
+		if s := d.Add(feature.Vector{"x": 1, "y": 2}); s > 1 {
+			t.Fatalf("identical point %d scored %v, want at most 1", i, s)
+		}
+	}
+	s := d.Add(feature.Vector{"x": 1.5, "y": 2})
+	if math.IsInf(s, 0) || math.IsNaN(s) {
+		t.Fatalf("step after a stuck stream scored %v, want finite", s)
+	}
+	if s != math.MaxFloat64 {
+		t.Fatalf("step after a stuck stream scored %v, want the saturated %v", s, math.MaxFloat64)
+	}
+}
+
 func TestKNNAnomalyDetectorColdStart(t *testing.T) {
 	d := NewKNNAnomalyDetector(5, 64)
 	for i := 0; i < 5; i++ {

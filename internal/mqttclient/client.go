@@ -328,6 +328,11 @@ func Dial(addr string, opts Options) (*Client, error) {
 
 // Publish sends an application message. For QoS1 it blocks until the broker
 // acknowledges (or AckTimeout elapses).
+//
+// The payload is not retained after Publish returns: a QoS 0 payload is
+// copied into the client's frame and written before the return, and a
+// QoS 1 payload is written before the wait for its PUBACK, with no copy
+// kept for redelivery. A caller may reuse the buffer at once.
 func (c *Client) Publish(topic string, payload []byte, qos wire.QoS, retain bool) error {
 	if qos == wire.QoS0 {
 		err := c.writePublish0(topic, payload, retain)

@@ -2,6 +2,7 @@ package mqttclient
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -226,4 +227,55 @@ func TestClientInboundQoS1IsAcked(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("delivery not accounted")
+}
+
+// Publish keeps no reference to the payload once it returns, at QoS 0 and
+// QoS 1: a caller may overwrite or reuse the buffer at once, and the
+// subscriber still receives the bytes that were passed.
+func TestPublishPayloadNotRetained(t *testing.T) {
+	b := broker.New(broker.Options{})
+	listener := netsim.NewPipeListener()
+	go func() { _ = b.Serve(listener) }()
+	t.Cleanup(func() { _ = b.Close(); _ = listener.Close() })
+	connect := func(id string) *Client {
+		conn, err := listener.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Connect(conn, NewOptions(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		return c
+	}
+	sub, pub := connect("sub"), connect("pub")
+	const msgs = 50
+	for _, qos := range []wire.QoS{wire.QoS0, wire.QoS1} {
+		topic := fmt.Sprintf("reuse/%d", qos)
+		got := make(chan string, msgs)
+		if _, err := sub.Subscribe(topic, qos, func(m Message) { got <- string(m.Payload) }); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 0, 64)
+		for i := 0; i < msgs; i++ {
+			buf = fmt.Appendf(buf[:0], "message %03d at QoS %d", i, qos)
+			if err := pub.Publish(topic, buf, qos, false); err != nil {
+				t.Fatal(err)
+			}
+			for j := range buf {
+				buf[j] = 'X'
+			}
+		}
+		for i := 0; i < msgs; i++ {
+			select {
+			case p := <-got:
+				if want := fmt.Sprintf("message %03d at QoS %d", i, qos); p != want {
+					t.Fatalf("QoS %d: received %q, want %q", qos, p, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("QoS %d: %d of %d messages received", qos, i, msgs)
+			}
+		}
+	}
 }

@@ -76,17 +76,20 @@ var ErrBadSample = errors.New("sensor: malformed sample")
 
 // Encode serializes the sample to its fixed 32-byte wire form.
 func (s Sample) Encode() []byte {
-	buf := make([]byte, SampleSize)
-	buf[0] = sampleMagic
-	buf[1] = byte(s.Kind)
-	binary.BigEndian.PutUint16(buf[2:4], s.SensorIndex)
-	binary.BigEndian.PutUint32(buf[4:8], s.Seq)
-	binary.BigEndian.PutUint64(buf[8:16], uint64(s.Timestamp.UnixNano()))
-	for i, v := range s.Values {
-		binary.BigEndian.PutUint32(buf[16+4*i:20+4*i], math.Float32bits(v))
+	return s.AppendEncode(make([]byte, 0, SampleSize))
+}
+
+// AppendEncode appends the sample's 32-byte wire form to dst.
+func (s Sample) AppendEncode(dst []byte) []byte {
+	dst = append(dst, sampleMagic, byte(s.Kind))
+	dst = binary.BigEndian.AppendUint16(dst, s.SensorIndex)
+	dst = binary.BigEndian.AppendUint32(dst, s.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(s.Timestamp.UnixNano()))
+	for _, v := range s.Values {
+		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(v))
 	}
-	// buf[28:32] reserved/padding, kept zero.
-	return buf
+	// Bytes 28..31 are reserved padding, kept zero.
+	return append(dst, 0, 0, 0, 0)
 }
 
 // DecodeSample parses a 32-byte sample. A NaN or infinite channel is
