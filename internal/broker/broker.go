@@ -99,7 +99,12 @@ type Stats struct {
 	RetainedMessages  int
 	MessagesReceived  int64
 	MessagesDelivered int64
-	MessagesDropped   int64
+	// MessagesDropped counts matched messages that no session accepted
+	// or parked, once per subscriber: a QoS 0 message a full queue or an
+	// offline session refused, a QoS 1 one for an offline clean session, a
+	// parked message trimmed past maxQueuedOffline, and one whose frame
+	// could not be encoded.
+	MessagesDropped int64
 }
 
 type retainedMsg struct {
@@ -184,28 +189,13 @@ type Broker struct {
 	// pubMu is read-locked to find an existing counter (the common case);
 	// the write lock is taken only to install a new topic's counter.
 	pubMu      sync.RWMutex
-	pubByTopic map[string]*topicCount
+	pubByTopic map[string]*atomic.Int64
 
-	wg      sync.WaitGroup
-	metrics *brokerMetrics
+	wg sync.WaitGroup
 
 	// persist is non-nil when Options.Store is set; it owns the WAL
 	// journal handle and the message-ID sequence (see persist.go).
 	persist *persister
-}
-
-// topicCount is one topic's publish accounting: a lock-free counter plus
-// the telemetry series handle (nil when no Registry is configured).
-type topicCount struct {
-	n      atomic.Int64
-	metric *telemetry.Counter
-}
-
-func (tc *topicCount) bump() {
-	tc.n.Add(1)
-	if tc.metric != nil {
-		tc.metric.Inc()
-	}
 }
 
 // maxPublishTopics bounds the per-topic publish accounting (and the
@@ -236,10 +226,10 @@ func Open(opts Options) (*Broker, error) {
 		sessions:   make(map[string]*session),
 		conns:      make(map[string]net.Conn),
 		retained:   make(map[string]retainedMsg),
-		pubByTopic: make(map[string]*topicCount),
+		pubByTopic: make(map[string]*atomic.Int64),
 	}
 	if b.opts.Registry != nil {
-		b.metrics = newBrokerMetrics(b.opts.Registry, b)
+		b.registerMetrics(b.opts.Registry)
 	}
 	if st := b.opts.Store; st != nil {
 		b.persist = &persister{logger: b.opts.Logger, events: b.opts.Events}
@@ -257,22 +247,18 @@ func Open(opts Options) (*Broker, error) {
 // Uptime reports how long ago the broker was created.
 func (b *Broker) Uptime() time.Duration { return b.opts.clock.Now().Sub(b.start) }
 
-// brokerMetrics holds the broker's telemetry handles. Per-topic counter
-// handles live on the topicCount entries in Broker.pubByTopic.
-type brokerMetrics struct {
-	reg       *telemetry.Registry
-	received  *telemetry.Counter
-	delivered *telemetry.Counter
-	dropped   *telemetry.Counter
-}
-
-func newBrokerMetrics(reg *telemetry.Registry, b *Broker) *brokerMetrics {
-	m := &brokerMetrics{
-		reg:       reg,
-		received:  reg.Counter("ifot_broker_messages_received_total", "PUBLISH packets received from clients"),
-		delivered: reg.Counter("ifot_broker_messages_delivered_total", "PUBLISH packets written to subscriber connections"),
-		dropped:   reg.Counter("ifot_broker_messages_dropped_total", "messages not accepted by a matching session (queue full or offline)"),
-	}
+// registerMetrics exposes the broker's state on reg as callbacks: the
+// message series read the counts Stats reports, so the registry, $SYS and
+// the benchmark see one count per fact. The per-topic series, which read
+// what PublishCounts reports, are registered as topicCounter installs
+// their counters.
+func (b *Broker) registerMetrics(reg *telemetry.Registry) {
+	reg.CounterFunc("ifot_broker_messages_received_total", "PUBLISH packets received from clients",
+		b.received.Load)
+	reg.CounterFunc("ifot_broker_messages_delivered_total", "PUBLISH packets written to subscriber connections",
+		b.delivered.Load)
+	reg.CounterFunc("ifot_broker_messages_dropped_total", "matched messages no session accepted or parked (full queue, QoS 0 to an offline session, parked-window overflow, unencodable)",
+		func() int64 { return b.Stats().MessagesDropped })
 	reg.GaugeFunc("ifot_broker_clients_connected", "currently connected clients",
 		func() float64 { return float64(b.Stats().ConnectedClients) })
 	reg.GaugeFunc("ifot_broker_sessions", "sessions including parked persistent ones",
@@ -289,7 +275,6 @@ func newBrokerMetrics(reg *telemetry.Registry, b *Broker) *brokerMetrics {
 		b.cacheHits.Load)
 	reg.CounterFunc("ifot_broker_route_cache_misses_total", "publishes that matched against the route snapshot (cold or stale cache entry)",
 		b.cacheMisses.Load)
-	return m
 }
 
 // RouteEpoch returns the epoch of the current routing snapshot. It bumps
@@ -587,9 +572,6 @@ func (b *Broker) readLoop(conn net.Conn, rd *wire.Reader, sess *session, keepAli
 // frame (wire.Reader.Frame), or nil.
 func (b *Broker) handlePublish(sess *session, p *wire.PublishPacket, frame []byte) {
 	b.received.Add(1)
-	if b.metrics != nil {
-		b.metrics.received.Inc()
-	}
 
 	deliver := true
 	switch p.QoS {
@@ -649,7 +631,7 @@ func (b *Broker) publish(p *wire.PublishPacket, frame []byte) {
 
 	snap := b.routes.Load()
 	var subs []routeSub
-	var tc *topicCount
+	var tc *atomic.Int64
 	var valid bool
 	if v := b.rcache.lookup(p.Topic, snap.epoch); v != nil {
 		b.cacheHits.Add(1)
@@ -664,10 +646,9 @@ func (b *Broker) publish(p *wire.PublishPacket, frame []byte) {
 		mb.release()
 	}
 	if tc != nil {
-		tc.bump()
+		tc.Add(1)
 	}
 
-	var droppedHere int64
 	switch {
 	case len(subs) == 0:
 	case !valid:
@@ -676,22 +657,17 @@ func (b *Broker) publish(p *wire.PublishPacket, frame []byte) {
 		// including QoS1 ones, which previously got a packet whose encode
 		// failure killed their connection — misses this message. Count
 		// them all as dropped.
-		droppedHere = int64(len(subs))
-		b.droppedBase.Add(droppedHere)
+		b.droppedBase.Add(int64(len(subs)))
 	default:
-		droppedHere = b.fanout(p, subs, frame)
+		b.fanout(p, subs, frame)
 	}
 	b.gate.RUnlock()
-	if b.metrics != nil && droppedHere > 0 {
-		b.metrics.dropped.Add(droppedHere)
-	}
 }
 
 // fanout delivers to each matched subscriber on the publisher's own
-// goroutine and returns the number of drops. frame is the shared QoS0
+// goroutine; the sessions count their own drops. frame is the shared QoS0
 // frame; when nil, it is encoded on first need.
-func (b *Broker) fanout(p *wire.PublishPacket, subs []routeSub, frame []byte) int64 {
-	var dropped int64
+func (b *Broker) fanout(p *wire.PublishPacket, subs []routeSub, frame []byte) {
 	for i, sub := range subs {
 		qos := minQoS(p.QoS, sub.qos)
 		// Retain flag is false on normal routed deliveries (spec
@@ -706,23 +682,15 @@ func (b *Broker) fanout(p *wire.PublishPacket, subs []routeSub, frame []byte) in
 					// topics were already rejected before fan-out): every
 					// remaining matched subscriber misses this message,
 					// so count them all — not just one — as dropped.
-					remaining := int64(len(subs) - i)
-					dropped += remaining
-					b.droppedBase.Add(remaining)
-					break
+					b.droppedBase.Add(int64(len(subs) - i))
+					return
 				}
 			}
-			if !sub.session.deliverFrame(frame) {
-				dropped++
-			}
+			sub.session.deliverFrame(frame)
 			continue
 		}
-		out := &wire.PublishPacket{Topic: p.Topic, Payload: p.Payload, QoS: qos}
-		if !sub.session.deliver(out) {
-			dropped++
-		}
+		sub.session.deliver(&wire.PublishPacket{Topic: p.Topic, Payload: p.Payload, QoS: qos})
 	}
-	return dropped
 }
 
 // writerBufSize is the per-connection outbound coalescing buffer. 64 KiB
@@ -817,9 +785,6 @@ func (b *Broker) noteDelivered(n int64) {
 		return
 	}
 	b.delivered.Add(n)
-	if b.metrics != nil {
-		b.metrics.delivered.Add(n)
-	}
 }
 
 // topicCounter resolves the (bounded) per-topic publish counter for topic,
@@ -828,7 +793,7 @@ func (b *Broker) noteDelivered(n int64) {
 // publish path calls it only on route-cache misses — the counter pointer
 // rides in the cache entry, so steady-state publishes bump it with a plain
 // atomic add and never touch pubMu at all.
-func (b *Broker) topicCounter(topic string) *topicCount {
+func (b *Broker) topicCounter(topic string) *atomic.Int64 {
 	if strings.HasPrefix(topic, "$") {
 		return nil
 	}
@@ -847,10 +812,10 @@ func (b *Broker) topicCounter(topic string) *topicCount {
 		tc, ok = b.pubByTopic[key]
 	}
 	if !ok {
-		tc = &topicCount{}
-		if b.metrics != nil {
-			tc.metric = b.metrics.reg.Counter("ifot_broker_publish_total",
-				"publishes routed per topic (bounded cardinality)", telemetry.L("topic", key))
+		tc = new(atomic.Int64)
+		if reg := b.opts.Registry; reg != nil {
+			reg.CounterFunc("ifot_broker_publish_total",
+				"publishes routed per topic (bounded cardinality)", tc.Load, telemetry.L("topic", key))
 		}
 		b.pubByTopic[key] = tc
 	}
@@ -864,7 +829,7 @@ func (b *Broker) PublishCounts() map[string]int64 {
 	defer b.pubMu.RUnlock()
 	out := make(map[string]int64, len(b.pubByTopic))
 	for k, tc := range b.pubByTopic {
-		out[k] = tc.n.Load()
+		out[k] = tc.Load()
 	}
 	return out
 }

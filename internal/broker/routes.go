@@ -219,7 +219,7 @@ type rcCell struct {
 type rcVal struct {
 	epoch uint64
 	subs  []routeSub
-	tc    *topicCount
+	tc    *atomic.Int64
 	valid bool
 }
 
@@ -249,7 +249,7 @@ func (c *routeCache) lookup(topic string, epoch uint64) *rcVal {
 // every entry is live, the new topic simply stays uncached — matching is
 // cheap, and the bound is what keeps an adversarial topic stream from
 // growing broker memory.
-func (c *routeCache) store(topic string, epoch uint64, subs []routeSub, tc *topicCount, valid bool) []routeSub {
+func (c *routeCache) store(topic string, epoch uint64, subs []routeSub, tc *atomic.Int64, valid bool) []routeSub {
 	owned := make([]routeSub, len(subs))
 	copy(owned, subs)
 	val := &rcVal{epoch: epoch, subs: owned, tc: tc, valid: valid}

@@ -124,9 +124,8 @@ func (s *session) detach(gen uint64) {
 }
 
 // enqueueLocked is the one place a session's queue is sent to: it refuses
-// when the session is offline, and refuses and counts a drop when the queue
-// is full. It never blocks. Callers hold mu — the lock the close happens
-// under.
+// when the session is offline or the queue is full, and never blocks.
+// Callers hold mu — the lock the close happens under.
 func (s *session) enqueueLocked(op outPacket) bool {
 	if s.outbound == nil {
 		return false
@@ -135,24 +134,35 @@ func (s *session) enqueueLocked(op outPacket) bool {
 	case s.outbound <- op:
 		return true
 	default:
-		s.droppedMessages.Add(1)
 		return false
 	}
 }
 
+// offerLocked enqueues a QoS 0 application message, which nothing parks:
+// refused, it is dropped and counted. Callers hold mu.
+func (s *session) offerLocked(op outPacket) bool {
+	if s.enqueueLocked(op) {
+		return true
+	}
+	s.droppedMessages.Add(1)
+	return false
+}
+
 // deliver routes an application message to the client. Connected sessions
-// get it on the outbound queue (dropped if the queue is full and the
-// message is QoS0). A QoS1 message enters the window first: offline
-// persistent sessions park it, and one a full queue refuses stays parked
-// in its slot. It reports whether the message was accepted.
+// get it on the outbound queue; a QoS0 message a full queue or an offline
+// session refuses is dropped. A QoS1 message enters the window first:
+// offline persistent sessions park it, and one a full queue refuses stays
+// parked in its slot. It reports whether the message was accepted or
+// parked; every message it reports false for counts as dropped.
 func (s *session) deliver(p *wire.PublishPacket) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p.QoS == wire.QoS0 {
-		return s.enqueueLocked(outPacket{pkt: p})
+		return s.offerLocked(outPacket{pkt: p})
 	}
 	connected := s.outbound != nil
 	if !connected && !s.persistent {
+		s.droppedMessages.Add(1)
 		return false
 	}
 	if connected {
@@ -169,16 +179,16 @@ func (s *session) deliver(p *wire.PublishPacket) bool {
 	// Parked instead of lost; it will be sent on reconnect.
 	p.PacketID = 0
 	s.trimParkedLocked()
-	return !connected
+	return true
 }
 
 // deliverFrame routes a pre-encoded QoS0 application frame to a connected
 // client. QoS0 messages are never queued offline, so a disconnected (or
-// saturated) session just reports the drop.
+// saturated) session drops and counts it.
 func (s *session) deliverFrame(frame []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.enqueueLocked(outPacket{frame: frame})
+	return s.offerLocked(outPacket{frame: frame})
 }
 
 // queueLocked is the one mutator of the opQueue fact, shared by deliver

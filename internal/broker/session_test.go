@@ -120,8 +120,8 @@ func TestSessionStaleDetachIgnored(t *testing.T) {
 // session is attached, detached and taken over. The queue is sent to and
 // closed only under s.mu, so no sender may panic with "send on closed
 // channel", every queue handed out is closed (each drainer's range ends),
-// every accepted frame reaches a drainer, and a frame that met a connected
-// session is either accepted or counted in dropped().
+// every accepted frame reaches a drainer, and every frame is either
+// accepted by a connected session or counted in dropped().
 func TestSessionQueueSendCloseRace(t *testing.T) {
 	s := newSession("c", true)
 	counted, other := []byte{0x30, 0}, []byte{0x30, 1}
@@ -166,14 +166,14 @@ func TestSessionQueueSendCloseRace(t *testing.T) {
 				// state and the drop count that very offer saw.
 				s.mu.Lock()
 				connected, before := s.outbound != nil, s.dropped()
-				ok := s.enqueueLocked(outPacket{frame: counted})
+				ok := s.offerLocked(outPacket{frame: counted})
 				drops := s.dropped() - before
 				s.mu.Unlock()
 				if ok {
 					accepted.Add(1)
 				}
-				var want int64 // a drop is counted exactly when a full queue refuses
-				if connected && !ok {
+				var want int64 // a drop is counted exactly when the offer is refused
+				if !ok {
 					want = 1
 				}
 				if drops != want || ok && !connected {

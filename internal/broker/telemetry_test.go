@@ -51,6 +51,97 @@ func TestBrokerMetrics(t *testing.T) {
 	}
 }
 
+// TestDroppedCountersAgree holds the registry's dropped series, Stats and
+// the one definition of a drop together: a message that matched a
+// subscription and that no session accepted or parked. After each step
+// the three counts are equal.
+func TestDroppedCountersAgree(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	bus := newTestBus(t, Options{Registry: reg, SessionQueueSize: 1})
+	b := bus.broker
+	var want int64
+	check := func(step string) {
+		t.Helper()
+		sample := int64(-1)
+		for _, s := range reg.Samples() {
+			if s.Name == "ifot_broker_messages_dropped_total" {
+				sample = int64(s.Value)
+			}
+		}
+		if stats := b.Stats().MessagesDropped; sample != want || stats != want {
+			t.Fatalf("%s: registry %d, Stats %d, want %d", step, sample, stats, want)
+		}
+	}
+
+	// A persistent QoS 1 subscriber, parked.
+	opts := mqttclient.NewOptions("parked")
+	opts.CleanSession = false
+	parked := bus.connect(t, opts)
+	if _, err := parked.Subscribe("park/#", wire.QoS1, func(mqttclient.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := parked.Disconnect(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "subscriber parked", func() bool { return b.Stats().ConnectedClients == 0 })
+	check("parked")
+
+	for i := 0; i < 5; i++ {
+		b.Publish("park/t", []byte("x"), wire.QoS0, false)
+	}
+	want += 5
+	check("QoS 0 to an offline session")
+
+	for i := 0; i < maxQueuedOffline+3; i++ {
+		b.Publish("park/t", []byte("x"), wire.QoS1, false)
+	}
+	want += 3
+	check("parked window trimmed")
+
+	b.Publish("park/+", []byte("x"), wire.QoS1, false)
+	want++
+	check("unroutable topic")
+
+	// A raw subscriber whose writer is stuck inside a write: the one-slot
+	// queue takes one more message, and the rest are dropped.
+	conn, err := bus.listener.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, step := range []struct {
+		send wire.Packet
+		want wire.PacketType
+	}{
+		{&wire.ConnectPacket{ClientID: "stuck", CleanSession: true}, wire.CONNACK},
+		{&wire.SubscribePacket{PacketID: 1, Subscriptions: []wire.Subscription{
+			{TopicFilter: "full/q0"}, {TopicFilter: "full/q1", QoS: wire.QoS1},
+		}}, wire.SUBACK},
+	} {
+		if err := wire.WritePacket(conn, step.send); err != nil {
+			t.Fatal(err)
+		}
+		if pkt, err := wire.ReadPacket(conn, 1<<20); err != nil || pkt.Type() != step.want {
+			t.Fatalf("handshake: got %v, %v; want %v", pkt, err, step.want)
+		}
+	}
+	b.Publish("full/q0", []byte("x"), wire.QoS0, false)
+	// The first byte read means the writer is inside the write of that
+	// message; the pipe holds it there until the rest is read.
+	if _, err := conn.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		b.Publish("full/q0", []byte("x"), wire.QoS0, false)
+	}
+	want += 5
+	check("full queue")
+
+	// A QoS 1 message the full queue refuses is parked, not dropped.
+	b.Publish("full/q1", []byte("x"), wire.QoS1, false)
+	check("QoS 1 parked by a full queue")
+}
+
 func TestBrokerPerTopicCardinalityBounded(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	b := New(Options{Registry: reg})

@@ -201,7 +201,7 @@ func BenchmarkAnalysisPipeline(b *testing.B) {
 			batch := benchBatch(sensors, seq)
 			var err error
 			if sampleEvery > 0 && seq%sampleEvery == 0 {
-				payloads[seq], err = EncodeBatchTraced(batch, &TraceContext{
+				payloads[seq], err = AppendEncodeBatch(nil, batch, &TraceContext{
 					Key:            telemetry.TraceKey{Recipe: "bench", TaskID: "sense", Seq: seq},
 					OriginUnixNano: batch[0].Timestamp.UnixNano(),
 					OriginModule:   "benchSensor",

@@ -39,12 +39,12 @@ func startRecipe(t *testing.T, m *Module, rec recipe.Recipe) {
 }
 
 // TestAppendEncodeBatchAllocs: encoding a batch, traced or not, into a
-// buffer with room allocates nothing and writes EncodeBatchTraced's bytes.
+// buffer with room allocates nothing and writes the bytes a fresh encode does.
 func TestAppendEncodeBatchAllocs(t *testing.T) {
 	batch := benchBatch(3, 7)
 	buf := make([]byte, 0, 512)
 	for _, tc := range []*TraceContext{nil, dataplaneTrace()} {
-		want, err := EncodeBatchTraced(batch, tc)
+		want, err := AppendEncodeBatch(nil, batch, tc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestPayloadFallsBackUntraced(t *testing.T) {
 	if got := appendSamplePayload(nil, batch[0], long); !bytes.Equal(got, batch[0].Encode()) {
 		t.Fatalf("appendSamplePayload = %x, want the bare sample", got)
 	}
-	traced, _ := EncodeBatchTraced(batch, dataplaneTrace())
+	traced, _ := AppendEncodeBatch(nil, batch, dataplaneTrace())
 	if got, err := appendBatchPayload(nil, batch, dataplaneTrace()); err != nil || !bytes.Equal(got, traced) {
 		t.Fatalf("appendBatchPayload(fitting trace) = %x, %v; want %x", got, err, traced)
 	}

@@ -112,7 +112,7 @@ func TestStageSpansKeyedByFlow(t *testing.T) {
 	propagated := telemetry.TraceKey{Recipe: "upstream", TaskID: "sense", Seq: tracedSeq}
 	for i, topic := range []string{"spans/a", "spans/b"} {
 		smp := sensor.Sample{SensorIndex: uint16(i + 1), Seq: tracedSeq, Timestamp: time.Now(), Values: [3]float32{1, 2, 3}}
-		payload, err := EncodeBatchTraced([]sensor.Sample{smp}, &TraceContext{
+		payload, err := AppendEncodeBatch(nil, []sensor.Sample{smp}, &TraceContext{
 			Key: propagated, OriginUnixNano: smp.Timestamp.UnixNano(), OriginModule: "elsewhere",
 		})
 		if err != nil {

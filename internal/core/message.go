@@ -237,7 +237,7 @@ func DecodeJSON(data []byte, v any) error {
 // origin module's clock), that module's ID (so a collector can apply the
 // right skew offset to the start instant), and a hop count incremented at
 // every re-publish. It rides the wire as an optional binary trailer after
-// the batch samples (see EncodeBatchTraced) and as an optional JSON field
+// the batch samples (see AppendEncodeBatch) and as an optional JSON field
 // on Decision/TrainEvent.
 // Every field is a plain tagged value on purpose: encoding/json re-scans
 // and compacts the output of any json.Marshaler byte by byte, which costs
@@ -336,24 +336,18 @@ func decodeTraceTrailer(data []byte) (*TraceContext, error) {
 // count would make DecodeBatch read a batch whose declared length disagrees
 // with its payload.
 func EncodeBatch(batch []sensor.Sample) ([]byte, error) {
-	return EncodeBatchTraced(batch, nil)
-}
-
-// EncodeBatchTraced serializes a batch like EncodeBatch and, when tc is
-// non-nil, appends its trace-context trailer. Decoders that predate the
-// trailer reject such payloads, so producers only attach context when the
-// deployment runs with tracing enabled; plain consumers of traced streams
-// should use DecodeBatchTraced.
-func EncodeBatchTraced(batch []sensor.Sample, tc *TraceContext) ([]byte, error) {
-	out, err := AppendEncodeBatch(make([]byte, 0, 2+len(batch)*sensor.SampleSize+trailerCap(tc)), batch, tc)
+	out, err := AppendEncodeBatch(make([]byte, 0, 2+len(batch)*sensor.SampleSize), batch, nil)
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// AppendEncodeBatch appends the EncodeBatchTraced form of batch (traced
-// when tc is non-nil) to dst. On error dst is returned unchanged.
+// AppendEncodeBatch appends the EncodeBatch form of batch to dst and, when
+// tc is non-nil, its trace-context trailer. Decoders that predate the
+// trailer reject such payloads, so producers only attach context when the
+// deployment runs with tracing enabled; plain consumers of traced streams
+// should use AppendDecodeBatch. On error dst is returned unchanged.
 func AppendEncodeBatch(dst []byte, batch []sensor.Sample, tc *TraceContext) ([]byte, error) {
 	if len(batch) > MaxBatchSamples {
 		return dst, fmt.Errorf("%w: %d samples > %d", ErrBatchTooLarge, len(batch), MaxBatchSamples)
@@ -373,39 +367,25 @@ func AppendEncodeBatch(dst []byte, batch []sensor.Sample, tc *TraceContext) ([]b
 	return out, nil
 }
 
-func trailerCap(tc *TraceContext) int {
-	if tc == nil {
-		return 0
-	}
-	return traceTrailerFixed + 3 + len(tc.Key.Recipe) + len(tc.Key.TaskID) + len(tc.OriginModule)
-}
-
 // DecodeBatch parses an EncodeBatch payload. A valid trace-context
 // trailer, if present, is accepted and discarded; any other trailing
 // bytes are rejected as before.
 func DecodeBatch(data []byte) ([]sensor.Sample, error) {
-	batch, _, err := DecodeBatchTraced(data)
-	return batch, err
-}
-
-// DecodeBatchTraced parses an EncodeBatch/EncodeBatchTraced payload,
-// returning the trace context when the optional trailer is present (nil
-// otherwise — absent context decodes exactly as the pre-trace format).
-func DecodeBatchTraced(data []byte) ([]sensor.Sample, *TraceContext, error) {
-	batch, tc, err := AppendDecodeBatch(nil, data)
+	batch, _, err := AppendDecodeBatch(nil, data)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if batch == nil {
 		batch = []sensor.Sample{}
 	}
-	return batch, tc, nil
+	return batch, nil
 }
 
-// AppendDecodeBatch parses an EncodeBatch/EncodeBatchTraced payload like
-// DecodeBatchTraced, appending the samples to dst, so a caller that
-// decodes into dst[:0] reuses its capacity. On error dst is returned
-// unchanged.
+// AppendDecodeBatch parses an EncodeBatch/AppendEncodeBatch payload,
+// appending the samples to dst, so a caller that decodes into dst[:0]
+// reuses its capacity. It returns the trace context when the optional
+// trailer is present (nil otherwise — absent context decodes exactly as
+// the pre-trace format). On error dst is returned unchanged.
 func AppendDecodeBatch(dst []sensor.Sample, data []byte) ([]sensor.Sample, *TraceContext, error) {
 	if len(data) < 2 {
 		return dst, nil, ErrBadBatch

@@ -24,11 +24,11 @@ func TestTraceContextRoundTrip(t *testing.T) {
 		OriginModule:   "moduleA",
 		Hops:           3,
 	}
-	payload, err := EncodeBatchTraced(batch, tc)
+	payload, err := AppendEncodeBatch(nil, batch, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotCtx, err := DecodeBatchTraced(payload)
+	got, gotCtx, err := AppendDecodeBatch(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +55,14 @@ func TestTraceContextAbsentBackwardCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ctx, err := DecodeBatchTraced(plain)
+	got, ctx, err := AppendDecodeBatch(nil, plain)
 	if err != nil || len(got) != 1 || ctx != nil {
 		t.Fatalf("untraced decode = %d samples, ctx=%v, err=%v", len(got), ctx, err)
 	}
 
 	// A traced batch still decodes through the untraced entry point: new
 	// producers keep working against old consumers.
-	traced, err := EncodeBatchTraced(batch, &TraceContext{Key: telemetry.TraceKey{Recipe: "r"}})
+	traced, err := AppendEncodeBatch(nil, batch, &TraceContext{Key: telemetry.TraceKey{Recipe: "r"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,19 +71,19 @@ func TestTraceContextAbsentBackwardCompat(t *testing.T) {
 		t.Fatalf("traced batch via DecodeBatch = %d samples, err=%v", len(got), err)
 	}
 
-	// EncodeBatchTraced(nil ctx) must be byte-identical to EncodeBatch.
-	tracedNil, err := EncodeBatchTraced(batch, nil)
+	// An untraced AppendEncodeBatch must be byte-identical to EncodeBatch.
+	tracedNil, err := AppendEncodeBatch(nil, batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(tracedNil) != string(plain) {
-		t.Fatal("EncodeBatchTraced(nil) should match EncodeBatch exactly")
+		t.Fatal("AppendEncodeBatch with a nil context should match EncodeBatch exactly")
 	}
 }
 
 func TestTraceTrailerMalformedRejected(t *testing.T) {
 	batch := []sensor.Sample{{SensorIndex: 1, Seq: 1, Timestamp: time.Unix(1, 0)}}
-	traced, err := EncodeBatchTraced(batch, &TraceContext{
+	traced, err := AppendEncodeBatch(nil, batch, &TraceContext{
 		Key:            telemetry.TraceKey{Recipe: "monitor", TaskID: "sense", Seq: 1},
 		OriginUnixNano: time.Unix(1, 0).UnixNano(),
 		OriginModule:   "A",
@@ -101,7 +101,7 @@ func TestTraceTrailerMalformedRejected(t *testing.T) {
 		"string over length": append(append([]byte{}, traced[:plainLen]...), traceTrailerMagic, traceTrailerVersion, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 200, 'x'),
 	}
 	for name, payload := range cases {
-		if _, _, err := DecodeBatchTraced(payload); !errors.Is(err, ErrBadBatch) {
+		if _, _, err := AppendDecodeBatch(nil, payload); !errors.Is(err, ErrBadBatch) {
 			t.Errorf("%s: err = %v, want ErrBadBatch", name, err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestTraceTrailerMalformedRejected(t *testing.T) {
 	for i := range long {
 		long[i] = 'a'
 	}
-	if _, err := EncodeBatchTraced(batch, &TraceContext{Key: telemetry.TraceKey{Recipe: string(long)}}); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := AppendEncodeBatch(nil, batch, &TraceContext{Key: telemetry.TraceKey{Recipe: string(long)}}); !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("oversized recipe name err = %v, want ErrBatchTooLarge", err)
 	}
 }

@@ -230,17 +230,19 @@ type Client struct {
 type clientMetrics struct {
 	published *telemetry.Counter
 	received  *telemetry.Counter
-	ackRTT    *telemetry.Histogram
+	ackRTT    *telemetry.LogHistogram
 }
 
 func newClientMetrics(reg *telemetry.Registry, clientID string) *clientMetrics {
 	id := telemetry.L("client", clientID)
-	return &clientMetrics{
+	m := &clientMetrics{
 		published: reg.Counter("ifot_client_publish_total", "PUBLISH packets sent", id),
 		received:  reg.Counter("ifot_client_received_total", "PUBLISH packets received", id),
-		ackRTT: reg.Histogram("ifot_client_puback_seconds",
-			"QoS1 publish to PUBACK round-trip", nil, id),
+		ackRTT:    telemetry.NewLogHistogram(),
 	}
+	telemetry.RegisterQuantileGauges(reg, "ifot_client_puback_seconds",
+		"QoS1 publish to PUBACK round-trip quantiles", m.ackRTT, id)
+	return m
 }
 
 // Connect establishes an MQTT session over an existing transport
@@ -345,7 +347,10 @@ func (c *Client) Publish(topic string, payload []byte, qos wire.QoS, retain bool
 	if err != nil {
 		return err
 	}
-	sentAt := time.Now()
+	var sentAt time.Time
+	if c.metrics != nil {
+		sentAt = c.opts.clock.Now()
+	}
 	pub := &wire.PublishPacket{Topic: topic, Payload: payload, QoS: qos, Retain: retain, PacketID: id}
 	if err := c.write(pub); err != nil {
 		c.unregisterPending(id, w)
@@ -360,7 +365,7 @@ func (c *Client) Publish(topic string, payload []byte, qos wire.QoS, retain bool
 	}
 	if c.metrics != nil {
 		c.metrics.published.Inc()
-		c.metrics.ackRTT.ObserveDuration(time.Since(sentAt))
+		c.metrics.ackRTT.Observe(c.opts.clock.Now().Sub(sentAt))
 	}
 	return nil
 }

@@ -48,7 +48,34 @@ func TestClientMetrics(t *testing.T) {
 	if n := reg.Counter("ifot_client_received_total", "", id).Value(); n != 2 {
 		t.Fatalf("received = %d, want 2", n)
 	}
-	if n := reg.Histogram("ifot_client_puback_seconds", "", nil, id).Count(); n != 1 {
+	// One QoS 1 round trip: the four quantile gauges exist, and max reads
+	// the sample.
+	rtt := map[string]float64{}
+	for _, s := range reg.Samples() {
+		if s.Name == "ifot_client_puback_seconds" {
+			var client, q string
+			for _, l := range s.Labels {
+				switch l.Name {
+				case "client":
+					client = l.Value
+				case "quantile":
+					q = l.Value
+				}
+			}
+			if client == "metered" {
+				rtt[q] = s.Value
+			}
+		}
+	}
+	for _, q := range []string{"0.5", "0.95", "0.99", "max"} {
+		if _, ok := rtt[q]; !ok {
+			t.Fatalf("puback quantile %q gauge missing; got %v", q, rtt)
+		}
+	}
+	if rtt["max"] <= 0 {
+		t.Fatalf("puback max = %v after one QoS 1 round trip, want > 0", rtt["max"])
+	}
+	if n := c.metrics.ackRTT.Count(); n != 1 {
 		t.Fatalf("puback RTT samples = %d, want 1 (QoS1 publish only)", n)
 	}
 }

@@ -124,7 +124,6 @@ func splitLabelPairs(t *testing.T, s string) []string {
 func TestHTTPMetricsScrape(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("ifot_broker_messages_received_total", "msgs", L("class", "publish")).Add(12)
-	reg.Histogram("ifot_pipeline_seconds", "e2e", []float64{0.1, 1}).Observe(0.05)
 	tr := NewTracer(nil, 8)
 	tr.ObserveStage(TraceKey{Recipe: "r", TaskID: "t", Seq: 1}, "publish", "s0", tr.Now(), tr.Now())
 

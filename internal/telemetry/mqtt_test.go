@@ -2,13 +2,16 @@ package telemetry
 
 import (
 	"testing"
+	"time"
 )
 
 func TestMQTTExporterPublishOnce(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("ifot_broker_publish_total", "per topic", L("topic", "rt/s0")).Add(9)
 	reg.Gauge("ifot_broker_clients", "connected").Set(3)
-	reg.Histogram("ifot_pipeline_seconds", "e2e", []float64{1}).Observe(0.5)
+	h := NewLogHistogram()
+	h.Observe(500 * time.Millisecond)
+	RegisterQuantileGauges(reg, "ifot_pipeline_seconds", "e2e", h)
 
 	type msg struct {
 		topic   string
@@ -24,8 +27,7 @@ func TestMQTTExporterPublishOnce(t *testing.T) {
 	want := map[string]string{
 		"$SYS/broker/metrics/ifot/broker/publish/total/rt/s0": "9",
 		"$SYS/broker/metrics/ifot/broker/clients":             "3",
-		"$SYS/broker/metrics/ifot/pipeline/seconds/count":     "1",
-		"$SYS/broker/metrics/ifot/pipeline/seconds/sum":       "0.50",
+		"$SYS/broker/metrics/ifot/pipeline/seconds/max":       "0.50",
 	}
 	byTopic := map[string]msg{}
 	for _, m := range got {

@@ -10,29 +10,23 @@ import (
 
 // WritePrometheus renders every registered metric in the Prometheus text
 // exposition format (version 0.0.4): HELP/TYPE headers per family, one
-// line per series, histogram families expanded into cumulative _bucket
-// series plus _sum and _count.
+// line per series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	// Snapshot the family/series structure, then release the lock before
 	// touching the (individually synchronized) metric values so slow
 	// writers never stall metric updates.
-	type seriesSnap struct {
-		labels []Label
-		s      *series
-	}
 	type famSnap struct {
 		name, help string
 		kind       Kind
-		series     []seriesSnap
+		series     []*series
 	}
 	fams := make([]famSnap, 0, len(r.order))
 	for _, name := range r.order {
 		fam := r.fams[name]
 		fs := famSnap{name: fam.name, help: fam.help, kind: fam.kind}
 		for _, sig := range fam.order {
-			s := fam.by[sig]
-			fs.series = append(fs.series, seriesSnap{labels: s.labels, s: s})
+			fs.series = append(fs.series, fam.by[sig])
 		}
 		fams = append(fams, fs)
 	}
@@ -47,44 +41,20 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", fam.name, fam.kind); err != nil {
 			return err
 		}
-		for _, sn := range fam.series {
-			switch fam.kind {
-			case KindCounter:
-				if err := writeSample(w, fam.name, sn.labels, "", "", float64(sn.s.c.Value())); err != nil {
-					return err
-				}
-			case KindGauge:
-				if err := writeSample(w, fam.name, sn.labels, "", "", sn.s.g.Value()); err != nil {
-					return err
-				}
-			case KindHistogram:
-				bounds, cumulative, count, sum := sn.s.h.Snapshot()
-				for i, b := range bounds {
-					if err := writeSample(w, fam.name+"_bucket", sn.labels, "le", formatFloat(b), float64(cumulative[i])); err != nil {
-						return err
-					}
-				}
-				if err := writeSample(w, fam.name+"_bucket", sn.labels, "le", "+Inf", float64(count)); err != nil {
-					return err
-				}
-				if err := writeSample(w, fam.name+"_sum", sn.labels, "", "", sum); err != nil {
-					return err
-				}
-				if err := writeSample(w, fam.name+"_count", sn.labels, "", "", float64(count)); err != nil {
-					return err
-				}
+		for _, s := range fam.series {
+			if err := writeSample(w, fam.name, s.labels, s.value()); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// writeSample renders one exposition line; extraName/extraValue append a
-// trailing label (used for histogram `le`).
-func writeSample(w io.Writer, name string, labels []Label, extraName, extraValue string, v float64) error {
+// writeSample renders one exposition line.
+func writeSample(w io.Writer, name string, labels []Label, v float64) error {
 	var sb strings.Builder
 	sb.WriteString(name)
-	if len(labels) > 0 || extraName != "" {
+	if len(labels) > 0 {
 		sb.WriteByte('{')
 		for i, l := range labels {
 			if i > 0 {
@@ -93,15 +63,6 @@ func writeSample(w io.Writer, name string, labels []Label, extraName, extraValue
 			sb.WriteString(l.Name)
 			sb.WriteString(`="`)
 			sb.WriteString(escapeLabel(l.Value))
-			sb.WriteByte('"')
-		}
-		if extraName != "" {
-			if len(labels) > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(extraName)
-			sb.WriteString(`="`)
-			sb.WriteString(escapeLabel(extraValue))
 			sb.WriteByte('"')
 		}
 		sb.WriteByte('}')

@@ -1,6 +1,7 @@
 // Package telemetry is the IFoT observability subsystem: a metrics
-// registry (counters, gauges, histograms — all with bounded memory, unlike
-// the experiment harness's sample-accumulating LatencyRecorder), a
+// registry (counters and gauges; a latency distribution is a LogHistogram
+// exposed as quantile gauges — all with bounded memory, unlike the
+// experiment harness's sample-accumulating LatencyRecorder), a
 // per-message span/trace model for end-to-end flow tracing, and exporters
 // (Prometheus text format over HTTP, pprof, and Mosquitto-style MQTT
 // topics). The tracer is parameterized by clock.Clock so the same span
@@ -15,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Label is one name/value pair attached to a metric series.
@@ -34,7 +34,6 @@ type Kind int
 const (
 	KindCounter Kind = iota + 1
 	KindGauge
-	KindHistogram
 )
 
 func (k Kind) String() string {
@@ -43,8 +42,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	default:
 		return "untyped"
 	}
@@ -104,67 +101,19 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a fixed-bucket distribution metric with bounded memory:
-// per-bucket counts plus a running sum, never the raw samples.
-type Histogram struct {
-	bounds []float64 // ascending upper bounds (seconds for latencies)
-	mu     sync.Mutex
-	counts []int64
-	sum    float64
-	total  int64
-}
-
-// DefLatencyBuckets spans 1ms–30s, chosen to cover both the paper's
-// sub-second pipeline latencies and saturation behaviour.
-var DefLatencyBuckets = []float64{
-	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-			break
-		}
-	}
-	h.sum += v
-	h.total++
-	h.mu.Unlock()
-}
-
-// ObserveDuration records a latency sample in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Snapshot returns the bucket upper bounds, cumulative counts per bound,
-// the total sample count, and the sum of all samples.
-func (h *Histogram) Snapshot() (bounds []float64, cumulative []int64, count int64, sum float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	bounds = h.bounds // immutable after construction
-	cumulative = make([]int64, len(h.counts))
-	var running int64
-	for i, c := range h.counts {
-		running += c
-		cumulative[i] = running
-	}
-	return bounds, cumulative, h.total, h.sum
-}
-
-// Count reports the number of observed samples.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
 // series is one (labels → value) instance of a metric family.
 type series struct {
 	labels []Label
 	c      *Counter
 	g      *Gauge
-	h      *Histogram
+}
+
+// value reads the series' current value, whichever kind it is.
+func (s *series) value() float64 {
+	if s.c != nil {
+		return float64(s.c.Value())
+	}
+	return s.g.Value()
 }
 
 // family groups all series sharing a metric name.
@@ -177,7 +126,7 @@ type family struct {
 }
 
 // Registry holds named metrics and renders them in Prometheus text format.
-// All methods are safe for concurrent use; Counter/Gauge/Histogram are
+// All methods are safe for concurrent use; Counter and Gauge are
 // get-or-create, so hot paths may call them repeatedly (though caching the
 // returned handle is cheaper).
 type Registry struct {
@@ -221,35 +170,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Lab
 	s.c.fn = fn
 }
 
-// Histogram returns the histogram for name+labels, creating it on first
-// use with the given ascending bucket upper bounds (nil = DefLatencyBuckets).
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	if bounds == nil {
-		bounds = DefLatencyBuckets
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("telemetry: histogram %s bounds must be ascending", name))
-		}
-	}
-	s := r.seriesWith(name, help, KindHistogram, labels, func() *series {
-		return &series{h: &Histogram{bounds: bounds, counts: make([]int64, len(bounds))}}
-	})
-	return s.h
-}
-
 func (r *Registry) series(name, help string, kind Kind, labels []Label) *series {
-	return r.seriesWith(name, help, kind, labels, func() *series {
-		switch kind {
-		case KindCounter:
-			return &series{c: &Counter{}}
-		default:
-			return &series{g: &Gauge{}}
-		}
-	})
-}
-
-func (r *Registry) seriesWith(name, help string, kind Kind, labels []Label, mk func() *series) *series {
 	if !validMetricName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
@@ -267,8 +188,12 @@ func (r *Registry) seriesWith(name, help string, kind Kind, labels []Label, mk f
 	sig := labelSignature(labels)
 	s, ok := fam.by[sig]
 	if !ok {
-		s = mk()
-		s.labels = append([]Label(nil), labels...)
+		s = &series{labels: append([]Label(nil), labels...)}
+		if kind == KindCounter {
+			s.c = &Counter{}
+		} else {
+			s.g = &Gauge{}
+		}
 		sort.Slice(s.labels, func(i, j int) bool { return s.labels[i].Name < s.labels[j].Name })
 		fam.by[sig] = s
 		fam.order = append(fam.order, sig)
@@ -288,23 +213,20 @@ func (r *Registry) SeriesCount(name string) int {
 	return len(fam.order)
 }
 
-// Sample is one exported metric value (histograms contribute _count and
-// _sum samples).
+// Sample is one exported metric value.
 type Sample struct {
 	Name   string
 	Labels []Label
 	Value  float64
 }
 
-// Samples snapshots every counter and gauge (and histogram count/sum) in
-// registration order — the walk the MQTT exporter publishes. Like
+// Samples snapshots every counter and gauge in registration order — the walk the MQTT exporter publishes. Like
 // WritePrometheus, it reads metric values after releasing the registry
 // lock: GaugeFuncs may acquire subsystem locks (e.g. the broker's) that
 // are themselves held while registering metrics.
 func (r *Registry) Samples() []Sample {
 	type snap struct {
 		name string
-		kind Kind
 		s    *series
 	}
 	r.mu.Lock()
@@ -312,23 +234,14 @@ func (r *Registry) Samples() []Sample {
 	for _, name := range r.order {
 		fam := r.fams[name]
 		for _, sig := range fam.order {
-			snaps = append(snaps, snap{name: name, kind: fam.kind, s: fam.by[sig]})
+			snaps = append(snaps, snap{name: name, s: fam.by[sig]})
 		}
 	}
 	r.mu.Unlock()
 
-	var out []Sample
+	out := make([]Sample, 0, len(snaps))
 	for _, sn := range snaps {
-		switch sn.kind {
-		case KindCounter:
-			out = append(out, Sample{Name: sn.name, Labels: sn.s.labels, Value: float64(sn.s.c.Value())})
-		case KindGauge:
-			out = append(out, Sample{Name: sn.name, Labels: sn.s.labels, Value: sn.s.g.Value()})
-		case KindHistogram:
-			_, _, count, sum := sn.s.h.Snapshot()
-			out = append(out, Sample{Name: sn.name + "_count", Labels: sn.s.labels, Value: float64(count)})
-			out = append(out, Sample{Name: sn.name + "_sum", Labels: sn.s.labels, Value: sum})
-		}
+		out = append(out, Sample{Name: sn.name, Labels: sn.s.labels, Value: sn.s.value()})
 	}
 	return out
 }

@@ -50,36 +50,13 @@ func TestLabeledSeriesAreDistinct(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("ifot_lat_seconds", "latency", []float64{0.1, 1, 10})
-	for _, v := range []float64{0.05, 0.5, 0.5, 5, 100} {
-		h.Observe(v)
-	}
-	bounds, cum, count, sum := h.Snapshot()
-	if len(bounds) != 3 {
-		t.Fatalf("bounds = %v", bounds)
-	}
-	if cum[0] != 1 || cum[1] != 3 || cum[2] != 4 {
-		t.Fatalf("cumulative = %v, want [1 3 4]", cum)
-	}
-	if count != 5 {
-		t.Fatalf("count = %d, want 5 (overflow sample included)", count)
-	}
-	if sum != 106.05 {
-		t.Fatalf("sum = %v", sum)
-	}
-	h.ObserveDuration(100 * time.Millisecond)
-	if h.Count() != 6 {
-		t.Fatalf("count after ObserveDuration = %d", h.Count())
-	}
-}
-
-// TestConcurrentUpdates exercises every metric type from many goroutines;
+// TestConcurrentUpdates exercises every instrument from many goroutines;
 // run with -race (the CI workflow does) to prove the registry is
 // synchronization-clean.
 func TestConcurrentUpdates(t *testing.T) {
 	reg := NewRegistry()
+	h := NewLogHistogram()
+	RegisterQuantileGauges(reg, "ifot_conc_seconds", "h", h)
 	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -89,7 +66,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				reg.Counter("ifot_conc_total", "c").Inc()
 				reg.Gauge("ifot_conc_gauge", "g").Add(1)
-				reg.Histogram("ifot_conc_seconds", "h", nil).Observe(float64(i) / 1000)
+				h.Observe(time.Duration(i) * time.Millisecond)
 				if i%100 == 0 {
 					var sb strings.Builder
 					if err := reg.WritePrometheus(&sb); err != nil {
@@ -107,7 +84,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := reg.Gauge("ifot_conc_gauge", "g").Value(); got != workers*perWorker {
 		t.Fatalf("gauge = %v, want %d", got, workers*perWorker)
 	}
-	if got := reg.Histogram("ifot_conc_seconds", "h", nil).Count(); got != workers*perWorker {
+	if got := h.Count(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 }
@@ -116,7 +93,9 @@ func TestPrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("ifot_msgs_total", "messages processed", L("topic", `weird"topic\n`)).Add(7)
 	reg.Gauge("ifot_temp", "temperature").Set(21.5)
-	reg.Histogram("ifot_lat_seconds", "latency", []float64{0.5, 1}).Observe(0.3)
+	h := NewLogHistogram()
+	h.Observe(300 * time.Millisecond)
+	RegisterQuantileGauges(reg, "ifot_lat_seconds", "latency", h)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -129,14 +108,16 @@ func TestPrometheusFormat(t *testing.T) {
 		`ifot_msgs_total{topic="weird\"topic\\n"} 7` + "\n",
 		"# TYPE ifot_temp gauge\n",
 		"ifot_temp 21.5\n",
-		"# TYPE ifot_lat_seconds histogram\n",
-		`ifot_lat_seconds_bucket{le="0.5"} 1` + "\n",
-		`ifot_lat_seconds_bucket{le="+Inf"} 1` + "\n",
-		"ifot_lat_seconds_sum 0.3\n",
-		"ifot_lat_seconds_count 1\n",
+		"# TYPE ifot_lat_seconds gauge\n",
+		`ifot_lat_seconds{quantile="max"} 0.3` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && f[3] != "counter" && f[3] != "gauge" {
+			t.Errorf("family %s has type %s; every family is a counter or a gauge", f[2], f[3])
 		}
 	}
 	if parsed := parsePrometheus(t, out); len(parsed) == 0 {
@@ -148,17 +129,22 @@ func TestSamplesWalk(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("ifot_a_total", "a").Add(3)
 	reg.Gauge("ifot_b", "b").Set(1.25)
-	reg.Histogram("ifot_c_seconds", "c", []float64{1}).Observe(0.5)
+	h := NewLogHistogram()
+	h.Observe(500 * time.Millisecond)
+	RegisterQuantileGauges(reg, "ifot_c_seconds", "c", h)
 	samples := reg.Samples()
 	got := make(map[string]float64, len(samples))
 	for _, s := range samples {
-		got[s.Name] = s.Value
+		name := s.Name
+		for _, l := range s.Labels {
+			name += "/" + l.Value
+		}
+		got[name] = s.Value
 	}
 	for name, want := range map[string]float64{
-		"ifot_a_total":         3,
-		"ifot_b":               1.25,
-		"ifot_c_seconds_count": 1,
-		"ifot_c_seconds_sum":   0.5,
+		"ifot_a_total":       3,
+		"ifot_b":             1.25,
+		"ifot_c_seconds/max": 0.5,
 	} {
 		if got[name] != want {
 			t.Errorf("sample %s = %v, want %v (all: %v)", name, got[name], want, got)

@@ -9,68 +9,59 @@ import (
 
 // LogHistogram is a latency distribution with logarithmically spaced
 // buckets, built for SLO-style quantile queries (p50/p95/p99/max) with
-// bounded memory and lock-free recording. Unlike Histogram (fixed,
-// hand-picked Prometheus buckets), the log spacing gives a constant
+// bounded memory and lock-free recording. The log spacing gives a constant
 // relative error across six orders of magnitude, so the same instrument
-// resolves both a 200µs in-process hop and a 30s saturation stall.
+// resolves both a 200µs in-process hop and a 30s saturation stall. It is
+// the one latency distribution in the package; a registry exposes it as
+// quantile gauges (RegisterQuantileGauges).
 //
 // All methods are safe for concurrent use; Observe is a single atomic
 // add on the bucket counter.
 type LogHistogram struct {
-	min    float64 // lower bound of bucket 0, seconds
-	ratio  float64 // growth factor between bucket bounds
-	logR   float64 // math.Log(ratio), precomputed
-	counts []atomic.Int64
-	// counts[0] is the underflow bucket (< min); counts[len-1] overflow.
+	// counts[0] is the underflow bucket (< logHistMin); the last one
+	// overflow.
+	counts   [logHistBuckets]atomic.Int64
 	total    atomic.Int64
 	sumNanos atomic.Int64
 	maxNanos atomic.Int64
 }
 
-// Default LogHistogram shape: 100µs–100s at 25% growth (~58 buckets),
-// covering the paper's sub-second pipeline latencies through saturation
-// behaviour with <12.5% quantile error.
+// The one LogHistogram shape: 100µs–100s at 25% growth, covering the
+// paper's sub-second pipeline latencies through saturation behaviour with
+// <12.5% quantile error.
 const (
-	defLogHistMin   = 100e-6
-	defLogHistMax   = 100.0
-	defLogHistRatio = 1.25
+	logHistMin   = 100e-6 // lower bound of bucket 1, seconds
+	logHistRatio = 1.25   // growth factor between bucket bounds
+	// logHistLogR is math.Log(logHistRatio), which Go cannot evaluate as
+	// a constant; TestLogHistogramShape pins the two together.
+	logHistLogR = 0.22314355131420976
+	// logHistBuckets is ⌈log(100s/logHistMin)/logHistLogR⌉ = 62 spanning
+	// buckets plus underflow and overflow.
+	logHistBuckets = 64
 )
 
-// NewLogHistogram creates a histogram whose buckets span [min, max]
-// seconds with the given growth ratio between bucket bounds. Non-positive
-// or degenerate arguments fall back to the defaults (100µs–100s, 1.25).
-func NewLogHistogram(min, max, ratio float64) *LogHistogram {
-	if min <= 0 || max <= min || ratio <= 1 {
-		min, max, ratio = defLogHistMin, defLogHistMax, defLogHistRatio
-	}
-	n := int(math.Ceil(math.Log(max/min)/math.Log(ratio))) + 2 // + under/overflow
-	return &LogHistogram{
-		min:    min,
-		ratio:  ratio,
-		logR:   math.Log(ratio),
-		counts: make([]atomic.Int64, n),
-	}
-}
+// NewLogHistogram returns an empty histogram.
+func NewLogHistogram() *LogHistogram { return &LogHistogram{} }
 
 // bucket maps a sample in seconds to its bucket index.
-func (h *LogHistogram) bucket(v float64) int {
-	if v < h.min {
+func bucket(v float64) int {
+	if v < logHistMin {
 		return 0
 	}
-	i := 1 + int(math.Log(v/h.min)/h.logR)
-	if i >= len(h.counts) {
-		return len(h.counts) - 1
+	i := 1 + int(math.Log(v/logHistMin)/logHistLogR)
+	if i >= logHistBuckets {
+		return logHistBuckets - 1
 	}
 	return i
 }
 
 // upperBound is the upper edge of bucket i in seconds (+Inf for the
 // overflow bucket).
-func (h *LogHistogram) upperBound(i int) float64 {
-	if i >= len(h.counts)-1 {
+func upperBound(i int) float64 {
+	if i >= logHistBuckets-1 {
 		return math.Inf(1)
 	}
-	return h.min * math.Pow(h.ratio, float64(i))
+	return logHistMin * math.Pow(logHistRatio, float64(i))
 }
 
 // Observe records one latency sample.
@@ -81,7 +72,7 @@ func (h *LogHistogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	h.counts[h.bucket(d.Seconds())].Add(1)
+	h.counts[bucket(d.Seconds())].Add(1)
 	h.total.Add(1)
 	h.sumNanos.Add(int64(d))
 	for {
@@ -148,9 +139,9 @@ func (h *LogHistogram) Quantile(q float64) time.Duration {
 		if float64(cum+c) >= rank {
 			lo := 0.0
 			if i > 0 {
-				lo = h.upperBound(i - 1)
+				lo = upperBound(i - 1)
 			}
-			hi := h.upperBound(i)
+			hi := upperBound(i)
 			if math.IsInf(hi, 1) { // overflow bucket: clamp to observed max
 				return h.Max()
 			}
@@ -180,7 +171,7 @@ func (h *LogHistogram) CountAbove(d time.Duration) int64 {
 		return 0
 	}
 	var n int64
-	for i := h.bucket(d.Seconds()) + 1; i < len(h.counts); i++ {
+	for i := bucket(d.Seconds()) + 1; i < logHistBuckets; i++ {
 		n += h.counts[i].Load()
 	}
 	return n

@@ -1,12 +1,13 @@
 package telemetry
 
 import (
+	"math"
 	"testing"
 	"time"
 )
 
 func TestLogHistogramQuantiles(t *testing.T) {
-	h := NewLogHistogram(0, 0, 0) // defaults: 100µs–100s, ratio 1.25
+	h := NewLogHistogram() // 100µs–100s, ratio 1.25
 	// A skewed distribution: 90 fast samples, 9 medium, 1 slow.
 	for i := 0; i < 90; i++ {
 		h.Observe(1 * time.Millisecond)
@@ -49,7 +50,7 @@ func TestLogHistogramEdgeCases(t *testing.T) {
 		t.Fatal("nil histogram should report zeros")
 	}
 
-	h := NewLogHistogram(0, 0, 0)
+	h := NewLogHistogram()
 	if h.Quantile(0.99) != 0 {
 		t.Fatal("empty histogram quantile should be 0")
 	}
@@ -58,16 +59,33 @@ func TestLogHistogramEdgeCases(t *testing.T) {
 		t.Fatalf("negative observe: count=%d max=%v", h.Count(), h.Max())
 	}
 	// Underflow and overflow samples both clamp to the observed range.
-	h2 := NewLogHistogram(1e-3, 1, 2)
-	h2.Observe(10 * time.Microsecond) // below min
-	h2.Observe(30 * time.Second)      // above max
+	h2 := NewLogHistogram()
+	h2.Observe(10 * time.Microsecond) // below the 100µs lowest bound
+	h2.Observe(200 * time.Second)     // above the 100s highest bound
 	if q := h2.Quantile(0.99); q > h2.Max() {
 		t.Fatalf("quantile %v exceeds observed max %v", q, h2.Max())
+	}
+	if q := h2.Quantile(0.99); q != h2.Max() {
+		t.Fatalf("overflow-bucket quantile %v, want the observed max %v", q, h2.Max())
+	}
+}
+
+// TestLogHistogramShape pins the literal constants of the one histogram
+// shape to the values they are derived from.
+func TestLogHistogramShape(t *testing.T) {
+	if logHistLogR != math.Log(logHistRatio) {
+		t.Fatalf("logHistLogR = %v, want math.Log(%v) = %v", logHistLogR, logHistRatio, math.Log(logHistRatio))
+	}
+	if n := int(math.Ceil(math.Log(100/logHistMin)/logHistLogR)) + 2; n != logHistBuckets {
+		t.Fatalf("logHistBuckets = %d, want %d for 100µs–100s", logHistBuckets, n)
+	}
+	if upperBound(logHistBuckets-2) < 100 || upperBound(logHistBuckets-3) >= 100 {
+		t.Fatalf("the last spanning bucket does not end at or just past 100s: %v", upperBound(logHistBuckets-2))
 	}
 }
 
 func TestLogHistogramMean(t *testing.T) {
-	h := NewLogHistogram(0, 0, 0)
+	h := NewLogHistogram()
 	h.Observe(1 * time.Second)
 	h.Observe(3 * time.Second)
 	if m := h.Mean(); m != 2*time.Second {
@@ -114,7 +132,7 @@ func TestSpanBatchRoundTrip(t *testing.T) {
 
 func TestRegisterQuantileGauges(t *testing.T) {
 	reg := NewRegistry()
-	h := NewLogHistogram(0, 0, 0)
+	h := NewLogHistogram()
 	RegisterQuantileGauges(reg, "test_latency_quantile_seconds", "help", h, L("stage", "judge"))
 	for i := 0; i < 100; i++ {
 		h.Observe(10 * time.Millisecond)

@@ -23,23 +23,23 @@ type StageHistSource interface {
 	StageHistograms() map[string]*LogHistogram
 }
 
-// SLOConfig parameterizes the watchdog. Zero values take the defaults in
-// parentheses.
+// SLOConfig parameterizes the watchdog. A zero BurnThreshold takes
+// DefaultSLOBurnThreshold.
 type SLOConfig struct {
 	Targets       []SLOTarget
-	FastWindow    time.Duration // recent window confirming the burn is current (1m)
-	SlowWindow    time.Duration // long window confirming the burn is sustained (5m)
-	BurnThreshold float64       // alert when both windows burn ≥ this multiple of budget (2)
-	EvalInterval  time.Duration // snapshot cadence (10s)
-	Module        string        // stamped on alert events
+	BurnThreshold float64 // alert when both windows burn ≥ this multiple of budget
+	Module        string  // stamped on alert events
 }
 
-// Burn-rate evaluation defaults.
+// DefaultSLOBurnThreshold is the burn-rate multiple that trips an alert
+// when SLOConfig leaves it zero.
+const DefaultSLOBurnThreshold = 2.0
+
+// The burn-rate windows and the snapshot cadence.
 const (
-	DefaultSLOFastWindow    = time.Minute
-	DefaultSLOSlowWindow    = 5 * time.Minute
-	DefaultSLOBurnThreshold = 2.0
-	DefaultSLOEvalInterval  = 10 * time.Second
+	sloFastWindow   = time.Minute     // recent window confirming the burn is current
+	sloSlowWindow   = 5 * time.Minute // long window confirming the burn is sustained
+	sloEvalInterval = 10 * time.Second
 )
 
 // sloSnap is one cumulative (total, violating) observation of a stage's
@@ -82,20 +82,8 @@ type SLOWatchdog struct {
 // (disabling alert events and metrics respectively). No targets means the
 // watchdog never alerts.
 func NewSLOWatchdog(src StageHistSource, cfg SLOConfig, events *EventLog, reg *Registry) *SLOWatchdog {
-	if cfg.FastWindow <= 0 {
-		cfg.FastWindow = DefaultSLOFastWindow
-	}
-	if cfg.SlowWindow <= 0 {
-		cfg.SlowWindow = DefaultSLOSlowWindow
-	}
-	if cfg.SlowWindow < cfg.FastWindow {
-		cfg.SlowWindow = cfg.FastWindow
-	}
 	if cfg.BurnThreshold <= 0 {
 		cfg.BurnThreshold = DefaultSLOBurnThreshold
-	}
-	if cfg.EvalInterval <= 0 {
-		cfg.EvalInterval = DefaultSLOEvalInterval
 	}
 	w := &SLOWatchdog{
 		src:    src,
@@ -167,14 +155,14 @@ func (w *SLOWatchdog) EvalOnce(now time.Time) {
 		// Prune history beyond the slow window (keep one snapshot past the
 		// edge so the window delta spans the full width).
 		cut := 0
-		for cut < len(st.snaps)-1 && now.Sub(st.snaps[cut+1].at) >= w.cfg.SlowWindow {
+		for cut < len(st.snaps)-1 && now.Sub(st.snaps[cut+1].at) >= sloSlowWindow {
 			cut++
 		}
 		st.snaps = st.snaps[cut:]
 
 		budget := 1 - st.target.Quantile
-		st.fast = burnRate(st.snaps, now, w.cfg.FastWindow, budget)
-		st.slow = burnRate(st.snaps, now, w.cfg.SlowWindow, budget)
+		st.fast = burnRate(st.snaps, now, sloFastWindow, budget)
+		st.slow = burnRate(st.snaps, now, sloSlowWindow, budget)
 
 		breaching := st.fast >= w.cfg.BurnThreshold && st.slow >= w.cfg.BurnThreshold
 		if breaching && !st.alert {
@@ -243,7 +231,7 @@ func (w *SLOWatchdog) Alerting(stage string) bool {
 	return ok && st.alert
 }
 
-// Start launches the evaluation loop, every EvalInterval on clk (the
+// Start launches the evaluation loop, every sloEvalInterval on clk (the
 // caller's clock, so a virtual clock drives it too), and returns a stop
 // function.
 func (w *SLOWatchdog) Start(clk clock.Clock) (stop func()) {
@@ -252,7 +240,7 @@ func (w *SLOWatchdog) Start(clk clock.Clock) (stop func()) {
 	go func() {
 		for {
 			select {
-			case t := <-clk.After(w.cfg.EvalInterval):
+			case t := <-clk.After(sloEvalInterval):
 				w.EvalOnce(t)
 			case <-quit:
 				return

@@ -18,14 +18,12 @@ func observeN(h *LogHistogram, n int, d time.Duration) {
 }
 
 func TestSLOWatchdogBreachAndRecovery(t *testing.T) {
-	h := NewLogHistogram(0, 0, 0)
+	h := NewLogHistogram()
 	src := fakeHistSource{"judge": h}
 	events := NewEventLog(32)
 	reg := NewRegistry()
 	w := NewSLOWatchdog(src, SLOConfig{
 		Targets:       []SLOTarget{{Stage: "judge", Quantile: 0.95, Target: 10 * time.Millisecond}},
-		FastWindow:    time.Minute,
-		SlowWindow:    5 * time.Minute,
 		BurnThreshold: 2,
 		Module:        "mgmt",
 	}, events, reg)
@@ -88,12 +86,10 @@ func TestSLOWatchdogNeedsBothWindows(t *testing.T) {
 	// A fresh burst burns both windows and trips the alert; once the burst
 	// ages past the fast window the slow-window burn alone must NOT hold
 	// the alert — the fast window proves the burn is current.
-	h := NewLogHistogram(0, 0, 0)
+	h := NewLogHistogram()
 	events := NewEventLog(32)
 	w := NewSLOWatchdog(fakeHistSource{"judge": h}, SLOConfig{
 		Targets:       []SLOTarget{{Stage: "*", Quantile: 0.95, Target: 10 * time.Millisecond}},
-		FastWindow:    time.Minute,
-		SlowWindow:    5 * time.Minute,
 		BurnThreshold: 2,
 	}, events, nil)
 
@@ -122,7 +118,7 @@ func TestSLOWatchdogNeedsBothWindows(t *testing.T) {
 }
 
 func TestSLOWatchdogUnwatchedStage(t *testing.T) {
-	h := NewLogHistogram(0, 0, 0)
+	h := NewLogHistogram()
 	w := NewSLOWatchdog(fakeHistSource{"judge": h},
 		SLOConfig{Targets: []SLOTarget{{Stage: "train", Quantile: 0.95, Target: time.Millisecond}}},
 		nil, nil)
@@ -152,15 +148,12 @@ func findEvents(l *EventLog, kind string) []Event {
 // virtual clock alone: the watchdog must evaluate on the caller's clock,
 // not the wall clock.
 func TestSLOWatchdogStartOnVirtualClock(t *testing.T) {
-	h := NewLogHistogram(0, 0, 0)
+	h := NewLogHistogram()
 	events := NewEventLog(32)
 	clk := clock.NewVirtual(time.Unix(8000, 0))
 	w := NewSLOWatchdog(fakeHistSource{"judge": h}, SLOConfig{
 		Targets:       []SLOTarget{{Stage: "judge", Quantile: 0.95, Target: 10 * time.Millisecond}},
-		FastWindow:    time.Minute,
-		SlowWindow:    5 * time.Minute,
 		BurnThreshold: 2,
-		EvalInterval:  10 * time.Second,
 	}, events, nil)
 	stop := w.Start(clk)
 	defer stop()

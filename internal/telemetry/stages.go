@@ -41,7 +41,7 @@ func (st *StageTable) Observe(stage string, d time.Duration) {
 		if st.hists == nil {
 			st.hists = make(map[string]*LogHistogram)
 		}
-		h = NewLogHistogram(0, 0, 0)
+		h = NewLogHistogram()
 		st.hists[stage] = h
 		st.order = append(st.order, stage)
 		if st.gauges != nil {
