@@ -12,7 +12,6 @@
 //	ifot-bench -sweep            # both tables + shape check
 //	ifot-bench -ablation all     # cloud/broker/parallel/qos/scale
 //	ifot-bench -topology -trace  # print Fig. 7 / Fig. 9 structure
-//	ifot-bench -events           # tail a live cluster's event stream
 //
 // The live stack is measured by `go run ./bench`, not by this command.
 package main
@@ -46,9 +45,6 @@ func run() error {
 		ablation  = flag.String("ablation", "", "run ablations: cloud|broker|parallel|qos|scale|all")
 		topology  = flag.Bool("topology", false, "print the Fig. 7 evaluation topology")
 		breakdown = flag.Bool("breakdown", false, "decompose table latencies per pipeline stage")
-		events    = flag.Bool("events", false, "tail the cluster event stream: subscribe ifot/ctrl/events/# on -ebroker and pretty-print structured events")
-		ebroker   = flag.String("ebroker", "localhost:1883", "events mode: broker address to tail")
-		eduration = flag.Duration("eduration", 0, "events mode: stop after this long (0 = until interrupted)")
 		trace     = flag.Bool("trace", false, "print the Fig. 9 class-cooperation pipeline")
 		csvPath   = flag.String("csv", "", "also write the sweep series as CSV to this file")
 		duration  = flag.Duration("duration", 30*time.Second, "virtual duration per run")
@@ -106,12 +102,6 @@ func run() error {
 			} else {
 				fmt.Println("shape check: all Section V-C claims hold")
 			}
-		}
-		did = true
-	}
-	if *events {
-		if err := runEventTail(*ebroker, *eduration); err != nil {
-			return err
 		}
 		did = true
 	}

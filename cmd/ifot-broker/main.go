@@ -67,9 +67,6 @@ func run() error {
 	// recovery events from store.Open and persistence-degradation events
 	// land in the same ring and export stream.
 	events := telemetry.NewEventLog(*eventCap)
-	if *eventExp > 0 {
-		events.SetExportBuffer(0)
-	}
 	events.BindRegistry(opts.Registry, telemetry.L("module", brokerID))
 	opts.Events = events
 	if *dataDir != "" {
@@ -110,8 +107,8 @@ func run() error {
 
 	if *eventExp > 0 {
 		// The broker injects its own event batches directly into the
-		// routing path (no client loopback needed), so a management node
-		// or `ifot-bench -events` tail sees broker-side events too.
+		// routing path (no client loopback needed), so the management
+		// node's event view holds broker-side events too.
 		stop := make(chan struct{})
 		defer close(stop)
 		go func() {

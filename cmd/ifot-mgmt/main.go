@@ -10,6 +10,7 @@
 //	ifot-mgmt undeploy <recipe-name> deploy recipe.json   (commands chain)
 //	ifot-mgmt streams
 //	ifot-mgmt watch 30s
+//	ifot-mgmt deploy recipe.json events 30s   (tail this manager's cluster event view)
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -43,17 +45,16 @@ func run() error {
 		failover  = flag.Bool("failover-on-dead", true, "fail tasks over when the health monitor declares their module dead (not just on clean leave)")
 		settle    = flag.Duration("settle", 2*time.Second, "time to wait for module announcements")
 		telAddr   = flag.String("telemetry", "", "HTTP address serving /metrics, /traces, /flows, /events, /health and /debug/pprof (empty = off)")
-		traceCap  = flag.Int("trace-capacity", core.DefaultCollectorFlows, "cross-module flows retained by the trace collector")
+		traceCap  = flag.Int("trace-capacity", core.DefaultCollectorSpans, "spans retained by the cluster trace collector (earlier versions counted flow keys here; a Fig. 9 flow key holds up to 6 spans)")
 		dataDir   = flag.String("data-dir", "", "directory for the deployment journal (empty = in-memory only); a restarted manager resumes supervising journaled deployments")
-		eventCap  = flag.Int("event-capacity", telemetry.DefaultEventCapacity, "structured events retained (manager's own plus the ingested cluster view)")
-		eventExp  = flag.Duration("event-export", 0, "interval publishing the manager's own events on ifot/ctrl/events/<id> (0 = local /events only)")
+		eventCap  = flag.Int("event-capacity", telemetry.DefaultEventCapacity, "structured events retained (the manager's own plus those modules and the broker export)")
 		sloTarget = flag.Duration("slo-target", 0, "per-stage latency objective armed as a wildcard SLO burn-rate alert (0 = off)")
 		sloQ      = flag.Float64("slo-quantile", 0.95, "objective quantile for -slo-target")
 		sloBurn   = flag.Float64("slo-burn", telemetry.DefaultSLOBurnThreshold, "burn-rate multiple that trips the SLO alert")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
-		return fmt.Errorf("usage: ifot-mgmt [flags] <modules|streams|deploy FILE|undeploy NAME|watch DUR>")
+		return fmt.Errorf("usage: ifot-mgmt [flags] <modules|streams|deploy FILE|undeploy NAME|watch DUR|events DUR>")
 	}
 
 	strat, err := tasks.NewStrategy(*strategy)
@@ -66,16 +67,11 @@ func run() error {
 		Logger:              log.New(os.Stderr, "", log.LstdFlags),
 		DisableDeadFailover: !*failover,
 	}
-	mcfg.TraceFlowCapacity = *traceCap
+	mcfg.TraceCapacity = *traceCap
 	// Create the event log up front and share it with the store, so WAL
 	// recovery events emitted during store.Open (before the manager
-	// exists) land in the manager's ring and export stream. The export
-	// queue must be armed before store.Open, or recovery events skip it.
+	// exists) land in the manager's event view.
 	mcfg.Events = telemetry.NewEventLog(*eventCap)
-	mcfg.EventExportInterval = *eventExp
-	if *eventExp > 0 {
-		mcfg.Events.SetExportBuffer(0)
-	}
 	if *sloTarget > 0 {
 		mcfg.SLO = telemetry.SLOConfig{
 			Targets:       []telemetry.SLOTarget{{Stage: "*", Quantile: *sloQ, Target: *sloTarget}},
@@ -145,15 +141,19 @@ func run() error {
 			}
 			fmt.Printf("undeployed %s\n", args[0])
 			args = args[1:]
-		case "watch":
+		case "watch", "events":
 			if len(args) == 0 {
-				return fmt.Errorf("watch: missing duration")
+				return fmt.Errorf("%s: missing duration", cmd)
 			}
 			d, err := time.ParseDuration(args[0])
 			if err != nil {
-				return fmt.Errorf("watch: %w", err)
+				return fmt.Errorf("%s: %w", cmd, err)
 			}
-			watch(mgr, d)
+			if cmd == "watch" {
+				watch(mgr, d)
+			} else {
+				tailEvents(mgr.Events(), d)
+			}
 			args = args[1:]
 		default:
 			return fmt.Errorf("unknown command %q", cmd)
@@ -218,4 +218,54 @@ func watch(mgr *core.Manager, d time.Duration) {
 		fmt.Println()
 		time.Sleep(2 * time.Second)
 	}
+}
+
+// tailEvents prints the manager's event view in arrival order for d —
+// its own events and every one modules and the broker export, from the
+// oldest still retained — one line per event:
+//
+//	15:04:05.000  WARN   moduleB      wal_torn_tail        segment=3 dropped_bytes=112
+//
+// It reads the log with the same cursor read a module's exporter makes.
+func tailEvents(events *telemetry.EventLog, d time.Duration) {
+	deadline := time.Now().Add(d)
+	var cursor uint64
+	for {
+		evs, next, lost := events.Read(cursor)
+		if lost > 0 {
+			fmt.Printf("(%d events overwritten before they were printed)\n", lost)
+		}
+		for _, ev := range evs {
+			printEvent(ev)
+		}
+		cursor = next
+		left := time.Until(deadline)
+		if left <= 0 {
+			return
+		}
+		time.Sleep(min(left, 200*time.Millisecond))
+	}
+}
+
+func printEvent(ev telemetry.Event) {
+	keys := make([]string, 0, len(ev.Fields))
+	for k := range ev.Fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var fields strings.Builder
+	for _, k := range keys {
+		if fields.Len() > 0 {
+			fields.WriteByte(' ')
+		}
+		fmt.Fprintf(&fields, "%s=%s", k, ev.Fields[k])
+	}
+	if ev.TraceKey != nil {
+		if fields.Len() > 0 {
+			fields.WriteByte(' ')
+		}
+		fmt.Fprintf(&fields, "flow=%s/%s/%d", ev.TraceKey.Recipe, ev.TraceKey.TaskID, ev.TraceKey.Seq)
+	}
+	fmt.Printf("%-12s  %-5s  %-12s %-20s %s\n",
+		ev.Time.Format("15:04:05.000"), strings.ToUpper(string(ev.Severity)), ev.Module, ev.Kind, fields.String())
 }

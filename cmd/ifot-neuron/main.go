@@ -97,13 +97,9 @@ func run() error {
 	}
 	// Create the event log up front and share it with the store, so WAL
 	// recovery events emitted during store.Open (before the module
-	// exists) ride the module's ring and export stream. The export queue
-	// must be armed before store.Open, or recovery events skip it.
+	// exists) ride the module's ring and export stream.
 	cfg.Events = telemetry.NewEventLog(*eventCap)
 	cfg.EventExportInterval = *eventExp
-	if *eventExp > 0 {
-		cfg.Events.SetExportBuffer(0)
-	}
 	if *telAddr != "" || *sysEvery > 0 {
 		cfg.Telemetry = telemetry.NewRegistry()
 		cfg.Tracer = telemetry.NewTracer(nil, *traceCap)

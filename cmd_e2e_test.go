@@ -71,10 +71,12 @@ func TestBinariesEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Flags of the retired live modes, the JSON MIX exchange and the span
-	// export buffer knob are gone, not silently accepted.
+	// Flags of the retired live modes, the JSON MIX exchange, the span
+	// export buffer knob, the bench event tail and the manager's own event
+	// export are gone, not silently accepted.
 	for _, removed := range [][]string{
 		{benchBin, "-throughput"}, {neuronBin, "-mix-json"}, {neuronBin, "-trace-export-buffer"},
+		{benchBin, "-events"}, {benchBin, "-ebroker"}, {benchBin, "-eduration"}, {mgmtBin, "-event-export"},
 	} {
 		out, err := exec.Command(removed[0], removed[1]).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined") {
@@ -125,7 +127,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 	var out []byte
 	for {
 		cmd := exec.Command(mgmtBin, "-broker", addr, "-settle", "1s",
-			"modules", "deploy", "examples/recipes/monitoring.json", "streams")
+			"modules", "deploy", "examples/recipes/monitoring.json", "streams", "events", "3s")
 		out, err = cmd.CombinedOutput()
 		if err == nil {
 			break
@@ -145,6 +147,11 @@ func TestBinariesEndToEnd(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("mgmt output missing %q:\n%s", want, text)
 		}
+	}
+	// The event tail prints the manager's view: its own deploy event and
+	// the task_started events moduleA exports once the recipe runs.
+	if !eventLine(text, "ifot-mgmt", "deploy") || !eventLine(text, "moduleA", "task_started") {
+		t.Fatalf("mgmt events tail missing the manager's deploy or moduleA's task_started:\n%s", text)
 	}
 	// Placement: the sense task must be on moduleA (sensor host), the
 	// alert actuation on moduleB (actuator host).
@@ -249,4 +256,15 @@ func waitForPort(t *testing.T, addr string) {
 		time.Sleep(100 * time.Millisecond)
 	}
 	t.Fatalf("broker never listened on %s", addr)
+}
+
+// eventLine reports whether text holds an `ifot-mgmt events` line from
+// module of the given kind.
+func eventLine(text, module, kind string) bool {
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) >= 4 && f[2] == module && f[3] == kind {
+			return true
+		}
+	}
+	return false
 }

@@ -206,9 +206,6 @@ func TestClusterHealthEndToEnd(t *testing.T) {
 	_ = f.Close()
 
 	events2 := telemetry.NewEventLog(128)
-	// Arm the export queue before store.Open (as the daemons do) so the
-	// recovery events emitted during open ride the module's export loop.
-	events2.SetExportBuffer(0)
 	st2, err := store.Open(neuronDir, store.Options{Name: "neuron", NoSync: true, Events: events2})
 	if err != nil {
 		t.Fatalf("reopen neuron store over torn WAL: %v", err)
@@ -300,7 +297,6 @@ func TestPartitionFailoverFencingEndToEnd(t *testing.T) {
 	// task; AckTimeout keeps announce attempts (and redials through the
 	// wedge) failing fast instead of hanging.
 	evA := telemetry.NewEventLog(256)
-	evA.SetExportBuffer(0)
 	edgeA := core.NewModule(core.Config{
 		ID:                  "edgeA",
 		CapacityOps:         100000,
@@ -314,7 +310,6 @@ func TestPartitionFailoverFencingEndToEnd(t *testing.T) {
 		Dial:                func() (net.Conn, error) { return net.Dial("tcp", px.addr) },
 	})
 	evB := telemetry.NewEventLog(256)
-	evB.SetExportBuffer(0)
 	edgeB := core.NewModule(core.Config{
 		ID:                  "edgeB",
 		CapacityOps:         1000,

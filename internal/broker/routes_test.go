@@ -121,10 +121,20 @@ func TestSubscriptionChurnUnderPublishLoad(t *testing.T) {
 		}()
 	}
 
+	// Publish until both at least minPublishes went out and the churners
+	// swapped the route snapshot at least minSwaps times meanwhile, so
+	// the swap count does not depend on how fast the publisher runs.
 	pub := bus.connect(t, mqttclient.NewOptions("pub"))
-	const n = 300
-	for i := 0; i < n; i++ {
-		if err := pub.Publish("churn/stable", []byte(strconv.Itoa(i)), wire.QoS1, false); err != nil {
+	const minPublishes, minSwaps = 300, 10
+	deadline := time.Now().Add(30 * time.Second)
+	n := 0
+	for ; n < minPublishes || bus.broker.RouteEpoch()-startEpoch < minSwaps; n++ {
+		if time.Now().After(deadline) {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("after %d publishes only %d snapshot swaps; churners were starved", n, bus.broker.RouteEpoch()-startEpoch)
+		}
+		if err := pub.Publish("churn/stable", []byte(strconv.Itoa(n)), wire.QoS1, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,7 +156,7 @@ func TestSubscriptionChurnUnderPublishLoad(t *testing.T) {
 			t.Fatalf("position %d: got seq %d — delivery lost, duplicated, or reordered across a snapshot swap", i, seq)
 		}
 	}
-	if swaps := bus.broker.RouteEpoch() - startEpoch; swaps < 10 {
+	if swaps := bus.broker.RouteEpoch() - startEpoch; swaps < minSwaps {
 		t.Fatalf("only %d snapshot swaps happened during the churn window; churners were starved", swaps)
 	}
 }

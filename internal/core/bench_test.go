@@ -215,7 +215,6 @@ func BenchmarkAnalysisPipeline(b *testing.B) {
 			}
 		}
 		tr := telemetry.NewTracer(nil, telemetry.DefaultTraceCapacity)
-		tr.SetExportBuffer(0)
 		b.ReportAllocs()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
@@ -235,8 +234,8 @@ func BenchmarkAnalysisPipeline(b *testing.B) {
 	b.Run("dense-traced-all", func(b *testing.B) { runStream(b, 1) })
 	// Structured event emission alongside the untraced stream, at the
 	// worst cadence the rate-limited emitters produce under sustained
-	// pressure (one event per 32-message period, export queue enabled and
-	// drained as the MQTT exporter would). The acceptance bar is ≤5%
+	// pressure (one event per 32-message period, exported from the ring as
+	// the MQTT exporter would). The acceptance bar is ≤5%
 	// below dense-untraced — event reporting must be invisible on the
 	// analysis path.
 	b.Run("dense-events", func(b *testing.B) {
@@ -250,17 +249,15 @@ func BenchmarkAnalysisPipeline(b *testing.B) {
 			payloads[seq] = p
 		}
 		events := telemetry.NewEventLog(0)
-		events.SetExportBuffer(0)
 		b.ReportAllocs()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			if uint32(i)%period == 0 {
 				events.Eventf(telemetry.SevWarn, "bench", "mix_bad_payload", "topic", "bench/stream")
-				// Drain as the periodic exporter would: far less often
-				// than events are emitted, keeping the queue below its
-				// shed bound.
+				// Export as the periodic exporter would: far less often
+				// than events are emitted, before the ring wraps.
 				if uint32(i)%(period*128) == 0 {
-					events.Drain()
+					events.ExportBatch("bench", time.Time{})
 				}
 			}
 			if _, err := analyzeDense(payloads[uint32(i)%period], dclf); err != nil {

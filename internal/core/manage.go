@@ -56,12 +56,11 @@ type ManagerConfig struct {
 	// deployments, registered streams) and is passed to the manager's
 	// MQTT client.
 	Telemetry *telemetry.Registry
-	// TraceFlowCapacity bounds how many distinct flows the manager's
-	// trace collector retains (default DefaultCollectorFlows). The
-	// collector is always on: it subscribes TopicTracePrefix+"#" and
-	// assembles cross-module traces from modules running with span
-	// export enabled.
-	TraceFlowCapacity int
+	// TraceCapacity bounds how many spans the manager's trace collector
+	// retains (default DefaultCollectorSpans). The collector is always
+	// on: it subscribes TopicTracePrefix+"#" and assembles cross-module
+	// traces from modules running with span export enabled.
+	TraceCapacity int
 	// Store, when set, journals deployments and failover reassignments so
 	// a restarted manager resumes supervising recipes deployed by its
 	// previous incarnation. The caller owns the store and closes it after
@@ -69,15 +68,10 @@ type ManagerConfig struct {
 	Store store.Store
 	// Events, when set, is the manager's event log: its own lifecycle
 	// events (deploys, failovers, health transitions) land here together
-	// with the cluster event view ingested from module exports on
-	// ifot/ctrl/events/#. Nil makes NewManager create one of
-	// telemetry.DefaultEventCapacity.
+	// with the events modules and the broker export on
+	// ifot/ctrl/events/#. The manager never exports this log. Nil makes
+	// NewManager create one of telemetry.DefaultEventCapacity.
 	Events *telemetry.EventLog
-	// EventExportInterval, when positive, publishes the manager's OWN
-	// events (deploys, failovers, health transitions — never re-exported
-	// ingested ones) as EventBatch JSON on TopicEventsPrefix+ID (QoS 0),
-	// so external tails like `ifot-bench -events` see them too.
-	EventExportInterval time.Duration
 	// Health tunes the missed-beacon liveness state machine, whose
 	// entries are the manager's module table: SuspectAfter (default 15s)
 	// is the one staleness bound for listing and placement.
@@ -235,13 +229,10 @@ func NewManager(cfg ManagerConfig) *Manager {
 	mgr.retain = func(topic string, payload []byte) error {
 		return mgr.client.Publish(topic, payload, wire.QoS1, true)
 	}
-	mgr.collector = NewTraceCollector(mgr.cfg.Clock, mgr.cfg.TraceFlowCapacity)
+	mgr.collector = NewTraceCollector(mgr.cfg.TraceCapacity)
 	mgr.events = mgr.cfg.Events
 	if mgr.events == nil {
 		mgr.events = telemetry.NewEventLog(0)
-	}
-	if mgr.cfg.EventExportInterval > 0 {
-		mgr.events.SetExportBuffer(0)
 	}
 	mgr.health = NewHealthMonitor(mgr.cfg.Clock, mgr.cfg.Health, mgr.events)
 	mgr.health.SetOnTransition(mgr.onHealthTransition)
@@ -254,7 +245,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 		}
 		mgr.fencedTasks = reg.Counter("ifot_mgmt_tasks_fenced_total",
 			"stale task instances fenced on module reconciliation")
-		mgr.collector.BindRegistry(reg)
+		mgr.collector.BindRegistry(reg, "", telemetry.L("scope", "cluster"))
 		mgr.events.BindRegistry(reg, telemetry.L("module", mgr.cfg.ID))
 		mgr.health.BindRegistry(reg)
 		reg.CounterFunc("ifot_mgmt_trace_spans_total", "spans ingested by the cluster trace collector",
@@ -347,10 +338,6 @@ func (mgr *Manager) Start() error {
 	mgr.stop = make(chan struct{})
 	mgr.wg.Add(1)
 	go mgr.healthSweepLoop()
-	if mgr.cfg.EventExportInterval > 0 {
-		mgr.wg.Add(1)
-		go mgr.eventExportLoop()
-	}
 	if len(mgr.cfg.SLO.Targets) > 0 {
 		slo := mgr.cfg.SLO
 		if slo.Module == "" {
@@ -381,23 +368,24 @@ func (mgr *Manager) healthSweepLoop() {
 }
 
 // Events exposes the manager's event log — its own lifecycle events
-// plus the ingested cluster event view — for the /events endpoint.
+// plus every event modules and the broker export — for the /events
+// endpoint and the `ifot-mgmt events` tail.
 func (mgr *Manager) Events() *telemetry.EventLog { return mgr.events }
 
 // Health exposes the liveness monitor — the telemetry.HealthSource the
 // management daemon hands to its telemetry HTTP server for /health.
 func (mgr *Manager) Health() *HealthMonitor { return mgr.health }
 
-// handleEvents ingests one module's exported event batch into the
-// cluster event view, stamping the publisher's identity on events that
-// did not carry one (store/broker emissions have no module context).
+// handleEvents adds one module's exported event batch to the cluster
+// event view, stamping the publisher's identity on events that did not
+// carry one (store/broker emissions have no module context).
 func (mgr *Manager) handleEvents(msg mqttclient.Message) {
 	batch, err := telemetry.DecodeEventBatch(msg.Payload)
 	if err != nil {
 		mgr.logf("manager: bad event batch on %s: %v", msg.Topic, err)
 		return
 	}
-	if batch.Module == "" || batch.Module == mgr.cfg.ID {
+	if batch.Module == "" {
 		return
 	}
 	mgr.mu.Lock()
@@ -408,35 +396,7 @@ func (mgr *Manager) handleEvents(msg mqttclient.Message) {
 		if ev.Module == "" {
 			ev.Module = batch.Module
 		}
-		// Ingest, not Emit: these events were already exported by their
-		// module; re-queuing them for the manager's own export would
-		// duplicate them on the wire.
-		mgr.events.Ingest(ev)
-	}
-}
-
-// eventExportLoop periodically publishes the manager's own pending
-// events; a final flush runs on shutdown.
-func (mgr *Manager) eventExportLoop() {
-	defer mgr.wg.Done()
-	for {
-		select {
-		case <-mgr.stop:
-			mgr.flushEvents()
-			return
-		case <-mgr.cfg.Clock.After(mgr.cfg.EventExportInterval):
-			mgr.flushEvents()
-		}
-	}
-}
-
-func (mgr *Manager) flushEvents() {
-	payload := mgr.events.ExportBatch(mgr.cfg.ID, mgr.cfg.Clock.Now())
-	if payload == nil || mgr.client == nil {
-		return
-	}
-	if err := mgr.client.Publish(TopicEventsPrefix+mgr.cfg.ID, payload, wire.QoS0, false); err != nil {
-		mgr.logf("manager event export: %v", err)
+		mgr.events.Emit(ev)
 	}
 }
 

@@ -100,10 +100,11 @@ type Config struct {
 	// originating flow's key.
 	Tracer *telemetry.Tracer
 	// TraceExportInterval, when positive (and Tracer is set), turns on
-	// span export: completed spans are buffered and published as batched
-	// telemetry.SpanBatch JSON on TopicTracePrefix+ID (QoS 0) every
-	// interval, for the management node's cluster trace collector. Zero
-	// keeps spans local to the module's own /traces endpoint.
+	// span export: every interval the spans recorded since the last flush
+	// are read from the tracer's ring and published as one
+	// telemetry.SpanBatch JSON on TopicTracePrefix+ID (QoS 0), for the
+	// management node's cluster trace collector. Zero keeps spans local
+	// to the module's own /traces endpoint.
 	TraceExportInterval time.Duration
 	// TraceSampleEvery subsamples flow observability: only flows whose
 	// sequence number is divisible by it mint/propagate a TraceContext and
@@ -117,14 +118,16 @@ type Config struct {
 	// lifecycle, reconnects, checkpoint mismatches and MIX desyncs land
 	// here (and on the local /events endpoint). Share the same
 	// log with store.Options.Events so WAL recovery events emitted before
-	// the module exists ride the same export stream. Nil makes NewModule
-	// create one of telemetry.DefaultEventCapacity.
+	// the module exists ride the same export stream: export starts at
+	// the log's first event. Nil makes NewModule create one of
+	// telemetry.DefaultEventCapacity.
 	Events *telemetry.EventLog
-	// EventExportInterval, when positive, turns on event export: buffered
-	// events are published as telemetry.EventBatch JSON on
-	// TopicEventsPrefix+ID (QoS 0) every interval, for the management
-	// node's cluster event view. Zero keeps events local to the module's
-	// own /events endpoint.
+	// EventExportInterval, when positive, turns on event export: every
+	// interval the events emitted since the last flush are read from the
+	// log's ring and published as one telemetry.EventBatch JSON on
+	// TopicEventsPrefix+ID (QoS 0), for the management node's cluster
+	// event view. Zero keeps events local to the module's own /events
+	// endpoint.
 	EventExportInterval time.Duration
 	// Store, when set, persists checkpoints of the module's ML model state
 	// (WAL + snapshots) so a restarted module resumes training with at
@@ -252,9 +255,6 @@ func NewModule(cfg Config) *Module {
 	if m.events == nil {
 		m.events = telemetry.NewEventLog(0)
 	}
-	if m.cfg.EventExportInterval > 0 {
-		m.events.SetExportBuffer(0)
-	}
 	m.events.BindRegistry(m.cfg.Telemetry, telemetry.L("module", m.cfg.ID))
 	if reg := m.cfg.Telemetry; reg != nil {
 		id := telemetry.L("module", m.cfg.ID)
@@ -276,15 +276,11 @@ func NewModule(cfg Config) *Module {
 	if m.cfg.Tracer == nil {
 		m.cfg.TraceExportInterval = 0 // no spans to ship
 	}
-	if m.cfg.TraceExportInterval > 0 {
-		tr := m.cfg.Tracer
-		tr.SetExportBuffer(0)
-		if reg := m.cfg.Telemetry; reg != nil {
-			reg.CounterFunc("ifot_module_trace_spans_dropped_total",
-				"spans shed because the trace export buffer was full",
-				func() int64 { return int64(tr.Dropped()) },
-				telemetry.L("module", m.cfg.ID))
-		}
+	if reg := m.cfg.Telemetry; reg != nil && m.cfg.TraceExportInterval > 0 {
+		reg.CounterFunc("ifot_module_trace_spans_dropped_total",
+			"spans overwritten in the tracer ring before export",
+			func() int64 { return int64(m.cfg.Tracer.Dropped()) },
+			telemetry.L("module", m.cfg.ID))
 	}
 	return m
 }

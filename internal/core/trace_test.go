@@ -11,6 +11,7 @@ import (
 	"github.com/ifot-middleware/ifot/internal/recipe"
 	"github.com/ifot-middleware/ifot/internal/sensor"
 	"github.com/ifot-middleware/ifot/internal/telemetry"
+	"github.com/ifot-middleware/ifot/internal/wire"
 )
 
 func TestTraceContextRoundTrip(t *testing.T) {
@@ -128,17 +129,13 @@ func TestTraceContextNextSaturates(t *testing.T) {
 
 func TestTraceCollectorSkewAdjustment(t *testing.T) {
 	base := time.Unix(1000, 0)
-	clk := clock.NewVirtual(base)
-	col := NewTraceCollector(clk, 16)
+	col := NewTraceCollector(16)
 
 	// moduleB's clock runs 2s ahead: its announce arrives "2s before it
 	// was sent" from the manager's perspective.
 	const skew = 2 * time.Second
 	col.NoteAnnounce("moduleA", base, base)
 	col.NoteAnnounce("moduleB", base.Add(skew), base)
-	if off := col.Offset("moduleB"); off != -skew {
-		t.Fatalf("Offset(moduleB) = %v, want %v", off, -skew)
-	}
 
 	// moduleB records a judge span whose start instant came from
 	// moduleA's clock (via the propagated trace context) and whose end
@@ -163,11 +160,11 @@ func TestTraceCollectorSkewAdjustment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := col.Trace(key)
-	if len(tr.Spans) != 1 {
-		t.Fatalf("trace spans = %d, want 1", len(tr.Spans))
+	traces := col.Traces()
+	if len(traces) != 1 || traces[0].Key != key || len(traces[0].Spans) != 1 {
+		t.Fatalf("traces = %+v, want one trace of one span under %+v", traces, key)
 	}
-	s := tr.Spans[0]
+	s := traces[0].Spans[0]
 	if !s.Start.Equal(base) {
 		t.Fatalf("adjusted start = %v, want unchanged %v (moduleA offset is 0)", s.Start, base)
 	}
@@ -182,6 +179,18 @@ func TestTraceCollectorSkewAdjustment(t *testing.T) {
 	}
 	if got := col.TotalSpans(); got != 1 {
 		t.Fatalf("TotalSpans = %d, want 1", got)
+	}
+	// A span whose shifted end lands before its start (an end moduleB
+	// did not really stamp with its skewed clock) is clamped, not
+	// negative.
+	payload, _ = telemetry.EncodeSpanBatch(telemetry.SpanBatch{Module: "moduleB", Spans: []telemetry.Span{
+		{Key: key, Stage: "skewed", OriginModule: "moduleA", Start: base, End: base.Add(time.Millisecond)},
+	}})
+	if err := col.Ingest(payload); err != nil {
+		t.Fatal(err)
+	}
+	if spans := col.Spans(); spans[len(spans)-1].Duration() != 0 {
+		t.Fatalf("skewed span duration = %v, want clamped to 0", spans[len(spans)-1].Duration())
 	}
 	if err := col.Ingest([]byte("{nope")); err == nil {
 		t.Fatal("malformed span batch should error")
@@ -235,12 +244,9 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 	}
 	waitFor(t, "modules visible", func() bool { return len(mgr.Modules()) == len(mods) })
 
-	// The announce beacons must have taught the collector J's skew
-	// before its spans arrive (announce rides module start, spans only
-	// flow once the recipe below deploys).
-	if off := mgr.Collector().Offset("J"); off > -skew+500*time.Millisecond {
-		t.Fatalf("Offset(J) = %v, want ≈%v", off, -skew)
-	}
+	// The announce beacons teach the collector J's skew before its spans
+	// arrive: the manager notes the offset before it lists the module,
+	// and spans only flow once the recipe below deploys.
 
 	rec := &recipe.Recipe{
 		Name: "traced",
@@ -358,6 +364,99 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 			t.Errorf("flow summary missing stage %s (got %+v)", st, sum.Stages)
 		}
 	}
+	// DefaultCollectorSpans budgets 6 spans per flow key; a complete
+	// flow of this pipeline must fit that budget.
+	if n := len(flow.Spans); n > DefaultCollectorSpans/1024 {
+		t.Errorf("one flow recorded %d spans, more than the %d per key DefaultCollectorSpans budgets", n, DefaultCollectorSpans/1024)
+	}
+	t.Logf("spans per flow key: %d (%v)", len(flow.Spans), flowStages(flow))
+}
+
+// TestFig9FlowFitsCollectorBudget runs the paper's Fig. 9 application
+// with a sensor on each of three modules, so trace contexts propagate:
+// the joins on E and F adopt one sensor's key, under which the flow
+// records publish, join, learn, join, judge and actuate. No retained key
+// may hold more spans than the per-key budget DefaultCollectorSpans
+// assumes, or the collector keeps fewer than 1,024 such flow keys.
+func TestFig9FlowFitsCollectorBudget(t *testing.T) {
+	tc := newTestCluster(t)
+	mgr := tc.manager(ManagerConfig{})
+	cfg := func(id string) Config {
+		return Config{ID: id, CapacityOps: 1000, Tracer: telemetry.NewTracer(nil, 1024),
+			TraceExportInterval: 20 * time.Millisecond}
+	}
+	var mods []*Module
+	for i, id := range []string{"A", "B", "C"} {
+		m := tc.module(cfg(id))
+		m.RegisterSensor(accelSensor("acc"+id, uint16(i+1), 50))
+		mods = append(mods, m)
+	}
+	for _, id := range []string{"E", "F", "G"} {
+		mods = append(mods, tc.module(cfg(id)))
+	}
+	mods[5].RegisterActuator(sensor.NewVirtualActuator("light"))
+	for _, m := range mods {
+		if err := m.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "modules visible", func() bool { return len(mgr.Modules()) == len(mods) })
+
+	pin := func(id string) recipe.Placement { return recipe.Placement{Module: id} }
+	raw := []string{"task:senseA", "task:senseB", "task:senseC"}
+	rec := &recipe.Recipe{Name: "fig9", Tasks: []recipe.Task{
+		{ID: "senseA", Kind: recipe.KindSense, Output: "f9/raw/a", Params: map[string]string{"sensor": "accA"}, Placement: pin("A")},
+		{ID: "senseB", Kind: recipe.KindSense, Output: "f9/raw/b", Params: map[string]string{"sensor": "accB"}, Placement: pin("B")},
+		{ID: "senseC", Kind: recipe.KindSense, Output: "f9/raw/c", Params: map[string]string{"sensor": "accC"}, Placement: pin("C")},
+		{ID: "joinE", Kind: recipe.KindAggregate, Inputs: raw, Output: "f9/joined/e", Placement: pin("E")},
+		{ID: "train", Kind: recipe.KindTrain, Inputs: []string{"task:joinE"}, Output: "f9/trained", Placement: pin("E")},
+		{ID: "joinF", Kind: recipe.KindAggregate, Inputs: raw, Output: "f9/joined/f", Placement: pin("F")},
+		{ID: "predict", Kind: recipe.KindPredict, Inputs: []string{"task:joinF"}, Output: "f9/decision",
+			Params: map[string]string{"modelFrom": "train"}, Placement: pin("F")},
+		{ID: "actuate", Kind: recipe.KindActuate, Inputs: []string{"task:predict"},
+			Params: map[string]string{"actuator": "light"}, Placement: pin("G")},
+	}}
+	dep, err := mgr.Deploy(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := dep.WaitRunning(ctx); err != nil {
+		t.Fatalf("WaitRunning: %v (pending %v)", err, dep.PendingTasks())
+	}
+
+	var flow telemetry.Trace
+	waitFor(t, "a flow through every Fig. 9 stage", func() bool {
+		for _, tr := range mgr.Collector().Traces() {
+			stages := map[string]int{}
+			for _, s := range tr.Spans {
+				stages[s.Stage]++
+			}
+			if stages["publish"] == 1 && stages["join"] == 2 && stages["learn"] == 1 &&
+				stages["judge"] == 1 && stages["actuate"] == 1 {
+				flow = tr
+				return true
+			}
+		}
+		return false
+	})
+	budget := DefaultCollectorSpans / 1024
+	for _, tr := range mgr.Collector().Traces() {
+		if len(tr.Spans) > budget {
+			t.Errorf("key %+v holds %d spans (%v), more than the %d per key DefaultCollectorSpans budgets",
+				tr.Key, len(tr.Spans), flowStages(tr), budget)
+		}
+	}
+	t.Logf("spans per Fig. 9 flow key: %d (%v)", len(flow.Spans), flowStages(flow))
+}
+
+func flowStages(tr telemetry.Trace) []string {
+	out := make([]string, len(tr.Spans))
+	for i, s := range tr.Spans {
+		out[i] = s.Stage + "@" + s.Module
+	}
+	return out
 }
 
 // TestTraceCollectorCapsStages ingests one batch naming 200 distinct
@@ -366,8 +465,8 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 // while every span is still kept and counted.
 func TestTraceCollectorCapsStages(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	col := NewTraceCollector(clock.NewVirtual(time.Unix(0, 0)), 16)
-	col.BindRegistry(reg)
+	col := NewTraceCollector(256)
+	col.BindRegistry(reg, "", telemetry.L("scope", "cluster"))
 	base := time.Unix(100, 0)
 	batch := telemetry.SpanBatch{Module: "rogue"}
 	for i := 0; i < 200; i++ {
@@ -395,7 +494,41 @@ func TestTraceCollectorCapsStages(t *testing.T) {
 	if got := col.TotalSpans(); got != 200 {
 		t.Fatalf("TotalSpans = %d, want 200", got)
 	}
-	if got := len(col.Trace(batch.Spans[0].Key).Spans); got != 200 {
-		t.Fatalf("trace keeps %d spans, want all 200", got)
+	if traces := col.Traces(); len(traces) != 1 || len(traces[0].Spans) != 200 {
+		t.Fatalf("traces = %d, want one keeping all 200 spans", len(traces))
+	}
+}
+
+// TestTraceCollectorBoundsOneKey publishes ten times the collector's
+// capacity in spans under a single trace key, the way any client on
+// ifot/ctrl/trace/# can: the manager must retain at most its capacity
+// while /flows still counts every span.
+func TestTraceCollectorBoundsOneKey(t *testing.T) {
+	const capacity, batches, perBatch = 64, 10, 64
+	tc := newTestCluster(t)
+	mgr := tc.manager(ManagerConfig{TraceCapacity: capacity})
+	pub := tc.rawClient("rogue")
+	key := telemetry.TraceKey{Recipe: "r", TaskID: "t", Seq: 1}
+	base := time.Unix(100, 0)
+	for b := 0; b < batches; b++ {
+		batch := telemetry.SpanBatch{Module: "rogue"}
+		for i := 0; i < perBatch; i++ {
+			batch.Spans = append(batch.Spans, telemetry.Span{Key: key, Stage: "s", Start: base, End: base.Add(time.Millisecond)})
+		}
+		payload, err := telemetry.EncodeSpanBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pub.Publish(TopicTracePrefix+"rogue", payload, wire.QoS1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const total = batches * perBatch
+	waitFor(t, "every span counted", func() bool { return mgr.Collector().FlowSummary().Spans == total })
+	if n := len(mgr.Collector().Spans()); n > capacity {
+		t.Fatalf("manager retains %d spans under one key, want at most %d", n, capacity)
+	}
+	if sum := mgr.Collector().FlowSummary(); sum.Flows != 1 || sum.Spans != total {
+		t.Fatalf("/flows = %d flows, %d spans; want 1 flow, %d spans", sum.Flows, sum.Spans, total)
 	}
 }

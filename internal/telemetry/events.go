@@ -39,64 +39,35 @@ type Event struct {
 // so a few hundred entries cover hours of normal operation.
 const DefaultEventCapacity = 512
 
-// DefaultEventExportLimit bounds the export queue when SetExportBuffer is
-// given a non-positive size.
-const DefaultEventExportLimit = 256
-
 // DefaultEventQueryLimit caps /events responses when the client does not
 // pass ?limit.
 const DefaultEventQueryLimit = 256
 
-// EventLog is a bounded, concurrency-safe ring of Events plus an optional
-// bounded export queue. The ring backs the local /events endpoint (old
-// events are overwritten, bounding memory); the export queue feeds the
-// periodic MQTT exporter and sheds (and counts) events rather than grow —
-// event reporting must never apply backpressure to the paths it observes.
-// All methods are nil-safe no-ops on a nil receiver, so failure-path call
-// sites need no guards.
+// EventLog is a bounded, concurrency-safe ring of Events. The ring backs
+// the local /events endpoint and is also the export queue: ExportBatch
+// reads the events after its cursor, and an event overwritten before it
+// was exported is counted as dropped rather than waited for — event
+// reporting must never apply backpressure to the paths it observes. A
+// log that exports never ingests another log's events, so nothing is
+// exported twice. All methods are nil-safe no-ops on a nil receiver, so
+// failure-path call sites need no guards.
 type EventLog struct {
 	mu     sync.Mutex
-	ring   []Event
-	next   int
-	total  uint64
-	export exportQueue[Event] // off until SetExportBuffer
+	events ring[Event]
 }
 
 // NewEventLog creates a ring retaining the most recent capacity events
-// (non-positive = DefaultEventCapacity). Export queueing is off until
-// SetExportBuffer is called.
+// (non-positive = DefaultEventCapacity).
 func NewEventLog(capacity int) *EventLog {
 	if capacity <= 0 {
 		capacity = DefaultEventCapacity
 	}
-	return &EventLog{ring: make([]Event, 0, capacity)}
+	return &EventLog{events: ring[Event]{limit: capacity}}
 }
 
-// SetExportBuffer enables the export queue, buffering at most n events
-// between Drain calls (non-positive = DefaultEventExportLimit). Call
-// before the log sees concurrent traffic.
-func (l *EventLog) SetExportBuffer(n int) {
-	if l == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultEventExportLimit
-	}
-	l.mu.Lock()
-	l.export.limit = n
-	l.mu.Unlock()
-}
-
-// Emit appends an event to the ring (and the export queue when enabled).
-// A zero Time is stamped with the wall clock.
-func (l *EventLog) Emit(ev Event) { l.add(ev, true) }
-
-// Ingest appends an event to the ring only, bypassing the export queue —
-// for cluster views folding in events another module already exported
-// (re-exporting them would duplicate the originals on the wire).
-func (l *EventLog) Ingest(ev Event) { l.add(ev, false) }
-
-func (l *EventLog) add(ev Event, export bool) {
+// Emit appends an event to the ring. A zero Time is stamped with the wall
+// clock, an empty Severity reads as info.
+func (l *EventLog) Emit(ev Event) {
 	if l == nil {
 		return
 	}
@@ -107,16 +78,7 @@ func (l *EventLog) add(ev Event, export bool) {
 		ev.Severity = SevInfo
 	}
 	l.mu.Lock()
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, ev)
-	} else {
-		l.ring[l.next] = ev
-		l.next = (l.next + 1) % cap(l.ring)
-	}
-	l.total++
-	if export {
-		l.export.push(ev)
-	}
+	l.events.push(ev)
 	l.mu.Unlock()
 }
 
@@ -148,16 +110,8 @@ func (l *EventLog) Events(limit int, since time.Time) []Event {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	out := make([]Event, 0, len(l.ring))
-	if len(l.ring) == cap(l.ring) {
-		out = append(out, l.ring[l.next:]...)
-		out = append(out, l.ring[:l.next]...)
-	} else {
-		out = append(out, l.ring...)
-	}
-	l.mu.Unlock()
-	// Ingested cluster events may interleave out of order across modules;
+	out, _, _ := l.Read(0)
+	// Events exported by several modules arrive out of time order;
 	// present a time-ordered view.
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
 	if !since.IsZero() {
@@ -173,6 +127,20 @@ func (l *EventLog) Events(limit int, since time.Time) []Event {
 	return out
 }
 
+// Read returns the retained events numbered cursor and later in arrival
+// order (events are numbered from 0 as they are emitted), the cursor to
+// pass next time, and how many events at or after cursor were
+// overwritten before this read. It is the read ExportBatch makes with
+// its own cursor; Read(0) starts at the oldest retained event.
+func (l *EventLog) Read(cursor uint64) (events []Event, next, lost uint64) {
+	if l == nil {
+		return nil, 0, 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.events.read(cursor)
+}
+
 // TotalEvents reports how many events were ever emitted (including those
 // evicted from the ring).
 func (l *EventLog) TotalEvents() uint64 {
@@ -181,38 +149,18 @@ func (l *EventLog) TotalEvents() uint64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.total
+	return l.events.total
 }
 
-// Dropped reports how many events were shed on a full export queue.
+// Dropped reports how many events the ring overwrote before ExportBatch
+// shipped them.
 func (l *EventLog) Dropped() uint64 {
 	if l == nil {
 		return 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.export.dropped
-}
-
-// Drain removes and returns the pending export queue (nil when empty or
-// export is disabled).
-func (l *EventLog) Drain() []Event {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.export.drain()
-}
-
-// Pending reports the number of events queued for export.
-func (l *EventLog) Pending() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.export.buf)
+	return l.events.dropped
 }
 
 // BindRegistry exposes the log's lifetime totals on reg as monotone
@@ -225,13 +173,13 @@ func (l *EventLog) BindRegistry(reg *Registry, labels ...Label) {
 	}
 	reg.CounterFunc("ifot_events_total", "structured events emitted into the local event log",
 		func() int64 { return int64(l.TotalEvents()) }, labels...)
-	reg.CounterFunc("ifot_events_dropped_total", "events shed on a full export queue",
+	reg.CounterFunc("ifot_events_dropped_total", "events overwritten in the ring before export",
 		func() int64 { return int64(l.Dropped()) }, labels...)
 }
 
 // EventBatch is the JSON payload a module publishes on
-// `ifot/ctrl/events/<moduleID>`: the events accumulated since the last
-// flush plus the module's cumulative export-drop count, QoS 0 — losing an
+// `ifot/ctrl/events/<moduleID>`: the events emitted since the last flush
+// plus the module's cumulative export-drop count, QoS 0 — losing an
 // event batch must never cost data-path throughput.
 type EventBatch struct {
 	Module  string    `json:"module"`
@@ -243,15 +191,22 @@ type EventBatch struct {
 // EncodeEventBatch serializes a batch for publishing.
 func EncodeEventBatch(b EventBatch) ([]byte, error) { return json.Marshal(b) }
 
-// ExportBatch drains the export queue into one encoded EventBatch from
-// module, stamped sentAt and carrying the cumulative drop count; nil when
-// no event is pending (or, like a shed event, when encoding fails).
+// ExportBatch reads the events emitted since the previous call (from the
+// first one the log ever held, so events emitted before the exporter
+// started ship too) into one encoded EventBatch from module, stamped
+// sentAt and carrying the cumulative drop count; nil when there is no new
+// event (or, like an overwritten event, when encoding fails).
 func (l *EventLog) ExportBatch(module string, sentAt time.Time) []byte {
-	events := l.Drain()
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	events, dropped := l.events.export()
+	l.mu.Unlock()
 	if len(events) == 0 {
 		return nil
 	}
-	payload, _ := EncodeEventBatch(EventBatch{Module: module, SentAt: sentAt, Dropped: l.Dropped(), Events: events})
+	payload, _ := EncodeEventBatch(EventBatch{Module: module, SentAt: sentAt, Dropped: dropped, Events: events})
 	return payload
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -51,55 +52,125 @@ func TestEventLogQueryLimitAndSince(t *testing.T) {
 }
 
 func TestEventLogExportDropAccounting(t *testing.T) {
-	l := NewEventLog(16)
-	l.SetExportBuffer(3)
+	l := NewEventLog(3)
+	// Events emitted before any export read ship with the first batch.
 	for i := 0; i < 5; i++ {
-		l.Eventf(SevWarn, "mod", "lane_drop", "filter", "f")
+		l.Eventf(SevWarn, "mod", kindN(i))
 	}
-	if p := l.Pending(); p != 3 {
-		t.Fatalf("Pending = %d, want export buffer cap 3", p)
+	batch := decodeEvents(t, l.ExportBatch("mod", time.Unix(1, 0)))
+	if len(batch.Events) != 3 || batch.Events[0].Kind != kindN(2) || batch.Dropped != 2 {
+		t.Fatalf("first batch = %+v, want the 3 retained events, dropped=2", batch)
 	}
 	if d := l.Dropped(); d != 2 {
-		t.Fatalf("Dropped = %d, want 2 shed beyond the buffer", d)
+		t.Fatalf("Dropped = %d, want 2 overwritten before export", d)
 	}
-	drained := l.Drain()
-	if len(drained) != 3 {
-		t.Fatalf("Drain returned %d events, want 3", len(drained))
+	if l.ExportBatch("mod", time.Unix(2, 0)) != nil {
+		t.Fatal("ExportBatch with no new event should be nil")
 	}
-	if p := l.Pending(); p != 0 {
-		t.Fatalf("Pending after drain = %d, want 0", p)
+	// Export leaves the ring as it was.
+	if evs := l.Events(0, time.Time{}); len(evs) != 3 {
+		t.Fatalf("ring retained %d, want 3", len(evs))
 	}
-	if evs := l.Drain(); evs != nil {
-		t.Fatalf("second Drain = %v, want nil", evs)
-	}
-	// The ring is unaffected by export shedding: all 5 retained.
-	if evs := l.Events(0, time.Time{}); len(evs) != 5 {
-		t.Fatalf("ring retained %d, want all 5", len(evs))
-	}
-	// The queue accepts again after a drain.
 	l.Eventf(SevInfo, "mod", "reconnected")
-	if p := l.Pending(); p != 1 {
-		t.Fatalf("Pending after post-drain emit = %d, want 1", p)
+	batch = decodeEvents(t, l.ExportBatch("mod", time.Unix(3, 0)))
+	if len(batch.Events) != 1 || batch.Events[0].Kind != "reconnected" || batch.Dropped != 2 {
+		t.Fatalf("second batch = %+v, want only the new event, dropped still 2", batch)
 	}
 }
 
-func TestEventLogIngestBypassesExport(t *testing.T) {
-	l := NewEventLog(16)
-	l.SetExportBuffer(8)
-	l.Ingest(Event{Module: "other", Kind: "wal_corrupt"})
-	if p := l.Pending(); p != 0 {
-		t.Fatalf("Ingest queued %d for export, want 0 (would re-publish another module's events)", p)
+// TestEventLogReadCursor walks the log with the cursor read the tail and
+// the exporter share: arrival order (not time order), no event twice, and
+// overwritten events counted.
+func TestEventLogReadCursor(t *testing.T) {
+	l := NewEventLog(4)
+	base := time.Unix(100, 0)
+	l.Emit(Event{Time: base.Add(time.Second), Kind: "late"})
+	l.Emit(Event{Time: base, Kind: "early"})
+	evs, cursor, lost := l.Read(0)
+	if len(evs) != 2 || evs[0].Kind != "late" || evs[1].Kind != "early" || cursor != 2 || lost != 0 {
+		t.Fatalf("Read(0) = %+v cursor %d lost %d, want arrival order", evs, cursor, lost)
 	}
+	if evs, next, _ := l.Read(cursor); len(evs) != 0 || next != cursor {
+		t.Fatalf("Read at the end = %+v next %d", evs, next)
+	}
+	for i := 0; i < 6; i++ {
+		l.Emit(Event{Kind: kindN(i)})
+	}
+	evs, cursor, lost = l.Read(cursor)
+	if len(evs) != 4 || evs[0].Kind != kindN(2) || cursor != 8 || lost != 2 {
+		t.Fatalf("Read after wrap = %+v cursor %d lost %d, want 4 events from %s, 2 lost", evs, cursor, lost, kindN(2))
+	}
+	// The tail's read leaves the exporter's cursor alone.
+	if batch := decodeEvents(t, l.ExportBatch("m", time.Time{})); len(batch.Events) != 4 || batch.Dropped != 4 {
+		t.Fatalf("export after a tail read = %d events dropped %d, want 4 and 4", len(batch.Events), batch.Dropped)
+	}
+}
+
+// TestEventLogExportConcurrent races emitters against the exporter on a
+// ring that wraps many times: every event ships once or counts as
+// dropped.
+func TestEventLogExportConcurrent(t *testing.T) {
+	const writers, perWriter = 4, 2000
+	l := NewEventLog(16)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				l.Eventf(SevInfo, "m", "k")
+				if i%100 == 0 {
+					_ = l.Events(0, time.Time{})
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var shipped, dropped uint64
+	export := func() {
+		if payload := l.ExportBatch("m", time.Time{}); payload != nil {
+			batch := decodeEvents(t, payload)
+			shipped += uint64(len(batch.Events))
+			dropped = batch.Dropped
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		export()
+	}
+	export()
+	if total := l.TotalEvents(); shipped+dropped != total || total != writers*perWriter {
+		t.Fatalf("shipped %d + dropped %d != emitted %d (want %d)", shipped, dropped, total, writers*perWriter)
+	}
+}
+
+func TestEventLogEmitStampsDefaults(t *testing.T) {
+	l := NewEventLog(16)
+	l.Emit(Event{Module: "other", Kind: "wal_corrupt"})
 	if got := l.TotalEvents(); got != 1 {
 		t.Fatalf("TotalEvents = %d, want 1", got)
 	}
 	evs := l.Events(0, time.Time{})
 	if len(evs) != 1 || evs[0].Kind != "wal_corrupt" || evs[0].Module != "other" {
-		t.Fatalf("ring = %+v, want the ingested event", evs)
+		t.Fatalf("ring = %+v, want the emitted event", evs)
 	}
 	if evs[0].Time.IsZero() || evs[0].Severity != SevInfo {
-		t.Fatalf("Ingest should stamp zero time and severity, got %+v", evs[0])
+		t.Fatalf("Emit should stamp zero time and severity, got %+v", evs[0])
 	}
+}
+
+func decodeEvents(t *testing.T, payload []byte) EventBatch {
+	t.Helper()
+	batch, err := DecodeEventBatch(payload)
+	if err != nil {
+		t.Fatalf("decode %q: %v", payload, err)
+	}
+	return batch
 }
 
 func TestEventfFieldPairs(t *testing.T) {
@@ -118,12 +189,11 @@ func TestEventfFieldPairs(t *testing.T) {
 func TestEventLogNilSafe(t *testing.T) {
 	var l *EventLog
 	l.Emit(Event{Kind: "x"})
-	l.Ingest(Event{Kind: "x"})
 	l.Eventf(SevWarn, "m", "k")
-	l.SetExportBuffer(4)
 	l.BindRegistry(NewRegistry())
+	evs, next, lost := l.Read(0)
 	if l.Events(0, time.Time{}) != nil || l.TotalEvents() != 0 || l.Dropped() != 0 ||
-		l.Drain() != nil || l.Pending() != 0 {
+		l.ExportBatch("m", time.Time{}) != nil || evs != nil || next != 0 || lost != 0 {
 		t.Fatal("nil EventLog methods must be no-ops")
 	}
 }
@@ -158,14 +228,14 @@ func TestEventBatchRoundTrip(t *testing.T) {
 
 func TestEventLogBindRegistry(t *testing.T) {
 	reg := NewRegistry()
-	a := NewEventLog(4)
+	a := NewEventLog(1)
 	b := NewEventLog(4)
-	a.SetExportBuffer(1)
 	a.BindRegistry(reg, L("module", "a"))
 	b.BindRegistry(reg, L("module", "b"))
 	a.Eventf(SevInfo, "a", "k1")
-	a.Eventf(SevInfo, "a", "k2") // sheds on the 1-slot export queue
+	a.Eventf(SevInfo, "a", "k2") // overwrites k1 in the 1-slot ring before export
 	b.Eventf(SevInfo, "b", "k1")
+	a.ExportBatch("a", time.Time{})
 
 	samples := scrape(t, reg)
 	if got := samples["ifot_events_total{module=a}"]; got != 2 {

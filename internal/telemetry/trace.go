@@ -70,34 +70,33 @@ func (t Trace) Duration() time.Duration {
 	return t.End().Sub(t.Start())
 }
 
-// Tracer collects spans into a fixed-capacity ring buffer (old spans are
-// overwritten, bounding memory), a per-stage latency table over every
-// span ever recorded (constant memory no matter how many spans flow
-// through), and, once SetExportBuffer is called, a bounded export queue.
-// It reads time from a clock.Clock, so the same tracer instruments the
-// wall-clock middleware and the virtual-time simulator. All methods are
-// safe for concurrent use.
+// Tracer collects spans into a fixed-capacity ring (old spans are
+// overwritten, bounding memory) that is also its export queue, and into a
+// per-stage latency table over every span ever recorded (constant memory
+// no matter how many spans flow through). It reads time from a
+// clock.Clock, so the same tracer instruments the wall-clock middleware
+// and the virtual-time simulator. All methods are safe for concurrent
+// use.
 type Tracer struct {
 	clk clock.Clock
 
 	mu     sync.Mutex
-	ring   []Span
-	next   int
-	total  uint64
+	spans  ring[Span]
 	stages StageTable
-	export exportQueue[Span]
 }
 
 // DefaultTraceCapacity is the ring size used when NewTracer is given a
-// non-positive capacity. The module-local ring only backs the module's
-// own /traces view (the cluster-wide view lives in the management node's
+// non-positive capacity, and so the most spans one export interval can
+// ship. The module-local ring only backs the module's own /traces view
+// and its export (the cluster-wide view lives in the management node's
 // collector), so it is kept small: retained spans are pointer-heavy
 // (key/stage/module strings) and a large ring measurably taxes GC on the
 // data hot path.
 const DefaultTraceCapacity = 1024
 
 // NewTracer creates a tracer reading time from clk (nil = wall clock)
-// retaining the most recent capacity spans.
+// retaining the most recent capacity spans. The ring grows as spans
+// arrive, so a large capacity costs nothing up front.
 func NewTracer(clk clock.Clock, capacity int) *Tracer {
 	if clk == nil {
 		clk = clock.NewReal()
@@ -105,7 +104,7 @@ func NewTracer(clk clock.Clock, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{clk: clk, ring: make([]Span, 0, capacity)}
+	return &Tracer{clk: clk, spans: ring[Span]{limit: capacity}}
 }
 
 // Now exposes the tracer's clock reading, letting instrumented code stamp
@@ -116,20 +115,20 @@ func (t *Tracer) Now() time.Time { return t.clk.Now() }
 const DefaultStageMetric = "ifot_stage_latency_quantile_seconds"
 
 // BindRegistry mirrors per-stage latency quantiles (p50/p95/p99/max)
-// into reg as GaugeFuncs labelled {stage, quantile}: stages already
-// recorded at once, later ones when their first span arrives. Metric ""
-// uses DefaultStageMetric.
-func (t *Tracer) BindRegistry(reg *Registry, metric string) {
+// into reg as GaugeFuncs labelled {stage, quantile} plus labels: stages
+// already recorded at once, later ones when their first span arrives.
+// Metric "" uses DefaultStageMetric.
+func (t *Tracer) BindRegistry(reg *Registry, metric string, labels ...Label) {
 	if metric == "" {
 		metric = DefaultStageMetric
 	}
 	t.mu.Lock()
-	t.stages.Bind(reg, metric, "Per-stage cumulative sensing-to-stage latency quantiles.")
+	t.stages.Bind(reg, metric, "Per-stage cumulative sensing-to-stage latency quantiles.", labels...)
 	t.mu.Unlock()
 }
 
-// Record stores a fully formed span: the one way a hop enters the ring,
-// the stage table and the export queue.
+// Record stores a fully formed span: the one way a hop enters the ring
+// (and so the export stream) and the stage table.
 func (t *Tracer) Record(s Span) {
 	if t == nil {
 		return
@@ -138,15 +137,8 @@ func (t *Tracer) Record(s Span) {
 		s.End = s.Start // clock skew must not create negative durations
 	}
 	t.mu.Lock()
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, s)
-	} else {
-		t.ring[t.next] = s
-		t.next = (t.next + 1) % cap(t.ring)
-	}
-	t.total++
+	t.spans.push(s)
 	t.stages.Observe(s.Stage, s.End.Sub(s.Start))
-	t.export.push(s)
 	t.mu.Unlock()
 }
 
@@ -164,11 +156,11 @@ func (t *Tracer) TotalSpans() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return t.spans.total
 }
 
 // Capacity reports the ring buffer size.
-func (t *Tracer) Capacity() int { return cap(t.ring) }
+func (t *Tracer) Capacity() int { return t.spans.limit }
 
 // Spans snapshots the retained spans, oldest first.
 func (t *Tracer) Spans() []Span {
@@ -177,13 +169,7 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.ring))
-	if len(t.ring) == cap(t.ring) {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	} else {
-		out = append(out, t.ring...)
-	}
+	out, _, _ := t.spans.read(0)
 	return out
 }
 
@@ -235,27 +221,33 @@ func (t *Tracer) StageHistograms() map[string]*LogHistogram {
 
 // FlowSummary digests the tracer's current state for the /flows endpoint:
 // distinct retained flows, total spans, and per-stage SLO quantiles in
-// first-seen (pipeline) order.
+// first-seen (pipeline) order. Only the keys are copied under the lock;
+// they are counted after it is released, so a scrape holds up Record for
+// one copy.
 func (t *Tracer) FlowSummary() FlowSummary {
 	if t == nil {
 		return FlowSummary{}
 	}
-	keys := make(map[TraceKey]struct{})
-	for _, s := range t.Spans() {
-		keys[s.Key] = struct{}{}
-	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return FlowSummary{Flows: len(keys), Spans: t.total, Stages: t.stages.Summaries()}
+	keys := make([]TraceKey, len(t.spans.buf))
+	for i, s := range t.spans.buf {
+		keys[i] = s.Key
+	}
+	sum := FlowSummary{Spans: t.spans.total, Stages: t.stages.Summaries()}
+	t.mu.Unlock()
+	distinct := make(map[TraceKey]struct{}, len(keys))
+	for _, k := range keys {
+		distinct[k] = struct{}{}
+	}
+	sum.Flows = len(distinct)
+	return sum
 }
 
-// Reset discards all retained spans and stage statistics; the export
-// queue and the registry binding stay.
+// Reset discards all retained spans and stage statistics and rewinds the
+// export cursor; the drop count and the registry binding stay.
 func (t *Tracer) Reset() {
 	t.mu.Lock()
-	t.ring = t.ring[:0]
-	t.next = 0
-	t.total = 0
+	t.spans.reset()
 	t.stages.Reset()
 	t.mu.Unlock()
 }

@@ -101,12 +101,11 @@ func TestTracerNegativeDurationClamped(t *testing.T) {
 	}
 }
 
-// TestTracerConcurrent hammers Record/Spans/Traces/StageStats/Drain from
-// many goroutines with a ring small enough to wrap constantly; meaningful
-// under -race.
+// TestTracerConcurrent hammers Record/Spans/Traces/StageStats/ExportBatch
+// from many goroutines with a ring small enough to wrap constantly;
+// meaningful under -race.
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer(nil, 8)
-	tr.SetExportBuffer(64)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -119,7 +118,7 @@ func TestTracerConcurrent(t *testing.T) {
 					_ = tr.Spans()
 					_ = tr.Traces()
 					_ = tr.StageStats()
-					_ = tr.Drain()
+					_ = tr.ExportBatch("mod", tr.Now())
 				}
 			}
 		}(w)
@@ -144,42 +143,152 @@ func TestNewTracerDefaults(t *testing.T) {
 }
 
 func TestTracerExportQueue(t *testing.T) {
-	tr := NewTracer(clock.NewVirtual(time.Unix(0, 0)), 8)
-	s := Span{Key: TraceKey{Recipe: "r"}, Stage: "publish"}
-	tr.Record(s) // export off: recorded, not queued
-	tr.SetExportBuffer(2)
-	for i := 0; i < 4; i++ {
-		tr.Record(s) // the last two overflow: dropped, not blocking
+	tr := NewTracer(clock.NewVirtual(time.Unix(0, 0)), 4)
+	span := func(seq uint32) Span { return Span{Key: TraceKey{Recipe: "r", Seq: seq}, Stage: "publish"} }
+	// A span recorded before the exporter's first read still ships:
+	// export starts at the ring's first span.
+	tr.Record(span(0))
+	batch := decodeSpans(t, tr.ExportBatch("modA", time.Unix(9, 0)))
+	if batch.Module != "modA" || batch.Dropped != 0 || len(batch.Spans) != 1 || batch.Spans[0].Key.Seq != 0 {
+		t.Fatalf("first batch = %+v, want span 0 from modA, nothing dropped", batch)
+	}
+	if tr.ExportBatch("modA", time.Unix(10, 0)) != nil {
+		t.Fatal("ExportBatch with no new span should be nil")
+	}
+	// Six spans into a 4-slot ring between reads: the two oldest are
+	// overwritten before export and counted, the rest ship in order.
+	for seq := uint32(1); seq <= 6; seq++ {
+		tr.Record(span(seq))
+	}
+	batch = decodeSpans(t, tr.ExportBatch("modA", time.Unix(11, 0)))
+	if batch.Dropped != 2 || len(batch.Spans) != 4 || batch.Spans[0].Key.Seq != 3 || batch.Spans[3].Key.Seq != 6 {
+		t.Fatalf("batch after wrap = %+v, want spans 3..6 with dropped=2", batch)
 	}
 	if got := tr.Dropped(); got != 2 {
 		t.Fatalf("Dropped = %d, want 2", got)
 	}
-	if spans := tr.Drain(); len(spans) != 2 {
-		t.Fatalf("Drain = %d spans, want 2", len(spans))
+	// Export never takes spans out of the ring or the stage table, and
+	// the drop count is cumulative across batches.
+	if got := len(tr.Spans()); got != 4 {
+		t.Fatalf("ring retained %d, want 4", got)
 	}
-	if spans := tr.Drain(); spans != nil {
-		t.Fatalf("second Drain = %v, want nil (Drain empties the queue)", spans)
+	if stats := tr.StageStats(); len(stats) != 1 || stats[0].Count != 7 {
+		t.Fatalf("stage stats = %+v, want one stage with count 7", stats)
 	}
-	// Export shedding never touches the ring or the stage table.
-	if got := len(tr.Spans()); got != 5 {
-		t.Fatalf("ring retained %d, want all 5", got)
+	tr.Record(span(7))
+	if batch = decodeSpans(t, tr.ExportBatch("modA", time.Unix(12, 0))); batch.Dropped != 2 || len(batch.Spans) != 1 {
+		t.Fatalf("batch after one more span = %+v, want 1 span with dropped=2", batch)
 	}
-	if stats := tr.StageStats(); len(stats) != 1 || stats[0].Count != 5 {
-		t.Fatalf("stage stats = %+v, want one stage with count 5", stats)
+	// Reset rewinds the cursor with the ring: new spans ship again.
+	tr.Reset()
+	tr.Record(span(8))
+	if batch = decodeSpans(t, tr.ExportBatch("modA", time.Unix(13, 0))); len(batch.Spans) != 1 || batch.Spans[0].Key.Seq != 8 {
+		t.Fatalf("batch after Reset = %+v, want span 8", batch)
 	}
-	// The queue accepts again after a drain; the drop counter is cumulative.
-	tr.Record(s)
-	payload := tr.ExportBatch("modA", time.Unix(9, 0))
+}
+
+// TestTracerExportConcurrent races recorders against an exporter on a ring
+// that wraps many times over: every span must either ship exactly once,
+// in recording order per recorder, or be counted as dropped.
+func TestTracerExportConcurrent(t *testing.T) {
+	const writers, perWriter = 4, 2000
+	tr := NewTracer(nil, 16)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tr.Record(Span{Key: TraceKey{TaskID: string(rune('a' + w)), Seq: uint32(i)}, Stage: "s"})
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	last := map[string]int{}
+	var shipped, dropped uint64
+	export := func() {
+		payload := tr.ExportBatch("mod", time.Time{})
+		if payload == nil {
+			return
+		}
+		batch := decodeSpans(t, payload)
+		shipped += uint64(len(batch.Spans))
+		dropped = batch.Dropped
+		for _, s := range batch.Spans {
+			prev, seen := last[s.Key.TaskID]
+			if seen && int(s.Key.Seq) <= prev {
+				t.Fatalf("recorder %s: span %d shipped after %d", s.Key.TaskID, s.Key.Seq, prev)
+			}
+			last[s.Key.TaskID] = int(s.Key.Seq)
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		export()
+	}
+	export()
+	if total := tr.TotalSpans(); shipped+dropped != total || total != writers*perWriter {
+		t.Fatalf("shipped %d + dropped %d != recorded %d (want %d)", shipped, dropped, total, writers*perWriter)
+	}
+	if tr.Dropped() != dropped {
+		t.Fatalf("Dropped() = %d, last batch said %d", tr.Dropped(), dropped)
+	}
+}
+
+// TestRingCursor pins the ring's numbering: reads from any cursor return
+// the retained entries at or after it in arrival order, and count the
+// ones overwritten in between.
+func TestRingCursor(t *testing.T) {
+	r := ring[int]{limit: 3}
+	if out, next, lost := r.read(0); len(out) != 0 || next != 0 || lost != 0 {
+		t.Fatalf("empty read = %v next %d lost %d", out, next, lost)
+	}
+	for v := 0; v < 5; v++ {
+		r.push(v)
+	}
+	if cap(r.buf) > 4 {
+		t.Fatalf("ring grew to cap %d for limit 3", cap(r.buf))
+	}
+	for _, c := range []struct {
+		cursor     uint64
+		want       []int
+		next, lost uint64
+	}{
+		{0, []int{2, 3, 4}, 5, 2},
+		{2, []int{2, 3, 4}, 5, 0},
+		{4, []int{4}, 5, 0},
+		{5, nil, 5, 0},
+		{9, nil, 5, 0}, // a cursor past the end resyncs to the end
+	} {
+		out, next, lost := r.read(c.cursor)
+		if len(out) != len(c.want) || next != c.next || lost != c.lost {
+			t.Fatalf("read(%d) = %v next %d lost %d, want %v next %d lost %d", c.cursor, out, next, lost, c.want, c.next, c.lost)
+		}
+		for i := range out {
+			if out[i] != c.want[i] {
+				t.Fatalf("read(%d) = %v, want %v", c.cursor, out, c.want)
+			}
+		}
+	}
+	r.reset()
+	r.push(7)
+	if out, next, _ := r.read(0); len(out) != 1 || out[0] != 7 || next != 1 {
+		t.Fatalf("read after reset = %v next %d", out, next)
+	}
+}
+
+func decodeSpans(t *testing.T, payload []byte) SpanBatch {
+	t.Helper()
 	batch, err := DecodeSpanBatch(payload)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("decode %q: %v", payload, err)
 	}
-	if batch.Module != "modA" || batch.Dropped != 2 || len(batch.Spans) != 1 {
-		t.Fatalf("export batch = %+v, want 1 span from modA with dropped=2", batch)
-	}
-	if tr.ExportBatch("modA", time.Unix(10, 0)) != nil {
-		t.Fatal("ExportBatch with nothing pending should be nil")
-	}
+	return batch
 }
 
 // TestTracerLateBindRegistersSeenStages binds the registry after a stage
