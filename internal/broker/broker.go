@@ -55,9 +55,6 @@ type Options struct {
 	// not close the store; the caller that opened it does, after Close.
 	// Nil (the default) keeps today's purely in-memory behavior.
 	Store store.Store
-	// SnapshotBytes is the live-WAL size that triggers automatic
-	// snapshot compaction (default 4 MiB; only meaningful with Store).
-	SnapshotBytes int64
 	// Events, when set, receives structured events for durability
 	// degradation (journal append failures, snapshot failures). Share
 	// the same log with Store's Options.Events to get WAL recovery
@@ -81,9 +78,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SessionQueueSize <= 0 {
 		o.SessionQueueSize = 256
-	}
-	if o.SnapshotBytes <= 0 {
-		o.SnapshotBytes = 4 << 20
 	}
 	if o.clock == nil {
 		o.clock = clock.Real{}
@@ -232,11 +226,9 @@ func Open(opts Options) (*Broker, error) {
 		b.registerMetrics(b.opts.Registry)
 	}
 	if st := b.opts.Store; st != nil {
-		b.persist = &persister{logger: b.opts.Logger, events: b.opts.Events}
-		if err := b.recoverState(st); err != nil {
+		if err := b.openJournal(st); err != nil {
 			return nil, err
 		}
-		b.persist.journal = store.NewJournal(st, b.captureState, b.opts.SnapshotBytes, b.opts.Logger, b.opts.Events)
 	}
 	// Publish the initial route snapshot (covering any recovered
 	// subscriptions) before a connection or internal publisher can route.

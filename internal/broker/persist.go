@@ -2,14 +2,10 @@ package broker
 
 import (
 	"encoding/json"
-	"fmt"
-	"log"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"github.com/ifot-middleware/ifot/internal/store"
-	"github.com/ifot-middleware/ifot/internal/telemetry"
 	"github.com/ifot-middleware/ifot/internal/wire"
 )
 
@@ -92,50 +88,22 @@ type snapMsg struct {
 	QoS     byte   `json:"qos"`
 }
 
-// persister owns the broker's journal handle and the broker-wide message
-// ID sequence that makes QoS1 queue records idempotent on replay.
+// persister is the stable handle sessions reach the journal through: the
+// broker and every session share one, so a session that recovery created
+// journals once the journal is armed. It also holds the broker-wide
+// message ID sequence that makes QoS1 queue records idempotent on replay.
 type persister struct {
-	journal *store.Journal // nil until recovery is done
+	journal *store.Journal[persistRec] // nil until recovery is done
 	msgSeq  atomic.Uint64
-	logger  *log.Logger
-	events  *telemetry.EventLog
-	// degraded latches on the first append failure so the event log sees
-	// one persist_degraded per outage (every failed append still logs),
-	// and a persist_recovered when appends succeed again.
-	degraded atomic.Bool
 }
 
 func (pp *persister) nextMsgID() uint64 { return pp.msgSeq.Add(1) }
 
 // append journals one record; it is a no-op without a store and during
-// recovery. Journal errors (disk full, store closed during shutdown) are
-// logged, not propagated: the broker keeps serving from memory — degraded
-// durability beats a dead broker on an edge node.
+// recovery. The journal logs and reports its own failures.
 func (pp *persister) append(rec persistRec) {
-	if pp == nil || pp.journal == nil {
-		return
-	}
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		pp.logf("broker persist: marshal %s: %v", rec.Op, err)
-		return
-	}
-	if err := pp.journal.Append(buf); err != nil {
-		pp.logf("broker persist: append %s: %v", rec.Op, err)
-		if pp.degraded.CompareAndSwap(false, true) {
-			pp.events.Eventf(telemetry.SevError, "", "persist_degraded",
-				"op", rec.Op, "error", err.Error())
-		}
-		return
-	}
-	if pp.degraded.CompareAndSwap(true, false) {
-		pp.events.Eventf(telemetry.SevInfo, "", "persist_recovered")
-	}
-}
-
-func (pp *persister) logf(format string, args ...any) {
-	if pp.logger != nil {
-		pp.logger.Printf(format, args...)
+	if pp != nil {
+		pp.journal.Append(rec)
 	}
 }
 
@@ -265,55 +233,31 @@ func (s *session) snapshotLocked() snapSession {
 
 // --- recovery ---
 
-// recoverState rebuilds broker state from the store's snapshot and WAL
+// openJournal rebuilds broker state from the store's snapshot and WAL
 // tail, folding every record — the snapshot's as well — through
-// replayLocked. It runs from Open, before the broker is shared and before
-// the journal is armed.
-func (b *Broker) recoverState(st store.Store) error {
-	start := time.Now()
+// replayLocked, and arms the journal. It runs from Open, before the broker
+// is shared.
+func (b *Broker) openJournal(st store.Store) error {
+	b.persist = &persister{}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var maxID uint64
-	apply := func(rec persistRec) {
-		maxID = max(maxID, rec.ID)
-		b.replayLocked(rec)
-	}
-
-	blob, err := st.LoadSnapshot()
-	if err != nil {
-		return fmt.Errorf("broker: load snapshot: %w", err)
-	}
-	if blob != nil {
-		var snap persistSnapshot
-		if err := json.Unmarshal(blob, &snap); err != nil {
-			return fmt.Errorf("broker: decode snapshot: %w", err)
-		}
-		maxID = snap.MsgSeq
-		snap.replay(apply)
-	}
-
-	replayed := 0
-	err = st.Replay(func(data []byte) error {
-		var rec persistRec
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return fmt.Errorf("broker: decode WAL record: %w", err)
-		}
-		replayed++
-		apply(rec)
-		return nil
-	})
+	j, err := store.OpenJournal(st, "broker", b.opts.Logger, b.opts.Events,
+		b.restoreLocked, b.replayLocked, b.captureState)
 	if err != nil {
 		return err
 	}
-	b.persist.msgSeq.Store(maxID)
+	b.persist.journal = j
+	return nil
+}
 
-	if rt, ok := st.(interface{ AddRecoveryDuration(time.Duration) }); ok {
-		rt.AddRecoveryDuration(time.Since(start))
+// restoreLocked folds a snapshot blob into the broker. Caller holds b.mu.
+func (b *Broker) restoreLocked(blob []byte) error {
+	var snap persistSnapshot
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		return err
 	}
-	if blob != nil || replayed > 0 {
-		b.logf("broker: recovered %d retained, %d sessions, %d WAL records in %v",
-			len(b.retained), len(b.sessions), replayed, time.Since(start).Round(time.Millisecond))
-	}
+	b.persist.msgSeq.Store(snap.MsgSeq)
+	snap.replay(b.replayLocked)
 	return nil
 }
 
@@ -337,6 +281,9 @@ func (snap *persistSnapshot) replay(apply func(persistRec)) {
 // replayLocked folds one record into the broker through the mutator the
 // live path uses for the same fact. Caller holds b.mu.
 func (b *Broker) replayLocked(rec persistRec) {
+	if rec.ID > b.persist.msgSeq.Load() {
+		b.persist.msgSeq.Store(rec.ID)
+	}
 	switch rec.Op {
 	case opRetain:
 		b.retainedMu.Lock()

@@ -94,13 +94,20 @@ func TestPersistRetainedAcrossRestart(t *testing.T) {
 
 // The second case parks more than SessionQueueSize messages: the recovered
 // backlog must come back whole on reconnect, not one queue-full at a time.
+// The third restarts twice: the session the first recovery rebuilt gains a
+// subscription and a queued message, which must journal like a live
+// session's and survive the second restart.
 func TestPersistSubscriptionsAndQueuedQoS1AcrossRestart(t *testing.T) {
-	for _, n := range []int{3, 600} {
-		t.Run(fmt.Sprint(n), func(t *testing.T) { testPersistQueuedAcrossRestart(t, n) })
+	for _, tc := range []struct {
+		name     string
+		n        int
+		restarts int
+	}{{"3", 3, 1}, {"600", 600, 1}, {"3-restarted-twice", 3, 2}} {
+		t.Run(tc.name, func(t *testing.T) { testPersistQueuedAcrossRestart(t, tc.n, tc.restarts) })
 	}
 }
 
-func testPersistQueuedAcrossRestart(t *testing.T, n int) {
+func testPersistQueuedAcrossRestart(t *testing.T, n, restarts int) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{NoSync: true})
 	if err != nil {
@@ -163,6 +170,57 @@ func testPersistQueuedAcrossRestart(t *testing.T, n int) {
 	for i := 0; i < n; i++ {
 		if got[fmt.Sprintf("jobs/%d", i)] != fmt.Sprintf("job%d", i) {
 			t.Fatalf("queued payloads after restart: %v", got)
+		}
+	}
+	if restarts == 1 {
+		return
+	}
+
+	// The recovered session subscribes again, goes offline and has one
+	// more message queued; then the broker restarts a second time.
+	if _, err := c.Subscribe("extra/#", wire.QoS1, func(mqttclient.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.Close()
+	waitFor(t, "subscriber detach", func() bool { return bus2.broker.Stats().ConnectedClients == 0 })
+	pub2 := bus2.connect(t, mqttclient.NewOptions("pub"))
+	if err := pub2.Publish("extra/1", []byte("late"), wire.QoS1, false); err != nil {
+		t.Fatal(err)
+	}
+	_ = pub2.Close()
+	_ = bus2.broker.Close()
+	_ = bus2.listener.Close()
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st3, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus3 := openBus(t, st3)
+	defer func() { _ = bus3.broker.Close(); _ = bus3.listener.Close(); _ = st3.Close() }()
+	if stats := bus3.broker.Stats(); stats.Sessions != 1 || stats.Subscriptions != 2 {
+		t.Fatalf("after the second restart: %+v, want 1 session + 2 subscriptions", stats)
+	}
+	msgs3 := make(chan mqttclient.Message, 8)
+	opts3 := persistentOpts("durable-sub")
+	opts3.DefaultHandler = func(m mqttclient.Message) { msgs3 <- m }
+	c3 := bus3.connect(t, opts3)
+	defer c3.Close()
+	for {
+		// A jobs message whose ack the first reconnect did not get to
+		// journal comes again; the extra one must come too.
+		select {
+		case m := <-msgs3:
+			if m.Topic == "extra/1" {
+				if string(m.Payload) != "late" || m.QoS != wire.QoS1 {
+					t.Fatalf("extra/1 redelivered as %q at QoS %v", m.Payload, m.QoS)
+				}
+				return
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("message queued on the recovered session lost by the second restart")
 		}
 	}
 }
@@ -349,21 +407,20 @@ func TestPersistSnapshotCompactionKeepsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tiny snapshot threshold: every few retained publishes trigger
-	// compaction on the journal goroutine.
-	b, err := Open(Options{Store: st, SnapshotBytes: 512})
+	b, err := Open(Options{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A compaction midway: the restart restores the snapshot and replays
+	// the tail written after it.
 	for i := 0; i < 200; i++ {
 		b.Publish(fmt.Sprintf("r/%d", i%10), []byte(fmt.Sprintf("payload-%d", i)), wire.QoS1, true)
-	}
-	waitFor(t, "snapshot compaction", func() bool {
-		if snap, _ := st.LoadSnapshot(); snap != nil {
-			return true
+		if i == 150 {
+			if err := st.SaveSnapshot(b.captureState); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return false
-	})
+	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -412,5 +469,41 @@ func TestPersistMemStoreSameContract(t *testing.T) {
 	defer b2.Close()
 	if got := b2.Stats().RetainedMessages; got != 1 {
 		t.Fatalf("MemStore-backed restart lost retained state: %d", got)
+	}
+}
+
+// TestPersistGoldenRecord: retained and session records are journaled as
+// the bytes earlier releases wrote (the records TestBrokerRecoversParentJournal
+// reads back).
+func TestPersistGoldenRecord(t *testing.T) {
+	st := store.NewMemStore()
+	b, err := Open(Options{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Publish("cfg/a", []byte("a1"), wire.QoS1, true)
+	b.mu.Lock()
+	sess, _ := b.openSessionLocked("dev", true)
+	b.subscribeLocked(sess, "jobs/#", wire.QoS1)
+	b.mu.Unlock()
+	sess.mu.Lock()
+	sess.queueLocked(b.persist.nextMsgID(), &wire.PublishPacket{Topic: "jobs/1", Payload: []byte("one"), QoS: wire.QoS1})
+	sess.removeLocked(0)
+	sess.mu.Unlock()
+
+	var got []string
+	if err := st.Replay(func(rec []byte) error { got = append(got, string(rec)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`{"op":"ret","topic":"cfg/a","payload":"YTE=","qos":1}`,
+		`{"op":"sess","client":"dev"}`,
+		`{"op":"sub","client":"dev","filter":"jobs/#","qos":1}`,
+		`{"op":"q","client":"dev","topic":"jobs/1","payload":"b25l","qos":1,"id":1}`,
+		`{"op":"ack","client":"dev","id":1}`,
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("journaled\n%q\nwant\n%q", got, want)
 	}
 }

@@ -1,8 +1,11 @@
 package broker
 
 import (
+	"os"
+	"regexp"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -242,4 +245,83 @@ func TestPublishSysStatsShutdownPaths(t *testing.T) {
 		}
 		exits(t, clk, done, "broker close")
 	})
+}
+
+// documentedSysTopics reads the $SYS topics docs/observability.md lists,
+// as patterns: a <placeholder> level stands for one or more levels.
+func documentedSysTopics(t *testing.T) map[string]*regexp.Regexp {
+	t.Helper()
+	doc, err := os.ReadFile("../../docs/observability.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := string(doc)
+	start := strings.Index(section, "## `$SYS` MQTT exposition")
+	if start < 0 {
+		t.Fatal("docs/observability.md has no $SYS section")
+	}
+	section = section[start+1:]
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	out := map[string]*regexp.Regexp{}
+	for _, m := range regexp.MustCompile("`(\\$SYS/broker/[^`]+)`").FindAllStringSubmatch(section, -1) {
+		pattern := regexp.MustCompile(`<[a-z]+>`).ReplaceAllString(regexp.QuoteMeta(m[1]), ".+")
+		out[m[1]] = regexp.MustCompile("^" + pattern + "$")
+	}
+	return out
+}
+
+// TestSysTopicsMatchDocs collects every topic the publisher sends over
+// two snapshots (the second adds the per-topic rates) and diffs the set
+// against the documented list in both directions.
+func TestSysTopicsMatchDocs(t *testing.T) {
+	documented := documentedSysTopics(t)
+	clk := clock.NewVirtual(sysEpoch)
+	bus := newTestBus(t, Options{clock: clk})
+	c := bus.connect(t, mqttclient.NewOptions("sys-docs"))
+	got := make(chan mqttclient.Message, 256)
+	if _, err := c.Subscribe(SysTopicPrefix+"#", wire.QoS0, func(m mqttclient.Message) { got <- m }); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Publish("probe/x", []byte("x"), wire.QoS0, false); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "probe counted", func() bool { return bus.broker.PublishCounts()["probe/x"] == 1 })
+	runSysStats(t, bus.broker, time.Second)
+
+	// A snapshot ends its fixed topics with version; the second one's
+	// per-topic rates follow its version.
+	seen := map[string]bool{}
+	versions := 0
+	for {
+		m := recv(t, got, "$SYS topic")
+		seen[m.Topic] = true
+		if m.Topic == SysTopicPrefix+"version" {
+			if versions++; versions == 1 {
+				tick(t, clk)
+			}
+		}
+		if versions == 2 && strings.HasPrefix(m.Topic, SysTopicPrefix+"load/publish/") {
+			break
+		}
+	}
+
+	matched := map[string]bool{}
+	for topic := range seen {
+		found := false
+		for doc, re := range documented {
+			if re.MatchString(topic) {
+				matched[doc], found = true, true
+			}
+		}
+		if !found {
+			t.Errorf("published %s is not in docs/observability.md", topic)
+		}
+	}
+	for doc := range documented {
+		if !matched[doc] {
+			t.Errorf("docs/observability.md lists %s, which the broker never published", doc)
+		}
+	}
 }

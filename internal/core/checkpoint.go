@@ -33,13 +33,9 @@ import (
 // changed under the same name) fails restore loudly and the task starts
 // fresh.
 
-// ckptSnapshotThreshold is the live checkpoint-WAL size that triggers a
-// snapshot compaction; handoffFetchTimeout bounds the start-time wait for
-// a retained handoff blob.
-const (
-	ckptSnapshotThreshold = 4 << 20
-	handoffFetchTimeout   = 2 * time.Second
-)
+// handoffFetchTimeout bounds the start-time wait for a retained handoff
+// blob.
+const handoffFetchTimeout = 2 * time.Second
 
 // ckptRec is one WAL record: the latest checkpoint of one learner.
 type ckptRec struct {
@@ -57,7 +53,7 @@ type ckptSnapshot struct {
 // or no longer — running here). journal is nil when the module has no
 // Store (handoff-only checkpointing).
 type ckptManager struct {
-	journal *store.Journal
+	journal *store.Journal[ckptRec]
 
 	mu       sync.Mutex
 	learners map[string]ml.Checkpointer
@@ -80,44 +76,29 @@ func (m *Module) initCheckpoints() error {
 		latest:   make(map[string]json.RawMessage),
 	}
 	if st != nil {
-		start := time.Now()
-		if err := ck.recover(st); err != nil {
-			return fmt.Errorf("core: module %s checkpoint recovery: %w", m.cfg.ID, err)
+		j, err := store.OpenJournal(st, "checkpoint", m.cfg.Logger, m.events, ck.restore,
+			func(r ckptRec) { ck.latest[r.Task] = r.Blob }, ck.capture)
+		if err != nil {
+			return fmt.Errorf("core: module %s: %w", m.cfg.ID, err)
 		}
-		if d, ok := st.(interface{ AddRecoveryDuration(time.Duration) }); ok {
-			d.AddRecoveryDuration(time.Since(start))
-		}
-		ck.journal = store.NewJournal(st, ck.capture, ckptSnapshotThreshold, m.cfg.Logger, m.events)
+		ck.journal = j
 	}
 	m.ckpt = ck
 	return nil
 }
 
-// recover rebuilds the latest-blob map from snapshot plus WAL replay.
-// Records are last-writer-wins per task, so replaying a record the
-// snapshot already covers is harmless.
-func (ck *ckptManager) recover(st store.Store) error {
-	snap, err := st.LoadSnapshot()
-	if err != nil {
+// restore folds a snapshot blob into the latest-blob map. Records are
+// last-writer-wins per task, so replaying a record the snapshot already
+// covers is harmless.
+func (ck *ckptManager) restore(blob []byte) error {
+	var snap ckptSnapshot
+	if err := json.Unmarshal(blob, &snap); err != nil {
 		return err
 	}
-	if snap != nil {
-		var s ckptSnapshot
-		if err := json.Unmarshal(snap, &s); err != nil {
-			return fmt.Errorf("decode snapshot: %w", err)
-		}
-		for task, blob := range s.Tasks {
-			ck.latest[task] = blob
-		}
+	for task, b := range snap.Tasks {
+		ck.latest[task] = b
 	}
-	return st.Replay(func(rec []byte) error {
-		var r ckptRec
-		if err := json.Unmarshal(rec, &r); err != nil {
-			return fmt.Errorf("decode record: %w", err)
-		}
-		ck.latest[r.Task] = r.Blob
-		return nil
-	})
+	return nil
 }
 
 // capture serializes the latest-blob map for snapshot compaction.
@@ -246,18 +227,7 @@ func (m *Module) checkpointTask(name string, ck ml.Checkpointer, allowHandoff bo
 	if same {
 		return
 	}
-	if cm.journal != nil {
-		rec, err := json.Marshal(ckptRec{Task: name, Blob: blob})
-		if err != nil {
-			m.logf("module %s: encode checkpoint %s: %v", m.cfg.ID, name, err)
-			return
-		}
-		if err := cm.journal.Append(rec); err != nil {
-			m.logf("module %s: journal checkpoint %s: %v", m.cfg.ID, name, err)
-			m.events.Eventf(telemetry.SevError, m.cfg.ID, "checkpoint_append_failed",
-				"task", name, "error", err.Error())
-		}
-	}
+	cm.journal.Append(ckptRec{Task: name, Blob: blob})
 	if allowHandoff {
 		m.publishHandoff(name, ck, blob)
 	}

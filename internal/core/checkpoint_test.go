@@ -253,3 +253,27 @@ func TestNonFiniteBatchDoesNotPoisonCheckpoint(t *testing.T) {
 		})
 	}
 }
+
+// fixedCheckpointer checkpoints as a fixed blob.
+type fixedCheckpointer string
+
+func (f fixedCheckpointer) CheckpointState() ([]byte, error) { return []byte(f), nil }
+func (fixedCheckpointer) RestoreState([]byte) error          { return nil }
+
+// TestModuleCheckpointGoldenRecord: a checkpoint is journaled as the bytes
+// earlier releases wrote, and a blob equal to the last one journals
+// nothing.
+func TestModuleCheckpointGoldenRecord(t *testing.T) {
+	st := store.NewMemStore()
+	m := NewModule(Config{ID: "ckpt", Store: st})
+	if err := m.initCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.ckpt.journal.Close()
+	m.checkpointTask("ck/det", fixedCheckpointer(`{"kind":"zscore", "n":3}`), false)
+	m.checkpointTask("ck/det", fixedCheckpointer(`{"kind":"zscore", "n":3}`), false)
+	const golden = `{"task":"ck/det","blob":{"kind":"zscore","n":3}}`
+	if got := journalRecords(t, st); len(got) != 1 || got[0] != golden {
+		t.Fatalf("journaled %q, want %q", got, golden)
+	}
+}

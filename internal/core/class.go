@@ -500,7 +500,7 @@ func (m *Module) startWindow(inst *taskInstance, rec recipe.Recipe, sub recipe.S
 		pendingMu  sync.Mutex
 		pendingCtx *TraceContext
 	)
-	w := flow.NewCountWindow(size, func(batch []sensor.Sample) {
+	w := flow.NewSlidingWindow(size, size, func(batch []sensor.Sample) {
 		pendingMu.Lock()
 		tc := forward(pendingCtx)
 		pendingCtx = nil

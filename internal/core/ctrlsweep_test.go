@@ -89,7 +89,7 @@ func newCtrlSchedule(t *testing.T, seed int64, modules int) *ctrlSchedule {
 // journal, then publish the set of every module the table names.
 func (s *ctrlSchedule) startManager() {
 	mgr := NewManager(ManagerConfig{ID: "mgr", Clock: s.clk, Store: s.st})
-	if err := mgr.initPersistence(); err != nil {
+	if err := mgr.recoverState(s.st); err != nil {
 		s.t.Fatal(err)
 	}
 	mgr.retain = s.publish
@@ -468,6 +468,7 @@ func (s *ctrlSchedule) checkQuiesced() error {
 	if err := replay.recoverState(s.st); err != nil {
 		return err
 	}
+	defer replay.journal.Close()
 	if live, replayed := journaled(s.mgr), journaled(replay); !reflect.DeepEqual(live, replayed) {
 		return fmt.Errorf("replayed table differs:\nlive     %+v\nreplayed %+v", live, replayed)
 	}

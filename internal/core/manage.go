@@ -196,7 +196,7 @@ type Manager struct {
 	scope map[string]bool
 
 	collector *TraceCollector
-	journal   *store.Journal // nil without ManagerConfig.Store
+	journal   *store.Journal[mgrRec] // nil without ManagerConfig.Store
 
 	events *telemetry.EventLog
 	health *HealthMonitor // the module table; lock order mu ⊃ health.mu
@@ -290,8 +290,10 @@ func (mgr *Manager) Start() error {
 	}
 	// Recover journaled deployments first: status and leave handlers walk
 	// the deployment table the moment the subscriptions below exist.
-	if err := mgr.initPersistence(); err != nil {
-		return err
+	if st := mgr.cfg.Store; st != nil {
+		if err := mgr.recoverState(st); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
 	}
 	conn, err := mgr.cfg.Dial()
 	if err != nil {
@@ -423,9 +425,7 @@ func (mgr *Manager) Close() error {
 		mgr.sloStop()
 		mgr.sloStop = nil
 	}
-	if mgr.journal != nil {
-		mgr.journal.Close()
-	}
+	mgr.journal.Close()
 	if mgr.client != nil {
 		return mgr.client.Disconnect()
 	}

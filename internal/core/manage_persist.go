@@ -2,8 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
-	"time"
 
 	"github.com/ifot-middleware/ifot/internal/recipe"
 	"github.com/ifot-middleware/ifot/internal/store"
@@ -53,10 +51,6 @@ type mgrRec struct {
 type mgrSnapshot struct {
 	Deployments []mgrRec `json:"deployments"`
 }
-
-// mgrSnapshotThreshold is the live-journal size that triggers a snapshot
-// compaction.
-const mgrSnapshotThreshold = 1 << 20
 
 // applyLocked folds one record into the deployment table; it is the only
 // code that writes mgr.deployments, mgr.scope, dep.Assignment or
@@ -123,22 +117,12 @@ func (mgr *Manager) applyLocked(rec mgrRec) *Deployment {
 }
 
 // commitLocked is the live path's one write: it applies the record and
-// journals it under the same lock, so WAL order equals memory order.
-// Journaling errors degrade durability; they never take down a live
-// manager. Called with mu held.
+// journals it under the same lock, so WAL order equals memory order. The
+// journal reports its own failures; they never take down a live manager.
+// Called with mu held.
 func (mgr *Manager) commitLocked(rec mgrRec) *Deployment {
 	dep := mgr.applyLocked(rec)
-	if mgr.journal == nil {
-		return dep
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		mgr.logf("manager: encode journal record: %v", err)
-		return dep
-	}
-	if err := mgr.journal.Append(data); err != nil {
-		mgr.logf("manager: journal append: %v", err)
-	}
+	mgr.journal.Append(rec)
 	return dep
 }
 
@@ -175,48 +159,30 @@ func (mgr *Manager) captureState() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// recoverState rebuilds the deployment table from snapshot plus WAL,
-// folding every record through applyLocked.
+// restoreLocked folds a snapshot blob into the deployment table. Called
+// with mu held.
+func (mgr *Manager) restoreLocked(blob []byte) error {
+	var snap mgrSnapshot
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		return err
+	}
+	for _, rec := range snap.Deployments {
+		mgr.applyLocked(rec)
+	}
+	return nil
+}
+
+// recoverState rebuilds the deployment table from st, folding every
+// record through applyLocked, and arms the journal on st. Start calls it
+// before the control subscriptions exist.
 func (mgr *Manager) recoverState(st store.Store) error {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
-	snap, err := st.LoadSnapshot()
+	j, err := store.OpenJournal(st, "manager", mgr.cfg.Logger, mgr.events,
+		mgr.restoreLocked, func(rec mgrRec) { mgr.applyLocked(rec) }, mgr.captureState)
 	if err != nil {
 		return err
 	}
-	if snap != nil {
-		var s mgrSnapshot
-		if err := json.Unmarshal(snap, &s); err != nil {
-			return fmt.Errorf("decode snapshot: %w", err)
-		}
-		for _, rec := range s.Deployments {
-			mgr.applyLocked(rec)
-		}
-	}
-	return st.Replay(func(data []byte) error {
-		var rec mgrRec
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return fmt.Errorf("decode record: %w", err)
-		}
-		mgr.applyLocked(rec)
-		return nil
-	})
-}
-
-// initPersistence recovers journaled deployments and arms the journal.
-// Called from Start before the control subscriptions exist.
-func (mgr *Manager) initPersistence() error {
-	st := mgr.cfg.Store
-	if st == nil {
-		return nil
-	}
-	start := time.Now()
-	if err := mgr.recoverState(st); err != nil {
-		return fmt.Errorf("core: manager journal recovery: %w", err)
-	}
-	if d, ok := st.(interface{ AddRecoveryDuration(time.Duration) }); ok {
-		d.AddRecoveryDuration(time.Since(start))
-	}
-	mgr.journal = store.NewJournal(st, mgr.captureState, mgrSnapshotThreshold, mgr.cfg.Logger, mgr.events)
+	mgr.journal = j
 	return nil
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"github.com/ifot-middleware/ifot/internal/recipe"
 	"github.com/ifot-middleware/ifot/internal/store"
+	"github.com/ifot-middleware/ifot/internal/tasks"
 )
 
 // TestManagerRestartResumesDeployment is the regression test for the
@@ -142,4 +144,68 @@ func TestManagerRestartAfterUndeploy(t *testing.T) {
 	if len(mgr2.Streams()) != 0 {
 		t.Fatalf("streams after restart = %v, want none", mgr2.Streams())
 	}
+}
+
+// journalRecords returns the records in st's live log.
+func journalRecords(t *testing.T, st store.Store) []string {
+	t.Helper()
+	var recs []string
+	if err := st.Replay(func(rec []byte) error { recs = append(recs, string(rec)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestJournalGoldenManagerRecord: a deploy record is journaled as the
+// bytes earlier releases wrote, so their journals and this one's read
+// alike.
+func TestJournalGoldenManagerRecord(t *testing.T) {
+	st := store.NewMemStore()
+	mgr := NewManager(ManagerConfig{})
+	if err := mgr.recoverState(st); err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.journal.Close()
+	rec, sub := anomalySub("zscore")
+	mgr.mu.Lock()
+	mgr.commitLocked(mgrRec{Op: mgrOpDeploy, Name: rec.Name, Recipe: &rec, SubTasks: []recipe.SubTask{sub},
+		Assignment: tasks.Assignment{sub.Name(): "n1"}, Epochs: map[string]uint64{sub.Name(): 1}})
+	mgr.mu.Unlock()
+	const golden = `{"op":"deploy","name":"ck","recipe":{"name":"ck","version":0,"tasks":null},` +
+		`"subTasks":[{"recipe":"ck","taskId":"det","shard":0,"shardCount":1,"task":{"id":"det","kind":"anomaly",` +
+		`"inputs":["ck/in"],"output":"ck/out","params":{"detector":"zscore","threshold":"5"},"placement":{}},"stage":0}],` +
+		`"assignment":{"ck/det":"n1"},"epochs":{"ck/det":1}}`
+	if got := journalRecords(t, st); len(got) != 1 || got[0] != golden {
+		t.Fatalf("journaled %q, want %q", got, golden)
+	}
+}
+
+// failingAppendStore is a store whose every append fails.
+type failingAppendStore struct{ *store.MemStore }
+
+func (failingAppendStore) Append([]byte) error { return errors.New("disk full") }
+
+// TestJournalFailureReportedByManager: with a store that cannot append,
+// Deploy still succeeds and the manager's event log reports the degraded
+// journal.
+func TestJournalFailureReportedByManager(t *testing.T) {
+	tc := newTestCluster(t)
+	m := tc.module(Config{ID: "node1", CapacityOps: 100, HeartbeatInterval: 100 * time.Millisecond})
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	mgr := tc.manager(ManagerConfig{Store: failingAppendStore{store.NewMemStore()}})
+	waitFor(t, "modules", func() bool { return len(mgr.Modules()) == 1 })
+	if _, err := mgr.Deploy(detectorRecipe("rp", 1, 1)); err != nil {
+		t.Fatalf("Deploy over a failing journal: %v", err)
+	}
+	for _, ev := range mgr.Events().Events(0, time.Time{}) {
+		if ev.Kind == "persist_degraded" {
+			if ev.Fields["journal"] != "manager" || ev.Fields["error"] != "disk full" {
+				t.Fatalf("persist_degraded = %+v", ev)
+			}
+			return
+		}
+	}
+	t.Fatal("the manager's journal failure reached no persist_degraded event")
 }

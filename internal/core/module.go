@@ -402,7 +402,7 @@ func (m *Module) Start() error {
 	m.wg.Add(2)
 	go m.heartbeatLoop()
 	go m.watchConnection(client)
-	if m.ckpt != nil && (m.ckpt.journal != nil || m.cfg.CheckpointHandoff) {
+	if m.ckpt != nil {
 		m.wg.Add(1)
 		go m.checkpointLoop()
 	}
@@ -666,7 +666,7 @@ func (m *Module) Close() error {
 		}
 	}
 	m.wg.Wait()
-	if m.ckpt != nil && m.ckpt.journal != nil {
+	if m.ckpt != nil {
 		// Final checkpoints were journaled as each task stopped; the
 		// store itself is closed (and synced) by whoever opened it.
 		m.ckpt.journal.Close()

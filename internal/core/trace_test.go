@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/ifot-middleware/ifot/internal/clock"
 	"github.com/ifot-middleware/ifot/internal/recipe"
@@ -530,5 +531,40 @@ func TestTraceCollectorBoundsOneKey(t *testing.T) {
 	}
 	if sum := mgr.Collector().FlowSummary(); sum.Flows != 1 || sum.Spans != total {
 		t.Fatalf("/flows = %d flows, %d spans; want 1 flow, %d spans", sum.Flows, sum.Spans, total)
+	}
+}
+
+// TestTraceCollectorSharesSpanNames: spans ingested from separate batches
+// with the same recipe, task, stage and module names hold one copy of
+// each name, not one per span.
+func TestTraceCollectorSharesSpanNames(t *testing.T) {
+	tc := NewTraceCollector(16)
+	base := time.Unix(100, 0)
+	for seq := uint32(1); seq <= 4; seq++ {
+		payload, err := telemetry.EncodeSpanBatch(telemetry.SpanBatch{Module: "moduleE", Spans: []telemetry.Span{{
+			Key:   telemetry.TraceKey{Recipe: "fig9", TaskID: "learn", Seq: seq},
+			Stage: "learn", OriginModule: "moduleA", Start: base, End: base.Add(time.Millisecond),
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.Ingest(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spans := tc.Spans()
+	if len(spans) != 4 {
+		t.Fatalf("retained %d spans, want 4", len(spans))
+	}
+	names := func(s telemetry.Span) []string {
+		return []string{s.Key.Recipe, s.Key.TaskID, s.Stage, s.Module, s.OriginModule}
+	}
+	first := names(spans[0])
+	for _, s := range spans[1:] {
+		for i, name := range names(s) {
+			if name != first[i] || unsafe.StringData(name) != unsafe.StringData(first[i]) {
+				t.Fatalf("span %d name %q does not share the first span's %q", s.Key.Seq, name, first[i])
+			}
+		}
 	}
 }

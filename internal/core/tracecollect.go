@@ -43,7 +43,12 @@ type TraceCollector struct {
 	mu      sync.Mutex
 	offsets map[string]time.Duration
 	dropped map[string]uint64 // per-module exporter drop counters
+	names   map[string]string // see share
 }
+
+// maxSharedNames bounds the collector's name table; a batch from any
+// client can bring new names, so past the bound the table starts over.
+const maxSharedNames = 256
 
 // NewTraceCollector creates a collector retaining up to capacity spans
 // (non-positive = DefaultCollectorSpans).
@@ -55,6 +60,7 @@ func NewTraceCollector(capacity int) *TraceCollector {
 		Tracer:  telemetry.NewTracer(nil, capacity),
 		offsets: make(map[string]time.Duration),
 		dropped: make(map[string]uint64),
+		names:   make(map[string]string),
 	}
 }
 
@@ -89,9 +95,25 @@ func (tc *TraceCollector) Ingest(payload []byte) error {
 		if s.Module == "" {
 			s.Module = batch.Module
 		}
+		s.Key.Recipe, s.Key.TaskID = tc.share(s.Key.Recipe), tc.share(s.Key.TaskID)
+		s.Stage, s.Module, s.OriginModule = tc.share(s.Stage), tc.share(s.Module), tc.share(s.OriginModule)
 		tc.Record(tc.adjust(s))
 	}
 	return nil
+}
+
+// share returns the collector's earlier copy of name when it has one, so
+// retained spans repeating a recipe, task, stage or module name hold one
+// string instead of each its own decoded copy. Called with tc.mu held.
+func (tc *TraceCollector) share(name string) string {
+	if prev, ok := tc.names[name]; ok {
+		return prev
+	}
+	if len(tc.names) >= maxSharedNames {
+		clear(tc.names)
+	}
+	tc.names[name] = name
+	return name
 }
 
 // adjust shifts a span's endpoints by the skew offset of whichever clock

@@ -12,46 +12,6 @@ import (
 	"github.com/ifot-middleware/ifot/internal/sensor"
 )
 
-// CountWindow buffers samples and emits a copy of the batch every `size`
-// samples (tumbling window). It is safe for concurrent use.
-type CountWindow struct {
-	mu   sync.Mutex
-	size int
-	buf  []sensor.Sample
-	emit func([]sensor.Sample)
-}
-
-// NewCountWindow creates a tumbling window of `size` samples (minimum 1)
-// delivering batches to emit.
-func NewCountWindow(size int, emit func([]sensor.Sample)) *CountWindow {
-	if size < 1 {
-		size = 1
-	}
-	return &CountWindow{size: size, buf: make([]sensor.Sample, 0, size), emit: emit}
-}
-
-// Push adds one sample, emitting a batch when the window fills.
-func (w *CountWindow) Push(s sensor.Sample) {
-	var batch []sensor.Sample
-	w.mu.Lock()
-	w.buf = append(w.buf, s)
-	if len(w.buf) >= w.size {
-		batch = w.buf
-		w.buf = make([]sensor.Sample, 0, w.size)
-	}
-	w.mu.Unlock()
-	if batch != nil {
-		w.emit(batch)
-	}
-}
-
-// Pending reports the number of buffered samples.
-func (w *CountWindow) Pending() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.buf)
-}
-
 // SlidingWindow emits overlapping batches: after the first `size` samples,
 // every `step` further samples emit the most recent `size` samples. With
 // step == size it degenerates to a tumbling window.

@@ -19,9 +19,12 @@ func sample(idx uint16, seq uint32, v float32) sensor.Sample {
 	}
 }
 
-func TestCountWindowEmitsFullBatches(t *testing.T) {
+// With step == size the sliding window tumbles: each sample lands in
+// exactly one batch, and a partial batch waits for the samples that fill
+// it.
+func TestTumblingWindowEmitsFullBatches(t *testing.T) {
 	var batches [][]sensor.Sample
-	w := NewCountWindow(3, func(b []sensor.Sample) { batches = append(batches, b) })
+	w := NewSlidingWindow(3, 3, func(b []sensor.Sample) { batches = append(batches, b) })
 	for i := uint32(1); i <= 7; i++ {
 		w.Push(sample(1, i, float32(i)))
 	}
@@ -31,14 +34,16 @@ func TestCountWindowEmitsFullBatches(t *testing.T) {
 	if batches[0][0].Seq != 1 || batches[1][2].Seq != 6 {
 		t.Fatalf("batch contents wrong: %+v", batches)
 	}
-	if w.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", w.Pending())
+	w.Push(sample(1, 8, 8))
+	w.Push(sample(1, 9, 9))
+	if len(batches) != 3 || batches[2][0].Seq != 7 || batches[2][2].Seq != 9 {
+		t.Fatalf("third batch = %+v, want samples 7..9", batches[2:])
 	}
 }
 
-func TestCountWindowMinimumSize(t *testing.T) {
+func TestTumblingWindowMinimumSize(t *testing.T) {
 	var got int
-	w := NewCountWindow(0, func(b []sensor.Sample) { got += len(b) })
+	w := NewSlidingWindow(0, 0, func(b []sensor.Sample) { got += len(b) })
 	w.Push(sample(1, 1, 0))
 	if got != 1 {
 		t.Fatalf("size-0 window should degrade to size 1; emitted %d", got)
@@ -184,10 +189,11 @@ func TestDeduperStaleOutsideWindow(t *testing.T) {
 
 func TestConcurrentWindowPush(t *testing.T) {
 	var mu sync.Mutex
-	total := 0
-	w := NewCountWindow(10, func(b []sensor.Sample) {
+	total, batches := 0, 0
+	w := NewSlidingWindow(10, 10, func(b []sensor.Sample) {
 		mu.Lock()
 		total += len(b)
+		batches++
 		mu.Unlock()
 	})
 	var wg sync.WaitGroup
@@ -203,8 +209,8 @@ func TestConcurrentWindowPush(t *testing.T) {
 	wg.Wait()
 	mu.Lock()
 	defer mu.Unlock()
-	if total+w.Pending() != 400 {
-		t.Fatalf("emitted %d + pending %d != 400", total, w.Pending())
+	if total != 400 || batches != 40 {
+		t.Fatalf("emitted %d samples in %d batches, want 400 in 40", total, batches)
 	}
 }
 

@@ -50,8 +50,8 @@ type Log interface {
 	AppendSync(rec []byte) error
 	// Replay calls fn for each record appended after the snapshot that
 	// LoadSnapshot returns, in append order. fn's slice is only valid
-	// during the call. Replay is meant to run once, on open, before the
-	// first Append.
+	// during the call. OpenJournal is its caller: it replays once, before
+	// the journal it returns can append.
 	Replay(fn func(rec []byte) error) error
 	// Close flushes and syncs outstanding appends and releases the log.
 	Close() error

@@ -705,15 +705,15 @@ func (s *FileStore) WALBytes() int64 { return s.walBytes.Load() }
 func (s *FileStore) Fsyncs() int64 { return s.fsyncs.Load() }
 
 // RecoveryDuration reports the time spent scanning and truncating the WAL
-// at Open, plus replay time accounted by AddRecoveryDuration.
+// at Open, plus the state rebuild of the journal opened on the store.
 func (s *FileStore) RecoveryDuration() time.Duration {
 	return time.Duration(s.recoveryNano.Load())
 }
 
-// AddRecoveryDuration folds a consumer's state-rebuild time (its
-// LoadSnapshot apply + Replay walk) into the recovery gauge, so
+// addRecoveryDuration folds a journal's state-rebuild time (snapshot
+// restore + log replay, see OpenJournal) into the recovery gauge, so
 // ifot_store_recovery_seconds reports the full restart-to-ready cost.
-func (s *FileStore) AddRecoveryDuration(d time.Duration) {
+func (s *FileStore) addRecoveryDuration(d time.Duration) {
 	if d > 0 {
 		s.recoveryNano.Add(d.Nanoseconds())
 	}

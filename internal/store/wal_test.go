@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/ifot-middleware/ifot/internal/telemetry"
 )
 
 func openTest(t *testing.T, dir string, opts Options) *FileStore {
@@ -381,63 +379,4 @@ func TestMemStoreContract(t *testing.T) {
 	if err := m.Append([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v", err)
 	}
-}
-
-func TestJournalAutoSnapshot(t *testing.T) {
-	m := NewMemStore()
-	var mu sync.Mutex
-	state := 0
-	j := NewJournal(m, func() ([]byte, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return []byte(fmt.Sprintf("state=%d", state)), nil
-	}, 64, nil, nil)
-	defer j.Close()
-	for i := 0; i < 20; i++ {
-		mu.Lock()
-		state++
-		mu.Unlock()
-		if err := j.Append(bytes.Repeat([]byte{byte(i)}, 16)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if snap, _ := m.LoadSnapshot(); snap != nil {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("journal never took an automatic snapshot")
-}
-
-// failingSnapshots is a store whose snapshot compaction always fails.
-type failingSnapshots struct{ *MemStore }
-
-func (failingSnapshots) SaveSnapshot(func() ([]byte, error)) error {
-	return errors.New("disk full")
-}
-
-// TestJournalSnapshotFailedEvent: a failed background compaction reaches
-// the event log the journal was built with.
-func TestJournalSnapshotFailedEvent(t *testing.T) {
-	events := telemetry.NewEventLog(16)
-	j := NewJournal(failingSnapshots{NewMemStore()}, func() ([]byte, error) { return []byte("state"), nil }, 1, nil, events)
-	defer j.Close()
-	if err := j.Append([]byte("rec")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, ev := range events.Events(0, time.Time{}) {
-			if ev.Kind == "snapshot_failed" {
-				if ev.Severity != telemetry.SevError || ev.Fields["error"] != "disk full" {
-					t.Fatalf("snapshot_failed event = %+v", ev)
-				}
-				return
-			}
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("failed snapshot emitted no snapshot_failed event")
 }
