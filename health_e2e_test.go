@@ -294,8 +294,8 @@ func TestPartitionFailoverFencingEndToEnd(t *testing.T) {
 	// edgeA: the initial host, behind the wedgeable link. Its huge
 	// capacity pins the placement; FenceAfter < DeadAfter so the zombie
 	// side of the partition muzzles itself before the manager moves the
-	// task; AckTimeout keeps announce attempts (and redials through the
-	// wedge) failing fast instead of hanging.
+	// task; it is also the session's ack wait, so announce attempts (and
+	// redials through the wedge) fail fast instead of hanging.
 	evA := telemetry.NewEventLog(256)
 	edgeA := core.NewModule(core.Config{
 		ID:                  "edgeA",
@@ -306,7 +306,6 @@ func TestPartitionFailoverFencingEndToEnd(t *testing.T) {
 		CheckpointHandoff:   true,
 		CheckpointInterval:  25 * time.Millisecond,
 		FenceAfter:          150 * time.Millisecond,
-		AckTimeout:          100 * time.Millisecond,
 		Dial:                func() (net.Conn, error) { return net.Dial("tcp", px.addr) },
 	})
 	evB := telemetry.NewEventLog(256)
@@ -420,6 +419,7 @@ func TestPartitionFailoverFencingEndToEnd(t *testing.T) {
 
 	// --- Phase 2: partition edgeA ---
 	px.Blackhole()
+	partitioned := time.Now()
 	waitCond(t, "edgeA self-fenced", func() bool {
 		for _, ev := range evA.Events(0, time.Time{}) {
 			if ev.Kind == "self_fenced" {
@@ -428,6 +428,11 @@ func TestPartitionFailoverFencingEndToEnd(t *testing.T) {
 		}
 		return false
 	})
+	// FenceAfter is also edgeA's ack wait, so a blocked announce fails
+	// within it and the fence falls well before mqttclient's 10 s default.
+	if took := time.Since(partitioned); took > 3*time.Second {
+		t.Fatalf("edgeA self-fenced %v after the partition, want within 3s", took)
+	}
 	waitCond(t, "edgeA classified dead", func() bool {
 		return mgr.Health().State("edgeA") == core.HealthDead
 	})

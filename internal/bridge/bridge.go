@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"github.com/ifot-middleware/ifot/internal/mqttclient"
 	"github.com/ifot-middleware/ifot/internal/wire"
@@ -100,7 +99,7 @@ func NewBridge(cfg Config) (*Bridge, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bridge: %s dial local: %w", cfg.Name, err)
 	}
-	local, err := mqttclient.Connect(localConn, bridgeOptions(cfg.Name+"-local"))
+	local, err := mqttclient.Connect(localConn, mqttclient.NewOptions(cfg.Name+"-local"))
 	if err != nil {
 		_ = localConn.Close()
 		return nil, fmt.Errorf("bridge: %s connect local: %w", cfg.Name, err)
@@ -110,7 +109,7 @@ func NewBridge(cfg Config) (*Bridge, error) {
 		_ = local.Close()
 		return nil, fmt.Errorf("bridge: %s dial remote: %w", cfg.Name, err)
 	}
-	remote, err := mqttclient.Connect(remoteConn, bridgeOptions(cfg.Name+"-remote"))
+	remote, err := mqttclient.Connect(remoteConn, mqttclient.NewOptions(cfg.Name+"-remote"))
 	if err != nil {
 		_ = local.Close()
 		_ = remoteConn.Close()
@@ -141,12 +140,6 @@ func NewBridge(cfg Config) (*Bridge, error) {
 		}
 	}
 	return b, nil
-}
-
-func bridgeOptions(clientID string) mqttclient.Options {
-	opts := mqttclient.NewOptions(clientID)
-	opts.KeepAlive = 30 * time.Second
-	return opts
 }
 
 // Forwarded reports the number of messages relayed so far.

@@ -56,7 +56,7 @@ func benchSubscriber(b *testing.B, addr, id, filter string) {
 }
 
 // benchWindow bounds how many messages a benchmark publisher keeps
-// outstanding per subscriber queue. It is far below SessionQueueSize, so a
+// outstanding per subscriber queue. It is far below sessionQueueSize, so a
 // paced benchmark run never drops: msgs/sec is sustained no-drop delivery
 // throughput, not enqueue-and-discard speed.
 const benchWindow = 1024
@@ -67,7 +67,7 @@ const benchWindow = 1024
 func BenchmarkPublishFanout(b *testing.B) {
 	for _, subs := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			br, addr := startBenchBroker(b, Options{SessionQueueSize: 8192})
+			br, addr := startBenchBroker(b, Options{sessionQueueSize: 8192})
 			for i := 0; i < subs; i++ {
 				benchSubscriber(b, addr, fmt.Sprintf("fan-%d", i), "bench/fanout")
 			}
@@ -97,7 +97,7 @@ func BenchmarkPublishFanout(b *testing.B) {
 // routing they proceed in parallel.
 func BenchmarkPublishConcurrent(b *testing.B) {
 	const subs = 8
-	br, addr := startBenchBroker(b, Options{SessionQueueSize: 8192})
+	br, addr := startBenchBroker(b, Options{sessionQueueSize: 8192})
 	for i := 0; i < subs; i++ {
 		benchSubscriber(b, addr, fmt.Sprintf("par-%d", i), "bench/par/#")
 	}
@@ -113,7 +113,7 @@ func BenchmarkPublishConcurrent(b *testing.B) {
 			br.Publish("bench/par/t", payload, wire.QoS0, false)
 			if p := published.Add(1); p%256 == 0 {
 				// Pace all publishers against the slowest queue so the
-				// benchmark never overruns SessionQueueSize.
+				// benchmark never overruns sessionQueueSize.
 				for {
 					st := br.Stats()
 					if p*subs-(st.MessagesDelivered-base.MessagesDelivered) <= subs*benchWindow {
@@ -140,7 +140,7 @@ func BenchmarkPublishConcurrent(b *testing.B) {
 // replay, never for the snapshot rebuild).
 func BenchmarkPublishChurn(b *testing.B) {
 	const subs = 4
-	br, addr := startBenchBroker(b, Options{SessionQueueSize: 8192})
+	br, addr := startBenchBroker(b, Options{sessionQueueSize: 8192})
 	for i := 0; i < subs; i++ {
 		benchSubscriber(b, addr, fmt.Sprintf("churn-%d", i), "bench/churn/#")
 	}
@@ -262,7 +262,7 @@ func BenchmarkPublishFanoutDurable(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Cleanup(func() { _ = st.Close() })
-			br, addr := startBenchBroker(b, Options{SessionQueueSize: 8192, Store: st})
+			br, addr := startBenchBroker(b, Options{sessionQueueSize: 8192, Store: st})
 			for i := 0; i < subs; i++ {
 				benchSubscriber(b, addr, fmt.Sprintf("fan-%d", i), "bench/fanout")
 			}

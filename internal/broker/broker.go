@@ -36,11 +36,6 @@ type Authenticator func(clientID, username string, password []byte) bool
 type Options struct {
 	// MaxQoS caps the QoS granted to subscriptions (default QoS1).
 	MaxQoS wire.QoS
-	// MaxPacketSize bounds inbound packets in bytes (default 1 MiB).
-	MaxPacketSize int
-	// SessionQueueSize is the per-connection outbound queue length
-	// (default 256).
-	SessionQueueSize int
 	// Authenticator, when set, gates connections.
 	Authenticator Authenticator
 	// Logger receives diagnostic messages; nil silences them.
@@ -64,6 +59,11 @@ type Options struct {
 	// clock drives the $SYS publisher's ticks and the uptime; nil means
 	// the wall clock. The package's tests set a virtual one.
 	clock clock.Clock
+	// maxPacketSize bounds inbound packets in bytes (default 1 MiB) and
+	// sessionQueueSize is the per-connection outbound queue length
+	// (default 256). The package's tests shrink or grow them.
+	maxPacketSize    int
+	sessionQueueSize int
 }
 
 func (o Options) withDefaults() Options {
@@ -73,11 +73,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxQoS > wire.QoS1 {
 		o.MaxQoS = wire.QoS1 // outbound QoS2 delivery is not implemented
 	}
-	if o.MaxPacketSize <= 0 {
-		o.MaxPacketSize = 1 << 20
+	if o.maxPacketSize <= 0 {
+		o.maxPacketSize = 1 << 20
 	}
-	if o.SessionQueueSize <= 0 {
-		o.SessionQueueSize = 256
+	if o.sessionQueueSize <= 0 {
+		o.sessionQueueSize = 256
 	}
 	if o.clock == nil {
 		o.clock = clock.Real{}
@@ -414,7 +414,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	outbound, resend, gen := sess.attach(b.opts.SessionQueueSize)
+	outbound, resend, gen := sess.attach(b.opts.sessionQueueSize)
 
 	if err := wire.WritePacket(conn, &wire.ConnackPacket{SessionPresent: sessionPresent, Code: wire.ConnAccepted}); err != nil {
 		b.unregisterConn(sess, conn, gen)
@@ -698,7 +698,7 @@ const readerBufSize = 4 << 10
 // newConnReader returns the packet reader of one client connection. It
 // forwards: a QoS 0 PUBLISH arrives as the frame fanout shares.
 func (b *Broker) newConnReader(conn io.Reader) *wire.Reader {
-	return wire.NewReader(bufio.NewReaderSize(conn, readerBufSize), b.opts.MaxPacketSize, true)
+	return wire.NewReader(bufio.NewReaderSize(conn, readerBufSize), b.opts.maxPacketSize, true)
 }
 
 // writeLoop is a connection's writer goroutine, the only code that writes

@@ -10,7 +10,7 @@ import (
 )
 
 func TestBrokerEnforcesMaxPacketSize(t *testing.T) {
-	bus := newTestBus(t, Options{MaxPacketSize: 256})
+	bus := newTestBus(t, Options{maxPacketSize: 256})
 	c := bus.connect(t, mqttclient.NewOptions("big"))
 
 	// An oversized publish kills the connection server-side.

@@ -293,10 +293,10 @@ func TestPersistentSessionQueuesWhileOffline(t *testing.T) {
 }
 
 // A reconnecting persistent subscriber gets its whole parked backlog, not
-// just the first SessionQueueSize of it: redelivery is written by the
+// just the first sessionQueueSize of it: redelivery is written by the
 // connection writer ahead of the queue, never through it.
 func TestReconnectRedeliversWholeBacklog(t *testing.T) {
-	const backlog = 600 // > SessionQueueSize (256), < maxQueuedOffline
+	const backlog = 600 // > sessionQueueSize (256), < maxQueuedOffline
 	bus := newTestBus(t, Options{})
 	pub := bus.connect(t, mqttclient.NewOptions("pub"))
 
@@ -339,7 +339,7 @@ func TestReconnectRedeliversWholeBacklog(t *testing.T) {
 // Stats().MessagesDropped is cumulative: a clean session's drops stay in
 // the total after the session itself is discarded.
 func TestDroppedTotalSurvivesSessionDiscard(t *testing.T) {
-	bus := newTestBus(t, Options{SessionQueueSize: 1})
+	bus := newTestBus(t, Options{sessionQueueSize: 1})
 	conn, err := bus.listener.Dial()
 	if err != nil {
 		t.Fatal(err)

@@ -92,7 +92,7 @@ func TestPersistRetainedAcrossRestart(t *testing.T) {
 	}
 }
 
-// The second case parks more than SessionQueueSize messages: the recovered
+// The second case parks more than sessionQueueSize messages: the recovered
 // backlog must come back whole on reconnect, not one queue-full at a time.
 // The third restarts twice: the session the first recovery rebuilt gains a
 // subscription and a queued message, which must journal like a live

@@ -240,7 +240,7 @@ func TestRelayQoS0ReadSideAllocs(t *testing.T) {
 		t.Skip("allocation counts vary under the race detector")
 	}
 	const runs = 1000
-	b := New(Options{SessionQueueSize: 2 * runs})
+	b := New(Options{sessionQueueSize: 2 * runs})
 	defer b.Close()
 	b.mu.Lock()
 	sub, _ := b.openSessionLocked("relay-sub", false)

@@ -75,7 +75,7 @@ func TestPublishUnroutableTopicCountsAllDrops(t *testing.T) {
 // or duplicated across a swap. Run with -race this also exercises the
 // epoch gate's reader/writer fencing.
 func TestSubscriptionChurnUnderPublishLoad(t *testing.T) {
-	bus := newTestBus(t, Options{SessionQueueSize: 4096})
+	bus := newTestBus(t, Options{sessionQueueSize: 4096})
 
 	stable := bus.connect(t, mqttclient.NewOptions("stable"))
 	var mu sync.Mutex

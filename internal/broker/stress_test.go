@@ -75,7 +75,7 @@ func TestBrokerStressConcurrentMixedQoS(t *testing.T) {
 	// Queues must absorb the full QoS1 stream: an overflowing QoS1
 	// delivery is parked for redelivery on reconnect, which this test
 	// (no reconnects) would observe as a loss.
-	bus := newTestBus(t, Options{SessionQueueSize: 8192})
+	bus := newTestBus(t, Options{sessionQueueSize: 8192})
 
 	type rx struct {
 		mu   sync.Mutex

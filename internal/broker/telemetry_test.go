@@ -57,7 +57,7 @@ func TestBrokerMetrics(t *testing.T) {
 // the three counts are equal.
 func TestDroppedCountersAgree(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	bus := newTestBus(t, Options{Registry: reg, SessionQueueSize: 1})
+	bus := newTestBus(t, Options{Registry: reg, sessionQueueSize: 1})
 	b := bus.broker
 	var want int64
 	check := func(step string) {

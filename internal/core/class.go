@@ -722,7 +722,7 @@ func (m *Module) noteMixRound(payloadBytes int, staleness time.Duration) {
 }
 
 // startMixLoop runs the Managing class's MIX protocol for one learner
-// (mixsync.go): every MixInterval one publisher round — the round's delta
+// (mixsync.go): every mixInterval one publisher round — the round's delta
 // as a QoS-DataQoS, non-retained payload and, every MixKeyframeEvery
 // rounds, the shard's contribution as a retained keyframe — while a
 // sharded task folds its sibling shards' payloads in.
@@ -752,7 +752,7 @@ func (m *Module) startMixLoop(inst *taskInstance, rec recipe.Recipe, sub recipe.
 			select {
 			case <-ctx.Done():
 				return
-			case <-m.cfg.Clock.After(m.cfg.MixInterval):
+			case <-m.cfg.Clock.After(m.cfg.mixInterval):
 				// Self-fenced: skip the round entirely. The tasks were
 				// likely failed over; stale deltas and keyframes from this
 				// side of the partition must not perturb the new host.

@@ -69,7 +69,7 @@ type restartRace struct {
 func newRestartRace(t *testing.T) *restartRace {
 	tc := newTestCluster(t)
 	r := &restartRace{seen: make(map[string]int)}
-	r.m = tc.module(Config{ID: "restarter", DisableReconnect: true})
+	r.m = tc.module(Config{ID: "restarter", disableReconnect: true})
 	r.m.RegisterCustom("count", func(msg mqttclient.Message, _ func(string, []byte) error) {
 		r.mu.Lock()
 		r.seen[string(msg.Payload)]++

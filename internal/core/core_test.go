@@ -363,7 +363,7 @@ func TestTrainPredictWithModelSync(t *testing.T) {
 	)
 	m := tc.module(Config{
 		ID: "worker", CapacityOps: 1000,
-		MixInterval: 50 * time.Millisecond,
+		mixInterval: 50 * time.Millisecond,
 		Observer: Observer{
 			OnTrain:    func(ev TrainEvent) { mu.Lock(); trains = append(trains, ev); mu.Unlock() },
 			OnDecision: func(d Decision) { mu.Lock(); decs = append(decs, d); mu.Unlock() },

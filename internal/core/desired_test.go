@@ -80,7 +80,7 @@ func runs(m *Module, task string) bool {
 func TestUndeployWhileModuleDisconnected(t *testing.T) {
 	tc := newTestCluster(t)
 	mgr := tc.manager(ManagerConfig{})
-	m := tc.module(Config{ID: "host", CapacityOps: 100, ReconnectBackoff: 500 * time.Millisecond})
+	m := tc.module(Config{ID: "host", CapacityOps: 100, reconnectBackoff: 500 * time.Millisecond})
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestUndeployWhileModuleDisconnected(t *testing.T) {
 func TestLeaveFailoverFencesReturningModule(t *testing.T) {
 	tc := newTestCluster(t)
 	mgr := tc.manager(ManagerConfig{})
-	host := tc.module(Config{ID: "host", CapacityOps: 100000, ReconnectBackoff: 300 * time.Millisecond})
+	host := tc.module(Config{ID: "host", CapacityOps: 100000, reconnectBackoff: 300 * time.Millisecond})
 	survivor := tc.module(Config{ID: "survivor", CapacityOps: 1000})
 	for _, m := range []*Module{host, survivor} {
 		if err := m.Start(); err != nil {
@@ -190,7 +190,7 @@ func TestUndeployClearsHandoffWithHostDown(t *testing.T) {
 	tc := newTestCluster(t)
 	mgr := tc.manager(ManagerConfig{})
 	host := tc.module(Config{ID: "host", CapacityOps: 100, CheckpointHandoff: true,
-		CheckpointInterval: 20 * time.Millisecond, DisableReconnect: true})
+		CheckpointInterval: 20 * time.Millisecond, disableReconnect: true})
 	if err := host.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestUndeployClearsHandoffWithHostDown(t *testing.T) {
 func TestSuccessiveInMemoryManagersKeepEarlierDeployments(t *testing.T) {
 	tc := newTestCluster(t)
 	host := tc.module(Config{ID: "host", CapacityOps: 100, HeartbeatInterval: 50 * time.Millisecond,
-		ReconnectBackoff: 100 * time.Millisecond})
+		reconnectBackoff: 100 * time.Millisecond})
 	if err := host.Start(); err != nil {
 		t.Fatal(err)
 	}

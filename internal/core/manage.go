@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"github.com/ifot-middleware/ifot/internal/clock"
 	"github.com/ifot-middleware/ifot/internal/mqttclient"
@@ -300,7 +299,6 @@ func (mgr *Manager) Start() error {
 		return fmt.Errorf("core: manager dial: %w", err)
 	}
 	opts := mqttclient.NewOptions(mgr.cfg.ID)
-	opts.KeepAlive = 30 * time.Second
 	opts.Registry = mgr.cfg.Telemetry
 	client, err := mqttclient.Connect(conn, opts)
 	if err != nil {

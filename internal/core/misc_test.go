@@ -188,7 +188,7 @@ func TestModuleUnstartedHelpers(t *testing.T) {
 func TestBadControlPayloadsIgnored(t *testing.T) {
 	tc := newTestCluster(t)
 	mgr := tc.manager(ManagerConfig{})
-	m := tc.module(Config{ID: "victim", CapacityOps: 100, ReconnectBackoff: 20 * time.Millisecond})
+	m := tc.module(Config{ID: "victim", CapacityOps: 100, reconnectBackoff: 20 * time.Millisecond})
 	m.RegisterCustom("relay", func(mqttclient.Message, func(string, []byte) error) {})
 	if err := m.Start(); err != nil {
 		t.Fatal(err)

@@ -170,7 +170,7 @@ func TestShardedMixConvergesExactly(t *testing.T) {
 	mkWorker := func(id string, capacity float64) *Module {
 		return tc.module(Config{
 			ID: id, CapacityOps: capacity,
-			MixInterval:      50 * time.Millisecond,
+			mixInterval:      50 * time.Millisecond,
 			MixKeyframeEvery: 2,
 			// Generous staleness bound: race-instrumented runs schedule
 			// coarsely, and a spurious eviction would skew the averaging
@@ -275,7 +275,7 @@ func TestPredictorReportsUndecodableRetainedMix(t *testing.T) {
 	)
 	m := tc.module(Config{
 		ID:          "worker",
-		MixInterval: 50 * time.Millisecond,
+		mixInterval: 50 * time.Millisecond,
 		Observer: Observer{
 			OnDecision: func(d Decision) { mu.Lock(); decs = append(decs, d); mu.Unlock() },
 		},

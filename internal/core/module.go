@@ -64,9 +64,6 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	// DataQoS is the QoS for data-plane publishes (default QoS0).
 	DataQoS wire.QoS
-	// MixInterval spaces MIX weight exchanges for sharded trainers
-	// (default 2s).
-	MixInterval time.Duration
 	// MixKeyframeEvery is the keyframe cadence of the delta MIX protocol:
 	// every Nth round the shard's whole contribution is published retained
 	// (QoS as DataQoS) in addition to that round's delta, so joiners
@@ -75,18 +72,11 @@ type Config struct {
 	MixKeyframeEvery int
 	// MixStaleAfter evicts a MIX shard silent for longer than this bound:
 	// it stops counting toward n and the staleness gauge, its contribution
-	// stays until its next keyframe replaces it (default 3×MixInterval).
+	// stays until its next keyframe replaces it (default three MIX
+	// intervals).
 	MixStaleAfter time.Duration
 	// Observer receives middleware events.
 	Observer Observer
-	// DisableReconnect turns off automatic reconnection after a broker
-	// connection loss. With reconnection on (the default), the module
-	// redials with exponential backoff, re-registers its control
-	// subscriptions, and restarts its assigned tasks.
-	DisableReconnect bool
-	// ReconnectBackoff is the initial redial delay (default 200ms,
-	// doubling up to 30x).
-	ReconnectBackoff time.Duration
 	// Telemetry, when set, receives module metrics (decision/train-event
 	// counters, running-task gauge, MIX and fencing counters). Per-stage
 	// latency quantiles come from the Tracer (Tracer.BindRegistry).
@@ -144,17 +134,28 @@ type Config struct {
 	// saw the dead module's store. Orthogonal to Store: a module can hand
 	// off without journaling locally and vice versa.
 	CheckpointHandoff bool
-	// AckTimeout bounds QoS1 acknowledgement waits on the module's broker
-	// session (default mqttclient's 10s). Announce beacons are QoS1, so
-	// this is also how quickly a silent partition surfaces as a publish
-	// error — size it below FenceAfter.
-	AckTimeout time.Duration
 	// FenceAfter, when positive, arms self-fencing: once the broker has
 	// not acknowledged an announce for longer than this bound the module
 	// assumes it is partitioned, stops publishing task outputs (drops are
 	// counted) and marks its beacons Fenced until the next desired set from
-	// the manager clears the fence. Zero disables self-fencing.
+	// the manager clears the fence. Zero disables self-fencing. A bound
+	// below mqttclient.DefaultAckTimeout is also the session's QoS 1 ack
+	// wait, so an announce blocked by a partition fails within it.
 	FenceAfter time.Duration
+
+	// mixInterval spaces MIX weight exchanges for sharded trainers
+	// (default 2s). The package's tests shorten it.
+	mixInterval time.Duration
+	// disableReconnect turns off automatic reconnection after a broker
+	// connection loss. With reconnection on (the default), the module
+	// redials with exponential backoff, re-registers its control
+	// subscriptions, and restarts its assigned tasks. The package's tests
+	// turn it off.
+	disableReconnect bool
+	// reconnectBackoff is the initial redial delay (default 200ms,
+	// doubled after each failed attempt until it passes 10s; at most 30
+	// attempts). The package's tests change it.
+	reconnectBackoff time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -164,17 +165,17 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 5 * time.Second
 	}
-	if c.MixInterval <= 0 {
-		c.MixInterval = 2 * time.Second
+	if c.mixInterval <= 0 {
+		c.mixInterval = 2 * time.Second
 	}
 	if c.MixKeyframeEvery <= 0 {
 		c.MixKeyframeEvery = 8
 	}
 	if c.MixStaleAfter <= 0 {
-		c.MixStaleAfter = 3 * c.MixInterval
+		c.MixStaleAfter = 3 * c.mixInterval
 	}
-	if c.ReconnectBackoff <= 0 {
-		c.ReconnectBackoff = 200 * time.Millisecond
+	if c.reconnectBackoff <= 0 {
+		c.reconnectBackoff = 200 * time.Millisecond
 	}
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 30 * time.Second
@@ -514,10 +515,9 @@ func (m *Module) connect() (*mqttclient.Client, error) {
 		return nil, fmt.Errorf("core: module %s dial: %w", m.cfg.ID, err)
 	}
 	opts := mqttclient.NewOptions(m.cfg.ID)
-	opts.KeepAlive = 30 * time.Second
 	opts.Registry = m.cfg.Telemetry
-	if m.cfg.AckTimeout > 0 {
-		opts.AckTimeout = m.cfg.AckTimeout
+	if f := m.cfg.FenceAfter; f > 0 && f < mqttclient.DefaultAckTimeout {
+		opts.AckTimeout = f
 	}
 	if m.exporting() {
 		opts.OnBeforeDisconnect = m.flushTelemetry
@@ -562,11 +562,11 @@ func (m *Module) watchConnection(client *mqttclient.Client) {
 		return
 	case <-client.Done():
 	}
-	if m.cfg.DisableReconnect {
+	if m.cfg.disableReconnect {
 		return
 	}
 	m.events.Eventf(telemetry.SevWarn, m.cfg.ID, "connection_lost")
-	backoff := m.cfg.ReconnectBackoff
+	backoff := m.cfg.reconnectBackoff
 	for attempt := 0; attempt < 30; attempt++ {
 		select {
 		case <-m.ctx.Done():

@@ -26,7 +26,7 @@ func TestRegressionTrainPredictEndToEnd(t *testing.T) {
 	)
 	m := tc.module(Config{
 		ID: "node", CapacityOps: 1000,
-		MixInterval: 50 * time.Millisecond,
+		mixInterval: 50 * time.Millisecond,
 		Observer: Observer{OnDecision: func(d Decision) {
 			mu.Lock()
 			preds = append(preds, d)

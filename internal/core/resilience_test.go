@@ -104,7 +104,7 @@ func TestFailoverAbnormalDeath(t *testing.T) {
 	sensorHost := tc.module(Config{ID: "s-host", CapacityOps: 1000})
 	sensorHost.RegisterSensor(accelSensor("acc", 1, 50))
 	// The dying worker must not reconnect, or it would race failover.
-	dying := tc.module(Config{ID: "dying", CapacityOps: 100000, DisableReconnect: true})
+	dying := tc.module(Config{ID: "dying", CapacityOps: 100000, disableReconnect: true})
 	survivor := tc.module(Config{ID: "survivor", CapacityOps: 1000})
 	for _, m := range []*Module{sensorHost, dying, survivor} {
 		if err := m.Start(); err != nil {
@@ -173,7 +173,7 @@ func TestModuleReconnectRestartsTasks(t *testing.T) {
 	decided := make(chan Decision, 256)
 	m := tc.module(Config{
 		ID: "resilient", CapacityOps: 1000,
-		ReconnectBackoff: 20 * time.Millisecond,
+		reconnectBackoff: 20 * time.Millisecond,
 		Observer:         Observer{OnDecision: func(d Decision) { decided <- d }},
 	})
 	m.RegisterSensor(accelSensor("acc", 1, 50))
@@ -293,7 +293,7 @@ func TestTrainShardingAcrossModules(t *testing.T) {
 	events := make(chan trainCount, 1024)
 	mkWorker := func(id string) *Module {
 		return tc.module(Config{
-			ID: id, CapacityOps: 1000, MixInterval: 50 * time.Millisecond,
+			ID: id, CapacityOps: 1000, mixInterval: 50 * time.Millisecond,
 			Observer: Observer{OnTrain: func(ev TrainEvent) {
 				select {
 				case events <- trainCount{module: id, ev: ev}:
@@ -381,7 +381,7 @@ func TestCloseDuringStartTask(t *testing.T) {
 	}}
 	const starters = 4
 	for i := 0; i < 200; i++ {
-		m := tc.module(Config{ID: fmt.Sprintf("closing-%d", i), DisableReconnect: true})
+		m := tc.module(Config{ID: fmt.Sprintf("closing-%d", i), disableReconnect: true})
 		if err := m.Start(); err != nil {
 			t.Fatal(err)
 		}

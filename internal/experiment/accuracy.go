@@ -18,29 +18,27 @@ type QualityConfig struct {
 	Detector string
 	// Threshold is the anomaly cut-off.
 	Threshold float64
-	// Samples is the stream length.
-	Samples int
-	// SpikeEvery injects a ground-truth anomaly every n-th sample.
-	SpikeEvery int
-	// SpikeMagnitude is the anomaly amplitude (baseline noise is N(0,1)).
-	SpikeMagnitude float64
-	// Warmup samples are excluded from scoring (model cold start).
-	Warmup int
 	// Seed drives the noise.
 	Seed int64
 }
 
-// DefaultQualityConfig returns a representative fall-detection-like setup.
+// The synthetic stream of every detection-quality run, a representative
+// fall-detection-like setup.
+const (
+	// qualitySamples is the stream length.
+	qualitySamples = 4000
+	// spikeEvery injects a ground-truth anomaly every n-th sample.
+	spikeEvery = 100
+	// spikeMagnitude is the anomaly amplitude (baseline noise is N(0,1)).
+	spikeMagnitude = 12
+	// qualityWarmup samples are excluded from scoring (model cold start).
+	qualityWarmup = 200
+)
+
+// DefaultQualityConfig returns the detection-quality run of one detector
+// at one threshold.
 func DefaultQualityConfig(detector string, threshold float64) QualityConfig {
-	return QualityConfig{
-		Detector:       detector,
-		Threshold:      threshold,
-		Samples:        4000,
-		SpikeEvery:     100,
-		SpikeMagnitude: 12,
-		Warmup:         200,
-		Seed:           1,
-	}
+	return QualityConfig{Detector: detector, Threshold: threshold, Seed: 1}
 }
 
 // QualityResult reports detection quality against ground truth.
@@ -89,15 +87,6 @@ func (r QualityResult) String() string {
 // RunDetectionQuality streams the synthetic signal through the chosen
 // detector and scores detections against the injected ground truth.
 func RunDetectionQuality(cfg QualityConfig) QualityResult {
-	if cfg.Samples <= 0 {
-		cfg.Samples = 4000
-	}
-	if cfg.SpikeEvery <= 1 {
-		cfg.SpikeEvery = 100
-	}
-	if cfg.Warmup >= cfg.Samples {
-		cfg.Warmup = cfg.Samples / 10
-	}
 	var detector ml.AnomalyDetector
 	switch cfg.Detector {
 	case "knn":
@@ -108,14 +97,14 @@ func RunDetectionQuality(cfg QualityConfig) QualityResult {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	res := QualityResult{Config: cfg}
-	for i := 1; i <= cfg.Samples; i++ {
+	for i := 1; i <= qualitySamples; i++ {
 		value := rng.NormFloat64()
-		isAnomaly := i%cfg.SpikeEvery == 0
+		isAnomaly := i%spikeEvery == 0
 		if isAnomaly {
-			value = cfg.SpikeMagnitude
+			value = spikeMagnitude
 		}
 		score := detector.Add(feature.Vector{"v": value})
-		if i <= cfg.Warmup {
+		if i <= qualityWarmup {
 			continue
 		}
 		flagged := score > cfg.Threshold

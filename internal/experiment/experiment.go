@@ -49,16 +49,6 @@ type Config struct {
 	NeuronProfile device.Profile
 	// Costs is the middleware cost model (default calibrated).
 	Costs device.CostModel
-	// LAN is the wireless-LAN link model.
-	LAN netsim.Profile
-	// WAN is the cloud uplink model (used by PlaceCloud).
-	WAN netsim.Profile
-	// HiccupProb is the per-hop probability of a long stall (WiFi
-	// contention / GC pause), producing the paper's ~350 ms Max values
-	// at low rates.
-	HiccupProb float64
-	// HiccupDelay is the stall duration.
-	HiccupDelay time.Duration
 	// Placement selects local (PO3) or cloud-centric processing.
 	Placement Placement
 	// BrokerOnTrainer co-locates the broker with the training module
@@ -70,46 +60,49 @@ type Config struct {
 	// QoS1 models at-least-once delivery overhead (acknowledgement
 	// processing at publisher and broker).
 	QoS1 bool
-	// TrainQueueLimit / PredictQueueLimit bound the number of joined
-	// batches admitted to the Learning/Judging classes (Jubatus's
-	// internal task queue); excess batches are shed. These bounds are
-	// what keep the saturation latency finite in Tables II/III.
-	TrainQueueLimit   int
-	PredictQueueLimit int
-	// BrokerQueueLimit bounds the broker module's job queue.
-	BrokerQueueLimit int
 	// BrokerCount spreads the sensor population across this many broker
 	// modules (default 1 — the paper's single module D). Multiple
 	// brokers model the bridged/federated deployment of
 	// internal/bridge, the scalability fix for the single-broker
 	// bottleneck.
 	BrokerCount int
-	// CostJitterCV is the coefficient of variation of per-job service
+}
+
+// The calibration of the paper's testbed. Every run uses it; the links
+// are netsim.DefaultWLAN (sensors, broker and analysis modules) and
+// netsim.WAN (the cloud uplink under PlaceCloud).
+const (
+	// hiccupProb is the per-hop probability of a long stall (WiFi
+	// contention / GC pause), producing the paper's ~350 ms Max values
+	// at low rates; hiccupDelay is the stall duration.
+	hiccupProb  = 0.004
+	hiccupDelay = 290 * time.Millisecond
+	// trainQueueLimit / predictQueueLimit bound the number of joined
+	// batches admitted to the Learning/Judging classes (Jubatus's
+	// internal task queue); excess batches are shed. These bounds are
+	// what keep the saturation latency finite in Tables II/III.
+	trainQueueLimit   = 22
+	predictQueueLimit = 22
+	// brokerQueueLimit bounds the broker module's job queue.
+	brokerQueueLimit = 230
+	// costJitterCV is the coefficient of variation of per-job service
 	// cost (Jubatus/OS noise on the RPi); without it the deterministic
 	// arrival process would show no queueing below saturation.
-	CostJitterCV float64
-}
+	costJitterCV = 0.7
+)
 
 // DefaultConfig returns the configuration of the paper's experiment at the
 // given sensing rate.
 func DefaultConfig(rateHz float64) Config {
 	return Config{
-		SensorCount:       3,
-		RateHz:            rateHz,
-		Duration:          30 * time.Second,
-		Seed:              1,
-		NeuronProfile:     device.RaspberryPi2(),
-		Costs:             device.DefaultCosts(),
-		LAN:               netsim.DefaultWLAN(),
-		WAN:               netsim.WAN(),
-		HiccupProb:        0.004,
-		HiccupDelay:       290 * time.Millisecond,
-		Placement:         PlaceLocal,
-		TrainShards:       1,
-		TrainQueueLimit:   22,
-		PredictQueueLimit: 22,
-		BrokerQueueLimit:  230,
-		CostJitterCV:      0.7,
+		SensorCount:   3,
+		RateHz:        rateHz,
+		Duration:      30 * time.Second,
+		Seed:          1,
+		NeuronProfile: device.RaspberryPi2(),
+		Costs:         device.DefaultCosts(),
+		Placement:     PlaceLocal,
+		TrainShards:   1,
 	}
 }
 
@@ -129,26 +122,11 @@ func (c Config) withDefaults() Config {
 	if c.Costs == (device.CostModel{}) {
 		c.Costs = device.DefaultCosts()
 	}
-	if c.LAN == (netsim.Profile{}) {
-		c.LAN = netsim.DefaultWLAN()
-	}
-	if c.WAN == (netsim.Profile{}) {
-		c.WAN = netsim.WAN()
-	}
 	if c.Placement == 0 {
 		c.Placement = PlaceLocal
 	}
 	if c.TrainShards <= 0 {
 		c.TrainShards = 1
-	}
-	if c.TrainQueueLimit <= 0 {
-		c.TrainQueueLimit = 22
-	}
-	if c.PredictQueueLimit <= 0 {
-		c.PredictQueueLimit = 22
-	}
-	if c.BrokerQueueLimit <= 0 {
-		c.BrokerQueueLimit = 200
 	}
 	if c.BrokerCount <= 0 {
 		c.BrokerCount = 1
@@ -221,7 +199,7 @@ func Run(cfg Config) Result {
 	unbounded := cfg.NeuronProfile
 	unbounded.QueueLimit = 0 // batch admission is limited separately
 	brokerProfile := cfg.NeuronProfile
-	brokerProfile.QueueLimit = cfg.BrokerQueueLimit
+	brokerProfile.QueueLimit = brokerQueueLimit
 
 	switch cfg.Placement {
 	case PlaceCloud:
@@ -259,10 +237,7 @@ func Run(cfg Config) Result {
 	// jitterCost perturbs a job's service cost to model Jubatus/OS
 	// variability on the RPi.
 	jitterCost := func(base float64) float64 {
-		if cfg.CostJitterCV <= 0 {
-			return base
-		}
-		mult := 1 + cfg.CostJitterCV*rng.NormFloat64()
+		mult := 1 + costJitterCV*rng.NormFloat64()
 		if mult < 0.2 {
 			mult = 0.2
 		}
@@ -271,15 +246,16 @@ func Run(cfg Config) Result {
 
 	hop := func(profile netsim.Profile, size int, then func()) {
 		delay := profile.Delay(rng, size)
-		if cfg.HiccupProb > 0 && rng.Float64() < cfg.HiccupProb {
-			delay += cfg.HiccupDelay
+		if rng.Float64() < hiccupProb {
+			delay += hiccupDelay
 		}
 		engine.After(delay, then)
 	}
 
-	uplink := cfg.LAN
+	lan, wan := netsim.DefaultWLAN(), netsim.WAN()
+	uplink := lan
 	if cfg.Placement == PlaceCloud {
-		uplink = cfg.WAN
+		uplink = wan
 	}
 
 	// --- joins (Subscribe class of Fig. 9) ---
@@ -303,7 +279,7 @@ func Run(cfg Config) Result {
 		if cfg.Placement == PlaceCloud {
 			// Decisions must return to the edge over the WAN before
 			// they are usable for actuation (Fig. 1's feedback loop).
-			hop(cfg.WAN, sampleWireBytes, func() {
+			hop(wan, sampleWireBytes, func() {
 				predictRec.Record(engine.Now().Sub(sensedAt))
 				res.PredictCompleted++
 				bdPredict.complete(seq, at, engine.Now())
@@ -337,10 +313,10 @@ func Run(cfg Config) Result {
 	trainShardFor := func(seq uint32) *sim.Station {
 		return trainers[int(seq)%len(trainers)]
 	}
-	joinerE := newJoiner(bdTrain, trainShardFor, cfg.Costs.TrainBatch, cfg.TrainQueueLimit*cfg.TrainShards,
+	joinerE := newJoiner(bdTrain, trainShardFor, cfg.Costs.TrainBatch, trainQueueLimit*cfg.TrainShards,
 		&res.TrainDropped, completeTrain)
 	joinerF := newJoiner(bdPredict, func(uint32) *sim.Station { return predictor }, cfg.Costs.PredictBatch,
-		cfg.PredictQueueLimit, &res.PredictDropped, completePredict)
+		predictQueueLimit, &res.PredictDropped, completePredict)
 
 	// brokerFor spreads sensors across the (possibly federated) brokers.
 	brokerFor := func(sensorIdx int) *sim.Station {
@@ -366,7 +342,7 @@ func Run(cfg Config) Result {
 			tgt := tgt
 			brokerSt.Submit(jitterCost(routeCost), func(at time.Time) {
 				tgt.bd.routed(smp.Seq, src, at)
-				hop(cfg.LAN, sampleWireBytes, func() {
+				hop(lan, sampleWireBytes, func() {
 					tgt.bd.downlinked(smp.Seq, src, engine.Now())
 					tgt.host.Submit(jitterCost(cfg.Costs.SubscribeDecode), func(at time.Time) {
 						tgt.bd.decoded(smp.Seq, src, at)

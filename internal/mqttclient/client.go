@@ -54,23 +54,16 @@ type Options struct {
 	CleanSession bool
 	// KeepAlive is the keep-alive interval; zero disables pings.
 	KeepAlive time.Duration
-	// AckTimeout bounds waits for PUBACK/SUBACK/UNSUBACK (default 10s),
-	// counted from when the packet has been written. A wait fails with
-	// ErrAckTimeout no earlier than AckTimeout and no later than one sweep
-	// period, a tenth of AckTimeout, after that.
+	// AckTimeout bounds waits for PUBACK/SUBACK/UNSUBACK (default
+	// DefaultAckTimeout), counted from when the packet has been written. A
+	// wait fails with ErrAckTimeout no earlier than AckTimeout and no later
+	// than one sweep period, a tenth of AckTimeout, after that.
 	AckTimeout time.Duration
-	// DispatchBuffer sizes the reader's dispatch queue and each handler
-	// registration's lane (default 256). A full lane applies backpressure:
-	// the dispatcher waits for space, eventually stalling the connection
-	// reader (and thus TCP); nothing is dropped.
-	DispatchBuffer int
 	// Will, when set, is registered as the connection's will message.
 	Will *Message
 	// Username/Password are optional credentials.
 	Username string
 	Password []byte
-	// MaxPacketSize bounds inbound packets (default 1 MiB).
-	MaxPacketSize int
 	// OnDisconnect, when set, is invoked once when the connection ends
 	// for any reason other than an explicit Disconnect call.
 	OnDisconnect func(error)
@@ -101,6 +94,18 @@ func NewOptions(clientID string) Options {
 	}
 }
 
+// DefaultAckTimeout is the ack wait of Options that leave AckTimeout zero.
+const DefaultAckTimeout = 10 * time.Second
+
+// dispatchBuffer sizes the reader's dispatch queue and each handler
+// registration's lane. A full lane applies backpressure: the dispatcher
+// waits for space, eventually stalling the connection reader (and thus
+// TCP); nothing is dropped.
+const dispatchBuffer = 256
+
+// maxPacketSize bounds inbound packets.
+const maxPacketSize = 1 << 20
+
 // readBufSize is the connection's inbound buffer (bufio's default): a burst
 // of small packets costs one read; a larger packet bypasses the buffer.
 const readBufSize = 4 << 10
@@ -115,16 +120,10 @@ const maxFrameBuf = 64 << 10
 
 func (o Options) withDefaults() Options {
 	if o.AckTimeout <= 0 {
-		o.AckTimeout = 10 * time.Second
+		o.AckTimeout = DefaultAckTimeout
 	}
 	if o.clock == nil {
 		o.clock = clock.Real{}
-	}
-	if o.DispatchBuffer <= 0 {
-		o.DispatchBuffer = 256
-	}
-	if o.MaxPacketSize <= 0 {
-		o.MaxPacketSize = 1 << 20
 	}
 	return o
 }
@@ -275,7 +274,7 @@ func Connect(conn net.Conn, opts Options) (*Client, error) {
 	}
 	// The broker may send retained replay in the same segment as CONNACK,
 	// so the reader that takes CONNACK must be the one readLoop keeps.
-	rd := wire.NewReader(bufio.NewReaderSize(conn, readBufSize), opts.MaxPacketSize, false)
+	rd := wire.NewReader(bufio.NewReaderSize(conn, readBufSize), maxPacketSize, false)
 	_ = conn.SetReadDeadline(time.Now().Add(opts.AckTimeout))
 	pkt, err := rd.ReadPacket()
 	if err != nil {
@@ -295,7 +294,7 @@ func Connect(conn net.Conn, opts Options) (*Client, error) {
 		conn:     conn,
 		rd:       rd,
 		pending:  make(map[uint16]*waiter),
-		dispatch: make(chan Message, opts.DispatchBuffer),
+		dispatch: make(chan Message, dispatchBuffer),
 		done:     make(chan struct{}),
 	}
 	if opts.Registry != nil {
@@ -700,10 +699,10 @@ func (c *Client) handleInboundPublish(p *wire.PublishPacket) {
 	}
 }
 
-// newLane builds a lane of DispatchBuffer messages.
+// newLane builds a lane of dispatchBuffer messages.
 func (c *Client) newLane() *lane {
 	return &lane{
-		ch:   make(chan Message, c.opts.DispatchBuffer),
+		ch:   make(chan Message, dispatchBuffer),
 		quit: make(chan struct{}),
 	}
 }

@@ -78,7 +78,7 @@ func FuzzWALReopen(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xAA}, 300), uint8(250))
 	f.Fuzz(func(t *testing.T, blob []byte, tear uint8) {
 		dir := t.TempDir()
-		s, err := Open(dir, Options{NoSync: true, SegmentBytes: 128})
+		s, err := Open(dir, Options{NoSync: true, segmentBytes: 128})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func FuzzWALReopen(f *testing.F) {
 				_ = os.Truncate(last, info.Size()-cut)
 			}
 		}
-		s2, err := Open(dir, Options{NoSync: true, SegmentBytes: 128})
+		s2, err := Open(dir, Options{NoSync: true, segmentBytes: 128})
 		if err != nil {
 			t.Fatalf("reopen after tear: %v", err)
 		}

@@ -20,12 +20,6 @@ import (
 
 // Options configures a FileStore. The zero value is usable.
 type Options struct {
-	// SegmentBytes is the rotation threshold for WAL segment files
-	// (default 4 MiB). Smaller segments compact sooner; larger segments
-	// mean fewer files.
-	SegmentBytes int64
-	// MaxRecordBytes bounds a single record (default 16 MiB).
-	MaxRecordBytes int
 	// SyncDelay is the group-commit window: buffered appends are flushed
 	// and fsynced at least this often (default 5ms). One fsync covers
 	// every append since the last, so the per-record cost on the hot
@@ -49,14 +43,20 @@ type Options struct {
 	// truncation, corruption, unreadable snapshots) — the same facts the
 	// Logger narrates, in machine-consumable form.
 	Events *telemetry.EventLog
+
+	// segmentBytes is the rotation threshold for WAL segment files
+	// (default 4 MiB) and maxRecordBytes bounds a single record (default
+	// DefaultMaxRecordBytes). The package's tests shrink them.
+	segmentBytes   int64
+	maxRecordBytes int
 }
 
 func (o Options) withDefaults(dir string) Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = 4 << 20
 	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = DefaultMaxRecordBytes
+	if o.maxRecordBytes <= 0 {
+		o.maxRecordBytes = DefaultMaxRecordBytes
 	}
 	if o.SyncDelay <= 0 {
 		o.SyncDelay = 5 * time.Millisecond
@@ -200,7 +200,7 @@ func (s *FileStore) scan() error {
 	for i := len(snapIdx) - 1; i >= 0; i-- {
 		path := snapPath(s.dir, snapIdx[i])
 		if s.snapPath == "" {
-			if _, err := readSnapshotFile(path, s.opts.MaxRecordBytes); err == nil {
+			if _, err := readSnapshotFile(path, s.opts.maxRecordBytes); err == nil {
 				s.snapPath = path
 				snapMark = snapIdx[i]
 				continue
@@ -264,7 +264,7 @@ func (s *FileStore) validateSegment(path string, last bool) (int64, error) {
 	valid := int64(0)
 	rest := data
 	for {
-		payload, next, err := DecodeRecord(rest, s.opts.MaxRecordBytes)
+		payload, next, err := DecodeRecord(rest, s.opts.maxRecordBytes)
 		if err == io.EOF {
 			return valid, nil
 		}
@@ -341,7 +341,7 @@ func (s *FileStore) Append(rec []byte) error { return s.append(rec, false) }
 func (s *FileStore) AppendSync(rec []byte) error { return s.append(rec, true) }
 
 func (s *FileStore) append(rec []byte, wait bool) error {
-	if len(rec) > s.opts.MaxRecordBytes {
+	if len(rec) > s.opts.maxRecordBytes {
 		return ErrTooLarge
 	}
 	s.mu.Lock()
@@ -354,7 +354,7 @@ func (s *FileStore) append(rec []byte, wait bool) error {
 		s.mu.Unlock()
 		return err
 	}
-	if s.segBytes >= s.opts.SegmentBytes {
+	if s.segBytes >= s.opts.segmentBytes {
 		if err := s.rotateLocked(); err != nil {
 			s.werr = err
 			s.mu.Unlock()
@@ -507,7 +507,7 @@ func (s *FileStore) Replay(fn func(rec []byte) error) error {
 		}
 		rest := data
 		for len(rest) > 0 {
-			payload, next, err := DecodeRecord(rest, s.opts.MaxRecordBytes)
+			payload, next, err := DecodeRecord(rest, s.opts.maxRecordBytes)
 			if err != nil {
 				// The range was validated at open; hitting this means
 				// the file changed underneath us.
@@ -601,7 +601,7 @@ func (s *FileStore) LoadSnapshot() ([]byte, error) {
 	if newest == "" {
 		return nil, nil
 	}
-	return readSnapshotFile(newest, s.opts.MaxRecordBytes)
+	return readSnapshotFile(newest, s.opts.maxRecordBytes)
 }
 
 // readSnapshotFile reads and CRC-verifies one snapshot blob.

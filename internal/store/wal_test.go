@@ -113,7 +113,7 @@ func TestFileStoreTornTailTruncation(t *testing.T) {
 func TestFileStoreCorruptionBeforeTail(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force several files.
-	s := openTest(t, dir, Options{NoSync: true, SegmentBytes: 64})
+	s := openTest(t, dir, Options{NoSync: true, segmentBytes: 64})
 	for i := 0; i < 20; i++ {
 		if err := s.AppendSync(bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
 			t.Fatal(err)
@@ -142,7 +142,7 @@ func TestFileStoreCorruptionBeforeTail(t *testing.T) {
 
 func TestFileStoreSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s := openTest(t, dir, Options{NoSync: true, SegmentBytes: 128})
+	s := openTest(t, dir, Options{NoSync: true, segmentBytes: 128})
 	for i := 0; i < 50; i++ {
 		if err := s.Append(bytes.Repeat([]byte{'a'}, 40)); err != nil {
 			t.Fatal(err)
@@ -164,7 +164,7 @@ func TestFileStoreSegmentRotation(t *testing.T) {
 
 func TestFileStoreSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s := openTest(t, dir, Options{NoSync: true, SegmentBytes: 128})
+	s := openTest(t, dir, Options{NoSync: true, segmentBytes: 128})
 	for i := 0; i < 30; i++ {
 		if err := s.Append([]byte(fmt.Sprintf("pre-snap-%02d", i))); err != nil {
 			t.Fatal(err)
@@ -291,7 +291,7 @@ func TestFileStoreGroupCommitConcurrent(t *testing.T) {
 }
 
 func TestFileStoreRecordTooLarge(t *testing.T) {
-	s := openTest(t, t.TempDir(), Options{NoSync: true, MaxRecordBytes: 16})
+	s := openTest(t, t.TempDir(), Options{NoSync: true, maxRecordBytes: 16})
 	defer s.Close()
 	if err := s.Append(make([]byte, 17)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("want ErrTooLarge, got %v", err)
@@ -303,7 +303,7 @@ func TestFileStoreRecordTooLarge(t *testing.T) {
 
 func TestFileStoreWALBytesGauge(t *testing.T) {
 	dir := t.TempDir()
-	s := openTest(t, dir, Options{NoSync: true, SegmentBytes: 256})
+	s := openTest(t, dir, Options{NoSync: true, segmentBytes: 256})
 	payload := bytes.Repeat([]byte{1}, 100)
 	for i := 0; i < 10; i++ {
 		if err := s.Append(payload); err != nil {
